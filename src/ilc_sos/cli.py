@@ -5,7 +5,8 @@ rejected so typos fail loudly), applies any flag overrides, runs the
 requested stage, and writes ``result.json`` plus a ``trace.csv`` into the
 output directory.  ``repro-paper`` additionally writes ``table.md``.
 
-Exit codes: 0 success, 2 bad config, 3 solver/certificate/divergence
+Exit codes: 0 success, 2 bad config or an input the mode cannot use
+(unstable plant, pole on the unit circle, ...), 3 solver/certificate/divergence
 failure, 4 synthesis finished but could not certify contraction (gamma >= 1).
 """
 
@@ -21,12 +22,13 @@ import sys
 
 import numpy as np
 
-from .polyalg import AffinePoly
+from .polyalg import AffinePoly, AffinityError, DegenerateDenominator
 from . import freqdomain as fd
 from . import timedomain as td
 from . import verify as vf
 from . import simulate as sim
 from .sdp import SolverFailure
+from .soscompiler import BasisDeficiency
 from .result import SynthesisResult
 
 MODES = ("synth-time", "synth-freq", "verify", "simulate", "repro-paper")
@@ -186,10 +188,11 @@ def _lifted_filter(d, N: int, path: str, role: str) -> td.LiftedFilter:
     _require(isinstance(d, dict), f"{path}: expected an object")
     _check_keys(d, {"identity", "causal_decisions", "taps", "fir"}, path)
     _require(len(d) == 1, f"{path}: give exactly one of identity/causal_decisions/taps/fir")
-    if d.get("identity"):
-        return td.LiftedFilter.identity(N)
-    if d.get("causal_decisions"):
-        return td.LiftedFilter.causal_decision(N)
+    for key, build in (("identity", td.LiftedFilter.identity),
+                       ("causal_decisions", td.LiftedFilter.causal_decision)):
+        if key in d:
+            _require(d[key] is True, f"{path}.{key}: must be true")
+            return build(N)
     if "taps" in d:
         taps = d["taps"]
         _require(isinstance(taps, list), f"{path}.taps: list required")
@@ -640,7 +643,11 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except SolverFailure as e:
+    except (fd.UnstablePlant, fd.EmptyPolytope, td.SingularPlant, vf.UnitCirclePole,
+            DegenerateDenominator, AffinityError) as e:
+        print(f"unusable input: {e}", file=sys.stderr)
+        return EXIT_CONFIG
+    except (SolverFailure, BasisDeficiency) as e:
         print(f"solver failure: {e}", file=sys.stderr)
         return EXIT_SOLVER
     except sim.Divergent as e:

@@ -12,8 +12,15 @@ predictor-corrector, infeasible start.  The dual is
     maximize    beta^T nu
     subject to  D^T nu = -c,    Z = -A*(nu) >= 0.
 
-The Schur complement M = A(W A*(.) W) is built from the sparse constraint
-entries; free variables are eliminated through a second (tiny) Schur step.
+The Schur complement M = A(W A*(.) W) is built block by block from the
+sparse constraint entries: the congruences W K_j W of all equalities are one
+batched product (each equality's few entries padded to a common length),
+and M_ij = <K_i, W K_j W> is read off at equality i's own entries.  M is
+factored once per iteration (Cholesky, with a ridge only when it does not
+factor as is) and the triangular factor is inverted once, so every Newton
+solve of the iteration is matrix products.  Iterative refinement against the
+unridged M runs while it lowers the residual.  Free variables are eliminated
+through a second (tiny) Schur step that is solved the same way.
 
 A bisection fallback handles problems whose objective is one scalar bound:
 feasibility of a pinned bound eta is decided by a phase-1 program
@@ -79,6 +86,9 @@ class SdpSolution:
 # ---------------------------------------------------------------------------
 # assembly
 
+# largest work array (in doubles) one chunk of the Schur build may allocate
+_SCHUR_CHUNK = 1 << 21
+
 
 class _Assembled:
     """Array form of an SdpProblem: per-block sparse entries + dense D."""
@@ -115,22 +125,21 @@ class _Assembled:
         self.q = q
         self.ntot = sum(self.dims)
 
-        # dense vec(K_i) rows per block (when affordable) let the Schur
-        # complement assemble as one gemm instead of pairwise entry products
-        self.kdense = []
-        self.rowptr = []
-        for (eq, pp, qq, ww), n in zip(self.blocks, self.dims):
-            active = np.unique(eq)
-            ptr = np.searchsorted(eq, np.arange(self.p + 1))
-            self.rowptr.append((active, ptr))
-            if len(active) * n * n <= 4e7:
-                Kd = np.zeros((len(active), n * n))
-                pos = np.searchsorted(active, eq)
-                np.add.at(Kd, (pos, pp * n + qq), 0.5 * ww)
-                np.add.at(Kd, (pos, qq * n + pp), 0.5 * ww)
-                self.kdense.append(Kd)
-            else:
-                self.kdense.append(None)
+        # each active equality's entries, padded to a common length per block
+        # (zero weight in the padding), so that the congruences W K_i W of
+        # all equalities are one batched matmul in schur()
+        self.padded = []
+        for eq, pp, qq, ww in self.blocks:
+            active, starts, counts = np.unique(eq, return_index=True,
+                                               return_counts=True)
+            width = int(counts.max()) if len(eq) else 0
+            row = np.repeat(np.arange(len(active)), counts)
+            slot = np.arange(len(eq)) - np.repeat(starts, counts)
+            P = np.zeros((len(active), width), int)
+            Q = np.zeros((len(active), width), int)
+            Wt = np.zeros((len(active), width))
+            P[row, slot], Q[row, slot], Wt[row, slot] = pp, qq, 0.5 * ww
+            self.padded.append((active, starts, P, Q, Wt))
 
     # linear operators ---------------------------------------------------
     def apply_A(self, Gs: Sequence[np.ndarray]) -> np.ndarray:
@@ -151,39 +160,37 @@ class _Assembled:
             outs.append(M)
         return outs
 
+    def constraint_rows(self) -> np.ndarray:
+        """Dense p x sum(n^2) matrix whose row i is vec(A*(e_i)), block by
+        block: A(G) = rows @ concat(vec(G_b)) for symmetric G."""
+        rows = np.zeros((self.p, sum(n * n for n in self.dims)))
+        off = 0
+        for (eq, pp, qq, ww), n in zip(self.blocks, self.dims):
+            np.add.at(rows, (eq, off + pp * n + qq), 0.5 * ww)
+            np.add.at(rows, (eq, off + qq * n + pp), 0.5 * ww)
+            off += n * n
+        return rows
+
     def schur(self, Ws: Sequence[np.ndarray]) -> np.ndarray:
-        """M_ij = sum_b tr(A_i W_b A_j W_b)."""
+        """M_ij = sum_b tr(A_i W_b A_j W_b) = sum_b <K_i, W_b K_j W_b>."""
         M = np.zeros((self.p, self.p))
-        for b, ((eq, pp, qq, ww), W) in enumerate(zip(self.blocks, Ws)):
-            t = len(eq)
-            if t == 0:
+        for (eq, pp, qq, ww), (active, starts, P, Q, Wt), W in zip(
+                self.blocks, self.padded, Ws):
+            if not len(eq):
                 continue
-            active, ptr = self.rowptr[b]
-            Kd = self.kdense[b]
-            if Kd is not None:
-                # H[i] = vec(W K_i W): each K_i has only a handful of entries,
-                # so the congruence is a skinny matmul per equality
-                n = W.shape[0]
-                H = np.empty((len(active), n * n))
-                for a, i in enumerate(active):
-                    sl = slice(ptr[i], ptr[i + 1])
-                    C = (W[:, pp[sl]] * (0.5 * ww[sl])) @ W[qq[sl], :]
-                    H[a] = (C + C.T).ravel()
-                M[np.ix_(active, active)] += Kd @ H.T
-                continue
-            # fallback: pairwise entry products, chunked
-            wh = 0.5 * ww
-            chunk = max(1, int(4e6) // max(t, 1))
-            for lo in range(0, t, chunk):
-                hi = min(t, lo + chunk)
-                Wpp = W[np.ix_(pp[lo:hi], pp)]
-                Wqq = W[np.ix_(qq[lo:hi], qq)]
-                Wpq = W[np.ix_(pp[lo:hi], qq)]
-                Wqp = W[np.ix_(qq[lo:hi], pp)]
-                vals = (Wpp * Wqq + Wpq * Wqp) * (2.0 * np.outer(wh[lo:hi], wh))
-                idx = (eq[lo:hi][:, None] * self.p + eq[None, :]).ravel()
-                M += np.bincount(idx, weights=vals.ravel(),
-                                 minlength=self.p * self.p).reshape(self.p, self.p)
+            n = W.shape[0]
+            pq = pp * n + qq
+            # bound the (equalities x n^2) and (equalities x entries) work
+            # arrays so that large blocks do not raise peak memory
+            chunk = max(1, _SCHUR_CHUNK // max(n * n, len(eq)))
+            for lo in range(0, len(active), chunk):
+                sl = slice(lo, lo + chunk)
+                # H_j = W K_j W = C_j + C_j^T, C_j = sum_l wt_l W[:, p_l] W[q_l, :]
+                C = (W[:, P[sl]].transpose(1, 0, 2) * Wt[sl, None, :]) @ W[Q[sl], :]
+                H = (C + C.transpose(0, 2, 1)).reshape(len(C), n * n)
+                # <K_i, H_j> = sum of w_l (H_j)[p_l, q_l] over the entries of i
+                G = np.take(H, pq, axis=1) * ww
+                M[np.ix_(active, active[sl])] += np.add.reduceat(G, starts, axis=1).T
         return M
 
 
@@ -192,6 +199,61 @@ def _chol(M: np.ndarray):
         return np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
         return None
+
+
+def _tril_inv(L: np.ndarray) -> np.ndarray:
+    """Inverse of a lower-triangular L by recursive 2x2 blocking, so that
+    almost all the work is matrix products (np.linalg.inv would run a full
+    LU factorization on the triangle)."""
+    n = len(L)
+    if n <= 64:
+        return np.linalg.inv(L)
+    h = n // 2
+    A, D = _tril_inv(L[:h, :h]), _tril_inv(L[h:, h:])
+    out = np.zeros_like(L)
+    out[:h, :h], out[h:, h:] = A, D
+    out[h:, :h] = -D @ (L[h:, :h] @ A)
+    return out
+
+
+# ridges tried, in order, when a Schur complement does not factor as is
+_RIDGES = (0.0, 1e-13, 1e-8)
+
+
+def _refined_solver(M: np.ndarray):
+    """Return X -> M^-1 X for a symmetric positive (semi)definite M, or None.
+
+    M is factored once: plain Cholesky first, and only when that fails with
+    the smallest ridge (relative to its largest diagonal entry) that makes
+    it factorable.  The triangular factor is inverted, so each solve is
+    matrix products only.  Iterative refinement against the unridged M then
+    removes any ridge bias and the rounding of the inverse: a sweep is kept
+    while it lowers the residual norm, for at most five sweeps (LAPACK's
+    limit in xPORFS).
+    """
+    scale = max(1.0, float(M.diagonal().max()))
+    for ridge in _RIDGES:
+        L = _chol(M + np.eye(len(M)) * (ridge * scale) if ridge else M)
+        if L is not None:
+            break
+    else:
+        return None
+    Li = _tril_inv(L)
+
+    def solve(B):
+        X = Li.T @ (Li @ B)
+        R = B - M @ X
+        res = np.linalg.norm(R)
+        for _ in range(5):
+            Xc = X + Li.T @ (Li @ R)
+            Rc = B - M @ Xc
+            res_c = np.linalg.norm(Rc)
+            if not res_c < res:
+                break
+            X, R, res = Xc, Rc, res_c
+        return X
+
+    return solve
 
 
 def _max_step(Sig_half_inv: np.ndarray, delta_scaled: np.ndarray) -> float:
@@ -339,33 +401,15 @@ def _solve_ipm(A: _Assembled, feas_tol: float, gap_tol: float, max_iter: int,
             return finish("iterate lost positive definiteness", it)
 
         M = A.schur(Ws)
-        # ridge keeps the factorization alive when nearly rank-deficient
-        LM = _chol(M + np.eye(p) * (1e-13 * max(1.0, M.diagonal().max())))
-        if LM is None:
-            LM = _chol(M + np.eye(p) * (1e-8 * max(1.0, M.diagonal().max())))
-            if LM is None:
-                return finish("Schur complement not PD", it)
-
-        def msolve(X):
-            # iterative refinement (vs. the unridged M) keeps the late,
-            # nearly singular iterations from stalling the primal residual
-            out = np.linalg.solve(LM.T, np.linalg.solve(LM, X))
-            for _ in range(2):
-                out = out + np.linalg.solve(LM.T, np.linalg.solve(LM, X - M @ out))
-            return out
-
+        msolve = _refined_solver(M)
+        if msolve is None:
+            return finish("Schur complement not PD", it)
         MD = msolve(A.D) if q else np.zeros((p, 0))
         if q:
             S2 = A.D.T @ MD
-            LS = _chol(S2 + np.eye(q) * (1e-13 * max(1.0, S2.diagonal().max())))
-            if LS is None:
+            fsolve = _refined_solver(S2)
+            if fsolve is None:
                 return finish("free-variable Schur block not PD", it)
-
-            def fsolve(rhs):
-                out = np.linalg.solve(LS.T, np.linalg.solve(LS, rhs))
-                for _ in range(2):
-                    out = out + np.linalg.solve(LS.T, np.linalg.solve(LS, rhs - S2 @ out))
-                return out
 
         def newton_raw(rp_loc, rfree_loc, Rd_loc, Vs):
             """Direction from scaled complementarity targets Vs (= dG~ + dZ~)."""
@@ -570,13 +614,7 @@ def _project_equalities(assembled: _Assembled, Gs: Sequence[np.ndarray],
     (symmetric) constraint matrices, so the correction stays symmetric.
     """
     rp = assembled.beta - assembled.apply_A(Gs) + assembled.D @ yvec
-    rows = np.empty((assembled.p, sum(n * n for n in assembled.dims)))
-    unit = np.zeros(assembled.p)
-    for i in range(assembled.p):
-        unit[i] = 1.0
-        rows[i] = np.concatenate([M.ravel() for M in assembled.apply_At(unit)])
-        unit[i] = 0.0
-    delta, *_ = np.linalg.lstsq(rows, rp, rcond=None)
+    delta, *_ = np.linalg.lstsq(assembled.constraint_rows(), rp, rcond=None)
     out = []
     off = 0
     for G, n in zip(Gs, assembled.dims):

@@ -142,6 +142,46 @@ def test_bad_polynomial_coefficient(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("role", ["qfilter", "lstructure"])
+@pytest.mark.parametrize("key", ["identity", "causal_decisions"])
+def test_lifted_filter_false_flag_rejected(tmp_path, capsys, role, key):
+    cfg = write_config(tmp_path, {
+        "mode": "synth-time",
+        "plant": {"type": "markov", "N": 2, "markov": [1.0, 0.5]},
+        role: {key: False},
+    })
+    rc = cli.main(["synth-time", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 2
+    assert f"{role}.{key}: must be true" in capsys.readouterr().err
+
+
+def _lin(c0, c1):
+    return [{"exponents": [0], "value": c0}, {"exponents": [1], "value": c1}]
+
+
+UNIT_CIRCLE_POLE = {"type": "transfer", "num": [1.0], "den": [-1.0, 1.0]}
+
+
+@pytest.mark.parametrize("mode, payload", [
+    # pole at z = 2 + theta/2: the Jury screen rejects the polytope
+    pytest.param("synth-freq", {"plant": {"type": "polytope", "num": [1.0],
+                                          "den": [_lin(-2.0, -0.5), 1.0],
+                                          "vertices": [[0.0], [1.0]],
+                                          "theta_vars": ["theta"]},
+                                "lstructure": {"order": 0}}, id="UnstablePlant"),
+    pytest.param("synth-freq", {"plant": UNIT_CIRCLE_POLE, "lstructure": {"order": 0}},
+                 id="DegenerateDenominator"),
+    pytest.param("verify", {"plant": UNIT_CIRCLE_POLE,
+                            "lfilter": {"k_lead": 0, "k_lag": 0, "coeffs": [0.5]}},
+                 id="UnitCirclePole"),
+])
+def test_unusable_plant_exits_2(tmp_path, capsys, mode, payload):
+    cfg = write_config(tmp_path, {"mode": mode, **payload})
+    rc = cli.main([mode, "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 2
+    assert "unusable input" in capsys.readouterr().err
+
+
 # -- verify mode ---------------------------------------------------------
 
 

@@ -106,3 +106,64 @@ def test_solution_report_format():
     text = sol.report()
     assert "status" in text and "optimal" in text
     assert "scalar y" in text
+
+
+def _random_assembled():
+    # blocks 0 and 1 carry several entries per equality, including a
+    # repeated (r, s) entry and its transpose; block 2 has no entries at all
+    rng = np.random.default_rng(3)
+    dims = [5, 3, 2]
+    eqs = []
+    for i in range(9):
+        gram = []
+        for _ in range(int(rng.integers(1, 6))):
+            b = int(rng.integers(0, 2))
+            r, s = (int(v) for v in rng.integers(0, dims[b], size=2))
+            gram.append((b, r, s, float(rng.normal())))
+        eqs.append(Equality(gram, {"y": float(rng.normal())} if i % 3 == 0 else {},
+                            float(rng.normal())))
+    eqs[4].gram.extend([(0, 1, 3, 0.7), (0, 1, 3, -0.2), (0, 3, 1, 0.4)])
+    prob = make_problem(dims, eqs, {"y": 1.0})
+    Ws = []
+    for n in dims:
+        X = rng.normal(size=(n, n))
+        Ws.append(X @ X.T + n * np.eye(n))
+    return sdp._Assembled(prob), Ws
+
+
+def _unit_At(A):
+    return [A.apply_At(np.eye(A.p)[i]) for i in range(A.p)]
+
+
+def test_schur_matches_definition():
+    A, Ws = _random_assembled()
+    K = _unit_At(A)
+    ref = np.array([[sum(np.trace(Ki[b] @ W @ Kj[b] @ W) for b, W in enumerate(Ws))
+                     for Kj in K] for Ki in K])
+    np.testing.assert_allclose(A.schur(Ws), ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+
+def test_constraint_rows_match_apply_At():
+    A, _ = _random_assembled()
+    loop = np.array([np.concatenate([M.ravel() for M in Ki]) for Ki in _unit_At(A)])
+    np.testing.assert_array_equal(A.constraint_rows(), loop)
+
+
+def test_refined_solve_on_ill_conditioned_schur():
+    rng = np.random.default_rng(7)
+    p = 120
+    Q, _ = np.linalg.qr(rng.normal(size=(p, p)))
+    M = (Q * np.logspace(0, -12, p)) @ Q.T
+    M = 0.5 * (M + M.T)
+    B = rng.normal(size=(p, 3))
+    X = sdp._refined_solver(M)(B)
+    eps = np.finfo(float).eps
+    resid = np.linalg.norm(B - M @ X) / (np.linalg.norm(M, 2) * np.linalg.norm(X))
+    assert resid <= 4 * eps  # normwise backward stable despite the explicit inverse
+    # a rank-deficient M only factors with a ridge, whose bias (residual
+    # ~1e-13 relative without refinement) the refinement removes
+    V = rng.normal(size=(p, p // 2))
+    Ms = V @ V.T
+    Bs = Ms @ rng.normal(size=p)
+    Xs = sdp._refined_solver(Ms)(Bs)
+    assert np.linalg.norm(Bs - Ms @ Xs) <= 100 * eps * np.linalg.norm(Bs)
