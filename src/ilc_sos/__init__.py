@@ -11,7 +11,7 @@ Modules
 -------
 polyalg     exact polynomial/matrix arithmetic with affine decision terms
 soscompiler SOS feasibility -> semidefinite program (Gram matrix form)
-sdp         self-contained primal-dual SDP solver + bisection fallback
+sdp         self-contained primal-dual SDP solver
 timedomain  lifted (finite-horizon) synthesis
 freqdomain  transfer-function (infinite-horizon) synthesis
 verify      brute-force sampled contraction rates

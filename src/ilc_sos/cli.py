@@ -29,7 +29,7 @@ from . import verify as vf
 from . import simulate as sim
 from .sdp import SolverFailure
 from .soscompiler import BasisDeficiency
-from .result import SynthesisResult
+from .result import SynthesisResult, UnusedDecision
 
 MODES = ("synth-time", "synth-freq", "verify", "simulate", "repro-paper")
 
@@ -61,6 +61,8 @@ def _check_keys(d, allowed, path: str):
 def _number(x, path: str) -> float:
     _require(isinstance(x, (int, float)) and not isinstance(x, bool),
              f"{path}: expected a number")
+    # json parses NaN and Infinity, which no coefficient or setting may take
+    _require(math.isfinite(x), f"{path}: expected a finite number")
     return float(x)
 
 
@@ -74,7 +76,7 @@ def _poly(obj, variables: tuple, path: str) -> AffinePoly:
     """A coefficient: plain number, or [{exponents, value}, ...] over the
     declared variables."""
     if isinstance(obj, (int, float)) and not isinstance(obj, bool):
-        return AffinePoly.constant(variables, float(obj))
+        return AffinePoly.constant(variables, _number(obj, path))
     _require(isinstance(obj, list), f"{path}: expected a number or a term list")
     p = AffinePoly.zero(variables)
     for i, item in enumerate(obj):
@@ -159,9 +161,9 @@ def _time_plant(d, path: str) -> td.LiftedUncertainPlant:
     kind = d.get("type", "markov")
     if kind == "markov":
         _check_keys(d, {"type", "N", "markov", "lambda_vars"}, path)
-        N = _integer(d.get("N", len(d.get("markov", []))), f"{path}.N")
-        lv = _str_list(d.get("lambda_vars", []), f"{path}.lambda_vars")
         _require(isinstance(d.get("markov"), list), f"{path}.markov: list required")
+        N = _integer(d.get("N", len(d["markov"])), f"{path}.N")
+        lv = _str_list(d.get("lambda_vars", []), f"{path}.lambda_vars")
         markov = tuple(_poly(c, lv, f"{path}.markov[{i}]")
                        for i, c in enumerate(d["markov"]))
         try:
@@ -644,7 +646,7 @@ def main(argv=None) -> int:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (fd.UnstablePlant, fd.EmptyPolytope, td.SingularPlant, vf.UnitCirclePole,
-            DegenerateDenominator, AffinityError) as e:
+            DegenerateDenominator, AffinityError, UnusedDecision) as e:
         print(f"unusable input: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (SolverFailure, BasisDeficiency) as e:

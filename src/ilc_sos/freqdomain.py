@@ -21,7 +21,6 @@ sum-of-squares program:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -39,7 +38,7 @@ from .polyalg import (
     substitute_squares,
     x_parameterize,
 )
-from .result import SynthesisResult
+from .result import SynthesisResult, decision_value, escalate
 from .sdp import SolverFailure
 from .soscompiler import compile_sos, monomial_basis, parity_classes
 
@@ -452,28 +451,8 @@ def _eps_coeff(epsilon, eta_id: str = "eta"):
 
 
 def _gain_list(fir: NoncausalFir, gains: Mapping[str, float]) -> list:
-    return [float(gains[c]) if isinstance(c, str) else float(c) for c in fir.coeffs]
-
-
-def _sampled_sup_squared(qfilter: NoncausalFir, lfir: NoncausalFir,
-                         plant: UncertainTransferFunction,
-                         n_omega: int = 181, resolution: int = 20) -> float:
-    """Coarse sampled sup of |Q(1 - zLP)|^2 with all decision taps at zero
-    (bracket hint for the bisection fallback)."""
-    zeros_q = {c: 0.0 for c in qfilter.decision_ids()}
-    zeros_l = {c: 0.0 for c in lfir.decision_ids()}
-    z = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, n_omega))
-    qz = qfilter.response(z, zeros_q)
-    lz = lfir.response(z, zeros_l)
-    pts = _simplex_mesh(len(plant.lambda_vars), resolution)
-    best = 0.0
-    for row in pts:
-        lam = {v: row[i] for i, v in enumerate(plant.lambda_vars)}
-        num, den = plant.coeff_arrays(lam)
-        zp = z[:, None] ** np.arange(len(den))[None, :]
-        P = (zp[:, : len(num)] @ num) / (zp @ den)
-        best = max(best, float(np.max(np.abs(qz * (1.0 - z * lz * P))) ** 2))
-    return best
+    return [decision_value(gains, c) if isinstance(c, str) else float(c)
+            for c in fir.coeffs]
 
 
 def synth_freq_nominal(qfilter: NoncausalFir, lstructure: NoncausalFir,
@@ -505,28 +484,17 @@ def synth_freq_nominal(qfilter: NoncausalFir, lstructure: NoncausalFir,
     const = monomial_basis(variables, [(variables, "graded", 0)])
     prob = compile_sos(S, {"eta": 1.0}, coord_bases=[row_basis, const, const],
                        nonneg=nonneg + list(extra_nonneg))
-    bracket = (0.0, max(4.0 * _sampled_sup_squared(qfilter, lstructure, plant), 1e-2))
-    sol = sdp.solve(prob, feas_tol=feas_tol, gap_tol=gap_tol, bisection_bracket=bracket)
+    sol = sdp.solve(prob, feas_tol=feas_tol, gap_tol=gap_tol)
     if not sol.ok:
         raise SolverFailure(f"nominal synthesis failed: {sol.status} ({sol.message})")
 
     sol, cert, report = sdp.ensure_certified(prob, S, sol, feas_tol=feas_tol)
-    eta = float(sol.scalar_values["eta"])
-    gains = {k: float(v) for k, v in sol.scalar_values.items()}
-    gamma = math.sqrt(max(eta, 0.0))
     opt_filter = lstructure if lstructure.has_decisions() else qfilter
-    return SynthesisResult(
-        gamma=gamma, eta=eta, gains=gains,
-        gain_list=_gain_list(opt_filter, gains),
-        epsilon=float(gains.get("eps", 0.0)) if eps_var else epsilon,
-        polya_k=0, k_trace=[(0, eta)],
-        certificate=cert, certificate_report=report,
-        solver_status=sol.status, solver_method=sol.method,
-        solver_iterations=sol.iterations,
-        not_monotone=bool(gamma >= 1.0),
+    return SynthesisResult.from_solution(
+        sol, cert, report, _gain_list(opt_filter, sol.scalar_values),
+        epsilon=float(sol.scalar_values.get("eps", 0.0)) if eps_var else epsilon,
         diagnostics={"n_equalities": prob.n_equalities,
-                     "block_dims": list(prob.block_dims)},
-    )
+                     "block_dims": list(prob.block_dims)})
 
 
 def synth_freq_robust(qfilter: NoncausalFir, lstructure: NoncausalFir,
@@ -566,72 +534,21 @@ def synth_freq_robust(qfilter: NoncausalFir, lstructure: NoncausalFir,
     eps_poly = (norm2 ** data.deg_lambda * one_px2 ** data.deg_x).scaled(eps_c)
     base = T_sq - PolyMatrix.identity(3, variables).scaled(eps_poly)
 
-    bracket_hi = max(4.0 * _sampled_sup_squared(qfilter, lstructure, plant), 1e-2)
-
-    # A certificate solved at level j stays valid at every level k > j (multiply
-    # the Gram polynomial by the norm factor), so the guaranteed bound after
-    # processing level k is the best value seen so far; k_trace records that,
-    # and the raw per-level solve values go to the diagnostics.
-    k_trace = []
-    k_raw = []
-    best = None
-    prev_bound = None
-    increased = False
-    mult = AffinePoly.constant(variables, 1.0)
-    for k in range(k_max + 1):
-        S = base.scaled(mult) if k else base
-        halfdeg_lam = data.deg_lambda + k
+    def compile_level(S, k):
         basis = monomial_basis(variables, [(("x",), "graded", data.deg_x),
-                                           (lam, "homogeneous", halfdeg_lam)])
-        blocks = parity_classes(basis, lam_positions)
-        prob = compile_sos(S, {"eta": 1.0}, bases=blocks,
+                                           (lam, "homogeneous", data.deg_lambda + k)])
+        return compile_sos(S, {"eta": 1.0}, bases=parity_classes(basis, lam_positions),
                            nonneg=nonneg + list(extra_nonneg))
-        sol = sdp.solve(prob, feas_tol=feas_tol, gap_tol=gap_tol,
-                        bisection_bracket=(0.0, bracket_hi))
-        if sol.ok:
-            eta = float(sol.scalar_values["eta"])
-            k_raw.append((k, eta))
-            if best is None or eta < best[1]:
-                best = (k, eta, sol, prob, S)
-            if k_raw and len(k_raw) > 1 and eta > k_raw[-2][1] + 1e-6:
-                increased = True
-        else:
-            k_raw.append((k, float("nan")))
-        bound = best[1] if best is not None else float("nan")
-        k_trace.append((k, bound))
-        if prev_bound is not None and best is not None \
-                and abs(prev_bound - bound) < k_tol:
-            break
-        prev_bound = bound
-        mult = mult * norm2
 
-    if best is None:
-        raise SolverFailure(f"no multiplier power up to k={k_max} yielded a solution")
-
-    k_best, eta, sol, prob, S = best
-    sol, cert, report = sdp.ensure_certified(prob, S, sol, feas_tol=feas_tol)
-    eta = float(sol.scalar_values["eta"])
-    gains = {k2: float(v) for k2, v in sol.scalar_values.items()}
-    gamma = math.sqrt(max(eta, 0.0))
+    esc = escalate(base, norm2, compile_level, k_max, k_tol, feas_tol, gap_tol)
+    gains = esc.solution.scalar_values
     opt_filter = lstructure if lstructure.has_decisions() else qfilter
-    return SynthesisResult(
-        gamma=gamma, eta=eta, gains=gains,
-        gain_list=_gain_list(opt_filter, gains),
+    return SynthesisResult.from_solution(
+        esc.solution, esc.certificate, esc.report, _gain_list(opt_filter, gains),
         epsilon=float(gains.get("eps", 0.0)) if eps_var else epsilon,
-        polya_k=k_best, k_trace=k_trace,
-        certificate=cert, certificate_report=report,
-        solver_status=sol.status, solver_method=sol.method,
-        solver_iterations=sol.iterations,
-        not_monotone=bool(gamma >= 1.0),
-        diagnostics={
-            "deg_x": data.deg_x,
-            "deg_lambda": data.deg_lambda,
-            "eta_increased_with_k": increased,
-            "k_trace_raw": k_raw,
-            "n_equalities": prob.n_equalities,
-            "block_dims": list(prob.block_dims),
-        },
-    )
+        polya_k=esc.k, k_trace=esc.k_trace,
+        diagnostics={"deg_x": data.deg_x, "deg_lambda": data.deg_lambda,
+                     **esc.diagnostics})
 
 
 def alternate_LQ(problem: FreqSynthesisProblem, rounds: int = 2,

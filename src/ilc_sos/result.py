@@ -1,10 +1,26 @@
-"""Shared result container for both synthesis domains."""
+"""Shared result container and multiplier escalation for both synthesis domains."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import Callable, Mapping
 
-from .soscompiler import CertificateReport, SosCertificate
+from . import sdp
+from .polyalg import AffinePoly, PolyMatrix
+from .soscompiler import CertificateReport, SdpProblem, SosCertificate
+
+
+class UnusedDecision(Exception):
+    """A decision tap does not occur in the compiled program, so the solve
+    gives it no value: the plant leaves the tap no influence on the rate."""
+
+
+def decision_value(gains: Mapping[str, float], name: str) -> float:
+    if name not in gains:
+        raise UnusedDecision(f"decision {name!r} drops out of the compiled program "
+                             "(the plant gives it no usable influence)")
+    return float(gains[name])
 
 
 @dataclass
@@ -32,6 +48,25 @@ class SynthesisResult:
     solver_iterations: int = 0
     not_monotone: bool = False
     diagnostics: dict = field(default_factory=dict)
+
+    @classmethod
+    def from_solution(cls, sol: sdp.SdpSolution, certificate: SosCertificate,
+                      report: CertificateReport, gain_list: list,
+                      epsilon: float | None, diagnostics: dict, polya_k: int = 0,
+                      k_trace: list | None = None) -> "SynthesisResult":
+        """Result of a solve whose objective scalar is ``eta``; ``k_trace``
+        defaults to the single level 0."""
+        eta = float(sol.scalar_values["eta"])
+        gamma = math.sqrt(max(eta, 0.0))
+        return cls(
+            gamma=gamma, eta=eta,
+            gains={k: float(v) for k, v in sol.scalar_values.items()},
+            gain_list=gain_list, epsilon=epsilon, polya_k=polya_k,
+            k_trace=[(0, eta)] if k_trace is None else k_trace,
+            certificate=certificate, certificate_report=report,
+            solver_status=sol.status, solver_method=sol.method,
+            solver_iterations=sol.iterations,
+            not_monotone=bool(gamma >= 1.0), diagnostics=diagnostics)
 
     @property
     def certified(self) -> bool:
@@ -61,3 +96,72 @@ class SynthesisResult:
             },
             "diagnostics": self.diagnostics,
         }
+
+
+@dataclass
+class Escalation:
+    """Best level of a multiplier ladder, its checked solution and the
+    per-level record (``diagnostics`` holds the raw trace and program size)."""
+
+    k: int
+    solution: sdp.SdpSolution
+    certificate: SosCertificate
+    report: CertificateReport
+    k_trace: list
+    diagnostics: dict
+
+
+def escalate(base: PolyMatrix, norm2: AffinePoly,
+             compile_level: Callable[[PolyMatrix, int], SdpProblem],
+             k_max: int, k_tol: float, feas_tol: float, gap_tol: float) -> Escalation:
+    """Minimize the bound eta over the levels S_k = norm2^k * base.
+
+    ``compile_level(S_k, k)`` returns level k's program, whose objective is
+    the scalar ``eta``.  Levels k = 0, 1, ... are solved until the bound
+    improves by less than ``k_tol`` or ``k_max`` is reached, and the best
+    level's Gram certificate is rechecked by ``sdp.ensure_certified``.
+
+    A certificate solved at level j stays valid at every level k > j
+    (multiply the Gram polynomial by the norm factor), so the guaranteed
+    bound after processing level k is the best value seen so far; k_trace
+    records that, and the raw per-level solve values go to the diagnostics
+    together with a flag for a numerical increase beyond 1e-6.
+    """
+    k_trace = []
+    k_raw = []
+    best = None
+    prev_bound = None
+    increased = False
+    mult = AffinePoly.constant(norm2.variables, 1.0)
+    for k in range(k_max + 1):
+        S = base.scaled(mult) if k else base
+        prob = compile_level(S, k)
+        sol = sdp.solve(prob, feas_tol=feas_tol, gap_tol=gap_tol)
+        if sol.ok:
+            eta = float(sol.scalar_values["eta"])
+            k_raw.append((k, eta))
+            if best is None or eta < best[1]:
+                best = (k, eta, sol, prob, S)
+            if len(k_raw) > 1 and eta > k_raw[-2][1] + 1e-6:
+                increased = True
+        else:
+            k_raw.append((k, float("nan")))
+        bound = best[1] if best is not None else float("nan")
+        k_trace.append((k, bound))
+        if prev_bound is not None and best is not None \
+                and abs(prev_bound - bound) < k_tol:
+            break
+        prev_bound = bound
+        mult = mult * norm2
+
+    if best is None:
+        raise sdp.SolverFailure(f"no multiplier power up to k={k_max} yielded a solution")
+
+    k_best, _, sol, prob, S = best
+    sol, cert, report = sdp.ensure_certified(prob, S, sol, feas_tol=feas_tol)
+    return Escalation(k_best, sol, cert, report, k_trace, {
+        "eta_increased_with_k": increased,
+        "k_trace_raw": k_raw,
+        "n_equalities": prob.n_equalities,
+        "block_dims": list(prob.block_dims),
+    })

@@ -22,13 +22,6 @@ solve of the iteration is matrix products.  Iterative refinement against the
 unridged M runs while it lowers the residual.  Free variables are eliminated
 through a second (tiny) Schur step that is solved the same way.
 
-A bisection fallback handles problems whose objective is one scalar bound:
-feasibility of a pinned bound eta is decided by a phase-1 program
-"maximize t s.t. G - t I >= 0 on the pinned equalities", which is always
-strictly feasible, and the bound is bisected to a width tolerance.  The
-direct path is tried first; on numerical failure the fallback runs
-automatically.
-
 No external solver is involved anywhere.
 """
 
@@ -44,7 +37,7 @@ from .soscompiler import (Equality, SdpProblem, certificate_from_grams,
 
 
 class SolverFailure(Exception):
-    """Direct solve and fallback both failed."""
+    """The interior-point solve, and its rescaled restart, found no solution."""
 
 
 @dataclass
@@ -270,11 +263,9 @@ def _max_step(Sig_half_inv: np.ndarray, delta_scaled: np.ndarray) -> float:
 
 
 def solve(problem: SdpProblem, feas_tol: float = 1e-8, gap_tol: float = 1e-8,
-          max_iter: int = 200, allow_fallback: bool = True,
-          bisection_bracket: tuple | None = None) -> SdpSolution:
-    """Solve the SDP.  Tries the interior-point path; when that reports a
-    numerical failure and the objective is a single scalar, falls back to
-    bisection on that scalar (bracket required or taken from the hint)."""
+          max_iter: int = 200) -> SdpSolution:
+    """Solve the SDP with the interior-point method, retrying once from a
+    larger initial point when the first run reports a numerical failure."""
     A = _Assembled(problem)
     sol = _solve_ipm(A, feas_tol, gap_tol, max_iter)
     if sol.status == "numerical_failure":
@@ -284,14 +275,6 @@ def solve(problem: SdpProblem, feas_tol: float = 1e-8, gap_tol: float = 1e-8,
         if retry.status != "numerical_failure":
             retry.message = (retry.message + "; " if retry.message else "") + "rescaled restart"
             sol = retry
-    if sol.status == "numerical_failure" and allow_fallback:
-        obj = {k: v for k, v in problem.objective.items() if v != 0.0}
-        if len(obj) == 1 and next(iter(obj.values())) > 0:
-            target = next(iter(obj))
-            bracket = bisection_bracket or (0.0, 1.0)
-            fb = solve_bisection(problem, target, bracket, feas_tol=feas_tol)
-            fb.message = f"ipm failed ({sol.message}); bisection fallback"
-            return fb
     return sol
 
 
@@ -497,7 +480,7 @@ def _solve_ipm(A: _Assembled, feas_tol: float, gap_tol: float, max_iter: int,
 
 
 # ---------------------------------------------------------------------------
-# bisection fallback
+# certificate re-solve
 
 
 def pin_free(problem: SdpProblem, pins: Mapping[str, float]) -> SdpProblem:
@@ -535,73 +518,6 @@ def _phase1(problem: SdpProblem, t_id: str = "_slack") -> SdpProblem:
         bases=problem.bases,
         matrix_dim=problem.matrix_dim,
         variables=problem.variables,
-    )
-
-
-def solve_bisection(problem: SdpProblem, objective_id: str, bracket: tuple,
-                    width_tol: float = 1e-5, feas_tol: float = 1e-8,
-                    max_iter: int = 200) -> SdpSolution:
-    """Minimize a single scalar bound by bisection on feasibility probes.
-
-    Each probe pins ``objective_id`` and solves the always-feasible phase-1
-    program above; the pinned value is feasible iff the optimal slack t is
-    (numerically) nonnegative.  Returns the best feasible point found, with
-    objective accurate to the bracket width tolerance.
-    """
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if hi <= lo:
-        raise ValueError("empty bracket")
-
-    def probe(val: float):
-        # a numerically unlucky pin is retried at a nudged value before we
-        # give up and treat the probe as infeasible
-        sol = None
-        for v in (val, val * (1.0 + 1e-3) + 1e-9):
-            pinned = pin_free(problem, {objective_id: v})
-            A1 = _Assembled(_phase1(pinned))
-            for init in (1.0, 100.0):
-                sol = _solve_ipm(A1, feas_tol, 1e-9, max_iter, init_scale=init)
-                if sol.status == "unbounded":  # slack can grow without limit
-                    return float("inf"), sol
-                if sol.ok:
-                    return sol.scalar_values["_slack"], sol
-        return None, sol
-
-    probes = 0
-    t_hi, sol_hi = probe(hi)
-    probes += 1
-    grow = 0
-    while t_hi is not None and t_hi < -feas_tol and grow < 3:
-        lo, hi = hi, 2.0 * hi if hi > 0 else 1.0
-        t_hi, sol_hi = probe(hi)
-        probes += 1
-        grow += 1
-    if t_hi is None or t_hi < -feas_tol:
-        return SdpSolution("infeasible", float("inf"), {}, [],
-                           method="bisection", iterations=probes,
-                           message=f"infeasible at bracket top {hi:g}")
-
-    best_val, best_sol = hi, sol_hi
-    while hi - lo > width_tol:
-        mid = 0.5 * (lo + hi)
-        t, sol = probe(mid)
-        probes += 1
-        if t is not None and t >= -feas_tol:
-            hi, best_val, best_sol = mid, mid, sol
-        else:
-            lo = mid
-    scalars = {k: v for k, v in best_sol.scalar_values.items() if k != "_slack"}
-    scalars[objective_id] = best_val
-    t = best_sol.scalar_values["_slack"]
-    grams = [G + max(t, 0.0) * np.eye(G.shape[0]) for G in best_sol.gram_values]
-    return SdpSolution(
-        "optimal", best_val, scalars, grams,
-        iterations=probes, gap=hi - lo,
-        primal_residual=best_sol.primal_residual,
-        dual_residual=best_sol.dual_residual,
-        method="bisection",
-        message=f"{probes} feasibility probes, final width {hi - lo:.2e}",
-        trace=best_sol.trace,
     )
 
 
@@ -656,31 +572,29 @@ def ensure_certified(problem: SdpProblem, target, sol: SdpSolution,
     for backoff in backoffs:
         pinned_val = value + backoff * span
         assembled = _Assembled(_phase1(pin_free(problem, {obj_id: pinned_val})))
-        for init in (1.0, 100.0):
-            cand = _solve_ipm(assembled, feas_tol, 1e-9, 200, init_scale=init)
-            if not cand.ok or "_slack" not in cand.scalar_values:
-                continue
-            t = float(cand.scalar_values["_slack"])
-            if t < -feas_tol:
-                continue  # pinned below the true optimum; back off further
-            yvec = np.array([cand.scalar_values[k] for k in assembled.free_ids])
-            projected = _project_equalities(assembled, cand.gram_values, yvec)
-            scalars = {k: v for k, v in cand.scalar_values.items()
-                       if k != "_slack"}
-            scalars[obj_id] = pinned_val
-            grams = [G + t * np.eye(G.shape[0]) for G in projected]
-            new_cert = certificate_from_grams(problem, grams)
-            new_report = check_certificate(target, scalars, new_cert)
-            if new_report.passed:
-                resolved = SdpSolution(
-                    "optimal", pinned_val, scalars, grams,
-                    iterations=cand.iterations, gap=cand.gap,
-                    primal_residual=cand.primal_residual,
-                    dual_residual=cand.dual_residual,
-                    method=sol.method + "+recertify",
-                    message=f"re-solved with {obj_id} pinned at {pinned_val:.9g}",
-                    trace=cand.trace)
-                return resolved, new_cert, new_report
+        cand = _solve_ipm(assembled, feas_tol, 1e-9, 200)
+        if not cand.ok or "_slack" not in cand.scalar_values:
+            continue
+        t = float(cand.scalar_values["_slack"])
+        if t < -feas_tol:
+            continue  # pinned below the true optimum; back off further
+        yvec = np.array([cand.scalar_values[k] for k in assembled.free_ids])
+        projected = _project_equalities(assembled, cand.gram_values, yvec)
+        scalars = {k: v for k, v in cand.scalar_values.items() if k != "_slack"}
+        scalars[obj_id] = pinned_val
+        grams = [G + t * np.eye(G.shape[0]) for G in projected]
+        new_cert = certificate_from_grams(problem, grams)
+        new_report = check_certificate(target, scalars, new_cert)
+        if new_report.passed:
+            resolved = SdpSolution(
+                "optimal", pinned_val, scalars, grams,
+                iterations=cand.iterations, gap=cand.gap,
+                primal_residual=cand.primal_residual,
+                dual_residual=cand.dual_residual,
+                method=sol.method + "+recertify",
+                message=f"re-solved with {obj_id} pinned at {pinned_val:.9g}",
+                trace=cand.trace)
+            return resolved, new_cert, new_report
     return sol, cert, report
 
 

@@ -19,7 +19,6 @@ relaxed to an SOS feasibility problem that tightens as k grows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import math
 import warnings
 from typing import Mapping, Sequence
 
@@ -29,7 +28,7 @@ from .polyalg import (AffineCoeff, AffinePoly, PolyMatrix, substitute_squares,
                       homogenize, triangular_toeplitz_det_adj)
 from .soscompiler import compile_sos, monomial_basis, parity_classes
 from . import sdp
-from .result import SynthesisResult
+from .result import SynthesisResult, decision_value, escalate
 
 MAX_TRIAL_LENGTH = 8
 
@@ -90,6 +89,8 @@ class LiftedUncertainPlant:
     def __post_init__(self):
         object.__setattr__(self, "markov", tuple(self.markov))
         object.__setattr__(self, "lambda_vars", tuple(self.lambda_vars))
+        if self.N < 1:
+            raise ValueError(f"trial length N must be at least 1, got {self.N}")
         if len(self.markov) != self.N:
             raise ValueError(f"expected {self.N} Markov parameters, got {len(self.markov)}")
         for p in self.markov:
@@ -331,21 +332,8 @@ def contraction_matrix(plant: LiftedUncertainPlant, q_taps: np.ndarray,
     return P @ Qm @ (np.eye(N) - Lm @ P) @ np.linalg.inv(P)
 
 
-def _sampled_sup_squared(problem: TimeSynthesisProblem) -> float:
-    """Sampled rate at zeroed decision taps; used to bracket the fallback."""
-    plant = problem.plant
-    pts = simplex_samples(len(plant.lambda_vars), 200, seed=4)
-    q = problem.qfilter.numeric()
-    l = problem.lstructure.numeric({k: 0.0 for k in problem.lstructure.decision_ids()})
-    worst = 0.0
-    for lam in pts:
-        X = contraction_matrix(plant, q, l, lam)
-        worst = max(worst, float(np.linalg.svd(X, compute_uv=False)[0]))
-    return worst * worst
-
-
 def _gain_list(filt: LiftedFilter, gains: Mapping[str, float]) -> list:
-    return [float(gains[c]) for c in filt.coeffs if isinstance(c, str)]
+    return [decision_value(gains, c) for c in filt.coeffs if isinstance(c, str)]
 
 
 # ---------------------------------------------------------------------------
@@ -371,26 +359,17 @@ def synth_time(problem: TimeSynthesisProblem, feas_tol: float = 1e-8,
     lam = plant.lambda_vars
     M = build_M(problem)
     variables = M.variables
-    bracket_hi = max(4.0 * _sampled_sup_squared(problem), 1e-2)
 
     if not lam:
         basis = monomial_basis(variables, [])
         prob = compile_sos(M, {"eta": 1.0}, bases=[basis])
-        sol = sdp.solve(prob, feas_tol=feas_tol, gap_tol=gap_tol,
-                        bisection_bracket=(0.0, bracket_hi))
+        sol = sdp.solve(prob, feas_tol=feas_tol, gap_tol=gap_tol)
         if not sol.ok:
             raise sdp.SolverFailure(f"lifted synthesis failed: {sol.status} ({sol.message})")
         sol, cert, report = sdp.ensure_certified(prob, M, sol, feas_tol=feas_tol)
-        eta = float(sol.scalar_values["eta"])
-        gains = {k: float(v) for k, v in sol.scalar_values.items()}
-        gamma = math.sqrt(max(eta, 0.0))
-        result = SynthesisResult(
-            gamma=gamma, eta=eta, gains=gains,
-            gain_list=_gain_list(problem.lstructure, gains), epsilon=None,
-            polya_k=0, k_trace=[(0, eta)], certificate=cert,
-            certificate_report=report, solver_status=sol.status,
-            solver_method=sol.method, solver_iterations=sol.iterations,
-            not_monotone=bool(gamma >= 1.0),
+        result = SynthesisResult.from_solution(
+            sol, cert, report, _gain_list(problem.lstructure, sol.scalar_values),
+            epsilon=None,
             diagnostics={"N": N, "deg_lambda": 0,
                          "n_equalities": prob.n_equalities,
                          "block_dims": list(prob.block_dims)})
@@ -407,63 +386,17 @@ def synth_time(problem: TimeSynthesisProblem, feas_tol: float = 1e-8,
     eps_poly = (norm2 ** deg_lambda).scaled(float(problem.epsilon))
     base = T_sq - PolyMatrix.identity(2 * N, variables).scaled(eps_poly)
 
-    k_trace = []
-    k_raw = []
-    best = None
-    prev_bound = None
-    increased = False
-    mult = AffinePoly.constant(variables, 1.0)
-    for k in range(problem.k_max + 1):
-        S = base.scaled(mult) if k else base
+    def compile_level(S, k):
         basis = monomial_basis(variables, [(lam, "homogeneous", deg_lambda + k)])
-        blocks = parity_classes(basis, lam_positions)
-        prob = compile_sos(S, {"eta": 1.0}, bases=blocks)
-        sol = sdp.solve(prob, feas_tol=feas_tol, gap_tol=gap_tol,
-                        bisection_bracket=(0.0, bracket_hi))
-        if sol.ok:
-            eta = float(sol.scalar_values["eta"])
-            k_raw.append((k, eta))
-            if best is None or eta < best[1]:
-                best = (k, eta, sol, prob, S)
-            if len(k_raw) > 1 and eta > k_raw[-2][1] + 1e-6:
-                increased = True
-        else:
-            k_raw.append((k, float("nan")))
-        bound = best[1] if best is not None else float("nan")
-        k_trace.append((k, bound))
-        if prev_bound is not None and best is not None \
-                and abs(prev_bound - bound) < problem.k_tol:
-            break
-        prev_bound = bound
-        mult = mult * norm2
+        return compile_sos(S, {"eta": 1.0}, bases=parity_classes(basis, lam_positions))
 
-    if best is None:
-        raise sdp.SolverFailure(
-            f"no multiplier power up to k={problem.k_max} yielded a solution")
-
-    k_best, eta, sol, prob, S = best
-    sol, cert, report = sdp.ensure_certified(prob, S, sol, feas_tol=feas_tol)
-    eta = float(sol.scalar_values["eta"])
-    gains = {name: float(v) for name, v in sol.scalar_values.items()}
-    gamma = math.sqrt(max(eta, 0.0))
-    result = SynthesisResult(
-        gamma=gamma, eta=eta, gains=gains,
-        gain_list=_gain_list(problem.lstructure, gains),
-        epsilon=float(problem.epsilon),
-        polya_k=k_best, k_trace=k_trace,
-        certificate=cert, certificate_report=report,
-        solver_status=sol.status, solver_method=sol.method,
-        solver_iterations=sol.iterations,
-        not_monotone=bool(gamma >= 1.0),
-        diagnostics={
-            "N": N,
-            "deg_lambda": deg_lambda,
-            "eta_increased_with_k": increased,
-            "k_trace_raw": k_raw,
-            "n_equalities": prob.n_equalities,
-            "block_dims": list(prob.block_dims),
-        },
-    )
+    esc = escalate(base, norm2, compile_level, problem.k_max, problem.k_tol,
+                   feas_tol, gap_tol)
+    result = SynthesisResult.from_solution(
+        esc.solution, esc.certificate, esc.report,
+        _gain_list(problem.lstructure, esc.solution.scalar_values),
+        epsilon=float(problem.epsilon), polya_k=esc.k, k_trace=esc.k_trace,
+        diagnostics={"N": N, "deg_lambda": deg_lambda, **esc.diagnostics})
     if result.not_monotone:
         warnings.warn("no multiplier power certified a rate below one", InfeasibleAtAllK)
     return result

@@ -1,6 +1,8 @@
+import copy
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from ilc_sos import cli
@@ -174,12 +176,94 @@ UNIT_CIRCLE_POLE = {"type": "transfer", "num": [1.0], "den": [-1.0, 1.0]}
     pytest.param("verify", {"plant": UNIT_CIRCLE_POLE,
                             "lfilter": {"k_lead": 0, "k_lag": 0, "coeffs": [0.5]}},
                  id="UnitCirclePole"),
+    # the learning tap drops out of the compiled program
+    pytest.param("synth-freq", {"plant": {"type": "transfer", "num": [0.0], "den": [0.0, 1.0]},
+                                "lstructure": {"order": 0}}, id="UnusedDecision-zero-num"),
+    pytest.param("synth-freq", {"plant": {"type": "transfer", "num": [], "den": [0.0, 1.0]},
+                                "lstructure": {"order": 0}}, id="UnusedDecision-empty-num"),
+    pytest.param("synth-freq", {"plant": {"type": "transfer", "num": [1.0], "den": [0.0, 1e300]},
+                                "lstructure": {"order": 0}}, id="UnusedDecision-huge-den"),
+    pytest.param("synth-time", {"plant": {"type": "markov", "markov": [1.0, 1e300]}},
+                 id="UnusedDecision-huge-markov"),
 ])
 def test_unusable_plant_exits_2(tmp_path, capsys, mode, payload):
     cfg = write_config(tmp_path, {"mode": mode, **payload})
     rc = cli.main([mode, "--config", cfg, "--out", str(tmp_path)])
     assert rc == 2
     assert "unusable input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("plant", [
+    pytest.param({"type": "markov", "markov": 99}, id="markov-int"),
+    pytest.param({"type": "markov", "markov": True}, id="markov-bool"),
+    pytest.param({"type": "markov", "markov": None}, id="markov-null"),
+    pytest.param({"type": "markov", "markov": 1e300}, id="markov-float"),
+    pytest.param({"type": "markov", "markov": []}, id="markov-empty"),
+    pytest.param({"type": "markov", "markov": [float("nan"), 0.5]}, id="markov-nan"),
+    pytest.param({"type": "markov", "markov": [1.0, float("inf")]}, id="markov-inf"),
+])
+def test_malformed_time_plant_rejected(tmp_path, capsys, plant):
+    cfg = write_config(tmp_path, {"mode": "synth-time", "plant": plant})
+    rc = cli.main(["synth-time", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 2
+    assert "config error: plant" in capsys.readouterr().err
+
+
+def test_synth_time_unsolvable_plant_is_solver_failure(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"mode": "synth-time",
+                                  "plant": {"type": "markov", "N": 2,
+                                            "markov": [1.0, 1e10]}})
+    rc = cli.main(["synth-time", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "solver failure" in err
+    assert "bisection" not in err
+
+
+# Seeded fuzz: minimal configs with one or two keys deleted or values
+# replaced, anywhere in the tree, by values from this pool.  Every input must
+# run or exit with a documented code, never raise.
+FUZZ_POOL = (None, True, False, 0, -1, 1e300, float("nan"), "x", "", [], {}, [0.0])
+FUZZ_BASES = (
+    ("synth-freq", {"mode": "synth-freq", "plant": DELAY_PLANT, "lstructure": {"order": 0}}),
+    ("synth-time", {"mode": "synth-time",
+                    "plant": {"type": "markov", "N": 2, "markov": [1.0, 0.5]}}),
+)
+
+
+def _mutate(cfg, rng):
+    cfg = json.loads(json.dumps(cfg))
+    for _ in range(int(rng.integers(1, 3))):
+        slots = []
+
+        def walk(node):
+            for key in (list(node) if isinstance(node, dict) else range(len(node))):
+                slots.append((node, key))
+                if isinstance(node[key], (dict, list)):
+                    walk(node[key])
+
+        walk(cfg)
+        if not slots:
+            break
+        node, key = slots[int(rng.integers(len(slots)))]
+        if isinstance(node, dict) and rng.random() < 0.3:
+            del node[key]
+        else:
+            node[key] = copy.deepcopy(FUZZ_POOL[int(rng.integers(len(FUZZ_POOL)))])
+    return cfg
+
+
+def test_fuzzed_configs_exit_with_documented_codes(tmp_path):
+    rng = np.random.default_rng(20240518)
+    for i in range(400):
+        mode, base = FUZZ_BASES[i % len(FUZZ_BASES)]
+        payload = _mutate(base, rng)
+        cfg = write_config(tmp_path, payload)
+        try:
+            rc = cli.main([mode, "--config", cfg, "--out", str(tmp_path / "out")])
+        except Exception as e:  # report the offending config, not just the error
+            raise AssertionError(f"{mode} {json.dumps(payload)} raised {e!r}") from e
+        assert rc in (0, 2, 3, 4), (mode, payload, rc)
 
 
 # -- verify mode ---------------------------------------------------------

@@ -53,7 +53,7 @@ def test_two_blocks_and_trace_constraint():
 def test_infeasible_psd():
     # [[y]] >= 0 with y = -1 pinned by equality on the Gram entry
     prob = make_problem([1], [Equality([(0, 0, 0, 1.0)], {}, -1.0)], {})
-    sol = sdp.solve(prob, allow_fallback=False)
+    sol = sdp.solve(prob)
     assert sol.status == "infeasible"
 
 
@@ -70,34 +70,6 @@ def test_determinism():
     assert a.objective_value == b.objective_value  # bit-identical arithmetic
     for Ga, Gb in zip(a.gram_values, b.gram_values):
         np.testing.assert_array_equal(Ga, Gb)
-
-
-def test_bisection_agrees_with_direct():
-    eqs = [
-        Equality([(0, 0, 0, 1.0)], {"y": 1.0}, 0.0),
-        Equality([(0, 0, 1, 1.0)], {}, 1.0),
-        Equality([(0, 1, 1, 1.0)], {"y": 1.0}, 0.0),
-    ]
-    prob = make_problem([2], eqs, {"y": 1.0})
-    direct = sdp.solve(prob)
-    bis = sdp.solve_bisection(prob, "y", (0.0, 4.0), width_tol=1e-7)
-    assert direct.ok and bis.ok
-    assert bis.objective_value >= direct.objective_value - 1e-7
-    assert bis.objective_value == pytest.approx(direct.objective_value, abs=1e-5)
-    G = bis.gram_values[0]
-    assert np.linalg.eigvalsh(G)[0] >= -1e-8
-
-
-def test_bisection_detects_infeasible_bracket():
-    # G[0,0] - y = 0 and G[0,0] = -2 jointly force y = -2 < 0: no feasible y in [0, 1]
-    eqs = [
-        Equality([(0, 0, 0, 1.0)], {"y": 1.0}, 0.0),
-        Equality([(0, 0, 0, 2.0)], {"y": 2.0}, -4.0),
-    ]
-    # second equality: 2 G00 - 2y = -4 -> G00 - y = -2, conflicts with G00 = y >= 0
-    prob = make_problem([1], eqs, {"y": 1.0})
-    sol = sdp.solve_bisection(prob, "y", (0.0, 1.0))
-    assert sol.status == "infeasible"
 
 
 def test_solution_report_format():

@@ -92,7 +92,7 @@ def test_compile_matrix_case():
 def test_infeasible_detected():
     S = PolyMatrix.from_rows([[AffinePoly.constant((), -1.0)]])
     prob = compile_sos(S, {})
-    sol = sdp.solve(prob, allow_fallback=False)
+    sol = sdp.solve(prob)
     assert sol.status in ("infeasible", "numerical_failure")
     assert sol.status == "infeasible"
 
