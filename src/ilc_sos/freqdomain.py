@@ -35,12 +35,13 @@ from .polyalg import (
     circle_rationalize_xy,
     homogenize,
     laurent_mul,
+    simplex_mesh,
     substitute_squares,
     x_parameterize,
 )
 from .result import SynthesisResult, decision_value, escalate
 from .sdp import SolverFailure
-from .soscompiler import compile_sos, monomial_basis, parity_classes
+from .soscompiler import compile_sos, kron_pairs, monomial_basis, sign_classes
 
 
 class EmptyPolytope(Exception):
@@ -297,24 +298,6 @@ class JuryReport:
                 f"margin {self.margin:.6f} at {self.worst_lambda}")
 
 
-def _simplex_mesh(d: int, resolution: int) -> np.ndarray:
-    if d == 0:
-        return np.zeros((1, 0))
-    if d == 1:
-        return np.ones((1, 1))
-    pts = []
-
-    def rec(prefix, remaining):
-        if len(prefix) == d - 1:
-            pts.append(prefix + (remaining,))
-            return
-        for k in range(remaining + 1):
-            rec(prefix + (k,), remaining - k)
-
-    rec((), resolution)
-    return np.asarray(pts, dtype=float) / resolution
-
-
 def _jury_margin_table(coeffs: np.ndarray) -> float:
     """Margin for one sampled monic polynomial via Schur-Cohn recursion.
 
@@ -343,7 +326,7 @@ def jury_stability(plant: UncertainTransferFunction, resolution: int = 50) -> Ju
     """
     lam_vars = plant.lambda_vars
     d = len(lam_vars)
-    mesh = _simplex_mesh(d, resolution)
+    mesh = simplex_mesh(d, resolution)
     if d > 0:
         vertices = np.eye(d)
         pts = np.vstack([vertices, mesh])
@@ -481,9 +464,9 @@ def synth_freq_nominal(qfilter: NoncausalFir, lstructure: NoncausalFir,
     # against the identity block and leave the SDP without interior.
     d1 = max((head.degree() + 1) // 2, tau1.degree(), tau2.degree())
     row_basis = monomial_basis(variables, [(variables, "graded", d1)])
-    const = monomial_basis(variables, [(variables, "graded", 0)])
-    prob = compile_sos(S, {"eta": 1.0}, coord_bases=[row_basis, const, const],
-                       nonneg=nonneg + list(extra_nonneg))
+    const = (0,) * len(variables)
+    pairs = [(mono, 0) for mono in row_basis] + [(const, 1), (const, 2)]
+    prob = compile_sos(S, {"eta": 1.0}, bases=[pairs], nonneg=nonneg + list(extra_nonneg))
     sol = sdp.solve(prob, feas_tol=feas_tol, gap_tol=gap_tol)
     if not sol.ok:
         raise SolverFailure(f"nominal synthesis failed: {sol.status} ({sol.message})")
@@ -522,7 +505,11 @@ def synth_freq_robust(qfilter: NoncausalFir, lstructure: NoncausalFir,
     data = build_T_hat(qfilter, lstructure, plant)
     lam = plant.lambda_vars
     variables = data.T_hat.variables  # ("x", lam...)
-    lam_positions = [variables.index(v) for v in lam]
+    # Every level is invariant under lam_i -> -lam_i (lam enters squared) and
+    # under x -> -x with congruence by diag(1, 1, -1): x -> -x maps z to
+    # conj(z), which keeps nu1 and nu3 and negates nu2 for real plant and
+    # filter coefficients
+    flips = [((variables.index(v),), ()) for v in lam] + [((variables.index("x"),), (2,))]
 
     T_sq = substitute_squares(data.T_hat, lam)
     norm2 = AffinePoly.linear_form(variables, {}, 0.0)
@@ -537,7 +524,7 @@ def synth_freq_robust(qfilter: NoncausalFir, lstructure: NoncausalFir,
     def compile_level(S, k):
         basis = monomial_basis(variables, [(("x",), "graded", data.deg_x),
                                            (lam, "homogeneous", data.deg_lambda + k)])
-        return compile_sos(S, {"eta": 1.0}, bases=parity_classes(basis, lam_positions),
+        return compile_sos(S, {"eta": 1.0}, bases=sign_classes(kron_pairs(basis, 3), flips),
                            nonneg=nonneg + list(extra_nonneg))
 
     esc = escalate(base, norm2, compile_level, k_max, k_tol, feas_tol, gap_tol)

@@ -24,7 +24,6 @@ The circle-rationalization helpers map expressions on the unit circle
 from __future__ import annotations
 
 import math
-import cmath
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -638,6 +637,26 @@ class ComplexPolyPair:
         return f"ComplexPolyPair(re={self.re!r}, im={self.im!r})"
 
 
+def simplex_mesh(d: int, resolution: int = 50) -> np.ndarray:
+    """All barycentric grid points of the unit simplex in d coordinates with
+    denominators ``resolution``, in lexicographic order."""
+    if d == 0:
+        return np.zeros((1, 0))
+    if d == 1:
+        return np.ones((1, 1))
+    out = []
+
+    def rec(prefix, left):
+        if len(prefix) == d - 1:
+            out.append(prefix + [left])
+            return
+        for v in range(left + 1):
+            rec(prefix + [v], left - v)
+
+    rec([], resolution)
+    return np.array(out, dtype=float) / float(resolution)
+
+
 # ---------------------------------------------------------------------------
 # structural operations
 
@@ -813,17 +832,18 @@ def _laurent_scale(c: Mapping[int, AffinePoly]) -> float:
 
 def _check_den_on_circle(den: Mapping[int, AffinePoly], lambda_points: Iterable[Mapping[str, float]],
                          n_omega: int = 721, tol: float = 1e-9):
+    """Raise DegenerateDenominator at the first (point, omega) of the grid
+    where |den| falls below ``tol`` times its largest coefficient."""
     scale = max(_laurent_scale(den), 1.0)
-    if scale == 0.0:
-        raise DegenerateDenominator("zero denominator")
     omegas = np.linspace(0.0, 2.0 * np.pi, n_omega)
+    zpow = np.exp(1j * np.outer(np.array(list(den), dtype=float), omegas))  # (powers, omegas)
     for pt in lambda_points:
-        for w in omegas:
-            val = laurent_eval(den, cmath.exp(1j * w), pt)
-            if abs(val) < tol * scale:
-                raise DegenerateDenominator(
-                    f"denominator has magnitude {abs(val):.2e} at omega={w:.4f}, point={dict(pt)}"
-                )
+        mags = np.abs(np.array([p.evaluate(pt) for p in den.values()]) @ zpow)
+        bad = np.flatnonzero(mags < tol * scale)
+        if bad.size:
+            raise DegenerateDenominator(
+                f"denominator has magnitude {mags[bad[0]]:.2e} at omega={omegas[bad[0]]:.4f}, "
+                f"point={dict(pt)}")
 
 
 def _laurent_to_u(c: Mapping[int, AffinePoly], x_name: str) -> tuple[ComplexPolyPair, int]:

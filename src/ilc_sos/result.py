@@ -118,8 +118,10 @@ def escalate(base: PolyMatrix, norm2: AffinePoly,
 
     ``compile_level(S_k, k)`` returns level k's program, whose objective is
     the scalar ``eta``.  Levels k = 0, 1, ... are solved until the bound
-    improves by less than ``k_tol`` or ``k_max`` is reached, and the best
-    level's Gram certificate is rechecked by ``sdp.ensure_certified``.
+    improves by less than ``k_tol`` or ``k_max`` is reached.  The solved
+    levels' Gram certificates are then rechecked by ``sdp.ensure_certified``
+    in ascending eta, and the first that passes is returned; when none
+    passes, the lowest-eta level comes back with its failed report.
 
     A certificate solved at level j stays valid at every level k > j
     (multiply the Gram polynomial by the norm factor), so the guaranteed
@@ -129,7 +131,7 @@ def escalate(base: PolyMatrix, norm2: AffinePoly,
     """
     k_trace = []
     k_raw = []
-    best = None
+    solved = []
     prev_bound = None
     increased = False
     mult = AffinePoly.constant(norm2.variables, 1.0)
@@ -140,25 +142,30 @@ def escalate(base: PolyMatrix, norm2: AffinePoly,
         if sol.ok:
             eta = float(sol.scalar_values["eta"])
             k_raw.append((k, eta))
-            if best is None or eta < best[1]:
-                best = (k, eta, sol, prob, S)
+            solved.append((k, eta, sol, prob, S))
             if len(k_raw) > 1 and eta > k_raw[-2][1] + 1e-6:
                 increased = True
         else:
             k_raw.append((k, float("nan")))
-        bound = best[1] if best is not None else float("nan")
+        bound = min((level[1] for level in solved), default=float("nan"))
         k_trace.append((k, bound))
-        if prev_bound is not None and best is not None \
-                and abs(prev_bound - bound) < k_tol:
+        if prev_bound is not None and solved and abs(prev_bound - bound) < k_tol:
             break
         prev_bound = bound
         mult = mult * norm2
 
-    if best is None:
+    if not solved:
         raise sdp.SolverFailure(f"no multiplier power up to k={k_max} yielded a solution")
 
-    k_best, _, sol, prob, S = best
-    sol, cert, report = sdp.ensure_certified(prob, S, sol, feas_tol=feas_tol)
+    fallback = None
+    for k_best, _, sol, prob, S in sorted(solved, key=lambda level: level[1]):
+        checked = sdp.ensure_certified(prob, S, sol, feas_tol=feas_tol)
+        if checked[2].passed:
+            break
+        fallback = fallback or (k_best, prob, checked)
+    else:
+        k_best, prob, checked = fallback
+    sol, cert, report = checked
     return Escalation(k_best, sol, cert, report, k_trace, {
         "eta_increased_with_k": increased,
         "k_trace_raw": k_raw,

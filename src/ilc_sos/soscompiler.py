@@ -1,14 +1,17 @@
 """Compile matrix SOS feasibility conditions into semidefinite programs.
 
-A constraint ``S(x) is SOS`` for a symmetric polynomial matrix S (entries
-affine in named decision scalars) is parameterized with Gram matrices:
+A constraint ``S(x) is SOS`` for a symmetric m x m polynomial matrix S
+(entries affine in named decision scalars) is parameterized with Gram
+matrices.  A Gram block is a list of (monomial, coordinate) pairs
+(m_p, c_p); it spans the n_b x m matrix V_b(x) with V_b[p, c_p] = m_p(x) and
+zeros elsewhere, and
 
-    S(x) = sum_b  (v_b(x) (x) I_m)^T  G_b  (v_b(x) (x) I_m),   G_b >= 0,
+    S(x) = sum_b  V_b(x)^T  G_b  V_b(x),   G_b >= 0,
 
-where v_b is a column of basis monomials and (x) is the Kronecker product.
+so S[r, s] = sum_b sum_{c_p = r, c_q = s} G_b[p, q] m_p(x) m_q(x).
 Matching coefficients of every product monomial at every matrix position
-(upper triangle) yields one linear equality per (monomial, position) pair.
-The result is a block SDP
+(upper triangle) that some block can produce yields one linear equality per
+(monomial, position) pair.  The result is a block SDP
 
     minimize    c^T y
     subject to  sum  w * G[p, q]  -  sum  d_j * y_j  =  beta   (per equality)
@@ -17,25 +20,36 @@ The result is a block SDP
 with the decision scalars y (contraction-rate bound, learning gains, ...)
 entering the equalities through the coefficients of S.
 
-Each Gram entry (i*m+r, j*m+s) contributes to exactly one product monomial
-m_i + m_j at exactly one position (r, s), so the equality system is always
-consistent in structure; infeasibility can only come from the PSD side.
+Each Gram entry (p, q) contributes to exactly one product monomial
+m_p + m_q at exactly one position (c_p, c_q), so the equality system is
+always consistent in structure; infeasibility can only come from the PSD
+side.
 
-When the rows of S have very different degrees (say row 1 carries a high
-degree polynomial while the rest is an identity block), the shared-basis
-layout above has no strictly feasible Gram: every basis monomial of degree
->= 1 paired with an identity row is forced to zero on the diagonal, which
-stalls interior-point solvers.  ``coord_bases`` assigns each matrix
-coordinate its own monomial list instead,
+The usual shared basis v(x) (x) I_m is the block ``kron_pairs(v, m)``, with
+pair (v_i, r) at row i*m + r.  When the rows of S have very different
+degrees (say row 0 carries a high degree polynomial while the rest is an
+identity block), a shared basis has no strictly feasible Gram: every basis
+monomial of degree >= 1 paired with an identity row is forced to zero on
+the diagonal, which stalls interior-point solvers.  Giving each coordinate
+its own monomial list instead restores a strictly feasible interior
+whenever one exists.
 
-    S(x) = V(x)^T G V(x),   V[p, r] = m_p(x) for p in row r's slice,
-
-restoring a strictly feasible interior whenever one exists.
+Sign symmetries halve the blocks.  Suppose S is invariant under flipping
+the sign of some variables combined with the congruence D S D by a diagonal
+sign matrix D.  Then pair (m_p, c_p) picks up the sign chi_p =
+(-1)^(flipped exponents of m_p) * D[c_p, c_p], averaging any Gram over the
+flip zeroes every entry with chi_p != chi_q, and the blocks split by chi
+with no loss of generality (Gatermann & Parrilo 2004, "Symmetry groups,
+semidefinite programs, and sums of squares", J. Pure Appl. Algebra 192).
+``sign_classes`` applies any number of such flips at once.  If S lacks the
+symmetry, some nonzero coefficient of S is unproducible in the split layout
+and :func:`compile_sos` raises :class:`BasisDeficiency`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -100,20 +114,27 @@ def monomial_basis(variables: Sequence[str], groups: Sequence[tuple]) -> list[tu
     return sorted(set(tuples), key=lambda t: (sum(t), t))
 
 
-def parity_classes(basis: Sequence[tuple], var_indices: Sequence[int]) -> list[list[tuple]]:
-    """Split a basis by the parity pattern of the listed variable positions.
+def kron_pairs(basis: Sequence[tuple], m: int) -> list[tuple]:
+    """The block ``basis (x) I_m``: pair (basis[i], r) at row i*m + r."""
+    return [(mono, r) for mono in basis for r in range(m)]
 
-    Monomials from different parity classes cannot share a product monomial
-    with the matched polynomial when its support is parity-pure, so the Gram
-    matrix decouples into one block per class with no loss of generality
-    (averaging the certificate over the sign-flip group of those variables
-    zeroes the cross blocks).
+
+def sign_classes(pairs: Sequence[tuple],
+                 flips: Sequence[tuple[Sequence[int], Sequence[int]]]) -> list[list[tuple]]:
+    """Split a Gram block by sign symmetries of the matched matrix.
+
+    Each flip ``(var_indices, coords)`` negates the listed variables and
+    conjugates S by the sign matrix that is -1 at the listed coordinates.
+    Pairs go to one class per pattern of their signs under the flips, in
+    their input order; the classes come out sorted by that pattern.  With
+    S invariant under every flip, the Gram matrix decouples into these
+    classes with no loss of generality.
     """
     buckets: dict[tuple, list[tuple]] = {}
-    for mono in basis:
-        key = tuple(mono[i] % 2 for i in var_indices)
-        buckets.setdefault(key, []).append(mono)
-    return [sorted(buckets[k], key=lambda t: (sum(t), t)) for k in sorted(buckets)]
+    for mono, c in pairs:
+        key = tuple((sum(mono[i] for i in idx) + (c in coords)) % 2 for idx, coords in flips)
+        buckets.setdefault(key, []).append((mono, c))
+    return [buckets[k] for k in sorted(buckets)]
 
 
 # ---------------------------------------------------------------------------
@@ -138,11 +159,11 @@ class SdpProblem:
     free_ids: tuple
     objective: dict
     equalities: list
-    # metadata for certificate reconstruction (not serialized)
+    # metadata for certificate reconstruction (not serialized): one
+    # (monomial, coordinate) pair list per Gram block, None for the others
     bases: list | None = None
     matrix_dim: int | None = None
     variables: tuple | None = None
-    coord_bases: list | None = None  # ragged layout: one monomial list per row of S
 
     @property
     def n_equalities(self) -> int:
@@ -203,10 +224,9 @@ class SdpProblem:
 @dataclass
 class SosCertificate:
     grams: list          # numpy arrays, one per block
-    bases: list          # exponent tuples per block
+    bases: list          # (monomial, coordinate) pairs per block
     matrix_dim: int
     variables: tuple
-    coord_bases: list | None = None  # ragged layout: grams[0] spans these
 
 
 @dataclass
@@ -228,18 +248,15 @@ class CertificateReport:
 
 def compile_sos(S: PolyMatrix, objective: Mapping[str, float],
                 bases: Sequence[Sequence[tuple]] | None = None,
-                nonneg: Sequence[AffineCoeff] | None = None,
-                coord_bases: Sequence[Sequence[tuple]] | None = None) -> SdpProblem:
+                nonneg: Sequence[AffineCoeff] | None = None) -> SdpProblem:
     """Compile ``S is SOS`` (plus optional scalar nonnegativity side
     constraints) into an :class:`SdpProblem` minimizing ``objective``.
 
-    ``bases`` is a list of monomial lists, one Gram block per list; when
-    omitted, a single graded basis in all variables up to half the degree of
-    S is used.  ``coord_bases`` instead gives one monomial list per matrix
-    coordinate, producing a single ragged Gram block whose rows enumerate
-    (coordinate, monomial) pairs -- use it when row degrees are uneven.
-    Raises :class:`BasisDeficiency` if some monomial of S cannot be written
-    as a sum of two basis monomials at its position.
+    ``bases`` lists the Gram blocks, each a list of (monomial, coordinate)
+    pairs; when omitted, one block ``v (x) I_m`` with the graded basis v in
+    all variables up to half the degree of S is used.  Raises
+    :class:`BasisDeficiency` if some nonzero coefficient of S cannot be
+    written as a sum of two pairs of one block at its position.
     """
     if S.rows != S.cols:
         raise ValueError("S must be square")
@@ -247,6 +264,12 @@ def compile_sos(S: PolyMatrix, objective: Mapping[str, float],
         raise ValueError("S must be symmetric")
     m = S.rows
     variables = S.variables
+    if bases is None:
+        half = (S.degree() + 1) // 2
+        bases = [kron_pairs(monomial_basis(variables, [(variables, "graded", half)]), m)]
+    bases = [list(b) for b in bases]
+    if not all(bases) or any(not 0 <= c < m for b in bases for _, c in b):
+        raise ValueError("every Gram block needs pairs with coordinates in range(m)")
 
     # support of S (upper triangle)
     support: dict = {}
@@ -255,104 +278,44 @@ def compile_sos(S: PolyMatrix, objective: Mapping[str, float],
             for e, c in S[r, s].terms.items():
                 support.setdefault(e, {})[(r, s)] = c
 
-    if coord_bases is not None:
-        if bases is not None:
-            raise ValueError("give bases or coord_bases, not both")
-        cb = [list(b) for b in coord_bases]
-        if len(cb) != m:
-            raise ValueError("coord_bases needs one monomial list per row of S")
-        offs = [0]
-        for b in cb:
-            if not b:
-                raise ValueError("empty coordinate basis")
-            offs.append(offs[-1] + len(b))
+    # producible monomials, tracked per matrix position
+    prod: dict = {}  # mu -> {(r, s): {(b, p, q): weight}}
+    for b, pairs in enumerate(bases):
+        for p, (mp, r) in enumerate(pairs):
+            for q, (mq, s) in enumerate(pairs):
+                if r <= s:
+                    w = prod.setdefault(tuple(map(add, mp, mq)), {}).setdefault((r, s), {})
+                    key = (b, p, q) if p <= q else (b, q, p)
+                    w[key] = w.get(key, 0.0) + 1.0
 
-        # producible monomials, tracked per matrix position
-        prod: dict = {}  # mu -> {(r, s): {(p, q): weight}}
-        for r in range(m):
-            for s in range(r, m):
-                for i, mi in enumerate(cb[r]):
-                    for j, mj in enumerate(cb[s]):
-                        mu = tuple(a + bb for a, bb in zip(mi, mj))
-                        p, q = offs[r] + i, offs[s] + j
-                        if p > q:
-                            p, q = q, p
-                        w = prod.setdefault(mu, {}).setdefault((r, s), {})
-                        w[(p, q)] = w.get((p, q), 0.0) + 1.0
+    for mu, pos in support.items():
+        for rs, coeff in pos.items():
+            if rs not in prod.get(mu, {}) and not coeff.is_zero():
+                raise BasisDeficiency(f"monomial {mu} at position {rs} not producible")
 
-        for mu, pos in support.items():
-            for rs in pos:
-                if rs not in prod.get(mu, {}):
-                    raise BasisDeficiency(
-                        f"monomial {mu} at position {rs} not producible")
-
-        equalities: list[Equality] = []
-        for mu in sorted(prod, key=lambda t: (sum(t), t)):
-            by_pos = support.get(mu, {})
-            for (r, s), weights in sorted(prod[mu].items()):
-                coeff = by_pos.get((r, s), AffineCoeff(0.0))
-                scale = max(coeff.magnitude(), 1.0)
-                gram = [(0, p, q, w / scale) for (p, q), w in sorted(weights.items())]
-                free = {k: v / scale for k, v in coeff.terms.items()}
-                equalities.append(Equality(gram, free, coeff.const / scale,
-                                           monomial=mu, position=(r, s)))
-
-        block_dims = [offs[-1]]
-        bases = None
-    else:
-        if bases is None:
-            half = (S.degree() + 1) // 2
-            bases = [monomial_basis(variables, [(variables, "graded", half)])]
-        bases = [list(b) for b in bases]
-        cb = None
-
-        # producible monomials
-        prod = {}
-        for b, basis in enumerate(bases):
-            for i, mi in enumerate(basis):
-                for j, mj in enumerate(basis):
-                    mu = tuple(a + bb for a, bb in zip(mi, mj))
-                    prod.setdefault(mu, []).append((b, i, j))
-
-        missing = [mu for mu in support if mu not in prod]
-        if missing:
-            raise BasisDeficiency(f"{len(missing)} monomial(s) of S not producible, e.g. {missing[0]}")
-
-        equalities = []
-        for mu in sorted(prod, key=lambda t: (sum(t), t)):
-            pairs = prod[mu]
-            by_pos = support.get(mu, {})
-            for r in range(m):
-                for s in range(r, m):
-                    weights = {}
-                    for b, i, j in pairs:
-                        p, q = i * m + r, j * m + s
-                        if p > q:
-                            p, q = q, p
-                        key = (b, p, q)
-                        weights[key] = weights.get(key, 0.0) + 1.0
-                    coeff = by_pos.get((r, s), AffineCoeff(0.0))
-                    scale = max(coeff.magnitude(), 1.0)
-                    gram = [(b, p, q, w / scale) for (b, p, q), w in sorted(weights.items())]
-                    free = {k: v / scale for k, v in coeff.terms.items()}
-                    equalities.append(Equality(gram, free, coeff.const / scale,
-                                               monomial=mu, position=(r, s)))
-
-        block_dims = [len(b) * m for b in bases]
+    equalities: list[Equality] = []
+    for mu in sorted(prod, key=lambda t: (sum(t), t)):
+        by_pos = support.get(mu, {})
+        for (r, s), weights in sorted(prod[mu].items()):
+            coeff = by_pos.get((r, s), AffineCoeff(0.0))
+            scale = max(coeff.magnitude(), 1.0)
+            gram = [(b, p, q, w / scale) for (b, p, q), w in sorted(weights.items())]
+            free = {k: v / scale for k, v in coeff.terms.items()}
+            equalities.append(Equality(gram, free, coeff.const / scale,
+                                       monomial=mu, position=(r, s)))
 
     free_ids = set(objective)
     for eq in equalities:
         free_ids |= set(eq.free)
 
     problem = SdpProblem(
-        block_dims=block_dims,
+        block_dims=[len(b) for b in bases],
         free_ids=tuple(sorted(free_ids)),
         objective=dict(objective),
         equalities=equalities,
         bases=bases,
         matrix_dim=m,
         variables=variables,
-        coord_bases=cb,
     )
     if nonneg:
         for expr in nonneg:
@@ -372,17 +335,7 @@ def add_nonneg(problem: SdpProblem, expr: AffineCoeff) -> None:
 
 
 def certificate_from_grams(problem: SdpProblem, grams: Sequence[np.ndarray]) -> SosCertificate:
-    if problem.matrix_dim is None:
-        raise ValueError("problem lacks basis metadata")
-    if problem.coord_bases is not None:
-        return SosCertificate(
-            grams=[np.asarray(grams[0], dtype=float)],
-            bases=[],
-            matrix_dim=problem.matrix_dim,
-            variables=problem.variables or (),
-            coord_bases=[list(b) for b in problem.coord_bases],
-        )
-    if problem.bases is None:
+    if problem.bases is None or problem.matrix_dim is None:
         raise ValueError("problem lacks basis metadata")
     keep = [(g, b) for g, b in zip(grams, problem.bases) if b is not None]
     return SosCertificate(
@@ -416,29 +369,13 @@ def check_certificate(S: PolyMatrix, assignment: Mapping[str, float],
                 scales[key] = max(scales.get(key, 1.0), c.magnitude())
 
     expansion: dict = {}
-    if cert.coord_bases is not None:
-        cb = cert.coord_bases
-        offs = [0]
-        for b in cb:
-            offs.append(offs[-1] + len(b))
-        G = cert.grams[0]
-        for r in range(m):
-            for s in range(r, m):
-                for i, mi in enumerate(cb[r]):
-                    for j, mj in enumerate(cb[s]):
-                        mu = tuple(a + b for a, b in zip(mi, mj))
-                        key = (mu, r, s)
-                        expansion[key] = expansion.get(key, 0.0) + G[offs[r] + i, offs[s] + j]
-    else:
-        for G, basis in zip(cert.grams, cert.bases):
-            for i, mi in enumerate(basis):
-                for j, mj in enumerate(basis):
-                    mu = tuple(a + b for a, b in zip(mi, mj))
-                    blk = G[i * m:(i + 1) * m, j * m:(j + 1) * m]
-                    for r in range(m):
-                        for s in range(r, m):
-                            key = (mu, r, s)
-                            expansion[key] = expansion.get(key, 0.0) + blk[r, s]
+    for G, pairs in zip(cert.grams, cert.bases):
+        rows = np.asarray(G, dtype=float).tolist()
+        for p, (mp, r) in enumerate(pairs):
+            for q, (mq, s) in enumerate(pairs):
+                if r <= s:
+                    key = (tuple(map(add, mp, mq)), r, s)
+                    expansion[key] = expansion.get(key, 0.0) + rows[p][q]
 
     scale = max(max(scales.values(), default=1.0), 1.0)
     residual = 0.0

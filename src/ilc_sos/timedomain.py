@@ -26,7 +26,7 @@ import numpy as np
 
 from .polyalg import (AffineCoeff, AffinePoly, PolyMatrix, substitute_squares,
                       homogenize, triangular_toeplitz_det_adj)
-from .soscompiler import compile_sos, monomial_basis, parity_classes
+from .soscompiler import compile_sos, kron_pairs, monomial_basis, sign_classes
 from . import sdp
 from .result import SynthesisResult, decision_value, escalate
 
@@ -362,7 +362,7 @@ def synth_time(problem: TimeSynthesisProblem, feas_tol: float = 1e-8,
 
     if not lam:
         basis = monomial_basis(variables, [])
-        prob = compile_sos(M, {"eta": 1.0}, bases=[basis])
+        prob = compile_sos(M, {"eta": 1.0}, bases=[kron_pairs(basis, M.rows)])
         sol = sdp.solve(prob, feas_tol=feas_tol, gap_tol=gap_tol)
         if not sol.ok:
             raise sdp.SolverFailure(f"lifted synthesis failed: {sol.status} ({sol.message})")
@@ -377,7 +377,7 @@ def synth_time(problem: TimeSynthesisProblem, feas_tol: float = 1e-8,
             warnings.warn("certified rate is not below one", InfeasibleAtAllK)
         return result
 
-    lam_positions = [variables.index(v) for v in lam]
+    flips = [((variables.index(v),), ()) for v in lam]
     deg_lambda = M.degree_in(lam)
     T_sq = substitute_squares(M, lam)
     norm2 = AffinePoly.zero(variables)
@@ -388,7 +388,8 @@ def synth_time(problem: TimeSynthesisProblem, feas_tol: float = 1e-8,
 
     def compile_level(S, k):
         basis = monomial_basis(variables, [(lam, "homogeneous", deg_lambda + k)])
-        return compile_sos(S, {"eta": 1.0}, bases=parity_classes(basis, lam_positions))
+        return compile_sos(S, {"eta": 1.0},
+                           bases=sign_classes(kron_pairs(basis, S.rows), flips))
 
     esc = escalate(base, norm2, compile_level, problem.k_max, problem.k_tol,
                    feas_tol, gap_tol)

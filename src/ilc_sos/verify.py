@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .freqdomain import NoncausalFir, UncertainTransferFunction
+from .polyalg import simplex_mesh
 from .timedomain import LiftedFilter, LiftedUncertainPlant, SingularPlant, \
     contraction_matrix
 
@@ -37,25 +38,6 @@ class SampleGrid:
         if pts.shape[1] > 0:
             if np.any(pts < -1e-12) or np.max(np.abs(pts.sum(axis=1) - 1.0)) > 1e-12:
                 raise ValueError("lambda points must lie on the unit simplex")
-
-
-def simplex_mesh(d: int, resolution: int = 50) -> np.ndarray:
-    """All barycentric grid points with denominators ``resolution``."""
-    if d == 0:
-        return np.zeros((1, 0))
-    if d == 1:
-        return np.ones((1, 1))
-    out = []
-
-    def rec(prefix, left):
-        if len(prefix) == d - 1:
-            out.append(prefix + [left])
-            return
-        for v in range(left + 1):
-            rec(prefix + [v], left - v)
-
-    rec([], resolution)
-    return np.array(out, dtype=float) / float(resolution)
 
 
 def make_grid(n_lambda: int, resolution: int = 50, n_random: int = 1000,

@@ -18,7 +18,7 @@ from ilc_sos.polyalg import (
     circle_rationalize_xy,
     triangular_toeplitz_det_adj,
 )
-from ilc_sos.soscompiler import SosCertificate, check_certificate, monomial_basis
+from ilc_sos.soscompiler import SosCertificate, check_certificate, kron_pairs, monomial_basis
 from ilc_sos import freqdomain as fd
 from ilc_sos import timedomain as td
 from ilc_sos import simulate as sim
@@ -278,7 +278,7 @@ def test_criterion_7_structural_properties():
                     entries[r][s] = entries[r][s] + AffinePoly.monomial(
                         ("x", "y"), mu, G[i * m + r, j * m + s])
     S = PolyMatrix.from_rows(entries)
-    cert = SosCertificate(grams=[G], bases=[basis], matrix_dim=m,
+    cert = SosCertificate(grams=[G], bases=[kron_pairs(basis, m)], matrix_dim=m,
                           variables=("x", "y"))
     report = check_certificate(S, {}, cert)
     assert report.residual <= 1e-12

@@ -21,6 +21,7 @@ from ilc_sos.polyalg import (
     circle_rationalize_xy,
     triangular_toeplitz_det_adj,
     laurent_eval,
+    _check_den_on_circle,
 )
 
 rng = np.random.default_rng(20240811)
@@ -287,6 +288,50 @@ def test_circle_rationalize_xy_rejects_uncertain_circle_pole():
     den = {1: one, 0: -AffinePoly.variable(lam, "l1")}
     with pytest.raises(DegenerateDenominator):
         circle_rationalize_xy(a, {}, num, den)
+
+
+def _scalar_den_check(den, lambda_points, n_omega=721, tol=1e-9):
+    """The unit-circle denominator check as a scalar double loop."""
+    scale = max(max((p.max_magnitude() for p in den.values()), default=0.0), 1.0)
+    for pt in lambda_points:
+        for w in np.linspace(0.0, 2.0 * np.pi, n_omega):
+            val = laurent_eval(den, cmath.exp(1j * w), pt)
+            if abs(val) < tol * scale:
+                return f"omega={w:.4f}, point={dict(pt)}"
+    return None
+
+
+def _den_verdict(den, lambda_points):
+    try:
+        _check_den_on_circle(den, lambda_points)
+    except DegenerateDenominator as exc:
+        return str(exc).split(" at ", 1)[1]
+    return None
+
+
+def test_den_on_circle_check_matches_scalar_loop():
+    lam = ("l1", "l2")
+    l1, l2 = (AffinePoly.variable(lam, v) for v in lam)
+    one = AffinePoly.constant(lam, 1.0)
+    points = [{"l1": 1.0, "l2": 0.0}, {"l1": 0.0, "l2": 1.0}, {"l1": 0.5, "l2": 0.5}]
+    cases = [
+        # stable: roots 0.5 l1 - 0.3 l2 and z^2 - 0.6 z + 0.08 (Laurent: z^-1 factor)
+        ({1: one, 0: -(l1.scaled(0.5) - l2.scaled(0.3))}, True),
+        ({1: one, 0: one.scaled(-0.6), -1: one.scaled(0.08)}, True),
+        # z - l1 - l2 has its root at z = 1 at every point
+        ({1: one, 0: -(l1 + l2)}, False),
+        # z + l1 + 0.2 l2: root on the circle only at the first vertex, at omega = pi
+        ({1: one, 0: l1 + l2.scaled(0.2)}, False),
+    ]
+    r_above = 1.0 + 1.5e-9     # |1 - r| just above tol * scale (scale = r)
+    r_below = 1.0 + 0.5e-9
+    cases += [({1: one, 0: one.scaled(-r_above)}, True),
+              ({1: one, 0: one.scaled(-r_below)}, False)]
+    for den, stable in cases:
+        want = _scalar_den_check(den, points)
+        assert (want is None) == stable
+        assert _den_verdict(den, points) == want
+    assert _den_verdict(cases[3][0], points) == "omega=3.1416, point={'l1': 1.0, 'l2': 0.0}"
 
 
 # ---------------------------------------------------------------------------

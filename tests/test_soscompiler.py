@@ -8,10 +8,13 @@ from ilc_sos.soscompiler import (
     certificate_from_grams,
     check_certificate,
     compile_sos,
+    kron_pairs,
     monomial_basis,
-    parity_classes,
+    sign_classes,
 )
+from ilc_sos import freqdomain as fd
 from ilc_sos import sdp
+from ilc_sos import timedomain as td
 
 rng = np.random.default_rng(7)
 
@@ -34,15 +37,20 @@ def test_monomial_basis_mixed_groups():
     assert all(e[1] + e[2] == 1 and e[0] <= 2 for e in b)
 
 
-def test_parity_classes():
+def test_sign_classes():
     b = monomial_basis(("l1", "l2"), [(("l1", "l2"), "homogeneous", 2)])
-    classes = parity_classes(b, [0, 1])
+    classes = sign_classes(kron_pairs(b, 1), [((0,), ()), ((1,), ())])
     # (0,2),(2,0) are even/even; (1,1) is odd/odd
     sizes = sorted(len(c) for c in classes)
     assert sizes == [1, 2]
     for cls in classes:
-        pars = {tuple(e % 2 for e in mono) for mono in cls}
+        pars = {tuple(e % 2 for e in mono) for mono, _ in cls}
         assert len(pars) == 1
+    # x -> -x with coordinate 2 negated: parity of x XOR (coordinate == 2)
+    xb = monomial_basis(("x",), [(("x",), "graded", 2)])
+    split = sign_classes(kron_pairs(xb, 3), [((0,), (2,))])
+    assert split == [[((0,), 0), ((0,), 1), ((1,), 2), ((2,), 0), ((2,), 1)],
+                     [((0,), 2), ((1,), 0), ((1,), 1), ((2,), 2)]]
 
 
 def sos_value(S, basis, G, m, point, variables):
@@ -78,7 +86,7 @@ def test_compile_matrix_case():
         [x.scaled(2.0), one + x * x],
     ])
     basis = monomial_basis(variables, [(("x",), "graded", 1)])
-    prob = compile_sos(S, {"eta": 1.0}, bases=[basis])
+    prob = compile_sos(S, {"eta": 1.0}, bases=[kron_pairs(basis, 2)])
     # distinct product monomials {1, x, x^2} times m(m+1)/2 positions
     assert prob.n_equalities == 3 * 3
     sol = sdp.solve(prob)
@@ -102,7 +110,7 @@ def test_basis_deficiency():
     S = PolyMatrix.from_rows([[x ** 4 + 1.0]])
     basis = [(0,)]  # cannot produce x^4
     with pytest.raises(BasisDeficiency):
-        compile_sos(S, {}, bases=[basis])
+        compile_sos(S, {}, bases=[kron_pairs(basis, 1)])
 
 
 def test_gram_round_trip_exact():
@@ -125,7 +133,7 @@ def test_gram_round_trip_exact():
     S = PolyMatrix.from_rows(entries)
     assert S.is_symmetric(1e-12)
 
-    prob = compile_sos(S, {}, bases=[basis])
+    prob = compile_sos(S, {}, bases=[kron_pairs(basis, m)])
     cert = certificate_from_grams(prob, [G0])
     rep = check_certificate(S, {}, cert, residual_tol=1e-12)
     assert rep.passed
@@ -170,3 +178,155 @@ def test_nonneg_side_constraint():
     sol = sdp.solve(prob)
     assert sol.ok
     assert sol.scalar_values["eta"] == pytest.approx(0.25, abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# the (monomial, coordinate) pair layout against the two layouts it replaced
+
+
+def _old_parity_classes(basis, var_indices):
+    buckets = {}
+    for mono in basis:
+        buckets.setdefault(tuple(mono[i] % 2 for i in var_indices), []).append(mono)
+    return [sorted(buckets[k], key=lambda t: (sum(t), t)) for k in sorted(buckets)]
+
+
+def _old_equalities(S, bases=None, coord_bases=None):
+    """Equalities as the Kronecker (``bases``, v_b (x) I_m) and ragged
+    (``coord_bases``, one monomial list per row) layouts compiled them."""
+    m = S.rows
+    support = {}
+    for r in range(m):
+        for s in range(r, m):
+            for e, c in S[r, s].terms.items():
+                support.setdefault(e, {})[(r, s)] = c
+    add = lambda a, b: tuple(x + y for x, y in zip(a, b))
+    prod = {}  # mu -> {(r, s): {(b, p, q): weight}}
+    if coord_bases is not None:
+        offs = np.cumsum([0] + [len(b) for b in coord_bases]).tolist()
+        for r in range(m):
+            for s in range(r, m):
+                for i, mi in enumerate(coord_bases[r]):
+                    for j, mj in enumerate(coord_bases[s]):
+                        p, q = sorted((offs[r] + i, offs[s] + j))
+                        w = prod.setdefault(add(mi, mj), {}).setdefault((r, s), {})
+                        w[(0, p, q)] = w.get((0, p, q), 0.0) + 1.0
+    else:
+        for b, basis in enumerate(bases):
+            for i, mi in enumerate(basis):
+                for j, mj in enumerate(basis):
+                    for r in range(m):
+                        for s in range(r, m):
+                            p, q = sorted((i * m + r, j * m + s))
+                            w = prod.setdefault(add(mi, mj), {}).setdefault((r, s), {})
+                            w[(b, p, q)] = w.get((b, p, q), 0.0) + 1.0
+    out = []
+    for mu in sorted(prod, key=lambda t: (sum(t), t)):
+        for (r, s), weights in sorted(prod[mu].items()):
+            coeff = support.get(mu, {}).get((r, s), AffineCoeff(0.0))
+            scale = max(coeff.magnitude(), 1.0)
+            out.append(repr(([(b, p, q, w / scale) for (b, p, q), w in sorted(weights.items())],
+                             [(k, v / scale) for k, v in coeff.terms.items()],
+                             coeff.const / scale, mu, (r, s))))
+    return out
+
+
+def _new_equalities(prob):
+    return [repr((eq.gram, list(eq.free.items()), eq.rhs, eq.monomial, eq.position))
+            for eq in prob.equalities if eq.monomial is not None]
+
+
+def _capture_compiles(monkeypatch, module):
+    seen = []
+    orig = module.compile_sos
+
+    def spy(S, objective, bases=None, nonneg=None):
+        prob = orig(S, objective, bases=bases, nonneg=nonneg)
+        seen.append((S, prob))
+        return prob
+
+    monkeypatch.setattr(module, "compile_sos", spy)
+    return seen
+
+
+def test_pair_layout_matches_kronecker_lifted_program(monkeypatch):
+    lam = ("lam1", "lam2")
+    markov = [AffinePoly.linear_form(lam, {"lam1": 1.0, "lam2": 1.4}),
+              AffinePoly.linear_form(lam, {"lam1": 0.3, "lam2": -0.2})]
+    plant = td.LiftedUncertainPlant(2, markov, lam)
+    problem = td.TimeSynthesisProblem(plant, td.LiftedFilter.identity(2),
+                                      td.LiftedFilter.causal_decision(2),
+                                      epsilon=1e-6, k_max=1, k_tol=0.0)
+    seen = _capture_compiles(monkeypatch, td)
+    td.synth_time(problem)
+    assert len(seen) == 2
+    for S, prob in seen:
+        degree = sum(prob.bases[0][0][0])
+        basis = monomial_basis(S.variables, [(lam, "homogeneous", degree)])
+        old = _old_parity_classes(basis, [S.variables.index(v) for v in lam])
+        assert prob.block_dims == [len(b) * S.rows for b in old]
+        assert _new_equalities(prob) == _old_equalities(S, bases=old)
+
+
+def test_pair_layout_matches_ragged_nominal_program(monkeypatch):
+    plant = fd.UncertainTransferFunction.from_coeffs([-24.0, -40.0], [-8.6, -8.0, -20.0])
+    seen = _capture_compiles(monkeypatch, fd)
+    fd.synth_freq_nominal(fd.NoncausalFir.unity(), fd.NoncausalFir.causal_decision(2), plant)
+    [(S, prob)] = seen
+    degree = max(sum(mono) for mono, c in prob.bases[0] if c == 0)
+    row = monomial_basis(S.variables, [(S.variables, "graded", degree)])
+    const = [(0,) * len(S.variables)]
+    assert prob.block_dims[0] == len(row) + 2
+    assert _new_equalities(prob) == _old_equalities(S, coord_bases=[row, const, const])
+
+
+def test_symmetry_split_keeps_robust_bound(monkeypatch):
+    # paper plant, theta in [-0.7, -0.5]
+    tv = ("theta",)
+    lin = lambda c0, c1=0.0: AffinePoly.linear_form(tv, {"theta": c1}, c0)
+    plant = fd.simplexify([lin(16, 60), lin(-40)], [lin(1, 16), lin(4, 20), lin(-20)],
+                          [[-0.5], [-0.7]], theta_vars=tv)
+    args = (fd.NoncausalFir.unity(), fd.NoncausalFir.causal_decision(1), plant)
+    split = fd.synth_freq_robust(*args, k_max=0)
+    assert split.certified, str(split.certificate_report)
+    assert split.certificate_report.residual <= 1e-6
+
+    # the same program with the lambda-sign split only (no x -> -x flip)
+    lam_only = lambda pairs, flips: sign_classes(pairs, [f for f in flips if not f[1]])
+    monkeypatch.setattr(fd, "sign_classes", lam_only)
+    whole = fd.synth_freq_robust(*args, k_max=0)
+    assert sum(split.diagnostics["block_dims"]) == sum(whole.diagnostics["block_dims"])
+    assert max(split.diagnostics["block_dims"]) < max(whole.diagnostics["block_dims"])
+    assert split.diagnostics["n_equalities"] < whole.diagnostics["n_equalities"]
+    assert split.eta == pytest.approx(whole.eta, abs=1e-6)
+
+
+def _x_flip_program(corner):
+    """3x3 S over x whose (0, 2) entry is ``corner``; the split is exact
+    only when that entry is odd in x."""
+    x = AffinePoly.variable(("x",), "x")
+    one = AffinePoly.constant(("x",), 1.0)
+    zero = AffinePoly.zero(("x",))
+    S = PolyMatrix.from_rows([[one + x * x, zero, corner],
+                              [zero, one, zero],
+                              [corner, zero, one + x * x]])
+    basis = monomial_basis(("x",), [(("x",), "graded", 1)])
+    return S, sign_classes(kron_pairs(basis, 3), [((0,), (2,))])
+
+
+def test_symmetry_split_rejects_asymmetric_matrix():
+    x = AffinePoly.variable(("x",), "x")
+    S, split = _x_flip_program(x.scaled(0.5))
+    prob = compile_sos(S, {}, bases=split)
+    assert prob.block_dims == [3, 3]
+    sol = sdp.solve(prob)
+    assert sol.ok
+    assert check_certificate(S, {}, certificate_from_grams(prob, sol.gram_values)).passed
+
+    # an even term at (0, 2) breaks the symmetry: no split Gram produces it
+    S, split = _x_flip_program(x.scaled(0.5) + 0.25)
+    with pytest.raises(BasisDeficiency):
+        compile_sos(S, {}, bases=split)
+    # ... but a term whose coefficient is identically zero is no obstacle
+    S, split = _x_flip_program(AffinePoly(("x",), {(0,): AffineCoeff(0.0), (1,): AffineCoeff(0.5)}))
+    assert compile_sos(S, {}, bases=split).block_dims == [3, 3]
