@@ -7,7 +7,7 @@ output directory.  ``repro-paper`` additionally writes ``table.md``.
 
 Exit codes: 0 success, 2 bad config or an input the mode cannot use
 (unstable plant, pole on the unit circle, ...), 3 solver/certificate/divergence
-failure, 4 synthesis finished but could not certify contraction (gamma >= 1).
+failure, 4 synthesis finished but could not certify contraction (gamma not below 1).
 """
 
 from __future__ import annotations
@@ -263,7 +263,7 @@ def _synthesis_exit(res: SynthesisResult, out_dir: str, mode: str) -> int:
           f"(certificate residual {res.certificate_report.residual:.2e}); "
           f"gains: {gains}")
     if res.not_monotone:
-        print(f"synthesis finished but gamma*={res.gamma:.4f} >= 1 "
+        print(f"synthesis finished but gamma*={res.gamma:.4f} is not below 1 "
               "(no contraction certified)", file=sys.stderr)
         return EXIT_NOT_MONOTONE
     return EXIT_OK

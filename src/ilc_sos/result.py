@@ -8,7 +8,7 @@ from typing import Callable, Mapping
 
 from . import sdp
 from .polyalg import AffinePoly, PolyMatrix
-from .soscompiler import CertificateReport, SdpProblem, SosCertificate
+from .soscompiler import RESIDUAL_TOL, CertificateReport, SdpProblem, SosCertificate
 
 
 class UnusedDecision(Exception):
@@ -55,7 +55,8 @@ class SynthesisResult:
                       epsilon: float | None, diagnostics: dict, polya_k: int = 0,
                       k_trace: list | None = None) -> "SynthesisResult":
         """Result of a solve whose objective scalar is ``eta``; ``k_trace``
-        defaults to the single level 0."""
+        defaults to the single level 0.  A gamma within the certificate's
+        residual tolerance of 1 is rounding, not a contraction."""
         eta = float(sol.scalar_values["eta"])
         gamma = math.sqrt(max(eta, 0.0))
         return cls(
@@ -66,7 +67,7 @@ class SynthesisResult:
             certificate=certificate, certificate_report=report,
             solver_status=sol.status, solver_method=sol.method,
             solver_iterations=sol.iterations,
-            not_monotone=bool(gamma >= 1.0), diagnostics=diagnostics)
+            not_monotone=bool(gamma >= 1.0 - RESIDUAL_TOL), diagnostics=diagnostics)
 
     @property
     def certified(self) -> bool:

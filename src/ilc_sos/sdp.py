@@ -7,7 +7,8 @@ Solves
                 G = blkdiag(G_1..G_B) >= 0,  y free
 
 with a primal-dual interior-point method: Nesterov-Todd scaling, Mehrotra
-predictor-corrector, infeasible start.  The dual is
+predictor-corrector, and one infeasible start at SDPT3's data-scaled point
+(Toh, Todd & Tutuncu 1999), with no restart.  The dual is
 
     maximize    beta^T nu
     subject to  D^T nu = -c,    Z = -A*(nu) >= 0.
@@ -37,7 +38,7 @@ from .soscompiler import (Equality, SdpProblem, certificate_from_grams,
 
 
 class SolverFailure(Exception):
-    """The interior-point solve, and its rescaled restart, found no solution."""
+    """The interior-point solve, run once from its data-scaled start, found no solution."""
 
 
 @dataclass
@@ -264,31 +265,33 @@ def _max_step(Sig_half_inv: np.ndarray, delta_scaled: np.ndarray) -> float:
 
 def solve(problem: SdpProblem, feas_tol: float = 1e-8, gap_tol: float = 1e-8,
           max_iter: int = 200) -> SdpSolution:
-    """Solve the SDP with the interior-point method, retrying once from a
-    larger initial point when the first run reports a numerical failure."""
-    A = _Assembled(problem)
-    sol = _solve_ipm(A, feas_tol, gap_tol, max_iter)
-    if sol.status == "numerical_failure":
-        # a cold identity start occasionally stalls far from the feasible set;
-        # one retry from a larger initial point is cheap and usually enough
-        retry = _solve_ipm(A, feas_tol, gap_tol, max_iter, init_scale=100.0)
-        if retry.status != "numerical_failure":
-            retry.message = (retry.message + "; " if retry.message else "") + "rescaled restart"
-            sol = retry
-    return sol
+    """Solve the SDP with the interior-point method from the data-scaled start."""
+    return _solve_ipm(_Assembled(problem), feas_tol, gap_tol, max_iter)
 
 
-def _solve_ipm(A: _Assembled, feas_tol: float, gap_tol: float, max_iter: int,
-               init_scale: float = 1.0) -> SdpSolution:
+def _starting_point(A: _Assembled) -> tuple:
+    """SDPT3's infeasible start (Toh, Todd & Tutuncu 1999): G_b = xi_b I,
+    Z_b = eta_b I from the rhs and each equality's ||A_i^b||_F."""
+    c_max = float(np.max(np.abs(A.c))) if A.q else 0.0
+    Gs, Zs = [], []
+    for (eq, pp, qq, ww), (active, *_), n in zip(A.blocks, A.padded, A.dims):
+        fro = np.sqrt(np.bincount(eq, np.where(pp == qq, 1.0, 0.5) * ww * ww, A.p))[active]
+        xi = n * np.max((1.0 + np.abs(A.beta[active])) / (1.0 + fro), initial=0.0)
+        Gs.append(np.eye(n) * max(10.0, np.sqrt(n), xi))
+        Zs.append(np.eye(n) * max(10.0, np.sqrt(n), np.max(fro, initial=0.0), c_max))
+    return Gs, Zs
+
+
+def _solve_ipm(A: _Assembled, feas_tol: float, gap_tol: float, max_iter: int) -> SdpSolution:
     dims, p, q = A.dims, A.p, A.q
     if p == 0:
         return SdpSolution("optimal", 0.0, {k: 0.0 for k in A.free_ids},
                            [np.zeros((n, n)) for n in dims])
 
-    scale0 = init_scale * max(1.0, float(np.max(np.abs(A.beta))),
-                              float(np.max(np.abs(A.c))) if q else 1.0)
-    Gs = [np.eye(n) * scale0 for n in dims]
-    Zs = [np.eye(n) * scale0 for n in dims]
+    # the stopping tests measure mu against the data, not against the start
+    scale0 = max(1.0, float(np.max(np.abs(A.beta))),
+                 float(np.max(np.abs(A.c))) if q else 1.0)
+    Gs, Zs = _starting_point(A)
     y = np.zeros(q)
     nu = np.zeros(p)
 

@@ -346,8 +346,11 @@ def certificate_from_grams(problem: SdpProblem, grams: Sequence[np.ndarray]) -> 
     )
 
 
+RESIDUAL_TOL = 1e-6  # largest scaled coefficient mismatch of a passing certificate
+
+
 def check_certificate(S: PolyMatrix, assignment: Mapping[str, float],
-                      cert: SosCertificate, residual_tol: float = 1e-6,
+                      cert: SosCertificate, residual_tol: float = RESIDUAL_TOL,
                       eig_tol: float = -1e-8) -> CertificateReport:
     """Recompute the Gram expansion and compare against S coefficientwise.
 

@@ -15,7 +15,7 @@ import numpy as np
 from .freqdomain import NoncausalFir, UncertainTransferFunction
 from .polyalg import simplex_mesh
 from .timedomain import LiftedFilter, LiftedUncertainPlant, SingularPlant, \
-    contraction_matrix
+    toeplitz_from_taps
 
 
 class UnitCirclePole(Exception):
@@ -77,19 +77,26 @@ def time_gain_profile(plant: LiftedUncertainPlant, qfilter, lfilter,
         grid = make_grid(plant.n_lambda)
     q = _filter_taps(qfilter, plant.N)
     l = _filter_taps(lfilter, plant.N)
+    pts = grid.lambda_points
     if plant.lambda_vars:
-        p1 = plant.markov[0].evaluate_batch(grid.lambda_points)
+        h = np.column_stack([m.evaluate_batch(pts) for m in plant.markov])
     else:
-        p1 = np.array([plant.markov[0].evaluate({})])
+        h = np.tile([m.evaluate({}) for m in plant.markov], (len(pts), 1))
+    p1 = h[:, 0]
     scale = max(1.0, float(np.max(np.abs(p1))))
     if np.min(np.abs(p1)) <= 1e-12 * scale:
-        bad = grid.lambda_points[int(np.argmin(np.abs(p1)))]
+        bad = pts[int(np.argmin(np.abs(p1)))]
         raise SingularPlant(f"p1 vanishes at a grid point (lambda={bad})")
-    out = np.empty(grid.lambda_points.shape[0])
-    for i, lam in enumerate(grid.lambda_points):
-        X = contraction_matrix(plant, q, l, lam)
-        out[i] = np.linalg.svd(X, compute_uv=False)[0]
-    return out
+    N = plant.N
+    Qm, Lm = toeplitz_from_taps(q, N), toeplitz_from_taps(l, N)
+    r, c = np.tril_indices(N)
+    out = []
+    for hk in np.array_split(h, 1 + (h.size * N >> 21)):  # ~2^21 matrix entries a batch
+        P = np.zeros((len(hk), N, N))
+        P[:, r, c] = hk[:, r - c]  # lifted plant at every point: P[k, i, j] = h[k, i - j]
+        X = P @ Qm @ (np.eye(N) - Lm @ P) @ np.linalg.inv(P)
+        out.append(np.linalg.svd(X, compute_uv=False)[:, 0])
+    return np.concatenate(out)
 
 
 def sampled_gamma_time(plant: LiftedUncertainPlant, qfilter, lfilter,

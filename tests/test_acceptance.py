@@ -74,6 +74,16 @@ def test_criterion_1_paper_table_reproduction(paper_synthesis):
         assert trace[3] <= trace[0] + 1e-6
 
 
+def test_criterion_1_raw_polya_ladder_does_not_rise(paper_synthesis):
+    # the raw per-level bound is non-increasing in k (a level-j Gram stays
+    # valid at every k > j), so no solved level may end above k = 0
+    for order in (0, 1, 2):
+        raw = dict(paper_synthesis["results"][order].diagnostics["k_trace_raw"])
+        for k, eta in raw.items():
+            assert eta <= raw[0] + 1e-6, \
+                f"order {order}: raw eta {eta} at k = {k} above k = 0 ({raw[0]})"
+
+
 def test_criterion_2_order3_gains(paper_synthesis):
     res = paper_synthesis["results"][3]
     assert res.certified

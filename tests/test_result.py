@@ -53,3 +53,19 @@ def test_escalate_checks_only_the_best_level_when_it_certifies(monkeypatch):
     esc, checked = _ladder(monkeypatch, [0.50, 0.40, 0.45], passing={0.40})
     assert checked == [1]
     assert esc.k == 1
+
+
+def _rate_result(eta):
+    sol = sdp.SdpSolution("optimal", eta, {"eta": eta}, [])
+    return result.SynthesisResult.from_solution(sol, None, None, [], None, {})
+
+
+def test_rate_within_certificate_tolerance_of_one_is_not_monotone():
+    # a bound a hair below 1 (pinned zero gain, true gamma = 1) is rounding
+    res = _rate_result(1.0 - 2.4e-9)
+    assert res.gamma < 1.0
+    assert res.not_monotone
+
+
+def test_rate_clearly_below_one_is_monotone():
+    assert not _rate_result(0.98).not_monotone

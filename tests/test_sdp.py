@@ -72,6 +72,46 @@ def test_determinism():
         np.testing.assert_array_equal(Ga, Gb)
 
 
+def _offdiag_problem(a):
+    # min y s.t. [[y, a], [a, y]] >= 0  ->  y* = a
+    eqs = [
+        Equality([(0, 0, 0, 1.0)], {"y": 1.0}, 0.0),
+        Equality([(0, 0, 1, 1.0)], {}, a),
+        Equality([(0, 1, 1, 1.0)], {"y": 1.0}, 0.0),
+    ]
+    return make_problem([2], eqs, {"y": 1.0})
+
+
+def test_start_follows_the_data_scale():
+    # the same program at scale 1e4 and rescaled to 1 converges alike
+    big = sdp.solve(_offdiag_problem(1e4))
+    unit = sdp.solve(_offdiag_problem(1.0))
+    assert big.ok and unit.ok
+    assert big.objective_value == pytest.approx(1e4, rel=1e-6)
+    assert unit.objective_value == pytest.approx(1.0, rel=1e-6)
+    assert big.iterations <= 15 and unit.iterations <= 15
+    assert abs(big.iterations - unit.iterations) <= 3
+
+
+def test_solve_runs_the_ipm_once(monkeypatch):
+    calls = []
+    ipm = sdp._solve_ipm
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return ipm(*args, **kwargs)
+
+    monkeypatch.setattr(sdp, "_solve_ipm", counted)
+    assert sdp.solve(_offdiag_problem(1.0)).ok
+    assert len(calls) == 1
+    # cut off after one iteration: a numerical failure, and no second start
+    assert sdp.solve(_offdiag_problem(1.0), max_iter=1).status == "numerical_failure"
+    assert len(calls) == 2
+    infeasible = make_problem([1], [Equality([(0, 0, 0, 1.0)], {}, -1.0)], {})
+    assert sdp.solve(infeasible).status == "infeasible"
+    assert len(calls) == 3
+
+
 def test_solution_report_format():
     prob = make_problem([1], [Equality([(0, 0, 0, 1.0)], {"y": 1.0}, 0.0)], {"y": 1.0})
     sol = sdp.solve(prob)

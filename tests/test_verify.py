@@ -170,6 +170,26 @@ def test_time_gain_singular_plant_on_grid():
                              td.LiftedFilter(2, (0.0, 0.5, 0.0)), grid)
 
 
+@pytest.mark.parametrize("N, lam", [(5, ("lam1", "lam2")), (64, ("lam1", "lam2")),
+                                    (4, ())])
+def test_time_gain_profile_matches_per_point_loop(N, lam):
+    # N = 64 runs the batched evaluation in more than one chunk
+    rng = np.random.default_rng(N)
+    markov = [lin(lam, 1.0, *(0.5 + rng.uniform(size=len(lam))))]
+    markov += [lin(lam, *rng.normal(scale=0.3, size=len(lam) + 1)) for _ in range(N - 1)]
+    plant = td.LiftedUncertainPlant(N, markov, lam)
+    q = rng.normal(scale=0.2, size=2 * N - 1)
+    q[N - 1] = 1.0
+    l = rng.normal(scale=0.3, size=2 * N - 1)
+    grid = vf.make_grid(len(lam), resolution=10, n_random=600, seed=1)
+    batched = vf.time_gain_profile(plant, q, l, grid)
+    loop = np.array([np.linalg.svd(td.contraction_matrix(plant, q, l, pt),
+                                   compute_uv=False)[0]
+                     for pt in grid.lambda_points])
+    np.testing.assert_allclose(batched, loop, rtol=1e-12, atol=0)
+    assert int(np.argmax(batched)) == int(np.argmax(loop))
+
+
 def test_time_rejects_decision_taps():
     plant = td.LiftedUncertainPlant(1, [AffinePoly.constant((), 1.0)], ())
     with pytest.raises(ValueError):
