@@ -471,7 +471,7 @@ def synth_freq_nominal(qfilter: NoncausalFir, lstructure: NoncausalFir,
     if not sol.ok:
         raise SolverFailure(f"nominal synthesis failed: {sol.status} ({sol.message})")
 
-    sol, cert, report = sdp.ensure_certified(prob, S, sol, feas_tol=feas_tol)
+    sol, cert, report = sdp.ensure_certified(prob, S, sol)
     opt_filter = lstructure if lstructure.has_decisions() else qfilter
     return SynthesisResult.from_solution(
         sol, cert, report, _gain_list(opt_filter, sol.scalar_values),

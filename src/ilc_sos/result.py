@@ -120,9 +120,10 @@ def escalate(base: PolyMatrix, norm2: AffinePoly,
     ``compile_level(S_k, k)`` returns level k's program, whose objective is
     the scalar ``eta``.  Levels k = 0, 1, ... are solved until the bound
     improves by less than ``k_tol`` or ``k_max`` is reached.  The solved
-    levels' Gram certificates are then rechecked by ``sdp.ensure_certified``
-    in ascending eta, and the first that passes is returned; when none
-    passes, the lowest-eta level comes back with its failed report.
+    levels' Gram matrices are then checked as certificates by
+    ``sdp.ensure_certified`` in ascending eta (nothing is re-solved), and the
+    first that passes is returned; when none passes, the lowest-eta level
+    comes back with its failed report.
 
     A certificate solved at level j stays valid at every level k > j
     (multiply the Gram polynomial by the norm factor), so the guaranteed
@@ -160,7 +161,7 @@ def escalate(base: PolyMatrix, norm2: AffinePoly,
 
     fallback = None
     for k_best, _, sol, prob, S in sorted(solved, key=lambda level: level[1]):
-        checked = sdp.ensure_certified(prob, S, sol, feas_tol=feas_tol)
+        checked = sdp.ensure_certified(prob, S, sol)
         if checked[2].passed:
             break
         fallback = fallback or (k_best, prob, checked)

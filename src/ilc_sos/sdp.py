@@ -20,8 +20,16 @@ and M_ij = <K_i, W K_j W> is read off at equality i's own entries.  M is
 factored once per iteration (Cholesky, with a ridge only when it does not
 factor as is) and the triangular factor is inverted once, so every Newton
 solve of the iteration is matrix products.  Iterative refinement against the
-unridged M runs while it lowers the residual.  Free variables are eliminated
-through a second (tiny) Schur step that is solved the same way.
+unridged M runs while it lowers the residual.
+
+The free variables are handled by the null-space method: D = Q [R; 0] is
+factored once per solve, and each iteration factors the trailing block of
+Q^T M Q (positive definite whenever M is) in place of M.  A free variable
+that no equality and no cost touches is fixed at 0; otherwise dependent
+columns of D are a numerical failure.  The Newton directions dG and dZ are
+symmetrized, so the iterates, and the returned Gram matrices, are exactly
+symmetric.  The returned Grams are the certificate as they stand: nothing
+re-solves or projects them afterwards.
 
 No external solver is involved anywhere.
 """
@@ -29,12 +37,11 @@ No external solver is involved anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .soscompiler import (Equality, SdpProblem, certificate_from_grams,
-                          check_certificate)
+from .soscompiler import SdpProblem, certificate_from_grams, check_certificate
 
 
 class SolverFailure(Exception):
@@ -116,8 +123,28 @@ class _Assembled:
                                     np.zeros(0, int), np.zeros(0)))
         self.c = np.array([problem.objective.get(k, 0.0) for k in self.free_ids])
         self.p = p
-        self.q = q
         self.ntot = sum(self.dims)
+
+        # A free scalar that no equality and no cost touches is fixed at 0.
+        # The rest must be independent columns of D = Q [R; 0], factored once
+        # with q Householder reflectors (LAPACK's geqrf) and kept in compact
+        # WY form Q = I - V T V^T (Schreiber & Van Loan 1989).
+        self.scalar_ids = self.free_ids
+        keep = self.D.any(axis=0) | (self.c != 0)
+        self.free_ids = [k for k, kept in zip(self.free_ids, keep) if kept]
+        self.D, self.c = self.D[:, keep], self.c[keep]
+        self.q = q = len(self.free_ids)
+        self.defect = None
+        if q and np.linalg.matrix_rank(self.D) < q:
+            self.defect = "free scalars not determined by the equalities (rank-deficient D)"
+        self.V, self.T, self.Rinv = np.zeros((p, 0)), np.zeros((0, 0)), np.zeros((0, 0))
+        if q and not self.defect:
+            h, tau = np.linalg.qr(self.D, mode="raw")  # h is geqrf's output, transposed
+            self.V = (np.triu(h, 1) + np.eye(q, p)).T
+            self.T = np.diag(tau)
+            for k in range(1, q):
+                self.T[:k, k] = -tau[k] * self.T[:k, :k] @ (self.V[:, :k].T @ self.V[:, k])
+            self.Rinv = np.linalg.inv(np.triu(h[:, :q].T))
 
         # each active equality's entries, padded to a common length per block
         # (zero weight in the padding), so that the congruences W K_i W of
@@ -154,16 +181,10 @@ class _Assembled:
             outs.append(M)
         return outs
 
-    def constraint_rows(self) -> np.ndarray:
-        """Dense p x sum(n^2) matrix whose row i is vec(A*(e_i)), block by
-        block: A(G) = rows @ concat(vec(G_b)) for symmetric G."""
-        rows = np.zeros((self.p, sum(n * n for n in self.dims)))
-        off = 0
-        for (eq, pp, qq, ww), n in zip(self.blocks, self.dims):
-            np.add.at(rows, (eq, off + pp * n + qq), 0.5 * ww)
-            np.add.at(rows, (eq, off + qq * n + pp), 0.5 * ww)
-            off += n * n
-        return rows
+    def scalars(self, y: np.ndarray) -> dict:
+        """Every free scalar by id; the ones fixed at assembly are 0."""
+        vals = dict(zip(self.free_ids, y))
+        return {k: vals.get(k, 0.0) for k in self.scalar_ids}
 
     def schur(self, Ws: Sequence[np.ndarray]) -> np.ndarray:
         """M_ij = sum_b tr(A_i W_b A_j W_b) = sum_b <K_i, W_b K_j W_b>."""
@@ -250,6 +271,35 @@ def _refined_solver(M: np.ndarray):
     return solve
 
 
+def _null_space_solver(A: _Assembled, M: np.ndarray):
+    """Return (h, r) -> (dnu, dy) solving M dnu - D dy = h, D^T dnu = r, or None.
+
+    The null-space method (Nocedal & Wright, Numerical Optimization, 16.2):
+    with D = Q [R; 0] and dnu = Q [a; b], the second equation gives
+    a = R^-T r, the trailing rows of K [a; b] - [R dy; 0] = Q^T h give b, and
+    the leading rows give dy.  K = Q^T M Q is M minus a rank-2q update built
+    from M V (O(q p^2)), and its trailing block, positive definite whenever M
+    is, is factored by _refined_solver.
+    """
+    p, q, V, T = A.p, A.q, A.V, A.T
+    W = M @ V
+    U = V @ (W @ T - 0.5 * V @ (T.T @ (V.T @ W) @ T)).T
+    K = M - (U + U.T)
+    ksolve = _refined_solver(K[q:, q:]) if p > q else (lambda x: x)
+    if ksolve is None:
+        return None
+
+    def solve(h, r):
+        a = A.Rinv.T @ r
+        g = h - V @ (T.T @ (V.T @ h))  # Q^T h
+        b = ksolve(g[q:] - K[q:, :q] @ a)
+        dy = A.Rinv @ (K[:q, :q] @ a + K[:q, q:] @ b - g[:q])
+        x = np.concatenate([a, b])
+        return x - V @ (T @ (V.T @ x)), dy  # Q [a; b]
+
+    return solve
+
+
 def _max_step(Sig_half_inv: np.ndarray, delta_scaled: np.ndarray) -> float:
     """Largest alpha with Sigma + alpha*Delta >= 0 (scaled coordinates)."""
     S = Sig_half_inv[:, None] * delta_scaled * Sig_half_inv[None, :]
@@ -284,8 +334,14 @@ def _starting_point(A: _Assembled) -> tuple:
 
 def _solve_ipm(A: _Assembled, feas_tol: float, gap_tol: float, max_iter: int) -> SdpSolution:
     dims, p, q = A.dims, A.p, A.q
+    trace = []
+    fail = lambda msg, it: SdpSolution(
+        "numerical_failure", float("nan"), dict.fromkeys(A.scalar_ids, float("nan")),
+        [np.full((n, n), np.nan) for n in dims], iterations=it, message=msg, trace=trace)
+    if A.defect:
+        return fail(A.defect, 0)
     if p == 0:
-        return SdpSolution("optimal", 0.0, {k: 0.0 for k in A.free_ids},
+        return SdpSolution("optimal", 0.0, A.scalars(np.zeros(q)),
                            [np.zeros((n, n)) for n in dims])
 
     # the stopping tests measure mu against the data, not against the start
@@ -297,10 +353,6 @@ def _solve_ipm(A: _Assembled, feas_tol: float, gap_tol: float, max_iter: int) ->
 
     beta_scale = 1.0 + float(np.max(np.abs(A.beta)))
     c_scale = 1.0 + (float(np.max(np.abs(A.c))) if q else 0.0)
-    trace = []
-    fail = lambda msg, it: SdpSolution(
-        "numerical_failure", float("nan"), {k: float("nan") for k in A.free_ids},
-        [np.full((n, n), np.nan) for n in dims], iterations=it, message=msg, trace=trace)
 
     # Degenerate optima (strict complementarity failing) stall the residuals a
     # hair above tolerance while mu keeps shrinking.  Keep the best iterate and
@@ -316,7 +368,7 @@ def _solve_ipm(A: _Assembled, feas_tol: float, gap_tol: float, max_iter: int) ->
             b_pobj, b_y, b_Gs, b_nu, b_pinf, b_dinf, b_gap, b_mu, b_it = best
             if (b_pinf <= reduced_feas and b_dinf <= reduced_feas
                     and (b_gap <= reduced_gap or b_mu / scale0 <= reduced_gap)):
-                return SdpSolution("optimal", b_pobj, dict(zip(A.free_ids, b_y)), b_Gs,
+                return SdpSolution("optimal", b_pobj, A.scalars(b_y), b_Gs,
                                    dual_values=b_nu, iterations=it, gap=b_gap,
                                    primal_residual=b_pinf, dual_residual=b_dinf,
                                    message=f"reduced accuracy ({msg})", trace=trace)
@@ -340,7 +392,7 @@ def _solve_ipm(A: _Assembled, feas_tol: float, gap_tol: float, max_iter: int) ->
         if not np.isfinite(mu) or not np.isfinite(pinf) or not np.isfinite(dinf):
             return finish("non-finite iterate", it)
         if pinf <= feas_tol and dinf <= feas_tol and (gap <= gap_tol or mu / scale0 <= gap_tol):
-            return SdpSolution("optimal", pobj, dict(zip(A.free_ids, y)), Gs,
+            return SdpSolution("optimal", pobj, A.scalars(y), Gs,
                                dual_values=nu, iterations=it, gap=gap,
                                primal_residual=pinf, dual_residual=dinf, trace=trace)
 
@@ -355,47 +407,36 @@ def _solve_ipm(A: _Assembled, feas_tol: float, gap_tol: float, max_iter: int) ->
             if no_improve >= 6 and mu / scale0 <= gap_tol:
                 return finish("progress stalled near optimum", it)
         if dinf <= 1e-6 and dobj > 1e10 * beta_scale:
-            return SdpSolution("infeasible", float("inf"), {k: float("nan") for k in A.free_ids},
-                               Gs, dual_values=nu, iterations=it, gap=gap,
+            return SdpSolution("infeasible", float("inf"),
+                               dict.fromkeys(A.scalar_ids, float("nan")), Gs,
+                               dual_values=nu, iterations=it, gap=gap,
                                primal_residual=pinf, dual_residual=dinf,
                                message="dual objective diverging", trace=trace)
         if pinf <= 1e-6 and pobj < -1e10 * c_scale:
-            return SdpSolution("unbounded", float("-inf"), dict(zip(A.free_ids, y)), Gs,
+            return SdpSolution("unbounded", float("-inf"), A.scalars(y), Gs,
                                iterations=it, gap=gap, primal_residual=pinf,
                                dual_residual=dinf, message="primal objective diverging",
                                trace=trace)
 
         # Nesterov-Todd scaling per block: W = R R^T, R^-1 G R^-T = R^T Z R = Sigma
         Rs, Rinvs, sigs, Ws = [], [], [], []
-        bad = False
         for G, Z in zip(Gs, Zs):
             LG, LZ = _chol(G), _chol(Z)
             if LG is None or LZ is None:
-                bad = True
-                break
+                return finish("iterate lost positive definiteness", it)
             U, s, Vt = np.linalg.svd(LZ.T @ LG)
             if np.min(s) <= 0:
-                bad = True
-                break
+                return finish("iterate lost positive definiteness", it)
             R = LG @ Vt.T / np.sqrt(s)[None, :]
             Rinv = (Vt.T * np.sqrt(s)[None, :]).T @ np.linalg.inv(LG)
             Rs.append(R)
             Rinvs.append(Rinv)
             sigs.append(s)
             Ws.append(R @ R.T)
-        if bad:
-            return finish("iterate lost positive definiteness", it)
 
-        M = A.schur(Ws)
-        msolve = _refined_solver(M)
-        if msolve is None:
+        kkt = _null_space_solver(A, A.schur(Ws))
+        if kkt is None:
             return finish("Schur complement not PD", it)
-        MD = msolve(A.D) if q else np.zeros((p, 0))
-        if q:
-            S2 = A.D.T @ MD
-            fsolve = _refined_solver(S2)
-            if fsolve is None:
-                return finish("free-variable Schur block not PD", it)
 
         def newton_raw(rp_loc, rfree_loc, Rd_loc, Vs):
             """Direction from scaled complementarity targets Vs (= dG~ + dZ~)."""
@@ -405,50 +446,41 @@ def _solve_ipm(A: _Assembled, feas_tol: float, gap_tol: float, max_iter: int) ->
                 eqb, ppb, qqb, wwb = A.blocks[b]
                 if len(eqb):
                     h1 -= np.bincount(eqb, weights=wwb * tmp[ppb, qqb], minlength=p)
-            m1 = msolve(h1)
-            if q:
-                # (D^T M^-1 D) dy = rfree - D^T m1, then dnu = m1 + M^-1 D dy
-                dy = fsolve(rfree_loc - A.D.T @ m1)
-                dnu = m1 + MD @ dy
-            else:
-                dy = np.zeros(0)
-                dnu = m1
+            dnu, dy = kkt(h1, rfree_loc)
             Atdnu = A.apply_At(dnu)
+            # symmetric directions: apply_A reads one triangle of dG, so
+            # roundoff in the congruences would otherwise drift G off symmetry
             dZs = [Rd_b - At for Rd_b, At in zip(Rd_loc, Atdnu)]
             dGs = [R @ V @ R.T - W @ Rd_b @ W + W @ At @ W
                    for R, W, Rd_b, At, V in zip(Rs, Ws, Rd_loc, Atdnu, Vs)]
-            return dGs, dy, dnu, dZs
+            return ([0.5 * (X + X.T) for X in dGs], dy, dnu,
+                    [0.5 * (X + X.T) for X in dZs])
 
-        zero_Rd = [np.zeros((n, n)) for n in dims]
-        zero_V = [np.zeros((n, n)) for n in dims]
+        zeros = [np.zeros((n, n)) for n in dims]
 
         def newton(Vs):
             # one KKT-level refinement pass: the complementarity and dual rows
             # are satisfied to roundoff by construction, so only the primal and
             # free-variable residuals need a correction solve
             dGs, dy, dnu, dZs = newton_raw(rp, rfree, Rd, Vs)
-            res_p = rp - A.apply_A(dGs) + (A.D @ dy if q else 0.0)
-            res_f = rfree - A.D.T @ dnu if q else rfree
-            cG, cy, cnu, cZ = newton_raw(res_p, res_f, zero_Rd, zero_V)
+            res_p = rp - A.apply_A(dGs) + A.D @ dy
+            res_f = rfree - A.D.T @ dnu
+            cG, cy, cnu, cZ = newton_raw(res_p, res_f, zeros, zeros)
             return ([dG + c for dG, c in zip(dGs, cG)], dy + cy,
                     dnu + cnu, [dZ + c for dZ, c in zip(dZs, cZ)])
 
-        # predictor
-        Vaff = [np.diag(-s) for s in sigs]
-        dGa, dya, dnua, dZa = newton(Vaff)
+        def step_lengths(dGs, dZs):
+            """Fraction-to-boundary steps (primal, dual) and the scaled directions."""
+            dGt = [Rinv @ dG @ Rinv.T for Rinv, dG in zip(Rinvs, dGs)]
+            dZt = [R.T @ dZ @ R for R, dZ in zip(Rs, dZs)]
+            inv_sqrt = [1.0 / np.sqrt(s) for s in sigs]
+            ap = min(1.0, 0.99 * min(map(_max_step, inv_sqrt, dGt)))
+            ad = min(1.0, 0.99 * min(map(_max_step, inv_sqrt, dZt)))
+            return ap, ad, dGt, dZt
 
-        alphas_p, alphas_d = [], []
-        dGt, dZt = [], []
-        for R, Rinv, s, dG, dZ in zip(Rs, Rinvs, sigs, dGa, dZa):
-            dg = Rinv @ dG @ Rinv.T
-            dz = R.T @ dZ @ R
-            dGt.append(dg)
-            dZt.append(dz)
-            inv_sqrt = 1.0 / np.sqrt(s)
-            alphas_p.append(_max_step(inv_sqrt, dg))
-            alphas_d.append(_max_step(inv_sqrt, dz))
-        ap = min(1.0, 0.99 * min(alphas_p))
-        ad = min(1.0, 0.99 * min(alphas_d))
+        # predictor
+        dGa, dya, dnua, dZa = newton([np.diag(-s) for s in sigs])
+        ap, ad, dGt, dZt = step_lengths(dGa, dZa)
 
         mu_aff = sum(np.sum((G + ap * dG) * (Z + ad * dZ))
                      for G, Z, dG, dZ in zip(Gs, Zs, dGa, dZa)) / max(A.ntot, 1)
@@ -460,14 +492,7 @@ def _solve_ipm(A: _Assembled, feas_tol: float, gap_tol: float, max_iter: int) ->
             Rc = -np.diag(s * s) + sigma * mu * np.eye(len(s)) - 0.5 * (dg @ dz + dz @ dg)
             Vs.append(2.0 * Rc / (s[:, None] + s[None, :]))
         dGs, dy, dnu, dZs = newton(Vs)
-
-        alphas_p, alphas_d = [], []
-        for R, Rinv, s, dG, dZ in zip(Rs, Rinvs, sigs, dGs, dZs):
-            inv_sqrt = 1.0 / np.sqrt(s)
-            alphas_p.append(_max_step(inv_sqrt, Rinv @ dG @ Rinv.T))
-            alphas_d.append(_max_step(inv_sqrt, R.T @ dZ @ R))
-        ap = min(1.0, 0.99 * min(alphas_p))
-        ad = min(1.0, 0.99 * min(alphas_d))
+        ap, ad, _, _ = step_lengths(dGs, dZs)
         if not np.isfinite(ap) or not np.isfinite(ad) or ap <= 1e-12 or ad <= 1e-12:
             return finish("step length collapsed", it)
 
@@ -475,130 +500,20 @@ def _solve_ipm(A: _Assembled, feas_tol: float, gap_tol: float, max_iter: int) ->
         y = y + ap * dy
         Zs = [Z + ad * dZ for Z, dZ in zip(Zs, dZs)]
         nu = nu + ad * dnu
-        trace[-1]["ap"] = ap
-        trace[-1]["ad"] = ad
-        trace[-1]["sigma"] = sigma
+        trace[-1].update(ap=ap, ad=ad, sigma=sigma)
 
     return finish(f"no convergence in {max_iter} iterations", max_iter)
 
 
 # ---------------------------------------------------------------------------
-# certificate re-solve
+# certificate check
 
 
-def pin_free(problem: SdpProblem, pins: Mapping[str, float]) -> SdpProblem:
-    """Substitute fixed values for some free scalars (fold into the rhs)."""
-    eqs = []
-    for eq in problem.equalities:
-        free = {k: v for k, v in eq.free.items() if k not in pins}
-        rhs = eq.rhs + sum(v * pins[k] for k, v in eq.free.items() if k in pins)
-        eqs.append(Equality(list(eq.gram), free, rhs, eq.monomial, eq.position))
-    return SdpProblem(
-        block_dims=list(problem.block_dims),
-        free_ids=tuple(k for k in problem.free_ids if k not in pins),
-        objective={k: v for k, v in problem.objective.items() if k not in pins},
-        equalities=eqs,
-        bases=problem.bases,
-        matrix_dim=problem.matrix_dim,
-        variables=problem.variables,
-    )
-
-
-def _phase1(problem: SdpProblem, t_id: str = "_slack") -> SdpProblem:
-    """max t s.t. the pinned equalities hold for G' + t I, G' >= 0."""
-    eqs = []
-    for eq in problem.equalities:
-        diag = sum(w for _, r, s, w in eq.gram if r == s)
-        free = dict(eq.free)
-        if diag:
-            free[t_id] = free.get(t_id, 0.0) - diag
-        eqs.append(Equality(list(eq.gram), free, eq.rhs, eq.monomial, eq.position))
-    return SdpProblem(
-        block_dims=list(problem.block_dims),
-        free_ids=tuple(sorted(set(problem.free_ids) | {t_id})),
-        objective={t_id: -1.0},
-        equalities=eqs,
-        bases=problem.bases,
-        matrix_dim=problem.matrix_dim,
-        variables=problem.variables,
-    )
-
-
-def _project_equalities(assembled: _Assembled, Gs: Sequence[np.ndarray],
-                        yvec: np.ndarray) -> list:
-    """Min-Frobenius-norm Gram correction that closes the equalities exactly.
-
-    Solves apply_A(delta) = beta - A(G) + D y by least squares on the stacked
-    constraint rows; the minimum-norm solution lies in the span of the
-    (symmetric) constraint matrices, so the correction stays symmetric.
-    """
-    rp = assembled.beta - assembled.apply_A(Gs) + assembled.D @ yvec
-    delta, *_ = np.linalg.lstsq(assembled.constraint_rows(), rp, rcond=None)
-    out = []
-    off = 0
-    for G, n in zip(Gs, assembled.dims):
-        D = delta[off:off + n * n].reshape(n, n)
-        out.append(G + 0.5 * (D + D.T))
-        off += n * n
-    return out
-
-
-def ensure_certified(problem: SdpProblem, target, sol: SdpSolution,
-                     feas_tol: float = 1e-8,
-                     backoffs: Sequence[float] = (0.0, 1e-6, 1e-5, 1e-4)):
-    """Recheck a solution's Gram certificate, re-solving pinned if it fails.
-
-    A minimizing run that stops at reduced accuracy can leave equality
-    residuals right at the certificate checker's tolerance.  Pinning the
-    objective scalar at (a hair above) the solved bound turns the program
-    into the phase-1 feasibility problem, whose optimum has genuine interior
-    slack; the stalled phase-1 iterate is then projected onto the equality
-    subspace, which the slack absorbs without losing semidefiniteness.  The
-    pin is backed off along ``backoffs`` (relative to the bound's magnitude)
-    because the stalled minimizer's objective value may sit slightly below
-    the true optimum, i.e. be infeasible as pinned; each candidate is judged
-    by the certificate check itself.
-
-    Returns ``(solution, certificate, report)``; the originals come back
-    when the first check already passes, the problem does not have a single
-    scalar objective, or no pin on the ladder produces a passing Gram.
-    """
+def ensure_certified(problem: SdpProblem, target, sol: SdpSolution):
+    """Expand a solution's Gram matrices into its SOS certificate and check
+    it against ``target``.  Returns ``(solution, certificate, report)``."""
     cert = certificate_from_grams(problem, sol.gram_values)
-    report = check_certificate(target, sol.scalar_values, cert)
-    if report.passed or not sol.ok or len(problem.objective) != 1:
-        return sol, cert, report
-    [obj_id] = problem.objective
-    if obj_id not in sol.scalar_values:
-        return sol, cert, report
-    value = float(sol.scalar_values[obj_id])
-    span = max(abs(value), 1.0)
-    for backoff in backoffs:
-        pinned_val = value + backoff * span
-        assembled = _Assembled(_phase1(pin_free(problem, {obj_id: pinned_val})))
-        cand = _solve_ipm(assembled, feas_tol, 1e-9, 200)
-        if not cand.ok or "_slack" not in cand.scalar_values:
-            continue
-        t = float(cand.scalar_values["_slack"])
-        if t < -feas_tol:
-            continue  # pinned below the true optimum; back off further
-        yvec = np.array([cand.scalar_values[k] for k in assembled.free_ids])
-        projected = _project_equalities(assembled, cand.gram_values, yvec)
-        scalars = {k: v for k, v in cand.scalar_values.items() if k != "_slack"}
-        scalars[obj_id] = pinned_val
-        grams = [G + t * np.eye(G.shape[0]) for G in projected]
-        new_cert = certificate_from_grams(problem, grams)
-        new_report = check_certificate(target, scalars, new_cert)
-        if new_report.passed:
-            resolved = SdpSolution(
-                "optimal", pinned_val, scalars, grams,
-                iterations=cand.iterations, gap=cand.gap,
-                primal_residual=cand.primal_residual,
-                dual_residual=cand.dual_residual,
-                method=sol.method + "+recertify",
-                message=f"re-solved with {obj_id} pinned at {pinned_val:.9g}",
-                trace=cand.trace)
-            return resolved, new_cert, new_report
-    return sol, cert, report
+    return sol, cert, check_certificate(target, sol.scalar_values, cert)
 
 
 # ---------------------------------------------------------------------------

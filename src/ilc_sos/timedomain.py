@@ -366,7 +366,7 @@ def synth_time(problem: TimeSynthesisProblem, feas_tol: float = 1e-8,
         sol = sdp.solve(prob, feas_tol=feas_tol, gap_tol=gap_tol)
         if not sol.ok:
             raise sdp.SolverFailure(f"lifted synthesis failed: {sol.status} ({sol.message})")
-        sol, cert, report = sdp.ensure_certified(prob, M, sol, feas_tol=feas_tol)
+        sol, cert, report = sdp.ensure_certified(prob, M, sol)
         result = SynthesisResult.from_solution(
             sol, cert, report, _gain_list(problem.lstructure, sol.scalar_values),
             epsilon=None,

@@ -20,6 +20,7 @@ from ilc_sos.polyalg import (
 )
 from ilc_sos.soscompiler import SosCertificate, check_certificate, kron_pairs, monomial_basis
 from ilc_sos import freqdomain as fd
+from ilc_sos import sdp
 from ilc_sos import timedomain as td
 from ilc_sos import simulate as sim
 from ilc_sos import verify as vf
@@ -48,11 +49,17 @@ def paper_synthesis():
     plant = benchmark_plant()
     q = fd.NoncausalFir.unity()
     results = {}
-    for order, k_max in ((0, 3), (1, 3), (2, 3), (3, 0)):
-        results[order] = fd.synth_freq_robust(
-            q, fd.NoncausalFir.causal_decision(order), plant,
-            epsilon=1e-3, k_max=k_max, k_tol=0.0)
-    return {"plant": plant, "q": q, "results": results}
+    ipm_calls, calls = {}, []
+    ipm = sdp._solve_ipm
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sdp, "_solve_ipm", lambda *a, **kw: calls.append(a) or ipm(*a, **kw))
+        for order, k_max in ((0, 3), (1, 3), (2, 3), (3, 0)):
+            before = len(calls)
+            results[order] = fd.synth_freq_robust(
+                q, fd.NoncausalFir.causal_decision(order), plant,
+                epsilon=1e-3, k_max=k_max, k_tol=0.0)
+            ipm_calls[order] = len(calls) - before
+    return {"plant": plant, "q": q, "results": results, "ipm_calls": ipm_calls}
 
 
 def test_criterion_1_paper_table_reproduction(paper_synthesis):
@@ -72,6 +79,14 @@ def test_criterion_1_paper_table_reproduction(paper_synthesis):
     for order in (0, 1, 2):
         trace = {k: np.sqrt(max(v, 0.0)) for k, v in res[order].k_trace}
         assert trace[3] <= trace[0] + 1e-6
+
+
+def test_criterion_1_one_ipm_run_per_level(paper_synthesis):
+    # every escalation level is one IPM run from the data-scaled start, and
+    # its certificate is checked as solved: no restart, no re-solve
+    for order, res in paper_synthesis["results"].items():
+        assert paper_synthesis["ipm_calls"][order] == len(res.k_trace)
+        assert res.certified
 
 
 def test_criterion_1_raw_polya_ladder_does_not_rise(paper_synthesis):

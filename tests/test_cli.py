@@ -210,14 +210,28 @@ def test_malformed_time_plant_rejected(tmp_path, capsys, plant):
 
 
 def test_synth_time_unsolvable_plant_is_solver_failure(tmp_path, capsys):
-    cfg = write_config(tmp_path, {"mode": "synth-time",
-                                  "plant": {"type": "markov", "N": 2,
-                                            "markov": [1.0, 1e10]}})
+    # a positivity margin of 2 exceeds the identity block of the lifted
+    # matrix at every vertex, so no multiplier power has a certificate
+    first = [{"exponents": [1, 0], "value": 1.0}, {"exponents": [0, 1], "value": 2.0}]
+    cfg = write_config(tmp_path, {"mode": "synth-time", "epsilon": 2.0, "k_max": 0,
+                                  "plant": {"type": "markov", "N": 2, "lambda_vars": ["a", "b"],
+                                            "markov": [first, 0.5]}})
     rc = cli.main(["synth-time", "--config", cfg, "--out", str(tmp_path)])
     assert rc == 3
     err = capsys.readouterr().err
     assert "solver failure" in err
     assert "bisection" not in err
+
+
+def test_synth_time_deadbeat_with_huge_gain(tmp_path):
+    # markov [1, 1e10] has the deadbeat design L = P^-1 (gains 1 and -1e10)
+    cfg = write_config(tmp_path, {"mode": "synth-time",
+                                  "plant": {"type": "markov", "N": 2,
+                                            "markov": [1.0, 1e10]}})
+    out = tmp_path / "out"
+    rc = cli.main(["synth-time", "--config", cfg, "--out", str(out)])
+    assert rc == 0
+    assert read_result(out)["result"]["gamma"] <= 1e-4
 
 
 # Seeded fuzz: minimal configs with one or two keys deleted or values

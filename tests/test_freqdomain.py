@@ -3,6 +3,7 @@ import pytest
 
 from ilc_sos.polyalg import AffinePoly
 from ilc_sos import freqdomain as fd
+from ilc_sos import sdp
 from ilc_sos import verify as vf
 
 
@@ -354,7 +355,23 @@ def test_alternate_descends_with_q_bounds():
     assert seq[1].gamma == pytest.approx(0.8 * seq[0].gamma, rel=0.02)
 
 
-def test_alternate_paper_three_rounds():
+def test_alternate_paper_three_rounds(monkeypatch):
+    # every Gram the IPM returns is symmetric, and every certificate check
+    # (one per checked level: nothing re-solves) passes
+    grams, reports = [], []
+    ipm, check = sdp._solve_ipm, sdp.check_certificate
+
+    def recorded_ipm(*args, **kwargs):
+        sol = ipm(*args, **kwargs)
+        grams.extend(sol.gram_values)
+        return sol
+
+    def recorded_check(*args, **kwargs):
+        reports.append(check(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(sdp, "_solve_ipm", recorded_ipm)
+    monkeypatch.setattr(sdp, "check_certificate", recorded_check)
     prob = fd.FreqSynthesisProblem(paper_plant(), fd.NoncausalFir.unity(),
                                    fd.NoncausalFir.causal_decision(1),
                                    k_max=2)
@@ -362,6 +379,9 @@ def test_alternate_paper_three_rounds():
     for a, b in zip(seq, seq[1:]):
         assert b.gamma <= a.gamma + 1e-6
     assert seq[-1].gamma <= 0.683 + 1e-6
+    for G in grams:
+        assert np.linalg.norm(G - G.T) <= 1e-12 * np.linalg.norm(G)
+    assert reports and all(r.passed for r in reports)
 
 
 def test_alternate_rejects_bad_rounds():

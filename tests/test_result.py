@@ -14,7 +14,7 @@ def _ladder(monkeypatch, etas, passing):
         return sdp.SdpSolution("optimal", etas[prob.objective["k"]],
                                {"eta": etas[prob.objective["k"]]}, [])
 
-    def ensure_certified(prob, S, sol, feas_tol):
+    def ensure_certified(prob, S, sol):
         eta = sol.scalar_values["eta"]
         checked.append(prob.objective["k"])
         report = CertificateReport(0.0 if eta in passing else 1e-3, 1.0, [0.0],

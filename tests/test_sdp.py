@@ -120,9 +120,11 @@ def test_solution_report_format():
     assert "scalar y" in text
 
 
-def _random_assembled():
+def _random_assembled(n_free=0):
     # blocks 0 and 1 carry several entries per equality, including a
-    # repeated (r, s) entry and its transpose; block 2 has no entries at all
+    # repeated (r, s) entry and its transpose; block 2 has no entries at all.
+    # With n_free, every equality carries n_free dense free columns in place
+    # of the sparse "y".
     rng = np.random.default_rng(3)
     dims = [5, 3, 2]
     eqs = []
@@ -135,7 +137,13 @@ def _random_assembled():
         eqs.append(Equality(gram, {"y": float(rng.normal())} if i % 3 == 0 else {},
                             float(rng.normal())))
     eqs[4].gram.extend([(0, 1, 3, 0.7), (0, 1, 3, -0.2), (0, 3, 1, 0.4)])
-    prob = make_problem(dims, eqs, {"y": 1.0})
+    objective = {"y": 1.0}
+    if n_free:
+        frng = np.random.default_rng(n_free)
+        for eq in eqs:
+            eq.free = {f"f{j}": float(frng.normal()) for j in range(n_free)}
+        objective = {"f0": 1.0}
+    prob = make_problem(dims, eqs, objective)
     Ws = []
     for n in dims:
         X = rng.normal(size=(n, n))
@@ -155,10 +163,52 @@ def test_schur_matches_definition():
     np.testing.assert_allclose(A.schur(Ws), ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
 
-def test_constraint_rows_match_apply_At():
-    A, _ = _random_assembled()
-    loop = np.array([np.concatenate([M.ravel() for M in Ki]) for Ki in _unit_At(A)])
-    np.testing.assert_array_equal(A.constraint_rows(), loop)
+@pytest.mark.parametrize("n_free", [0, 3, 9])
+def test_null_space_step_matches_dense_kkt(n_free):
+    # q = 1, 3 and 9 free columns against p = 9 equalities (9 is p == q)
+    A, _ = _random_assembled(n_free)
+    assert A.q == (n_free or 1)
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(A.p, A.p))
+    M = X @ X.T + A.p * np.eye(A.p)
+    h, r = rng.normal(size=A.p), rng.normal(size=A.q)
+    dnu, dy = sdp._null_space_solver(A, M)(h, r)
+    kkt = np.block([[M, -A.D], [A.D.T, np.zeros((A.q, A.q))]])
+    ref = np.linalg.solve(kkt, np.concatenate([h, r]))
+    np.testing.assert_allclose(np.concatenate([dnu, dy]), ref,
+                               rtol=1e-10, atol=1e-12 * np.abs(ref).max())
+
+
+def test_free_scalar_in_no_equality_is_fixed_at_zero():
+    prob = SdpProblem([1], ("y", "w"), {"y": 1.0},
+                      [Equality([(0, 0, 0, 1.0)], {"y": 1.0}, 0.0)])
+    sol = sdp.solve(prob)
+    assert sol.ok
+    assert sol.scalar_values["w"] == 0.0
+    assert sol.objective_value == pytest.approx(0.0, abs=1e-7)
+
+
+def _offdiag_with(free):
+    # [[y, 1], [1, y]] >= 0 with the diagonal tied to the given free columns
+    return [Equality([(0, 0, 0, 1.0)], dict(free), 0.0),
+            Equality([(0, 0, 1, 1.0)], {}, 1.0),
+            Equality([(0, 1, 1, 1.0)], dict(free), 0.0)]
+
+
+@pytest.mark.parametrize("free_ids, objective, eqs", [
+    pytest.param(("w", "y"), {"y": 1.0, "w": 1.0}, _offdiag_with({"y": 1.0}),
+                 id="zero-column-with-cost"),
+    pytest.param(("w", "y"), {"y": 1.0}, _offdiag_with({"y": 1.0, "w": 1.0}),
+                 id="duplicate-columns"),
+    pytest.param(("w", "y"), {"y": 1.0},
+                 [Equality([(0, 0, 0, 1.0)], {"y": 1.0, "w": -2.0}, 0.0)],
+                 id="wide"),  # q = 2 free columns, p = 1 equality
+])
+def test_dependent_free_scalars_are_a_named_failure(free_ids, objective, eqs):
+    sol = sdp.solve(SdpProblem([2], free_ids, objective, eqs))
+    assert sol.status == "numerical_failure"
+    assert "rank-deficient" in sol.message
+    assert set(sol.scalar_values) == set(free_ids)
 
 
 def test_refined_solve_on_ill_conditioned_schur():
