@@ -31,7 +31,6 @@ from .polyalg import (
     homogenize,
     substitute_squares,
     x_parameterize,
-    circle_rationalize_single,
     circle_rationalize_xy,
     triangular_toeplitz_det_adj,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "homogenize",
     "substitute_squares",
     "x_parameterize",
-    "circle_rationalize_single",
     "circle_rationalize_xy",
     "triangular_toeplitz_det_adj",
     "SdpProblem",

@@ -9,14 +9,12 @@ variables (``lam1 + ... + lams = 1``, all nonnegative).  The learning update
 contracts the tracking error monotonically for every admissible uncertainty
 iff  sup_{lam, |z|=1} |Q(z)(1 - z L(z) P(z, lam))| < 1.  The squared bound
 eta on that sup is minimized over the free taps of L (or Q) through a
-sum-of-squares program:
-
-* nominal plants: rationalize z on the circle with one real parameter x and
-  certify a 3x3 polynomial matrix inequality in x (exact, no conservatism);
-* uncertain plants: keep z = x1 + j x2 on the circle, homogenize in lam,
-  substitute lam -> lam^2 to drop the nonnegativity constraints, map
-  (x1, x2) -> x, and escalate a "multiply by ||lam||^2k" relaxation ladder
-  until the bound stops improving.
+sum-of-squares program: keep z = x1 + j x2 on the circle, homogenize in
+lam, substitute lam -> lam^2 to drop the nonnegativity constraints, map
+(x1, x2) to one real parameter x, and escalate a "multiply by ||lam||^2k" relaxation ladder
+until the bound stops improving.  A plant without uncertainty is the case
+lam = (): its 3x3 polynomial matrix inequality in x is exact, so only
+level 0 is solved.
 """
 
 from __future__ import annotations
@@ -26,12 +24,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import sdp
 from .polyalg import (
     AffineCoeff,
     AffinePoly,
     PolyMatrix,
-    circle_rationalize_single,
     circle_rationalize_xy,
     homogenize,
     laurent_mul,
@@ -40,7 +36,6 @@ from .polyalg import (
     x_parameterize,
 )
 from .result import SynthesisResult, decision_value, escalate
-from .sdp import SolverFailure
 from .soscompiler import compile_sos, kron_pairs, monomial_basis, sign_classes
 
 
@@ -208,8 +203,9 @@ class UncertainTransferFunction:
 class FreqSynthesisProblem:
     """One z-domain synthesis instance: fixed Q, decision L taps.
 
-    ``epsilon=None`` leaves the positivity margin as an optimized variable
-    (nominal plants only; lets deadbeat designs reach gamma = 0 exactly).
+    ``epsilon=None`` makes the positivity margin an optimized variable
+    instead of a fixed one, so exact deadbeat designs of a plant without
+    uncertainty reach gamma = 0.
     """
 
     plant: UncertainTransferFunction
@@ -226,9 +222,6 @@ class FreqSynthesisProblem:
             raise ValueError("epsilon must be positive (or None for a free margin)")
 
     def solve(self, **kwargs) -> SynthesisResult:
-        if self.plant.is_nominal():
-            return synth_freq_nominal(self.qfilter, self.lstructure, self.plant,
-                                      epsilon=self.epsilon, **kwargs)
         return synth_freq_robust(self.qfilter, self.lstructure, self.plant,
                                  epsilon=self.epsilon, k_max=self.k_max,
                                  k_tol=self.k_tol, **kwargs)
@@ -317,7 +310,8 @@ def _jury_margin_table(coeffs: np.ndarray) -> float:
 
 def jury_stability(plant: UncertainTransferFunction, resolution: int = 50) -> JuryReport:
     """Evaluate the Jury stability conditions over all simplex vertices and
-    a dense lambda mesh; attach and return the worst-case report.
+    a dense lambda mesh (the single point of a plant without uncertainty);
+    attach and return the worst-case report.
 
     First and second order use the closed-form conditions (|a0| < 1 and
     |a1| < 1 + a0), whose margins are concave in affine coefficients, so the
@@ -366,20 +360,6 @@ def jury_stability(plant: UncertainTransferFunction, resolution: int = 50) -> Ju
 # rationalized forms
 
 
-def tau_decompose(qfilter: NoncausalFir, lfir: NoncausalFir,
-                  plant: UncertainTransferFunction) -> tuple:
-    """(tau1, tau2, tau3) with Q(z)[1 - z L(z) P(z)] = (tau1 + j tau2)/tau3
-    on the rational circle parameterization.  Nominal plants only."""
-    if not plant.is_nominal():
-        raise ValueError("tau decomposition applies to nominal plants; use build_T_hat")
-    novars: tuple = ()
-    a = qfilter.to_laurent(novars)
-    zlq = laurent_mul({1: AffinePoly.constant(novars, 1.0)},
-                      laurent_mul(lfir.to_laurent(novars), a))
-    b = {k: -v for k, v in zlq.items()}
-    return circle_rationalize_single(a, b, plant.num_laurent(), plant.den_laurent())
-
-
 @dataclass
 class THatData:
     T_hat: PolyMatrix      # over ("x", lam...), affine in eta and the taps
@@ -425,7 +405,7 @@ def build_T_hat(qfilter: NoncausalFir, lfir: NoncausalFir,
 # synthesis
 
 
-def _eps_coeff(epsilon, eta_id: str = "eta"):
+def _eps_coeff(epsilon):
     """(epsilon coefficient, nonneg side constraints, is_variable)."""
     if epsilon is None:
         c = AffineCoeff.decision("eps")
@@ -438,53 +418,10 @@ def _gain_list(fir: NoncausalFir, gains: Mapping[str, float]) -> list:
             for c in fir.coeffs]
 
 
-def synth_freq_nominal(qfilter: NoncausalFir, lstructure: NoncausalFir,
-                       plant: UncertainTransferFunction, epsilon: float | None = None,
-                       feas_tol: float = 1e-8, gap_tol: float = 1e-9,
-                       extra_nonneg: Sequence[AffineCoeff] = ()) -> SynthesisResult:
-    """Minimize the guaranteed rate for a nominal plant.
-
-    The positivity margin defaults to a free (optimized) variable so exact
-    deadbeat designs reach gamma = 0; pass a float to pin it.
-    """
-    tau1, tau2, tau3 = tau_decompose(qfilter, lstructure, plant)
-    variables = tau3.variables
-    one = AffinePoly.constant(variables, 1.0)
-    zero = AffinePoly.zero(variables)
-    eps_c, nonneg, eps_var = _eps_coeff(epsilon)
-    head = (tau3 * tau3).scaled(AffineCoeff.decision("eta") - eps_c)
-    S = PolyMatrix.from_rows([
-        [head, tau1, tau2],
-        [tau1, one, zero],
-        [tau2, zero, one],
-    ])
-    # Uneven row degrees: the head carries everything while rows 2 and 3 are
-    # the identity, so give row 1 the full half-degree basis and the identity
-    # rows just the constant.  A shared basis would force zero Gram diagonals
-    # against the identity block and leave the SDP without interior.
-    d1 = max((head.degree() + 1) // 2, tau1.degree(), tau2.degree())
-    row_basis = monomial_basis(variables, [(variables, "graded", d1)])
-    const = (0,) * len(variables)
-    pairs = [(mono, 0) for mono in row_basis] + [(const, 1), (const, 2)]
-    prob = compile_sos(S, {"eta": 1.0}, bases=[pairs], nonneg=nonneg + list(extra_nonneg))
-    sol = sdp.solve(prob, feas_tol=feas_tol, gap_tol=gap_tol)
-    if not sol.ok:
-        raise SolverFailure(f"nominal synthesis failed: {sol.status} ({sol.message})")
-
-    sol, cert, report = sdp.ensure_certified(prob, S, sol)
-    opt_filter = lstructure if lstructure.has_decisions() else qfilter
-    return SynthesisResult.from_solution(
-        sol, cert, report, _gain_list(opt_filter, sol.scalar_values),
-        epsilon=float(sol.scalar_values.get("eps", 0.0)) if eps_var else epsilon,
-        diagnostics={"n_equalities": prob.n_equalities,
-                     "block_dims": list(prob.block_dims)})
-
-
 def synth_freq_robust(qfilter: NoncausalFir, lstructure: NoncausalFir,
                       plant: UncertainTransferFunction, epsilon: float | None = 1e-3,
                       k_max: int = 5, k_tol: float = 1e-3,
                       feas_tol: float = 1e-8, gap_tol: float = 1e-9,
-                      stability_check: bool = True,
                       extra_nonneg: Sequence[AffineCoeff] = ()) -> SynthesisResult:
     """Minimize the guaranteed robust rate over the free taps of L (or Q).
 
@@ -492,15 +429,12 @@ def synth_freq_robust(qfilter: NoncausalFir, lstructure: NoncausalFir,
     when the bound improves by less than ``k_tol`` or ``k_max`` is reached.
     The bound is non-increasing in k (each certificate stays valid one level
     up); a numerical increase beyond 1e-6 is recorded in the diagnostics.
+    A plant without uncertainty (lam = ()) has an exact program, solved at
+    level 0 only.  An unstable plant raises :class:`UnstablePlant`.
     """
-    if plant.is_nominal():
-        return synth_freq_nominal(qfilter, lstructure, plant, epsilon=epsilon,
-                                  feas_tol=feas_tol, gap_tol=gap_tol,
-                                  extra_nonneg=extra_nonneg)
-    if stability_check:
-        report = plant.stability or jury_stability(plant)
-        if not report.stable:
-            raise UnstablePlant(str(report))
+    report = plant.stability or jury_stability(plant)
+    if not report.stable:
+        raise UnstablePlant(str(report))
 
     data = build_T_hat(qfilter, lstructure, plant)
     lam = plant.lambda_vars
@@ -538,6 +472,15 @@ def synth_freq_robust(qfilter: NoncausalFir, lstructure: NoncausalFir,
                      **esc.diagnostics})
 
 
+def synth_freq_nominal(qfilter: NoncausalFir, lstructure: NoncausalFir,
+                       plant: UncertainTransferFunction, epsilon: float | None = None,
+                       **kwargs) -> SynthesisResult:
+    """:func:`synth_freq_robust` with a free positivity margin by default, so
+    exact deadbeat designs of a plant without uncertainty reach gamma = 0;
+    pass a float to pin the margin."""
+    return synth_freq_robust(qfilter, lstructure, plant, epsilon=epsilon, **kwargs)
+
+
 def alternate_LQ(problem: FreqSynthesisProblem, rounds: int = 2,
                  q_constraints: Mapping[str, tuple] | None = None,
                  q_structure: NoncausalFir | None = None,
@@ -559,25 +502,22 @@ def alternate_LQ(problem: FreqSynthesisProblem, rounds: int = 2,
                                    [f"q{i}" for i in range(-q_init.k_lead, q_init.k_lag + 1)])
     q_constraints = dict(q_constraints or {})
 
-    synth = synth_freq_nominal if plant.is_nominal() else synth_freq_robust
-    kwargs = dict(solver_opts)
-    if not plant.is_nominal():
-        kwargs.setdefault("k_max", problem.k_max)
-        kwargs.setdefault("k_tol", problem.k_tol)
+    kwargs = {"k_max": problem.k_max, "k_tol": problem.k_tol, **solver_opts}
 
     results = []
     q_current = q_init
     for r in range(rounds):
         if r % 2 == 0:
-            res = synth(q_current, lstructure, plant, epsilon=problem.epsilon, **kwargs)
+            res = synth_freq_robust(q_current, lstructure, plant,
+                                    epsilon=problem.epsilon, **kwargs)
             l_current = lstructure.pinned(res.gains)
         else:
             bounds = []
             for qid, (lo, hi) in q_constraints.items():
                 bounds.append(AffineCoeff.decision(qid) - float(lo))
                 bounds.append(AffineCoeff(float(hi)) - AffineCoeff.decision(qid))
-            res = synth(q_structure, l_current, plant, epsilon=problem.epsilon,
-                        extra_nonneg=bounds, **kwargs)
+            res = synth_freq_robust(q_structure, l_current, plant, epsilon=problem.epsilon,
+                                    extra_nonneg=bounds, **kwargs)
             q_current = q_structure.pinned(res.gains)
         results.append(res)
     return results

@@ -11,14 +11,13 @@ Numbers are floats throughout; after every arithmetic operation, terms whose
 magnitude is below ``PRUNE_REL`` times the largest coefficient of the result
 are dropped, so exact cancellations do not leave 1e-17 dust behind.
 
-The circle-rationalization helpers map expressions on the unit circle
-``z = e^{j omega}`` into real polynomial data:
-
-* :func:`circle_rationalize_single` uses the rational parameterization
-  ``z = (1 - x^2 + 2jx) / (1 + x^2)``, covering the circle minus ``z = -1``
-  as ``x`` ranges over the reals.
-* :func:`circle_rationalize_xy` keeps ``z = x1 + j x2`` with the constraint
-  ``x1^2 + x2^2 = 1``; monomials are reduced modulo that relation.
+The circle-rationalization helper :func:`circle_rationalize_xy` maps
+expressions on the unit circle ``z = e^{j omega}`` into real polynomial
+data: it keeps ``z = x1 + j x2`` with the constraint ``x1^2 + x2^2 = 1`` and
+reduces monomials modulo that relation.  :func:`x_parameterize` then
+substitutes the rational parameterization
+``z = (1 - x^2 + 2jx) / (1 + x^2)``, which covers the circle minus
+``z = -1`` as ``x`` ranges over the reals.
 """
 
 from __future__ import annotations
@@ -593,18 +592,11 @@ class ComplexPolyPair:
             raise ValueError("re/im variable mismatch")
 
     @classmethod
-    def from_real(cls, p: AffinePoly) -> "ComplexPolyPair":
-        return cls(p)
-
-    @classmethod
     def zero(cls, variables: Sequence[str]) -> "ComplexPolyPair":
         return cls(AffinePoly.zero(variables))
 
     def __add__(self, other: "ComplexPolyPair") -> "ComplexPolyPair":
         return ComplexPolyPair(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "ComplexPolyPair") -> "ComplexPolyPair":
-        return ComplexPolyPair(self.re - other.re, self.im - other.im)
 
     def __mul__(self, other: "ComplexPolyPair") -> "ComplexPolyPair":
         return ComplexPolyPair(
@@ -612,23 +604,11 @@ class ComplexPolyPair:
             self.re * other.im + self.im * other.re,
         )
 
-    def scaled(self, factor) -> "ComplexPolyPair":
-        return ComplexPolyPair(self.re.scaled(factor), self.im.scaled(factor))
-
-    def scaled_poly(self, p: AffinePoly) -> "ComplexPolyPair":
-        return ComplexPolyPair(self.re * p, self.im * p)
-
     def conj(self) -> "ComplexPolyPair":
         return ComplexPolyPair(self.re, -self.im)
 
     def map(self, fn) -> "ComplexPolyPair":
         return ComplexPolyPair(fn(self.re), fn(self.im))
-
-    def __pow__(self, n: int) -> "ComplexPolyPair":
-        out = ComplexPolyPair(AffinePoly.constant(self.re.variables, 1.0))
-        for _ in range(n):
-            out = out * self
-        return out
 
     def evaluate(self, point: Mapping[str, float], assignment: Mapping[str, float] | None = None) -> complex:
         return complex(self.re.evaluate(point, assignment), self.im.evaluate(point, assignment))
@@ -844,75 +824,6 @@ def _check_den_on_circle(den: Mapping[int, AffinePoly], lambda_points: Iterable[
             raise DegenerateDenominator(
                 f"denominator has magnitude {mags[bad[0]]:.2e} at omega={omegas[bad[0]]:.4f}, "
                 f"point={dict(pt)}")
-
-
-def _laurent_to_u(c: Mapping[int, AffinePoly], x_name: str) -> tuple[ComplexPolyPair, int]:
-    """Image of a Laurent expression under z = u^2/s, u = 1 + jx, s = 1 + x^2.
-
-    Returns (numerator complex polynomial in x, K) with c(z) = numer / s^K.
-    """
-    lam_vars = ()
-    for p in c.values():
-        lam_vars = p.variables
-        break
-    variables = (x_name,) + tuple(lam_vars)
-    if not c:
-        return ComplexPolyPair.zero(variables), 0
-    K = max(abs(i) for i in c)
-    u = ComplexPolyPair(
-        AffinePoly.constant(variables, 1.0),
-        AffinePoly.variable(variables, x_name),
-    )
-    s = AffinePoly.constant(variables, 1.0) + AffinePoly.variable(variables, x_name) ** 2
-    out = ComplexPolyPair.zero(variables)
-    for i, coeff in c.items():
-        base = u ** (2 * abs(i)) if i >= 0 else u.conj() ** (2 * abs(i))
-        term = base.scaled_poly(s ** (K - abs(i)))
-        coeff_l = coeff.lift(variables)
-        out = out + term.map(lambda p: p * coeff_l)
-    return out, K
-
-
-def circle_rationalize_single(a: Mapping[int, AffinePoly], b: Mapping[int, AffinePoly],
-                              num: Mapping[int, AffinePoly], den: Mapping[int, AffinePoly],
-                              x_name: str = "x") -> tuple[AffinePoly, AffinePoly, AffinePoly]:
-    """Write F(z) = a(z) + b(z) num(z)/den(z) on z = (1-x^2+2jx)/(1+x^2) as
-    (tau1 + j tau2)/tau3 with real polynomials in x.
-
-    tau3 is decision-free and strictly positive for all real x when den has
-    no roots on the unit circle (checked; raises DegenerateDenominator).
-    ``num``/``den`` must be decision-free; ``a``/``b`` may carry decision
-    terms — but not both in a way that products would mix them.
-    """
-    for which, c in (("num", num), ("den", den)):
-        for p in c.values():
-            if p.has_decisions():
-                raise AffinityError(f"{which} must be decision-free")
-    _check_den_on_circle(den, [{}])
-
-    Au, Ka = _laurent_to_u(a, x_name)
-    Bu, Kb = _laurent_to_u(b, x_name)
-    Nu, Kn = _laurent_to_u(num, x_name)
-    Du, Kd = _laurent_to_u(den, x_name)
-
-    variables = Du.re.variables
-    s = AffinePoly.constant(variables, 1.0) + AffinePoly.variable(variables, x_name) ** 2
-
-    # F = [Au*Du*s^(Kb+Kn) + Bu*Nu*s^(Ka+Kd)] / [s^(Ka+Kb+Kn) * Du]
-    numer = Au * Du
-    numer = numer.map(lambda p: p * s ** (Kb + Kn))
-    t2 = Bu * Nu
-    t2 = t2.map(lambda p: p * s ** (Ka + Kd))
-    numer = numer + t2
-
-    numer = numer * Du.conj()
-    den_img = Du * Du.conj()
-    if den_img.im.max_magnitude() > 1e-9 * max(den_img.re.max_magnitude(), 1.0):
-        raise AssertionError("denominator image not real after conjugation")
-    tau3 = (den_img.re * s ** (Ka + Kb + Kn)).pruned()
-    if tau3.has_decisions():
-        raise AffinityError("tau3 carries decision terms")
-    return numer.re.pruned(), numer.im.pruned(), tau3
 
 
 def circle_rationalize_xy(a: Mapping[int, AffinePoly], b: Mapping[int, AffinePoly],

@@ -119,7 +119,8 @@ def escalate(base: PolyMatrix, norm2: AffinePoly,
 
     ``compile_level(S_k, k)`` returns level k's program, whose objective is
     the scalar ``eta``.  Levels k = 0, 1, ... are solved until the bound
-    improves by less than ``k_tol`` or ``k_max`` is reached.  The solved
+    improves by less than ``k_tol`` or ``k_max`` is reached.  An identically
+    zero ``norm2`` (no simplex variable) leaves level 0 alone.  The solved
     levels' Gram matrices are then checked as certificates by
     ``sdp.ensure_certified`` in ascending eta (nothing is re-solved), and the
     first that passes is returned; when none passes, the lowest-eta level
@@ -137,6 +138,8 @@ def escalate(base: PolyMatrix, norm2: AffinePoly,
     prev_bound = None
     increased = False
     mult = AffinePoly.constant(norm2.variables, 1.0)
+    if norm2.is_zero():
+        k_max = 0
     for k in range(k_max + 1):
         S = base.scaled(mult) if k else base
         prob = compile_level(S, k)

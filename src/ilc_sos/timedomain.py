@@ -27,7 +27,6 @@ import numpy as np
 from .polyalg import (AffineCoeff, AffinePoly, PolyMatrix, substitute_squares,
                       homogenize, triangular_toeplitz_det_adj)
 from .soscompiler import compile_sos, kron_pairs, monomial_basis, sign_classes
-from . import sdp
 from .result import SynthesisResult, decision_value, escalate
 
 MAX_TRIAL_LENGTH = 8
@@ -347,8 +346,9 @@ def synth_time(problem: TimeSynthesisProblem, feas_tol: float = 1e-8,
     Poses the block-matrix SOS program at multiplier powers k = 0, 1, ... and
     keeps the best certificate (levels never have to get worse: a level-j
     Gram times the norm factor stays valid at level k > j).  A plant without
-    uncertainty skips the positivity margin and the escalation entirely --
-    the program is a single exact SDP there.
+    uncertainty (lam = ()) gives an exact program: it is solved at level 0
+    only, without the positivity margin, and the result's ``epsilon`` is
+    None.
     """
     plant = problem.plant
     N = plant.N
@@ -360,31 +360,18 @@ def synth_time(problem: TimeSynthesisProblem, feas_tol: float = 1e-8,
     M = build_M(problem)
     variables = M.variables
 
-    if not lam:
-        basis = monomial_basis(variables, [])
-        prob = compile_sos(M, {"eta": 1.0}, bases=[kron_pairs(basis, M.rows)])
-        sol = sdp.solve(prob, feas_tol=feas_tol, gap_tol=gap_tol)
-        if not sol.ok:
-            raise sdp.SolverFailure(f"lifted synthesis failed: {sol.status} ({sol.message})")
-        sol, cert, report = sdp.ensure_certified(prob, M, sol)
-        result = SynthesisResult.from_solution(
-            sol, cert, report, _gain_list(problem.lstructure, sol.scalar_values),
-            epsilon=None,
-            diagnostics={"N": N, "deg_lambda": 0,
-                         "n_equalities": prob.n_equalities,
-                         "block_dims": list(prob.block_dims)})
-        if result.not_monotone:
-            warnings.warn("certified rate is not below one", InfeasibleAtAllK)
-        return result
-
     flips = [((variables.index(v),), ()) for v in lam]
     deg_lambda = M.degree_in(lam)
-    T_sq = substitute_squares(M, lam)
+    base = substitute_squares(M, lam)
     norm2 = AffinePoly.zero(variables)
     for v in lam:
         norm2 = norm2 + AffinePoly.variable(variables, v) ** 2
-    eps_poly = (norm2 ** deg_lambda).scaled(float(problem.epsilon))
-    base = T_sq - PolyMatrix.identity(2 * N, variables).scaled(eps_poly)
+    # the margin keeps the Polya relaxation strict; without uncertainty the
+    # program is exact and a margin would only bound gamma away from zero
+    epsilon = float(problem.epsilon) if lam else None
+    if epsilon is not None:
+        eps_poly = (norm2 ** deg_lambda).scaled(epsilon)
+        base = base - PolyMatrix.identity(2 * N, variables).scaled(eps_poly)
 
     def compile_level(S, k):
         basis = monomial_basis(variables, [(lam, "homogeneous", deg_lambda + k)])
@@ -396,7 +383,7 @@ def synth_time(problem: TimeSynthesisProblem, feas_tol: float = 1e-8,
     result = SynthesisResult.from_solution(
         esc.solution, esc.certificate, esc.report,
         _gain_list(problem.lstructure, esc.solution.scalar_values),
-        epsilon=float(problem.epsilon), polya_k=esc.k, k_trace=esc.k_trace,
+        epsilon=epsilon, polya_k=esc.k, k_trace=esc.k_trace,
         diagnostics={"N": N, "deg_lambda": deg_lambda, **esc.diagnostics})
     if result.not_monotone:
         warnings.warn("no multiplier power certified a rate below one", InfeasibleAtAllK)

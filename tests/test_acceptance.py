@@ -236,11 +236,12 @@ def test_criterion_7_structural_properties():
         worst = max(worst, np.max(np.abs(direct - subbed)))
     assert worst <= 1e-9
 
-    # single-variable circle rationalization against a direct response
+    # single-variable circle rationalization (T_hat's first row over x)
+    # against a direct response
     plant = fd.UncertainTransferFunction.from_coeffs(
         [16 + 60 * -0.6, -40.0], [16 * -0.6 + 1, 4 + 20 * -0.6, -20.0], ())
     lf = fd.NoncausalFir(0, 2, [0.4, -0.1, 0.2])
-    tau1, tau2, tau3 = fd.tau_decompose(fd.NoncausalFir.unity(), lf, plant)
+    data = fd.build_T_hat(fd.NoncausalFir.unity(), lf, plant)
     num, den = plant.coeff_arrays({})
     worst = 0.0
     for x in rng.normal(size=1000):
@@ -249,7 +250,9 @@ def test_criterion_7_structural_properties():
         L = 0.4 - 0.1 / z + 0.2 / z ** 2
         direct = 1.0 - z * L * P
         at = {"x": float(x)}
-        ratio = (tau1.evaluate(at) + 1j * tau2.evaluate(at)) / tau3.evaluate(at)
+        nu3 = data.nu3.evaluate({"x1": z.real, "x2": z.imag})
+        scale = nu3 * (1 + x * x) ** data.deg_x
+        ratio = (data.T_hat[0, 1].evaluate(at) + 1j * data.T_hat[0, 2].evaluate(at)) / scale
         worst = max(worst, abs(ratio - direct))
     assert worst <= 1e-9
 

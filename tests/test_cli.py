@@ -171,8 +171,12 @@ UNIT_CIRCLE_POLE = {"type": "transfer", "num": [1.0], "den": [-1.0, 1.0]}
                                           "vertices": [[0.0], [1.0]],
                                           "theta_vars": ["theta"]},
                                 "lstructure": {"order": 0}}, id="UnstablePlant"),
+    # a pole at z = 2, and one on the circle at z = 1: the Jury screen
+    # rejects nominal plants too
+    pytest.param("synth-freq", {"plant": {"type": "transfer", "num": [1.0], "den": [-2.0, 1.0]},
+                                "lstructure": {"order": 1}}, id="UnstablePlant-nominal"),
     pytest.param("synth-freq", {"plant": UNIT_CIRCLE_POLE, "lstructure": {"order": 0}},
-                 id="DegenerateDenominator"),
+                 id="UnstablePlant-pole-on-circle"),
     pytest.param("verify", {"plant": UNIT_CIRCLE_POLE,
                             "lfilter": {"k_lead": 0, "k_lag": 0, "coeffs": [0.5]}},
                  id="UnitCirclePole"),

@@ -17,7 +17,6 @@ from ilc_sos.polyalg import (
     substitute_squares,
     x_parameterize,
     reduce_circle,
-    circle_rationalize_single,
     circle_rationalize_xy,
     triangular_toeplitz_det_adj,
     laurent_eval,
@@ -212,43 +211,6 @@ def test_reduce_circle_pointwise():
 # circle rationalization
 
 
-def phi(x: float) -> complex:
-    return complex((1 - x * x) / (1 + x * x), 2 * x / (1 + x * x))
-
-
-def test_circle_rationalize_single_identity():
-    # F(z) = Q(z) - z L(z) Q(z) num/den with decision gains in L
-    novars = ()
-    a = {0: AffinePoly.constant(novars, 1.0)}  # Q = 1
-    b = {1 - i: AffinePoly.constant(novars, AffineCoeff.decision(f"l{i}"))
-         for i in range(3)}  # -zL(z) up to sign
-    b = {k: -v for k, v in b.items()}
-    num = {1: AffinePoly.constant(novars, 2.0), 0: AffinePoly.constant(novars, 0.7)}
-    den = {2: AffinePoly.constant(novars, 1.0), 1: AffinePoly.constant(novars, 0.3),
-           0: AffinePoly.constant(novars, -0.1)}
-    tau1, tau2, tau3 = circle_rationalize_single(a, b, num, den)
-    assert not tau3.has_decisions()
-
-    gains = {"l0": 0.4, "l1": -0.2, "l2": 0.05}
-    for x in (-5.0, -1.1, -0.3, 0.0, 0.5, 2.0, 10.0):
-        z = phi(x)
-        L = sum(gains[f"l{i}"] * z ** (-i) for i in range(3))
-        F = 1 - z * L * (2 * z + 0.7) / (z * z + 0.3 * z - 0.1)
-        got = complex(tau1.evaluate({"x": x}, gains), tau2.evaluate({"x": x}, gains))
-        t3 = tau3.evaluate({"x": x})
-        assert t3 > 0
-        assert got / t3 == pytest.approx(F, rel=1e-9, abs=1e-9)
-
-
-def test_circle_rationalize_single_rejects_circle_pole():
-    novars = ()
-    a = {0: AffinePoly.constant(novars, 1.0)}
-    num = {0: AffinePoly.constant(novars, 1.0)}
-    den = {1: AffinePoly.constant(novars, 1.0), 0: AffinePoly.constant(novars, 1.0)}  # z + 1
-    with pytest.raises(DegenerateDenominator):
-        circle_rationalize_single(a, {}, num, den)
-
-
 def test_circle_rationalize_xy_identity():
     lam = ("l1", "l2")
     one = AffinePoly.constant(lam, 1.0)
@@ -281,13 +243,14 @@ def test_circle_rationalize_xy_identity():
 
 def test_circle_rationalize_xy_rejects_uncertain_circle_pole():
     lam = ("l1", "l2")
-    one = AffinePoly.constant(lam, 1.0)
-    a = {0: one}
-    num = {0: one}
     # den = z - l1: hits the circle at the vertex l1 = 1
-    den = {1: one, 0: -AffinePoly.variable(lam, "l1")}
-    with pytest.raises(DegenerateDenominator):
-        circle_rationalize_xy(a, {}, num, den)
+    uncertain = {1: AffinePoly.constant(lam, 1.0), 0: -AffinePoly.variable(lam, "l1")}
+    # ... and the nominal case lam = (): den = z + 1
+    nominal = {1: AffinePoly.constant((), 1.0), 0: AffinePoly.constant((), 1.0)}
+    for den in (uncertain, nominal):
+        one = den[1]
+        with pytest.raises(DegenerateDenominator):
+            circle_rationalize_xy({0: one}, {}, {0: one}, den)
 
 
 def _scalar_den_check(den, lambda_points, n_omega=721, tol=1e-9):

@@ -191,9 +191,8 @@ def _old_parity_classes(basis, var_indices):
     return [sorted(buckets[k], key=lambda t: (sum(t), t)) for k in sorted(buckets)]
 
 
-def _old_equalities(S, bases=None, coord_bases=None):
-    """Equalities as the Kronecker (``bases``, v_b (x) I_m) and ragged
-    (``coord_bases``, one monomial list per row) layouts compiled them."""
+def _old_equalities(S, bases):
+    """Equalities as the Kronecker layout (v_b (x) I_m per block) compiled them."""
     m = S.rows
     support = {}
     for r in range(m):
@@ -202,24 +201,14 @@ def _old_equalities(S, bases=None, coord_bases=None):
                 support.setdefault(e, {})[(r, s)] = c
     add = lambda a, b: tuple(x + y for x, y in zip(a, b))
     prod = {}  # mu -> {(r, s): {(b, p, q): weight}}
-    if coord_bases is not None:
-        offs = np.cumsum([0] + [len(b) for b in coord_bases]).tolist()
-        for r in range(m):
-            for s in range(r, m):
-                for i, mi in enumerate(coord_bases[r]):
-                    for j, mj in enumerate(coord_bases[s]):
-                        p, q = sorted((offs[r] + i, offs[s] + j))
+    for b, basis in enumerate(bases):
+        for i, mi in enumerate(basis):
+            for j, mj in enumerate(basis):
+                for r in range(m):
+                    for s in range(r, m):
+                        p, q = sorted((i * m + r, j * m + s))
                         w = prod.setdefault(add(mi, mj), {}).setdefault((r, s), {})
-                        w[(0, p, q)] = w.get((0, p, q), 0.0) + 1.0
-    else:
-        for b, basis in enumerate(bases):
-            for i, mi in enumerate(basis):
-                for j, mj in enumerate(basis):
-                    for r in range(m):
-                        for s in range(r, m):
-                            p, q = sorted((i * m + r, j * m + s))
-                            w = prod.setdefault(add(mi, mj), {}).setdefault((r, s), {})
-                            w[(b, p, q)] = w.get((b, p, q), 0.0) + 1.0
+                        w[(b, p, q)] = w.get((b, p, q), 0.0) + 1.0
     out = []
     for mu in sorted(prod, key=lambda t: (sum(t), t)):
         for (r, s), weights in sorted(prod[mu].items()):
@@ -265,19 +254,7 @@ def test_pair_layout_matches_kronecker_lifted_program(monkeypatch):
         basis = monomial_basis(S.variables, [(lam, "homogeneous", degree)])
         old = _old_parity_classes(basis, [S.variables.index(v) for v in lam])
         assert prob.block_dims == [len(b) * S.rows for b in old]
-        assert _new_equalities(prob) == _old_equalities(S, bases=old)
-
-
-def test_pair_layout_matches_ragged_nominal_program(monkeypatch):
-    plant = fd.UncertainTransferFunction.from_coeffs([-24.0, -40.0], [-8.6, -8.0, -20.0])
-    seen = _capture_compiles(monkeypatch, fd)
-    fd.synth_freq_nominal(fd.NoncausalFir.unity(), fd.NoncausalFir.causal_decision(2), plant)
-    [(S, prob)] = seen
-    degree = max(sum(mono) for mono, c in prob.bases[0] if c == 0)
-    row = monomial_basis(S.variables, [(S.variables, "graded", degree)])
-    const = [(0,) * len(S.variables)]
-    assert prob.block_dims[0] == len(row) + 2
-    assert _new_equalities(prob) == _old_equalities(S, coord_bases=[row, const, const])
+        assert _new_equalities(prob) == _old_equalities(S, old)
 
 
 def test_symmetry_split_keeps_robust_bound(monkeypatch):

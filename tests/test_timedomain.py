@@ -198,6 +198,9 @@ def test_synth_nominal_scalar_deadbeat():
     assert res.certified
     assert res.gamma <= 1e-4
     assert res.gains["l0"] == pytest.approx(1.0, abs=1e-3)
+    # no uncertainty: the exact level 0 is the only program solved
+    assert [k for k, _ in res.diagnostics["k_trace_raw"]] == [0]
+    assert res.epsilon is None
 
 
 def test_synth_uncertain_n2_vs_sampled():
