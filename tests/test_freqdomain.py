@@ -128,6 +128,54 @@ def circle_z(x):
     return (1 - x * x + 2j * x) / (1 + x * x)
 
 
+def nominal_rate(data, x, gains):
+    """(T[0,1] + j T[0,2], nu3 (1 + x^2)^deg_x) from build_T_hat on a
+    plant without uncertainty: their ratio is Q(1 - zLP) at z(x)."""
+    T = np.asarray(data.T_hat.evaluate({"x": x}, gains))
+    x1 = (1 - x * x) / (1 + x * x)
+    x2 = 2 * x / (1 + x * x)
+    den = data.nu3.evaluate({"x1": x1, "x2": x2}) * (1 + x * x) ** data.deg_x
+    return complex(T[0, 1], T[0, 2]), den
+
+
+def test_tau_trivial_delay():
+    plant = fd.UncertainTransferFunction.from_coeffs([1.0], [0.0, 1.0], ())
+    data = fd.build_T_hat(fd.NoncausalFir.unity(),
+                          fd.NoncausalFir.causal_decision(0), plant)
+    assert data.T_hat.variables == ("x",)
+    for x in np.linspace(-3, 3, 13):
+        for l0 in (-0.5, 0.0, 0.8):
+            num, den = nominal_rate(data, x, {"l0": l0, "eta": 0.0})
+            assert num.imag == pytest.approx(0.0, abs=1e-12)
+            assert num.real == pytest.approx((1 - l0) * den, abs=1e-9)
+
+
+def test_tau_dc_evaluation():
+    plant = fd.UncertainTransferFunction.from_coeffs([1.0], [0.0, 1.0], ())
+    data = fd.build_T_hat(fd.NoncausalFir.unity(),
+                          fd.NoncausalFir.causal_decision(1), plant)
+    for l0, l1 in [(0.3, 0.2), (1.0, -0.4)]:
+        num, den = nominal_rate(data, 0.0, {"l0": l0, "l1": l1, "eta": 0.0})
+        assert num / den == pytest.approx(1 - l0 - l1, abs=1e-9)
+
+
+def test_tau_identity_on_frozen_plant():
+    plant = frozen_theta_plant()
+    q = fd.NoncausalFir.unity()
+    lstr = fd.NoncausalFir.causal_decision(1)
+    data = fd.build_T_hat(q, lstr, plant)
+    rng = np.random.default_rng(2)
+    for _ in range(50):
+        x = rng.uniform(-4, 4)
+        gains = {"l0": rng.normal(), "l1": rng.normal(), "eta": 0.0}
+        z = circle_z(x)
+        L = lstr.response(z, gains)
+        P = plant.response(z, {})
+        want = 1.0 - z * L * P
+        num, den = nominal_rate(data, x, gains)
+        assert abs(num / den - want) < 1e-9
+
+
 # -- nominal synthesis -------------------------------------------------------
 
 
@@ -211,35 +259,32 @@ def test_nominal_frozen_plant_vs_grid_search():
 
 
 def test_T_hat_structure_and_identity():
-    # the paper polytope, and the frozen plant as the case lam = ()
+    plant = paper_plant()
     q = fd.NoncausalFir.unity()
     lstr = fd.NoncausalFir.causal_decision(1)
+    data = fd.build_T_hat(q, lstr, plant)
+    lam_idx = [data.T_hat.variables.index(v) for v in LAM2]
+    for e in data.T_hat.entries:
+        degs = {sum(exp[i] for i in lam_idx) for exp in e.terms}
+        assert degs <= {data.deg_lambda}
     rng = np.random.default_rng(7)
-    for plant in (paper_plant(), frozen_theta_plant()):
-        lam_vars = plant.lambda_vars
-        data = fd.build_T_hat(q, lstr, plant)
-        assert data.T_hat.variables == ("x",) + lam_vars
-        lam_idx = [data.T_hat.variables.index(v) for v in lam_vars]
-        for e in data.T_hat.entries:
-            degs = {sum(exp[i] for i in lam_idx) for exp in e.terms}
-            assert degs <= {data.deg_lambda}
-        for _ in range(100):
-            x = rng.uniform(-3, 3)
-            lam = rng.dirichlet(np.ones(len(lam_vars))) if lam_vars else ()
-            gains = {"l0": rng.normal(), "l1": rng.normal(), "eta": rng.random()}
-            lam_map = dict(zip(lam_vars, lam))
-            z = circle_z(x)
-            G = 1.0 - z * lstr.response(z, gains) * plant.response(z, lam_map)
-            x1 = (1 - x * x) / (1 + x * x)
-            x2 = 2 * x / (1 + x * x)
-            nu3 = data.nu3.evaluate({"x1": x1, "x2": x2, **lam_map})
-            scale = (1 + x * x) ** data.deg_x
-            pt = {"x": x, **lam_map}
-            T = np.asarray(data.T_hat.evaluate(pt, gains)) / scale
-            assert T[0, 1] == pytest.approx(G.real * nu3, abs=1e-9)
-            assert T[0, 2] == pytest.approx(G.imag * nu3, abs=1e-9)
-            assert T[0, 0] == pytest.approx(gains["eta"] * nu3 * nu3, abs=1e-9)
-            assert np.allclose(T[1:, 1:], np.eye(2), atol=1e-9)
+    for _ in range(100):
+        x = rng.uniform(-3, 3)
+        lam = rng.dirichlet([1, 1])
+        gains = {"l0": rng.normal(), "l1": rng.normal(), "eta": rng.random()}
+        lam_map = dict(zip(LAM2, lam))
+        z = circle_z(x)
+        G = 1.0 - z * lstr.response(z, gains) * plant.response(z, lam_map)
+        x1 = (1 - x * x) / (1 + x * x)
+        x2 = 2 * x / (1 + x * x)
+        nu3 = data.nu3.evaluate({"x1": x1, "x2": x2, **lam_map})
+        scale = (1 + x * x) ** data.deg_x
+        pt = {"x": x, **lam_map}
+        T = np.asarray(data.T_hat.evaluate(pt, gains)) / scale
+        assert T[0, 1] == pytest.approx(G.real * nu3, abs=1e-9)
+        assert T[0, 2] == pytest.approx(G.imag * nu3, abs=1e-9)
+        assert T[0, 0] == pytest.approx(gains["eta"] * nu3 * nu3, abs=1e-9)
+        assert np.allclose(T[1:, 1:], np.eye(2), atol=1e-9)
 
 
 def test_robust_collapses_to_nominal_on_point_plant():

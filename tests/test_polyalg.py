@@ -241,16 +241,25 @@ def test_circle_rationalize_xy_identity():
         assert got / n3 == pytest.approx(F, rel=1e-9, abs=1e-9)
 
 
+def test_circle_rationalize_single_rejects_circle_pole():
+    # the single-variable case lam = (): den = z + 1 vanishes at z = -1
+    novars = ()
+    a = {0: AffinePoly.constant(novars, 1.0)}
+    num = {0: AffinePoly.constant(novars, 1.0)}
+    den = {1: AffinePoly.constant(novars, 1.0), 0: AffinePoly.constant(novars, 1.0)}
+    with pytest.raises(DegenerateDenominator):
+        circle_rationalize_xy(a, {}, num, den)
+
+
 def test_circle_rationalize_xy_rejects_uncertain_circle_pole():
     lam = ("l1", "l2")
+    one = AffinePoly.constant(lam, 1.0)
+    a = {0: one}
+    num = {0: one}
     # den = z - l1: hits the circle at the vertex l1 = 1
-    uncertain = {1: AffinePoly.constant(lam, 1.0), 0: -AffinePoly.variable(lam, "l1")}
-    # ... and the nominal case lam = (): den = z + 1
-    nominal = {1: AffinePoly.constant((), 1.0), 0: AffinePoly.constant((), 1.0)}
-    for den in (uncertain, nominal):
-        one = den[1]
-        with pytest.raises(DegenerateDenominator):
-            circle_rationalize_xy({0: one}, {}, {0: one}, den)
+    den = {1: one, 0: -AffinePoly.variable(lam, "l1")}
+    with pytest.raises(DegenerateDenominator):
+        circle_rationalize_xy(a, {}, num, den)
 
 
 def _scalar_den_check(den, lambda_points, n_omega=721, tol=1e-9):
