@@ -23,15 +23,12 @@ from .polyalg import (
     AffineCoeff,
     AffinePoly,
     PolyMatrix,
-    ComplexPolyPair,
     AffinityError,
     NotToeplitz,
     NotTriangular,
     DegenerateDenominator,
     homogenize,
     substitute_squares,
-    x_parameterize,
-    circle_rationalize_xy,
     triangular_toeplitz_det_adj,
 )
 from .soscompiler import SdpProblem, compile_sos, monomial_basis, check_certificate
@@ -78,15 +75,12 @@ __all__ = [
     "AffineCoeff",
     "AffinePoly",
     "PolyMatrix",
-    "ComplexPolyPair",
     "AffinityError",
     "NotToeplitz",
     "NotTriangular",
     "DegenerateDenominator",
     "homogenize",
     "substitute_squares",
-    "x_parameterize",
-    "circle_rationalize_xy",
     "triangular_toeplitz_det_adj",
     "SdpProblem",
     "compile_sos",

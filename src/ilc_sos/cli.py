@@ -275,7 +275,7 @@ def _synthesis_exit(res: SynthesisResult, out_dir: str, mode: str) -> int:
 
 def _run_synth_freq(cfg: dict, out_dir: str) -> int:
     _check_keys(cfg, {"mode", "plant", "qfilter", "lstructure", "epsilon",
-                      "k_max", "k_tol", "seed"}, "config")
+                      "k_max", "k_tol"}, "config")
     _require("plant" in cfg, "config: 'plant' required")
     _require("lstructure" in cfg, "config: 'lstructure' required")
     plant = _freq_plant(cfg["plant"], "plant")
@@ -298,9 +298,12 @@ def _run_synth_freq(cfg: dict, out_dir: str) -> int:
 
 def _run_synth_time(cfg: dict, out_dir: str) -> int:
     _check_keys(cfg, {"mode", "plant", "qfilter", "lstructure", "epsilon",
-                      "k_max", "k_tol", "seed"}, "config")
+                      "k_max", "k_tol"}, "config")
     _require("plant" in cfg, "config: 'plant' required")
     plant = _time_plant(cfg["plant"], "plant")
+    # without uncertainty the program is exact and carries no margin
+    _require(not ("epsilon" in cfg and plant.is_nominal()),
+             "epsilon: a plant without uncertainty takes no positivity margin")
     qf = _lifted_filter(cfg.get("qfilter"), plant.N, "qfilter", "q")
     ls = _lifted_filter(cfg.get("lstructure"), plant.N, "lstructure", "l")
     try:
@@ -504,8 +507,8 @@ def paper_plant() -> fd.UncertainTransferFunction:
 
 
 def _run_repro_paper(cfg: dict, out_dir: str) -> int:
-    _check_keys(cfg, {"mode", "epsilon", "k_values", "orders", "order3_k_max",
-                      "seed"}, "config")
+    _check_keys(cfg, {"mode", "epsilon", "k_values", "orders", "order3_k_max"},
+                "config")
     epsilon = _number(cfg.get("epsilon", 1e-3), "epsilon")
     k_values = cfg.get("k_values", [0, 1, 2, 3])
     _require(isinstance(k_values, list) and k_values
@@ -589,11 +592,11 @@ _HANDLERS = {
 
 # config keys each flag override is allowed to touch, per mode
 _OVERRIDE_KEYS = {
-    "synth-freq": {"epsilon", "k_max", "seed"},
-    "synth-time": {"epsilon", "k_max", "seed"},
+    "synth-freq": {"epsilon", "k_max"},
+    "synth-time": {"epsilon", "k_max"},
     "verify": {"seed"},
     "simulate": {"seed"},
-    "repro-paper": {"epsilon", "seed"},
+    "repro-paper": {"epsilon"},
 }
 
 

@@ -9,12 +9,12 @@ variables (``lam1 + ... + lams = 1``, all nonnegative).  The learning update
 contracts the tracking error monotonically for every admissible uncertainty
 iff  sup_{lam, |z|=1} |Q(z)(1 - z L(z) P(z, lam))| < 1.  The squared bound
 eta on that sup is minimized over the free taps of L (or Q) through a
-sum-of-squares program: keep z = x1 + j x2 on the circle, homogenize in
-lam, substitute lam -> lam^2 to drop the nonnegativity constraints, map
-(x1, x2) to one real parameter x, and escalate a "multiply by ||lam||^2k" relaxation ladder
-until the bound stops improving.  A plant without uncertainty is the case
-lam = (): its 3x3 polynomial matrix inequality in x is exact, so only
-level 0 is solved.
+sum-of-squares program: map the circle to one real parameter x through
+z = (1 + jx)/(1 - jx), homogenize in lam, substitute lam -> lam^2 to drop
+the nonnegativity constraints, and escalate a "multiply by ||lam||^2k"
+relaxation ladder until the bound stops improving.  A plant without
+uncertainty is the case lam = (): its 3x3 polynomial matrix inequality in
+x is exact, so only level 0 is solved.
 """
 
 from __future__ import annotations
@@ -28,12 +28,14 @@ from .polyalg import (
     AffineCoeff,
     AffinePoly,
     PolyMatrix,
-    circle_rationalize_xy,
+    _check_den_on_circle,
+    circle_degree,
+    circle_image,
     homogenize,
+    laurent_add,
     laurent_mul,
     simplex_mesh,
     substitute_squares,
-    x_parameterize,
 )
 from .result import SynthesisResult, decision_value, escalate
 from .soscompiler import compile_sos, kron_pairs, monomial_basis, sign_classes
@@ -221,10 +223,10 @@ class FreqSynthesisProblem:
         if self.epsilon is not None and not (self.epsilon > 0):
             raise ValueError("epsilon must be positive (or None for a free margin)")
 
-    def solve(self, **kwargs) -> SynthesisResult:
+    def solve(self) -> SynthesisResult:
         return synth_freq_robust(self.qfilter, self.lstructure, self.plant,
                                  epsilon=self.epsilon, k_max=self.k_max,
-                                 k_tol=self.k_tol, **kwargs)
+                                 k_tol=self.k_tol)
 
 
 def simplexify(num_theta: Sequence, den_theta: Sequence, vertices,
@@ -320,12 +322,7 @@ def jury_stability(plant: UncertainTransferFunction, resolution: int = 50) -> Ju
     """
     lam_vars = plant.lambda_vars
     d = len(lam_vars)
-    mesh = simplex_mesh(d, resolution)
-    if d > 0:
-        vertices = np.eye(d)
-        pts = np.vstack([vertices, mesh])
-    else:
-        pts = mesh
+    pts = np.vstack([np.eye(d), simplex_mesh(d, resolution)])
     n = plant.n
 
     if n <= 2:
@@ -363,42 +360,57 @@ def jury_stability(plant: UncertainTransferFunction, resolution: int = 50) -> Ju
 @dataclass
 class THatData:
     T_hat: PolyMatrix      # over ("x", lam...), affine in eta and the taps
-    deg_x: int             # degree of T in (x1, x2) before parameterization
+    deg_x: int             # degree of T in (Re z, Im z)
     deg_lambda: int        # homogeneous lambda degree of T
-    nu3: AffinePoly
+    nu3: AffinePoly        # (1 + x^2)^deg_x |den(z(x))|^2 over ("x", lam...)
 
 
 def build_T_hat(qfilter: NoncausalFir, lfir: NoncausalFir,
-                plant: UncertainTransferFunction, eta_id: str = "eta") -> THatData:
-    """Rationalized robust-rate matrix: with nu-decomposition
-    Q[1 - zLP] = (nu1 + j nu2)/nu3 on |z| = 1, the 3x3 matrix
+                plant: UncertainTransferFunction) -> THatData:
+    """Rationalized robust-rate matrix.  On |z| = 1, with conj(z) = 1/z,
 
-        T = [[eta nu3^2, nu1, nu2], [nu1, 1, 0], [nu2, 0, 1]]
+        Q[1 - zLP] = (a den + b num) den(1/z) / (den den(1/z)),
 
-    is PSD iff |Q(1 - zLP)|^2 <= eta.  T is homogenized over the simplex
-    variables and the circle is parameterized by one real x (clearing
-    (1+x^2)^deg_x, a positive factor)."""
+    a = Q, b = -zLQ; at z = (1 + jx)/(1 - jx), both sides times
+    (1 + x^2)^deg_x give nu1 + j nu2 over nu3 (see :func:`circle_image`).
+    The 3x3 matrix
+
+        T = [[eta nu3^2 / (1 + x^2)^deg_x, nu1, nu2],
+             [nu1, (1 + x^2)^deg_x, 0], [nu2, 0, (1 + x^2)^deg_x]]
+
+    is PSD iff |Q(1 - zLP)|^2 <= eta.  deg_x is the degree of T in
+    (Re z, Im z), the smallest that clears every entry; T is homogenized
+    over the simplex variables."""
     lam = plant.lambda_vars
+    den = plant.den_laurent()
+    # the simplex vertices and the barycenter ({} alone when lam = ())
+    _check_den_on_circle(den, [{v: float(v == w) for v in lam} for w in lam]
+                         + [{v: 1.0 / len(lam) for v in lam}])
+
     a = qfilter.to_laurent(lam)
     zlq = laurent_mul({1: AffinePoly.constant(lam, 1.0)},
                       laurent_mul(lfir.to_laurent(lam), a))
     b = {k: -v for k, v in zlq.items()}
-    nu1, nu2, nu3 = circle_rationalize_xy(a, b, plant.num_laurent(), plant.den_laurent())
+    den_conj = {-i: p for i, p in den.items()}
+    numer = laurent_mul(laurent_add(laurent_mul(a, den), laurent_mul(b, plant.num_laurent())),
+                        den_conj)
+    den_sq = laurent_mul(den, den_conj)
+    deg_x = max(2 * circle_degree(den_sq), circle_degree(numer),
+                circle_degree(numer, imag=True))
 
-    variables = nu3.variables  # ("x1", "x2", lam...)
-    one = AffinePoly.constant(variables, 1.0)
+    variables = ("x",) + lam
+    nu1, nu2 = circle_image(numer, deg_x, variables)
+    nu3 = circle_image(den_sq, deg_x, variables)[0]
+    eta_term = circle_image(laurent_mul(den_sq, den_sq), deg_x, variables)[0]
+    x = AffinePoly.variable(variables, "x")
+    scale = (AffinePoly.constant(variables, 1.0) + x * x) ** deg_x
     zero = AffinePoly.zero(variables)
-    eta_term = (nu3 * nu3).scaled(AffineCoeff.decision(eta_id))
-    T = PolyMatrix.from_rows([
-        [eta_term, nu1, nu2],
-        [nu1, one, zero],
-        [nu2, zero, one],
-    ])
-    deg_x = T.degree_in(["x1", "x2"])
-    Tbar = homogenize(T, lam)
-    deg_lambda = Tbar.degree_in(lam)
-    T_hat = x_parameterize(Tbar)
-    return THatData(T_hat=T_hat, deg_x=deg_x, deg_lambda=deg_lambda, nu3=nu3)
+    T_hat = homogenize(PolyMatrix.from_rows([
+        [eta_term.scaled(AffineCoeff.decision("eta")), nu1, nu2],
+        [nu1, scale, zero],
+        [nu2, zero, scale],
+    ]), lam)
+    return THatData(T_hat=T_hat, deg_x=deg_x, deg_lambda=T_hat.degree_in(lam), nu3=nu3)
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +433,6 @@ def _gain_list(fir: NoncausalFir, gains: Mapping[str, float]) -> list:
 def synth_freq_robust(qfilter: NoncausalFir, lstructure: NoncausalFir,
                       plant: UncertainTransferFunction, epsilon: float | None = 1e-3,
                       k_max: int = 5, k_tol: float = 1e-3,
-                      feas_tol: float = 1e-8, gap_tol: float = 1e-9,
                       extra_nonneg: Sequence[AffineCoeff] = ()) -> SynthesisResult:
     """Minimize the guaranteed robust rate over the free taps of L (or Q).
 
@@ -461,7 +472,7 @@ def synth_freq_robust(qfilter: NoncausalFir, lstructure: NoncausalFir,
         return compile_sos(S, {"eta": 1.0}, bases=sign_classes(kron_pairs(basis, 3), flips),
                            nonneg=nonneg + list(extra_nonneg))
 
-    esc = escalate(base, norm2, compile_level, k_max, k_tol, feas_tol, gap_tol)
+    esc = escalate(base, norm2, compile_level, k_max, k_tol)
     gains = esc.solution.scalar_values
     opt_filter = lstructure if lstructure.has_decisions() else qfilter
     return SynthesisResult.from_solution(
@@ -483,8 +494,7 @@ def synth_freq_nominal(qfilter: NoncausalFir, lstructure: NoncausalFir,
 
 def alternate_LQ(problem: FreqSynthesisProblem, rounds: int = 2,
                  q_constraints: Mapping[str, tuple] | None = None,
-                 q_structure: NoncausalFir | None = None,
-                 **solver_opts) -> list:
+                 q_structure: NoncausalFir | None = None) -> list:
     """Coordinate descent on (L, Q): odd rounds optimize the learning taps
     with Q pinned, even rounds re-optimize the filter taps (subject to the
     interval bounds in ``q_constraints``) with L pinned.  Each round's
@@ -502,7 +512,7 @@ def alternate_LQ(problem: FreqSynthesisProblem, rounds: int = 2,
                                    [f"q{i}" for i in range(-q_init.k_lead, q_init.k_lag + 1)])
     q_constraints = dict(q_constraints or {})
 
-    kwargs = {"k_max": problem.k_max, "k_tol": problem.k_tol, **solver_opts}
+    kwargs = {"k_max": problem.k_max, "k_tol": problem.k_tol}
 
     results = []
     q_current = q_init

@@ -11,18 +11,15 @@ Numbers are floats throughout; after every arithmetic operation, terms whose
 magnitude is below ``PRUNE_REL`` times the largest coefficient of the result
 are dropped, so exact cancellations do not leave 1e-17 dust behind.
 
-The circle-rationalization helper :func:`circle_rationalize_xy` maps
-expressions on the unit circle ``z = e^{j omega}`` into real polynomial
-data: it keeps ``z = x1 + j x2`` with the constraint ``x1^2 + x2^2 = 1`` and
-reduces monomials modulo that relation.  :func:`x_parameterize` then
-substitutes the rational parameterization
-``z = (1 - x^2 + 2jx) / (1 + x^2)``, which covers the circle minus
-``z = -1`` as ``x`` ranges over the reals.
+Expressions on the unit circle ``z = e^{j omega}`` are Laurent polynomials
+in z.  :func:`circle_image` maps one to real polynomial data in a single
+substitution, ``z = (1 + jx) / (1 - jx)``, which covers the circle minus
+``z = -1`` as ``x`` ranges over the reals, and clears the denominator
+``(1 + x^2)^deg``.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -576,47 +573,6 @@ class PolyMatrix:
         return f"PolyMatrix({self.rows}x{self.cols}, vars={self.variables})"
 
 
-# ---------------------------------------------------------------------------
-# complex polynomials as (re, im) pairs
-
-
-class ComplexPolyPair:
-    """Complex polynomial with real variables, stored as (re, im)."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: AffinePoly, im: AffinePoly | None = None):
-        self.re = re
-        self.im = im if im is not None else AffinePoly.zero(re.variables)
-        if self.re.variables != self.im.variables:
-            raise ValueError("re/im variable mismatch")
-
-    @classmethod
-    def zero(cls, variables: Sequence[str]) -> "ComplexPolyPair":
-        return cls(AffinePoly.zero(variables))
-
-    def __add__(self, other: "ComplexPolyPair") -> "ComplexPolyPair":
-        return ComplexPolyPair(self.re + other.re, self.im + other.im)
-
-    def __mul__(self, other: "ComplexPolyPair") -> "ComplexPolyPair":
-        return ComplexPolyPair(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def conj(self) -> "ComplexPolyPair":
-        return ComplexPolyPair(self.re, -self.im)
-
-    def map(self, fn) -> "ComplexPolyPair":
-        return ComplexPolyPair(fn(self.re), fn(self.im))
-
-    def evaluate(self, point: Mapping[str, float], assignment: Mapping[str, float] | None = None) -> complex:
-        return complex(self.re.evaluate(point, assignment), self.im.evaluate(point, assignment))
-
-    def __repr__(self) -> str:
-        return f"ComplexPolyPair(re={self.re!r}, im={self.im!r})"
-
-
 def simplex_mesh(d: int, resolution: int = 50) -> np.ndarray:
     """All barycentric grid points of the unit simplex in d coordinates with
     denominators ``resolution``, in lexicographic order."""
@@ -701,90 +657,12 @@ def substitute_squares(obj, var_names: Sequence[str]):
     return AffinePoly(obj.variables, terms)
 
 
-def x_parameterize(obj, x1: str = "x1", x2: str = "x2", x_name: str = "x"):
-    """Substitute ``x1 = (1-x^2)/(1+x^2)``, ``x2 = 2x/(1+x^2)`` and clear the
-    denominator ``(1+x^2)^D`` where ``D`` is the degree in (x1, x2).
-
-    A term ``x1^a x2^b`` maps to ``(1-x^2)^a (2x)^b (1+x^2)^(D-a-b)``.  For a
-    :class:`PolyMatrix`, ``D`` is shared across all entries so the matrix is
-    scaled by a single positive factor.
-    """
-    if isinstance(obj, PolyMatrix):
-        target = obj.degree_in([x1, x2])
-        ent = [_x_param_poly(p, x1, x2, x_name, target) for p in obj.entries]
-        return PolyMatrix(obj.rows, obj.cols, ent[0].variables, ent)
-    return _x_param_poly(obj, x1, x2, x_name, obj.degree_in([x1, x2]))
-
-
-def _x_param_poly(poly: AffinePoly, x1: str, x2: str, x_name: str, target: int) -> AffinePoly:
-    old = poly.variables
-    i1, i2 = old.index(x1), old.index(x2)
-    rest = [i for i in range(len(old)) if i not in (i1, i2)]
-    new_vars = (x_name,) + tuple(old[i] for i in rest)
-
-    # coefficient arrays in x for (1-x^2)^a, (2x)^b, (1+x^2)^c
-    def poly_pow(base: np.ndarray, k: int) -> np.ndarray:
-        out = np.array([1.0])
-        for _ in range(k):
-            out = np.convolve(out, base)
-        return out
-
-    cache: dict[tuple, np.ndarray] = {}
-
-    def table(a: int, b: int) -> np.ndarray:
-        key = (a, b)
-        if key not in cache:
-            arr = poly_pow(np.array([1.0, 0.0, -1.0]), a)
-            arr = np.convolve(arr, poly_pow(np.array([0.0, 2.0]), b))
-            arr = np.convolve(arr, poly_pow(np.array([1.0, 0.0, 1.0]), target - a - b))
-            cache[key] = arr
-        return cache[key]
-
-    acc: dict = {}
-    for e, c in poly.terms.items():
-        a, b = e[i1], e[i2]
-        if a + b > target:
-            raise ValueError("term degree exceeds matrix degree in (x1, x2)")
-        rest_exps = tuple(e[i] for i in rest)
-        for k, w in enumerate(table(a, b)):
-            if w == 0.0:
-                continue
-            ne = (k,) + rest_exps
-            add = c.scaled(float(w))
-            cur = acc.get(ne)
-            acc[ne] = add if cur is None else cur + add
-    return AffinePoly(new_vars, acc).pruned()
-
-
-def reduce_circle(poly: AffinePoly, x1: str = "x1", x2: str = "x2") -> AffinePoly:
-    """Reduce exponents modulo ``x1^2 + x2^2 = 1`` (x1 power to 0 or 1)."""
-    i1, i2 = poly.variables.index(x1), poly.variables.index(x2)
-    acc: dict = {}
-    for e, c in poly.terms.items():
-        q, r = divmod(e[i1], 2)
-        if q == 0:
-            cur = acc.get(e)
-            acc[e] = c if cur is None else cur + c
-            continue
-        # x1^(2q) = (1 - x2^2)^q
-        for t in range(q + 1):
-            w = math.comb(q, t) * (-1.0) ** t
-            ne = list(e)
-            ne[i1] = r
-            ne[i2] = e[i2] + 2 * t
-            ne = tuple(ne)
-            add = c.scaled(w)
-            cur = acc.get(ne)
-            acc[ne] = add if cur is None else cur + add
-    return AffinePoly(poly.variables, acc).pruned()
-
-
 # ---------------------------------------------------------------------------
 # circle rationalization
 
 # Laurent expressions are dicts {power: AffinePoly coefficient}; coefficients
-# share one variable tuple (empty for the nominal case).  The rationalized
-# expression is F = a(z) + b(z) * num(z)/den(z) evaluated on |z| = 1.
+# share one variable tuple (empty for the nominal case) and are real, so on
+# |z| = 1 the conjugate of c(z) is c(1/z).
 
 
 def laurent_mul(a: Mapping[int, AffinePoly], b: Mapping[int, AffinePoly]) -> dict:
@@ -795,6 +673,57 @@ def laurent_mul(a: Mapping[int, AffinePoly], b: Mapping[int, AffinePoly]) -> dic
             cur = out.get(i + j)
             out[i + j] = prod if cur is None else cur + prod
     return {k: v for k, v in out.items() if not v.is_zero()}
+
+
+def laurent_add(a: Mapping[int, AffinePoly], b: Mapping[int, AffinePoly]) -> dict:
+    out = dict(a)
+    for i, cb in b.items():
+        out[i] = out[i] + cb if i in out else cb
+    return {k: v for k, v in out.items() if not v.is_zero()}
+
+
+def circle_degree(c: Mapping[int, AffinePoly], imag: bool = False) -> int:
+    """Highest harmonic of Re (``imag``: Im) of sum_i c_i z^i on |z| = 1: the
+    largest k whose cosine coefficient c_k + c_-k (sine coefficient
+    c_k - c_-k) is nonzero, else 0.  cos(k omega) and sin(k omega) have
+    degree k in (Re z, Im z)."""
+    scale = _laurent_scale(c)
+    sign = -1.0 if imag else 1.0
+    for k in sorted({abs(i) for i in c if i}, reverse=True):
+        part = sum(c[i].scaled(sign) if i < 0 else c[i] for i in (k, -k) if i in c)
+        if not part.pruned(scale=scale).is_zero():
+            return k
+    return 0
+
+
+def circle_image(c: Mapping[int, AffinePoly], deg: int,
+                 variables: Sequence[str]) -> tuple[AffinePoly, AffinePoly]:
+    """(1 + x^2)^deg times (Re, Im) of sum_i c_i z^i at z = (1 + jx)/(1 - jx).
+
+    As x runs over the reals, z runs over the unit circle minus z = -1.
+    z^i (1 + x^2)^deg = (1 + jx)^(2i) (1 + x^2)^(deg - i) for i >= 0 and the
+    conjugate of the |i| term for i < 0, so ``deg`` must reach every |i|.
+    ``variables`` is ("x",) followed by the coefficients' variables.
+    """
+    re: dict = {}
+    im: dict = {}
+    for i, coeff in c.items():
+        if abs(i) > deg:
+            raise ValueError(f"z^{i} exceeds the cleared degree {deg}")
+        w = np.ones(1, dtype=complex)  # ascending coefficients in x
+        for _ in range(2 * abs(i)):
+            w = np.convolve(w, [1.0, 1j])
+        for _ in range(deg - abs(i)):
+            w = np.convolve(w, [1.0, 0.0, 1.0])
+        for acc, ws in ((re, w.real), (im, w.imag if i >= 0 else -w.imag)):
+            for k, wk in enumerate(ws.tolist()):
+                if wk == 0.0:
+                    continue
+                for e, t in coeff.terms.items():
+                    add = t.scaled(wk)
+                    cur = acc.get((k,) + e)
+                    acc[(k,) + e] = add if cur is None else cur + add
+    return AffinePoly(variables, re).pruned(), AffinePoly(variables, im).pruned()
 
 
 def laurent_eval(c: Mapping[int, AffinePoly], z: complex,
@@ -824,75 +753,6 @@ def _check_den_on_circle(den: Mapping[int, AffinePoly], lambda_points: Iterable[
             raise DegenerateDenominator(
                 f"denominator has magnitude {mags[bad[0]]:.2e} at omega={omegas[bad[0]]:.4f}, "
                 f"point={dict(pt)}")
-
-
-def circle_rationalize_xy(a: Mapping[int, AffinePoly], b: Mapping[int, AffinePoly],
-                          num: Mapping[int, AffinePoly], den: Mapping[int, AffinePoly],
-                          lambda_points: Sequence[Mapping[str, float]] | None = None,
-                          x1: str = "x1", x2: str = "x2") -> tuple[AffinePoly, AffinePoly, AffinePoly]:
-    """Write F(z) = a(z) + b(z) num(z)/den(z) on z = x1 + j x2 (|z| = 1) as
-    (nu1 + j nu2)/nu3 with real polynomials in (x1, x2, lambda...).
-
-    Laurent coefficients are polynomials in the uncertainty variables.  All
-    outputs are reduced modulo x1^2 + x2^2 = 1.  ``lambda_points`` (defaults
-    to the simplex vertices of the coefficient variables) are used for the
-    unit-circle denominator check.
-    """
-    for which, c in (("num", num), ("den", den)):
-        for p in c.values():
-            if p.has_decisions():
-                raise AffinityError(f"{which} must be decision-free")
-
-    lam_vars: tuple = ()
-    for c in (den, num, a, b):
-        for p in c.values():
-            if len(p.variables) > len(lam_vars):
-                lam_vars = p.variables
-    variables = (x1, x2) + tuple(lam_vars)
-
-    if lambda_points is None:
-        if lam_vars:
-            lambda_points = [
-                {v: 1.0 if v == w else 0.0 for v in lam_vars} for w in lam_vars
-            ]
-            bary = {v: 1.0 / len(lam_vars) for v in lam_vars}
-            lambda_points = list(lambda_points) + [bary]
-        else:
-            lambda_points = [{}]
-    _check_den_on_circle(den, lambda_points)
-
-    z = ComplexPolyPair(
-        AffinePoly.variable(variables, x1),
-        AffinePoly.variable(variables, x2),
-    )
-
-    red = lambda p: reduce_circle(p, x1, x2)
-    zpow_cache: dict[int, ComplexPolyPair] = {0: ComplexPolyPair(AffinePoly.constant(variables, 1.0))}
-
-    def zpow(i: int) -> ComplexPolyPair:
-        if i not in zpow_cache:
-            if i > 0:
-                zpow_cache[i] = (zpow(i - 1) * z).map(red)
-            else:
-                zpow_cache[i] = (zpow(i + 1) * z.conj()).map(red)
-        return zpow_cache[i]
-
-    def image(c: Mapping[int, AffinePoly]) -> ComplexPolyPair:
-        out = ComplexPolyPair.zero(variables)
-        for i, coeff in c.items():
-            cl = coeff.lift(variables)
-            out = out + zpow(i).map(lambda p: p * cl)
-        return out.map(red)
-
-    A, B, N, D = image(a), image(b), image(num), image(den)
-    numer = ((A * D + B * N) * D.conj()).map(red)
-    den_img = (D * D.conj()).map(red)
-    if den_img.im.max_magnitude() > 1e-9 * max(den_img.re.max_magnitude(), 1.0):
-        raise AssertionError("denominator image not real after conjugation")
-    nu3 = den_img.re.pruned()
-    if nu3.has_decisions():
-        raise AffinityError("nu3 carries decision terms")
-    return numer.re.pruned(), numer.im.pruned(), nu3
 
 
 # ---------------------------------------------------------------------------

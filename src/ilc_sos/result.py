@@ -11,6 +11,11 @@ from .polyalg import AffinePoly, PolyMatrix
 from .soscompiler import RESIDUAL_TOL, CertificateReport, SdpProblem, SosCertificate
 
 
+# the solver's default gap of 1e-8 stops exact deadbeat designs of plants
+# without uncertainty at eta = 2e-8 (gamma = 1.4e-4) instead of near zero
+SYNTH_GAP_TOL = 1e-9
+
+
 class UnusedDecision(Exception):
     """A decision tap does not occur in the compiled program, so the solve
     gives it no value: the plant leaves the tap no influence on the rate."""
@@ -114,7 +119,7 @@ class Escalation:
 
 def escalate(base: PolyMatrix, norm2: AffinePoly,
              compile_level: Callable[[PolyMatrix, int], SdpProblem],
-             k_max: int, k_tol: float, feas_tol: float, gap_tol: float) -> Escalation:
+             k_max: int, k_tol: float) -> Escalation:
     """Minimize the bound eta over the levels S_k = norm2^k * base.
 
     ``compile_level(S_k, k)`` returns level k's program, whose objective is
@@ -143,7 +148,7 @@ def escalate(base: PolyMatrix, norm2: AffinePoly,
     for k in range(k_max + 1):
         S = base.scaled(mult) if k else base
         prob = compile_level(S, k)
-        sol = sdp.solve(prob, feas_tol=feas_tol, gap_tol=gap_tol)
+        sol = sdp.solve(prob, gap_tol=SYNTH_GAP_TOL)
         if sol.ok:
             eta = float(sol.scalar_values["eta"])
             k_raw.append((k, eta))

@@ -106,15 +106,11 @@ class LiftedUncertainPlant:
     def _check_leading(self):
         """p1 must stay away from zero everywhere (the rate involves P^-1)."""
         p1 = self.markov[0]
-        if self.lambda_vars:
-            pts = simplex_samples(len(self.lambda_vars), 1000, seed=20240117)
-            vals = p1.evaluate_batch(pts)
-        else:
-            pts = None
-            vals = np.array([p1.evaluate({})])
+        pts = simplex_samples(len(self.lambda_vars), 1000, seed=20240117)
+        vals = p1.evaluate_batch(pts)
         scale = max(1.0, float(np.max(np.abs(vals))))
         if np.min(np.abs(vals)) <= 1e-9 * scale:
-            worst = pts[int(np.argmin(np.abs(vals)))] if pts is not None else None
+            worst = pts[int(np.argmin(np.abs(vals)))]
             raise SingularPlant(
                 f"first Markov parameter reaches {np.min(np.abs(vals)):.2e} "
                 f"on the simplex (near lambda={worst})")
@@ -236,8 +232,8 @@ class TimeSynthesisProblem:
         if self.qfilter.N != self.plant.N or self.lstructure.N != self.plant.N:
             raise ValueError("filters and plant must share the trial length")
 
-    def solve(self, **kwargs) -> SynthesisResult:
-        return synth_time(self, **kwargs)
+    def solve(self) -> SynthesisResult:
+        return synth_time(self)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +268,7 @@ def build_filter_matrix(filt: LiftedFilter, N: int, variables: Sequence[str] = (
     return PolyMatrix.from_rows(rows)
 
 
-def build_M(problem: TimeSynthesisProblem, eta_id: str = "eta") -> PolyMatrix:
+def build_M(problem: TimeSynthesisProblem) -> PolyMatrix:
     """Homogenized 2N x 2N block matrix [[eta a^2 I, W^T], [W, I]].
 
     W = P Q (I - L P) adj(P), a = det(P); PSD of this block on the simplex
@@ -287,7 +283,7 @@ def build_M(problem: TimeSynthesisProblem, eta_id: str = "eta") -> PolyMatrix:
     det, adj = triangular_toeplitz_det_adj(P)
     I = PolyMatrix.identity(N, variables)
     W = (P @ Q @ (I - L @ P)) @ adj
-    head = I.scaled((det * det).scaled(AffineCoeff.decision(eta_id)))
+    head = I.scaled((det * det).scaled(AffineCoeff.decision("eta")))
     M = PolyMatrix.from_blocks([[head, W.transpose()], [W, I]])
     if variables:
         M = homogenize(M, variables)
@@ -339,8 +335,7 @@ def _gain_list(filt: LiftedFilter, gains: Mapping[str, float]) -> list:
 # synthesis
 
 
-def synth_time(problem: TimeSynthesisProblem, feas_tol: float = 1e-8,
-               gap_tol: float = 1e-9) -> SynthesisResult:
+def synth_time(problem: TimeSynthesisProblem) -> SynthesisResult:
     """Minimize the certified contraction rate over the free taps of L.
 
     Poses the block-matrix SOS program at multiplier powers k = 0, 1, ... and
@@ -378,8 +373,7 @@ def synth_time(problem: TimeSynthesisProblem, feas_tol: float = 1e-8,
         return compile_sos(S, {"eta": 1.0},
                            bases=sign_classes(kron_pairs(basis, S.rows), flips))
 
-    esc = escalate(base, norm2, compile_level, problem.k_max, problem.k_tol,
-                   feas_tol, gap_tol)
+    esc = escalate(base, norm2, compile_level, problem.k_max, problem.k_tol)
     result = SynthesisResult.from_solution(
         esc.solution, esc.certificate, esc.report,
         _gain_list(problem.lstructure, esc.solution.scalar_values),

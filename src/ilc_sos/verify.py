@@ -78,10 +78,7 @@ def time_gain_profile(plant: LiftedUncertainPlant, qfilter, lfilter,
     q = _filter_taps(qfilter, plant.N)
     l = _filter_taps(lfilter, plant.N)
     pts = grid.lambda_points
-    if plant.lambda_vars:
-        h = np.column_stack([m.evaluate_batch(pts) for m in plant.markov])
-    else:
-        h = np.tile([m.evaluate({}) for m in plant.markov], (len(pts), 1))
+    h = np.column_stack([m.evaluate_batch(pts) for m in plant.markov])
     p1 = h[:, 0]
     scale = max(1.0, float(np.max(np.abs(p1))))
     if np.min(np.abs(p1)) <= 1e-12 * scale:
@@ -125,12 +122,8 @@ def freq_gain_grid(plant: UncertainTransferFunction, qfilter: NoncausalFir,
     # plant response on the whole lambda grid at once: coefficient matrices
     # (K x n+1) against the Vandermonde powers of z
     K = pts.shape[0]
-    if plant.lambda_vars:
-        num_c = np.column_stack([c.evaluate_batch(pts) for c in plant.num])
-        den_c = np.column_stack([c.evaluate_batch(pts) for c in plant.den])
-    else:
-        num_c = np.array([[c.evaluate({}) for c in plant.num]])
-        den_c = np.array([[c.evaluate({}) for c in plant.den]])
+    num_c = np.column_stack([c.evaluate_batch(pts) for c in plant.num])
+    den_c = np.column_stack([c.evaluate_batch(pts) for c in plant.den])
     den_c = np.hstack([den_c, np.ones((K, 1))])
     zp = z[None, :] ** np.arange(plant.n + 1)[:, None]     # (n+1, F)
     num_v = num_c @ zp[: num_c.shape[1]]

@@ -1,8 +1,8 @@
 """End-to-end acceptance runs, one test per shipped guarantee.
 
 The benchmark interval plant is synthesized once (all learning-function
-orders, full escalation) and the remaining checks reuse those results, so
-this file takes a few minutes; run it with -v to get one verdict per line.
+orders, full escalation) and the remaining checks reuse those results; the
+file takes about 14 s.  Run it with -v to get one verdict per line.
 """
 
 import sys
@@ -15,7 +15,6 @@ from ilc_sos.polyalg import (
     PolyMatrix,
     homogenize,
     substitute_squares,
-    circle_rationalize_xy,
     triangular_toeplitz_det_adj,
 )
 from ilc_sos.soscompiler import SosCertificate, check_certificate, kron_pairs, monomial_basis
@@ -236,8 +235,8 @@ def test_criterion_7_structural_properties():
         worst = max(worst, np.max(np.abs(direct - subbed)))
     assert worst <= 1e-9
 
-    # single-variable circle rationalization (T_hat's first row over x)
-    # against a direct response
+    # circle rationalization of a plant without uncertainty (T_hat's first
+    # row over x) against a direct response
     plant = fd.UncertainTransferFunction.from_coeffs(
         [16 + 60 * -0.6, -40.0], [16 * -0.6 + 1, 4 + 20 * -0.6, -20.0], ())
     lf = fd.NoncausalFir(0, 2, [0.4, -0.1, 0.2])
@@ -250,32 +249,25 @@ def test_criterion_7_structural_properties():
         L = 0.4 - 0.1 / z + 0.2 / z ** 2
         direct = 1.0 - z * L * P
         at = {"x": float(x)}
-        nu3 = data.nu3.evaluate({"x1": z.real, "x2": z.imag})
-        scale = nu3 * (1 + x * x) ** data.deg_x
-        ratio = (data.T_hat[0, 1].evaluate(at) + 1j * data.T_hat[0, 2].evaluate(at)) / scale
+        ratio = ((data.T_hat[0, 1].evaluate(at) + 1j * data.T_hat[0, 2].evaluate(at))
+                 / data.nu3.evaluate(at))
         worst = max(worst, abs(ratio - direct))
     assert worst <= 1e-9
 
-    # two-variable circle rationalization, uncertain coefficients this time
+    # circle rationalization with uncertain coefficients this time
     upoly = benchmark_plant()
-    a = fd.NoncausalFir.unity().to_laurent(upoly.lambda_vars)
-    from ilc_sos.polyalg import laurent_mul
-    zl = laurent_mul({1: AffinePoly.constant(upoly.lambda_vars, 1.0)},
-                     fd.NoncausalFir(0, 1, [0.3, -0.2]).to_laurent(upoly.lambda_vars))
-    b = {k: -v for k, v in zl.items()}
-    nu1, nu2, nu3 = circle_rationalize_xy(a, b, upoly.num_laurent(),
-                                          upoly.den_laurent())
+    data = fd.build_T_hat(fd.NoncausalFir.unity(), fd.NoncausalFir(0, 1, [0.3, -0.2]), upoly)
     worst = 0.0
     for _ in range(1000):
         w = rng.uniform(0, 2 * np.pi)
         z = np.exp(1j * w)
         pt = rng.dirichlet(np.ones(2))
-        at = {"x1": np.cos(w), "x2": np.sin(w),
-              "lam1": pt[0], "lam2": pt[1]}
+        at = {"x": np.tan(w / 2), "lam1": pt[0], "lam2": pt[1]}
         num, den = upoly.coeff_arrays(dict(zip(upoly.lambda_vars, pt)))
         P = (num[0] + num[1] * z) / (den[0] + den[1] * z + z * z)
         direct = 1.0 - z * (0.3 - 0.2 / z) * P
-        ratio = (nu1.evaluate(at) + 1j * nu2.evaluate(at)) / nu3.evaluate(at)
+        ratio = ((data.T_hat[0, 1].evaluate(at) + 1j * data.T_hat[0, 2].evaluate(at))
+                 / data.nu3.evaluate(at))
         worst = max(worst, abs(ratio - direct))
     assert worst <= 1e-9
 

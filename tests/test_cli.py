@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from ilc_sos import cli
+from ilc_sos import cli, sdp
+from ilc_sos.soscompiler import CertificateReport
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -93,6 +94,36 @@ def test_synth_freq_pinned_zero_gain_not_monotone(tmp_path, capsys):
     assert "no contraction certified" in capsys.readouterr().err
 
 
+def test_synth_freq_failed_certificate_withholds_rate(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sdp, "check_certificate",
+                        lambda target, values, cert: CertificateReport(1.0, 1.0, [-1.0], False))
+    cfg = write_config(tmp_path, {"mode": "synth-freq", "plant": DELAY_PLANT,
+                                  "lstructure": {"order": 0}})
+    out = tmp_path / "out"
+    rc = cli.main(["synth-freq", "--config", cfg, "--out", str(out)])
+    assert rc == 3
+    payload = read_result(out)
+    assert payload["result"]["gamma"] is None
+    assert payload["result"]["eta"] is None
+    assert payload["error"] == "certificate check failed"
+    assert "certificate check failed" in capsys.readouterr().err
+    assert not (out / "trace.csv").exists()
+
+
+def test_synth_time_transfer_plant_matches_markov(tmp_path):
+    # the delay plant 1/z lifted to N = 2 has Markov parameters [1, 0]
+    results = []
+    for name, plant in (("transfer", {**DELAY_PLANT, "N": 2}),
+                        ("markov", {"type": "markov", "N": 2, "markov": [1.0, 0.0]})):
+        cfg = write_config(tmp_path, {"mode": "synth-time", "plant": plant}, name=f"{name}.json")
+        out = tmp_path / name
+        assert cli.main(["synth-time", "--config", cfg, "--out", str(out)]) == 0
+        results.append(read_result(out)["result"])
+    via_transfer, via_markov = results
+    assert via_transfer["gamma"] == via_markov["gamma"]
+    assert via_transfer["gain_list"] == via_markov["gain_list"]
+
+
 # -- config validation ---------------------------------------------------
 
 
@@ -133,6 +164,33 @@ def test_override_flag_wrong_mode(tmp_path, capsys):
                    "--epsilon", "0.1"])
     assert rc == 2
     assert "--epsilon" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("form", ["key", "flag"])
+def test_synth_time_nominal_plant_rejects_epsilon(tmp_path, capsys, form):
+    # a plant without uncertainty has an exact program with no margin to set
+    payload = {"mode": "synth-time",
+               "plant": {"type": "markov", "N": 2, "markov": [1.0, 0.5]}}
+    flags = ["--epsilon", "2.0"] if form == "flag" else []
+    if form == "key":
+        payload["epsilon"] = 2.0
+    cfg = write_config(tmp_path, payload)
+    rc = cli.main(["synth-time", "--config", cfg, "--out", str(tmp_path / "out"), *flags])
+    assert rc == 2
+    assert "config error: epsilon" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("form", ["key", "flag"])
+def test_synth_freq_rejects_seed(tmp_path, capsys, form):
+    # synthesis samples nothing, so a seed would change nothing
+    payload = {"mode": "synth-freq", "plant": DELAY_PLANT, "lstructure": {"order": 0}}
+    flags = ["--seed", "3"] if form == "flag" else []
+    if form == "key":
+        payload["seed"] = 3
+    cfg = write_config(tmp_path, payload)
+    rc = cli.main(["synth-freq", "--config", cfg, "--out", str(tmp_path / "out"), *flags])
+    assert rc == 2
+    assert "seed" in capsys.readouterr().err
 
 
 def test_bad_polynomial_coefficient(tmp_path):

@@ -8,20 +8,19 @@ from ilc_sos.polyalg import (
     AffineCoeff,
     AffinePoly,
     PolyMatrix,
-    ComplexPolyPair,
     AffinityError,
     NotToeplitz,
     NotTriangular,
     DegenerateDenominator,
     homogenize,
     substitute_squares,
-    x_parameterize,
-    reduce_circle,
-    circle_rationalize_xy,
+    circle_degree,
+    circle_image,
     triangular_toeplitz_det_adj,
     laurent_eval,
     _check_den_on_circle,
 )
+from ilc_sos import freqdomain as fd
 
 rng = np.random.default_rng(20240811)
 
@@ -137,7 +136,7 @@ def test_from_blocks_and_symmetry():
 
 
 # ---------------------------------------------------------------------------
-# homogenize / substitute_squares / x_parameterize
+# homogenize / substitute_squares
 
 
 def test_homogenize_preserves_simplex_values():
@@ -179,36 +178,54 @@ def test_substitute_squares_pointwise():
         )
 
 
-def test_x_parameterize_pointwise():
-    variables = ("x1", "x2", "l1")
-    G = PolyMatrix.from_rows([
-        [random_poly(variables, 2, 5), random_poly(variables, 2, 5)],
-        [random_poly(variables, 2, 5), random_poly(variables, 2, 5)],
-    ])
-    D = G.degree_in(["x1", "x2"])
-    Gh = x_parameterize(G)
-    assert Gh.variables == ("x", "l1")
-    for _ in range(10):
-        x = rng.normal() * 2
-        l = rng.normal()
-        s = 1 + x * x
-        pt_old = {"x1": (1 - x * x) / s, "x2": 2 * x / s, "l1": l}
-        expect = G.evaluate(pt_old) * s ** D
-        np.testing.assert_allclose(Gh.evaluate({"x": x, "l1": l}), expect, rtol=1e-8, atol=1e-8)
-
-
-def test_reduce_circle_pointwise():
-    p = random_poly(("x1", "x2", "l1"), 4, 10)
-    q = reduce_circle(p)
-    assert q.degree_in(["x1"]) <= 1
-    for _ in range(10):
-        w = rng.uniform(0, 2 * np.pi)
-        pt = {"x1": np.cos(w), "x2": np.sin(w), "l1": rng.normal()}
-        assert q.evaluate(pt) == pytest.approx(p.evaluate(pt), rel=1e-9, abs=1e-9)
-
-
 # ---------------------------------------------------------------------------
 # circle rationalization
+
+
+# L = l0 + lg1 z^-1
+L_TWO_TAP = fd.NoncausalFir(0, 1, ["l0", "lg1"])
+
+
+def test_circle_image_pointwise():
+    lam = ("l1",)
+    l1 = AffinePoly.variable(lam, "l1")
+    c = {-2: l1.scaled(0.7),
+         -1: AffinePoly.constant(lam, AffineCoeff(0.2, {"g": -1.5})),
+         0: AffinePoly.constant(lam, 1.0) - l1,
+         3: l1.scaled(-0.4)}
+    deg = 5  # above max |i| = 3: the image carries spare (1 + x^2) factors
+    re, im = circle_image(c, deg, ("x",) + lam)
+    assert re.variables == im.variables == ("x", "l1")
+    assert re.degree_in(["x"]) <= 2 * deg and im.degree_in(["x"]) <= 2 * deg
+    gains = {"g": 0.8}
+    for _ in range(20):
+        x, l = rng.normal() * 2, rng.normal()
+        z = (1 + 1j * x) / (1 - 1j * x)
+        want = laurent_eval(c, z, {"l1": l}, gains) * (1 + x * x) ** deg
+        pt = {"x": x, "l1": l}
+        got = complex(re.evaluate(pt, gains), im.evaluate(pt, gains))
+        assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
+    with pytest.raises(ValueError):
+        circle_image(c, 2, ("x",) + lam)
+
+
+def test_circle_degree_cancellations():
+    def k(value):
+        return AffinePoly.constant((), value)
+
+    # c_2 = c_-2: sin(2 omega) cancels, cos(2 omega) stays
+    c = {2: k(0.5), -2: k(0.5), 1: k(1.0), -1: k(0.3), 0: k(2.0)}
+    assert circle_degree(c) == 2
+    assert circle_degree(c, imag=True) == 1
+    # c_2 = -c_-2: cos(2 omega) cancels, sin(2 omega) stays
+    c[-2] = k(-0.5)
+    assert circle_degree(c) == 1
+    assert circle_degree(c, imag=True) == 2
+    # decision coefficients: g (z - 1/z) = 2j g sin(omega) has no cosine part
+    g = {1: k(AffineCoeff.decision("g")), -1: k(AffineCoeff.decision("g", -1.0))}
+    assert circle_degree(g) == 0
+    assert circle_degree(g, imag=True) == 1
+    assert circle_degree({0: k(3.0)}) == circle_degree({0: k(3.0)}, imag=True) == 0
 
 
 def test_circle_rationalize_xy_identity():
@@ -216,50 +233,44 @@ def test_circle_rationalize_xy_identity():
     one = AffinePoly.constant(lam, 1.0)
     lin1 = AffinePoly.variable(lam, "l1")
     lin2 = AffinePoly.variable(lam, "l2")
-    a = {0: one}
-    b = {1: AffinePoly.constant(lam, AffineCoeff.decision("l0", -1.0)),
-         0: AffinePoly.constant(lam, AffineCoeff.decision("lg1", -1.0))}
-    num = {1: lin1.scaled(2.0) + lin2.scaled(0.5), 0: one.scaled(-0.8)}
-    den = {2: one, 1: lin1.scaled(0.5) - lin2.scaled(0.7), 0: one.scaled(0.05)}
-    nu1, nu2, nu3 = circle_rationalize_xy(a, b, num, den)
-    assert not nu3.has_decisions()
-    assert nu3.degree_in(["x1"]) <= 1  # reduced modulo the circle
+    plant = fd.UncertainTransferFunction.from_coeffs(
+        [one.scaled(-0.8), lin1.scaled(2.0) + lin2.scaled(0.5)],
+        [one.scaled(0.05), lin1.scaled(0.5) - lin2.scaled(0.7), one], lam)
+    data = fd.build_T_hat(fd.NoncausalFir.unity(), L_TWO_TAP, plant)
+    assert data.T_hat.variables == ("x", "l1", "l2")
+    assert not data.nu3.has_decisions()
 
-    gains = {"l0": 0.3, "lg1": -0.1}
+    gains = {"l0": 0.3, "lg1": -0.1, "eta": 0.0}
     for _ in range(15):
         w = rng.uniform(0, 2 * np.pi)
         lpt = rng.dirichlet((1.0, 1.0))
         z = cmath.exp(1j * w)
-        point = {"x1": z.real, "x2": z.imag, "l1": lpt[0], "l2": lpt[1]}
+        point = {"x": math.tan(w / 2), "l1": lpt[0], "l2": lpt[1]}
         lam_pt = {"l1": lpt[0], "l2": lpt[1]}
-        P = laurent_eval(num, z, lam_pt) / laurent_eval(den, z, lam_pt)
+        P = plant.response(z, lam_pt)
         L = gains["l0"] + gains["lg1"] * z ** (-1)
         F = 1 - z * L * P
-        got = complex(nu1.evaluate(point, gains), nu2.evaluate(point, gains))
-        n3 = nu3.evaluate(point)
+        T = data.T_hat.evaluate(point, gains)
+        n3 = data.nu3.evaluate(point)
         assert n3 > 0
-        assert got / n3 == pytest.approx(F, rel=1e-9, abs=1e-9)
+        assert complex(T[0, 1], T[0, 2]) / n3 == pytest.approx(F, rel=1e-9, abs=1e-9)
 
 
 def test_circle_rationalize_single_rejects_circle_pole():
-    # the single-variable case lam = (): den = z + 1 vanishes at z = -1
-    novars = ()
-    a = {0: AffinePoly.constant(novars, 1.0)}
-    num = {0: AffinePoly.constant(novars, 1.0)}
-    den = {1: AffinePoly.constant(novars, 1.0), 0: AffinePoly.constant(novars, 1.0)}
+    # the plant without uncertainty 1/(z + 1) has its pole at z = -1
+    plant = fd.UncertainTransferFunction.from_coeffs([1.0], [1.0, 1.0], ())
     with pytest.raises(DegenerateDenominator):
-        circle_rationalize_xy(a, {}, num, den)
+        fd.build_T_hat(fd.NoncausalFir.unity(), L_TWO_TAP, plant)
 
 
 def test_circle_rationalize_xy_rejects_uncertain_circle_pole():
     lam = ("l1", "l2")
     one = AffinePoly.constant(lam, 1.0)
-    a = {0: one}
-    num = {0: one}
     # den = z - l1: hits the circle at the vertex l1 = 1
-    den = {1: one, 0: -AffinePoly.variable(lam, "l1")}
+    plant = fd.UncertainTransferFunction.from_coeffs(
+        [one], [-AffinePoly.variable(lam, "l1"), one], lam)
     with pytest.raises(DegenerateDenominator):
-        circle_rationalize_xy(a, {}, num, den)
+        fd.build_T_hat(fd.NoncausalFir.unity(), L_TWO_TAP, plant)
 
 
 def _scalar_den_check(den, lambda_points, n_omega=721, tol=1e-9):
@@ -372,13 +383,3 @@ def test_det_adj_structure_errors():
     Q[2, 2] = AffinePoly.constant(variables, 2.0)
     with pytest.raises(NotToeplitz):
         triangular_toeplitz_det_adj(Q)
-
-
-def test_complex_poly_pair():
-    variables = ("x",)
-    xp = AffinePoly.variable(variables, "x")
-    u = ComplexPolyPair(AffinePoly.constant(variables, 1.0), xp)
-    sq = u * u
-    for x in (-1.0, 0.3, 2.0):
-        assert sq.evaluate({"x": x}) == pytest.approx(complex(1, x) ** 2)
-    assert (u * u.conj()).im.is_zero()

@@ -10,7 +10,7 @@ def _ladder(monkeypatch, etas, passing):
     passes iff ``etas[k]`` is in ``passing``; returns the checked levels."""
     checked = []
 
-    def solve(prob, feas_tol, gap_tol):
+    def solve(prob, gap_tol):
         return sdp.SdpSolution("optimal", etas[prob.objective["k"]],
                                {"eta": etas[prob.objective["k"]]}, [])
 
@@ -27,7 +27,7 @@ def _ladder(monkeypatch, etas, passing):
     norm2 = AffinePoly.variable(("l",), "l") ** 2
     esc = result.escalate(base, norm2,
                           lambda S, k: SdpProblem([1], (), {"k": k}, []),
-                          k_max=len(etas) - 1, k_tol=0.0, feas_tol=1e-8, gap_tol=1e-9)
+                          k_max=len(etas) - 1, k_tol=0.0)
     return esc, checked
 
 
