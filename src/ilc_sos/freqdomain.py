@@ -322,7 +322,7 @@ def jury_stability(plant: UncertainTransferFunction, resolution: int = 50) -> Ju
     """
     lam_vars = plant.lambda_vars
     d = len(lam_vars)
-    pts = np.vstack([np.eye(d), simplex_mesh(d, resolution)])
+    pts = simplex_mesh(d, resolution)  # holds the vertices
     n = plant.n
 
     if n <= 2:

@@ -13,6 +13,14 @@ predictor-corrector, and one infeasible start at SDPT3's data-scaled point
     maximize    beta^T nu
     subject to  D^T nu = -c,    Z = -A*(nu) >= 0.
 
+The iteration keeps G, Z and every direction in one stacked (B, n, n) array,
+n the largest block, so each factorization (Cholesky, the SVD of the NT
+scaling, the eigenvalues of the step test) is one batched call, and A and
+A* are one bincount each over flat b n^2 + p n + q indices.  Each block is
+padded with identity in G and Z, and the pads are invisible: every direction
+is zero on them, so they stay exactly I, and they add nothing to mu, the
+residuals or the step lengths.  The returned Grams are per-block copies.
+
 The Schur complement M = A(W A*(.) W) is built block by block from the
 sparse constraint entries: the congruences W K_j W of all equalities are one
 batched product (each equality's few entries padded to a common length),
@@ -37,7 +45,6 @@ No external solver is involved anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -102,25 +109,30 @@ class _Assembled:
         fidx = {k: j for j, k in enumerate(self.free_ids)}
         self.beta = np.array([eq.rhs for eq in problem.equalities], dtype=float)
         self.D = np.zeros((p, q))
-        ent: list[list] = [[] for _ in self.dims]
         for i, eq in enumerate(problem.equalities):
             for k, w in eq.free.items():
                 self.D[i, fidx[k]] = w
-            for b, r, s, w in eq.gram:
-                ent[b].append((i, r, s, w))
-        self.blocks = []
-        for b, rows in enumerate(ent):
-            if rows:
-                arr = np.array(rows, dtype=float)
-                order = np.argsort(arr[:, 0], kind="stable")
-                arr = arr[order]
-                self.blocks.append((
-                    arr[:, 0].astype(int), arr[:, 1].astype(int),
-                    arr[:, 2].astype(int), arr[:, 3].copy(),
-                ))
-            else:
-                self.blocks.append((np.zeros(0, int), np.zeros(0, int),
-                                    np.zeros(0, int), np.zeros(0)))
+        # every Gram entry (b, i, p, q, w), by block, then by equality; each
+        # block's entries are a slice of these arrays
+        ent = np.array([(b, i, r, s, w) for i, eq in enumerate(problem.equalities)
+                        for b, r, s, w in eq.gram], dtype=float).reshape(-1, 5)
+        ent = ent[np.lexsort((ent[:, 1], ent[:, 0]))]
+        blk, self.eq, pp, qq = ent[:, :4].T.astype(int)
+        self.w = ent[:, 4]
+        cuts = np.searchsorted(blk, np.arange(1, len(self.dims)))
+        self.blocks = list(zip(*(np.split(x, cuts) for x in (self.eq, pp, qq, self.w))))
+        # The IPM keeps the blocks in one stacked (B, n, n) array, n the
+        # largest block, each padded with identity; an entry's flat index in
+        # it is b n^2 + p n + q.  A^*(nu) adds every (p, q) entry, then every
+        # (q, p) entry.
+        self.n = n = max(self.dims, default=0)
+        real = np.arange(n) < np.array(self.dims)[:, None]
+        self.mask = (real[:, :, None] & real[:, None, :]).astype(float)
+        self.pq = blk * n * n + pp * n + qq
+        self.at_idx = np.concatenate([self.pq, blk * n * n + qq * n + pp])
+        self.at_eq = np.concatenate([self.eq, self.eq])
+        self.at_w = np.concatenate([0.5 * self.w, 0.5 * self.w])
+
         self.c = np.array([problem.objective.get(k, 0.0) for k in self.free_ids])
         self.p = p
         self.ntot = sum(self.dims)
@@ -162,38 +174,32 @@ class _Assembled:
             P[row, slot], Q[row, slot], Wt[row, slot] = pp, qq, 0.5 * ww
             self.padded.append((active, starts, P, Q, Wt))
 
-    # linear operators ---------------------------------------------------
-    def apply_A(self, Gs: Sequence[np.ndarray]) -> np.ndarray:
-        out = np.zeros(self.p)
-        for (eq, pp, qq, ww), G in zip(self.blocks, Gs):
-            if len(eq):
-                out += np.bincount(eq, weights=ww * G[pp, qq], minlength=self.p)
-        return out
+    # linear operators on the stacked (B, n, n) array ---------------------
+    def apply_A(self, G: np.ndarray) -> np.ndarray:
+        return np.bincount(self.eq, weights=self.w * np.take(G, self.pq), minlength=self.p)
 
-    def apply_At(self, nu: np.ndarray) -> list:
-        outs = []
-        for (eq, pp, qq, ww), n in zip(self.blocks, self.dims):
-            M = np.zeros((n, n))
-            if len(eq):
-                vals = 0.5 * ww * nu[eq]
-                np.add.at(M, (pp, qq), vals)
-                np.add.at(M, (qq, pp), vals)
-            outs.append(M)
-        return outs
+    def apply_At(self, nu: np.ndarray) -> np.ndarray:
+        return np.bincount(self.at_idx, weights=self.at_w * nu[self.at_eq],
+                           minlength=self.mask.size).reshape(self.mask.shape)
+
+    def unpad(self, X: np.ndarray) -> list:
+        """Per-block copies of a stacked array."""
+        return [X[b, :n, :n].copy() for b, n in enumerate(self.dims)]
 
     def scalars(self, y: np.ndarray) -> dict:
         """Every free scalar by id; the ones fixed at assembly are 0."""
         vals = dict(zip(self.free_ids, y))
         return {k: vals.get(k, 0.0) for k in self.scalar_ids}
 
-    def schur(self, Ws: Sequence[np.ndarray]) -> np.ndarray:
-        """M_ij = sum_b tr(A_i W_b A_j W_b) = sum_b <K_i, W_b K_j W_b>."""
+    def schur(self, Ws: np.ndarray) -> np.ndarray:
+        """M_ij = sum_b tr(A_i W_b A_j W_b) = sum_b <K_i, W_b K_j W_b>,
+        for the stacked scalings Ws."""
         M = np.zeros((self.p, self.p))
-        for (eq, pp, qq, ww), (active, starts, P, Q, Wt), W in zip(
-                self.blocks, self.padded, Ws):
+        for (eq, pp, qq, ww), (active, starts, P, Q, Wt), Wb, n in zip(
+                self.blocks, self.padded, Ws, self.dims):
             if not len(eq):
                 continue
-            n = W.shape[0]
+            W = Wb[:n, :n]
             pq = pp * n + qq
             # bound the (equalities x n^2) and (equalities x entries) work
             # arrays so that large blocks do not raise peak memory
@@ -300,13 +306,12 @@ def _null_space_solver(A: _Assembled, M: np.ndarray):
     return solve
 
 
-def _max_step(Sig_half_inv: np.ndarray, delta_scaled: np.ndarray) -> float:
-    """Largest alpha with Sigma + alpha*Delta >= 0 (scaled coordinates)."""
-    S = Sig_half_inv[:, None] * delta_scaled * Sig_half_inv[None, :]
-    emin = float(np.linalg.eigvalsh(S)[0])
-    if emin >= -1e-14:
-        return np.inf
-    return -1.0 / emin
+def _max_step(Sig_half_inv: np.ndarray, delta_scaled: np.ndarray) -> np.ndarray:
+    """Largest alpha with Sigma + alpha*Delta >= 0 in every block (scaled
+    coordinates), for each stack (..., B, n, n) of directions Delta."""
+    S = Sig_half_inv[:, :, None] * delta_scaled * Sig_half_inv[:, None, :]
+    emin = np.linalg.eigvalsh(S)[..., 0].min(axis=-1)
+    return np.where(emin >= -1e-14, np.inf, 1.0 / np.maximum(-emin, 1e-14))
 
 
 # ---------------------------------------------------------------------------
@@ -321,15 +326,18 @@ def solve(problem: SdpProblem, feas_tol: float = 1e-8, gap_tol: float = 1e-8,
 
 def _starting_point(A: _Assembled) -> tuple:
     """SDPT3's infeasible start (Toh, Todd & Tutuncu 1999): G_b = xi_b I,
-    Z_b = eta_b I from the rhs and each equality's ||A_i^b||_F."""
+    Z_b = eta_b I from the rhs and each equality's ||A_i^b||_F; stacked,
+    with identity in the pads."""
     c_max = float(np.max(np.abs(A.c))) if A.q else 0.0
-    Gs, Zs = [], []
+    scales = []
     for (eq, pp, qq, ww), (active, *_), n in zip(A.blocks, A.padded, A.dims):
         fro = np.sqrt(np.bincount(eq, np.where(pp == qq, 1.0, 0.5) * ww * ww, A.p))[active]
         xi = n * np.max((1.0 + np.abs(A.beta[active])) / (1.0 + fro), initial=0.0)
-        Gs.append(np.eye(n) * max(10.0, np.sqrt(n), xi))
-        Zs.append(np.eye(n) * max(10.0, np.sqrt(n), np.max(fro, initial=0.0), c_max))
-    return Gs, Zs
+        scales.append((max(10.0, np.sqrt(n), xi),
+                       max(10.0, np.sqrt(n), np.max(fro, initial=0.0), c_max)))
+    eye = np.eye(A.n)
+    pads = eye * (1.0 - A.mask)
+    return tuple(v[:, None, None] * A.mask * eye + pads for v in np.array(scales).T)
 
 
 def _solve_ipm(A: _Assembled, feas_tol: float, gap_tol: float, max_iter: int) -> SdpSolution:
@@ -347,7 +355,13 @@ def _solve_ipm(A: _Assembled, feas_tol: float, gap_tol: float, max_iter: int) ->
     # the stopping tests measure mu against the data, not against the start
     scale0 = max(1.0, float(np.max(np.abs(A.beta))),
                  float(np.max(np.abs(A.c))) if q else 1.0)
-    Gs, Zs = _starting_point(A)
+    # G and Z are stacked (B, n, n) arrays whose pads stay exactly I: every
+    # direction is masked to the blocks' own rows and columns, in the original
+    # coordinates (the SVD's sort moves the pads in the scaled ones)
+    G, Z = _starting_point(A)
+    mask = A.mask
+    eye, zeros = np.eye(A.n), np.zeros_like(G)
+    tr = lambda X: X.transpose(0, 2, 1)
     y = np.zeros(q)
     nu = np.zeros(p)
 
@@ -375,30 +389,29 @@ def _solve_ipm(A: _Assembled, feas_tol: float, gap_tol: float, max_iter: int) ->
         return fail(msg, it)
 
     for it in range(max_iter):
-        rp = A.beta - A.apply_A(Gs) + A.D @ y
+        rp = A.beta - A.apply_A(G) + A.D @ y
         rfree = -A.c - A.D.T @ nu
-        Atnu = A.apply_At(nu)
-        Rd = [-At - Z for At, Z in zip(Atnu, Zs)]
+        Rd = (-A.apply_At(nu) - Z) * mask
 
-        mu = sum(np.sum(G * Z) for G, Z in zip(Gs, Zs)) / max(A.ntot, 1)
+        mu = float(np.vdot(G, Z * mask)) / max(A.ntot, 1)
         pobj = float(A.c @ y)
         dobj = float(A.beta @ nu)
         gap = abs(pobj - dobj) / (1.0 + max(abs(pobj), abs(dobj)))
         pinf = float(np.max(np.abs(rp))) / beta_scale
-        dinf = max([float(np.max(np.abs(rfree))) / c_scale if q else 0.0]
-                   + [float(np.max(np.abs(R))) / c_scale for R in Rd])
+        dinf = max(float(np.max(np.abs(rfree))) / c_scale if q else 0.0,
+                   float(np.max(np.abs(Rd))) / c_scale)
         trace.append({"iter": it, "mu": mu, "pinf": pinf, "dinf": dinf, "gap": gap})
 
         if not np.isfinite(mu) or not np.isfinite(pinf) or not np.isfinite(dinf):
             return finish("non-finite iterate", it)
         if pinf <= feas_tol and dinf <= feas_tol and (gap <= gap_tol or mu / scale0 <= gap_tol):
-            return SdpSolution("optimal", pobj, A.scalars(y), Gs,
+            return SdpSolution("optimal", pobj, A.scalars(y), A.unpad(G),
                                dual_values=nu, iterations=it, gap=gap,
                                primal_residual=pinf, dual_residual=dinf, trace=trace)
 
         score = max(pinf, dinf, min(gap, mu / scale0))
         if best is None or score < 0.9 * best_score:
-            best = (pobj, y.copy(), [G.copy() for G in Gs], nu.copy(),
+            best = (pobj, y.copy(), A.unpad(G), nu.copy(),
                     pinf, dinf, gap, mu, it)
             best_score = score
             no_improve = 0
@@ -408,99 +421,79 @@ def _solve_ipm(A: _Assembled, feas_tol: float, gap_tol: float, max_iter: int) ->
                 return finish("progress stalled near optimum", it)
         if dinf <= 1e-6 and dobj > 1e10 * beta_scale:
             return SdpSolution("infeasible", float("inf"),
-                               dict.fromkeys(A.scalar_ids, float("nan")), Gs,
+                               dict.fromkeys(A.scalar_ids, float("nan")), A.unpad(G),
                                dual_values=nu, iterations=it, gap=gap,
                                primal_residual=pinf, dual_residual=dinf,
                                message="dual objective diverging", trace=trace)
         if pinf <= 1e-6 and pobj < -1e10 * c_scale:
-            return SdpSolution("unbounded", float("-inf"), A.scalars(y), Gs,
+            return SdpSolution("unbounded", float("-inf"), A.scalars(y), A.unpad(G),
                                iterations=it, gap=gap, primal_residual=pinf,
                                dual_residual=dinf, message="primal objective diverging",
                                trace=trace)
 
-        # Nesterov-Todd scaling per block: W = R R^T, R^-1 G R^-T = R^T Z R = Sigma
-        Rs, Rinvs, sigs, Ws = [], [], [], []
-        for G, Z in zip(Gs, Zs):
-            LG, LZ = _chol(G), _chol(Z)
-            if LG is None or LZ is None:
-                return finish("iterate lost positive definiteness", it)
-            U, s, Vt = np.linalg.svd(LZ.T @ LG)
-            if np.min(s) <= 0:
-                return finish("iterate lost positive definiteness", it)
-            R = LG @ Vt.T / np.sqrt(s)[None, :]
-            Rinv = (Vt.T * np.sqrt(s)[None, :]).T @ np.linalg.inv(LG)
-            Rs.append(R)
-            Rinvs.append(Rinv)
-            sigs.append(s)
-            Ws.append(R @ R.T)
+        # Nesterov-Todd scaling: W = R R^T, R^-1 G R^-T = R^T Z R = Sigma, from
+        # L_Z^T L_G = U Sigma V^T; R^-1 = Sigma^-1/2 U^T L_Z^T needs no inverse
+        LG, LZ = _chol(G), _chol(Z)
+        if LG is None or LZ is None:
+            return finish("iterate lost positive definiteness", it)
+        U, s, Vt = np.linalg.svd(tr(LZ) @ LG)
+        if np.min(s) <= 0:
+            return finish("iterate lost positive definiteness", it)
+        rs = np.sqrt(s)
+        R = LG @ tr(Vt) / rs[:, None, :]
+        Rinv = tr(U) / rs[:, :, None] @ tr(LZ)
+        W = R @ tr(R)
 
-        kkt = _null_space_solver(A, A.schur(Ws))
+        kkt = _null_space_solver(A, A.schur(W))
         if kkt is None:
             return finish("Schur complement not PD", it)
 
-        def newton_raw(rp_loc, rfree_loc, Rd_loc, Vs):
-            """Direction from scaled complementarity targets Vs (= dG~ + dZ~)."""
-            h1 = rp_loc.copy()
-            for b, (R, W, Rd_b, V) in enumerate(zip(Rs, Ws, Rd_loc, Vs)):
-                tmp = R @ V @ R.T - W @ Rd_b @ W
-                eqb, ppb, qqb, wwb = A.blocks[b]
-                if len(eqb):
-                    h1 -= np.bincount(eqb, weights=wwb * tmp[ppb, qqb], minlength=p)
-            dnu, dy = kkt(h1, rfree_loc)
+        def newton_raw(rp_loc, rfree_loc, Rd_loc, tmp):
+            """Direction whose dG is tmp + W A^*(dnu) W; tmp = R V R^T - W Rd W
+            for scaled complementarity targets V (= dG~ + dZ~)."""
+            dnu, dy = kkt(rp_loc - A.apply_A(tmp), rfree_loc)
             Atdnu = A.apply_At(dnu)
             # symmetric directions: apply_A reads one triangle of dG, so
             # roundoff in the congruences would otherwise drift G off symmetry
-            dZs = [Rd_b - At for Rd_b, At in zip(Rd_loc, Atdnu)]
-            dGs = [R @ V @ R.T - W @ Rd_b @ W + W @ At @ W
-                   for R, W, Rd_b, At, V in zip(Rs, Ws, Rd_loc, Atdnu, Vs)]
-            return ([0.5 * (X + X.T) for X in dGs], dy, dnu,
-                    [0.5 * (X + X.T) for X in dZs])
+            dZ = Rd_loc - Atdnu
+            dG = tmp + W @ Atdnu @ W
+            return 0.5 * (dG + tr(dG)) * mask, dy, dnu, 0.5 * (dZ + tr(dZ))
 
-        zeros = [np.zeros((n, n)) for n in dims]
-
-        def newton(Vs):
+        def newton(V):
             # one KKT-level refinement pass: the complementarity and dual rows
             # are satisfied to roundoff by construction, so only the primal and
             # free-variable residuals need a correction solve
-            dGs, dy, dnu, dZs = newton_raw(rp, rfree, Rd, Vs)
-            res_p = rp - A.apply_A(dGs) + A.D @ dy
+            dG, dy, dnu, dZ = newton_raw(rp, rfree, Rd, R @ V @ tr(R) - W @ Rd @ W)
+            res_p = rp - A.apply_A(dG) + A.D @ dy
             res_f = rfree - A.D.T @ dnu
             cG, cy, cnu, cZ = newton_raw(res_p, res_f, zeros, zeros)
-            return ([dG + c for dG, c in zip(dGs, cG)], dy + cy,
-                    dnu + cnu, [dZ + c for dZ, c in zip(dZs, cZ)])
+            return dG + cG, dy + cy, dnu + cnu, dZ + cZ
 
-        def step_lengths(dGs, dZs):
+        def step_lengths(dG, dZ):
             """Fraction-to-boundary steps (primal, dual) and the scaled directions."""
-            dGt = [Rinv @ dG @ Rinv.T for Rinv, dG in zip(Rinvs, dGs)]
-            dZt = [R.T @ dZ @ R for R, dZ in zip(Rs, dZs)]
-            inv_sqrt = [1.0 / np.sqrt(s) for s in sigs]
-            ap = min(1.0, 0.99 * min(map(_max_step, inv_sqrt, dGt)))
-            ad = min(1.0, 0.99 * min(map(_max_step, inv_sqrt, dZt)))
-            return ap, ad, dGt, dZt
+            dt = np.stack([Rinv @ dG @ tr(Rinv), tr(R) @ dZ @ R])
+            ap, ad = np.minimum(1.0, 0.99 * _max_step(1.0 / rs, dt))
+            return ap, ad, dt
 
         # predictor
-        dGa, dya, dnua, dZa = newton([np.diag(-s) for s in sigs])
-        ap, ad, dGt, dZt = step_lengths(dGa, dZa)
+        dGa, dya, dnua, dZa = newton(-s[:, :, None] * eye)
+        ap, ad, (dGt, dZt) = step_lengths(dGa, dZa)
 
-        mu_aff = sum(np.sum((G + ap * dG) * (Z + ad * dZ))
-                     for G, Z, dG, dZ in zip(Gs, Zs, dGa, dZa)) / max(A.ntot, 1)
+        mu_aff = float(np.vdot(G + ap * dGa, (Z + ad * dZa) * mask)) / max(A.ntot, 1)
         sigma = float(np.clip((max(mu_aff, 0.0) / mu) ** 3, 1e-10, 0.999))
 
         # corrector
-        Vs = []
-        for s, dg, dz in zip(sigs, dGt, dZt):
-            Rc = -np.diag(s * s) + sigma * mu * np.eye(len(s)) - 0.5 * (dg @ dz + dz @ dg)
-            Vs.append(2.0 * Rc / (s[:, None] + s[None, :]))
-        dGs, dy, dnu, dZs = newton(Vs)
-        ap, ad, _, _ = step_lengths(dGs, dZs)
+        Rc = (sigma * mu - s * s)[:, :, None] * eye - 0.5 * (dGt @ dZt + dZt @ dGt)
+        dG, dy, dnu, dZ = newton(2.0 * Rc / (s[:, :, None] + s[:, None, :]))
+        ap, ad, _ = step_lengths(dG, dZ)
         if not np.isfinite(ap) or not np.isfinite(ad) or ap <= 1e-12 or ad <= 1e-12:
             return finish("step length collapsed", it)
 
-        Gs = [G + ap * dG for G, dG in zip(Gs, dGs)]
+        G = G + ap * dG
         y = y + ap * dy
-        Zs = [Z + ad * dZ for Z, dZ in zip(Zs, dZs)]
+        Z = Z + ad * dZ
         nu = nu + ad * dnu
-        trace[-1].update(ap=ap, ad=ad, sigma=sigma)
+        trace[-1].update(ap=float(ap), ad=float(ad), sigma=sigma)
 
     return finish(f"no convergence in {max_iter} iterations", max_iter)
 

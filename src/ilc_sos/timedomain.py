@@ -284,10 +284,7 @@ def build_M(problem: TimeSynthesisProblem) -> PolyMatrix:
     I = PolyMatrix.identity(N, variables)
     W = (P @ Q @ (I - L @ P)) @ adj
     head = I.scaled((det * det).scaled(AffineCoeff.decision("eta")))
-    M = PolyMatrix.from_blocks([[head, W.transpose()], [W, I]])
-    if variables:
-        M = homogenize(M, variables)
-    return M
+    return homogenize(PolyMatrix.from_blocks([[head, W.transpose()], [W, I]]), variables)
 
 
 # ---------------------------------------------------------------------------

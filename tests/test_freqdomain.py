@@ -115,6 +115,17 @@ def test_jury_matches_root_magnitudes():
         checked += 1
 
 
+@pytest.mark.parametrize("d, distinct", [(1, 1), (2, 51), (3, 1326)])
+def test_jury_counts_each_sample_once(d, distinct):
+    # den z + c(lam) on the simplex in d coordinates, default resolution 50:
+    # C(50 + d - 1, d - 1) distinct grid points, the vertices among them
+    lam = tuple(f"lam{i + 1}" for i in range(d))
+    c = lin(lam, 0.0, *np.linspace(-0.6, 0.4, d))
+    rep = fd.jury_stability(fd.UncertainTransferFunction.from_coeffs([1.0], [c, 1.0], lam))
+    assert rep.n_points == distinct
+    assert rep.margin == pytest.approx(0.4)  # at the vertex lam1 = 1
+
+
 def test_jury_paper_plant_robustly_stable():
     rep = fd.jury_stability(paper_plant())
     assert rep.stable

@@ -144,14 +144,16 @@ def _random_assembled(n_free=0):
             eq.free = {f"f{j}": float(frng.normal()) for j in range(n_free)}
         objective = {"f0": 1.0}
     prob = make_problem(dims, eqs, objective)
-    Ws = []
-    for n in dims:
+    # scalings stacked as the IPM keeps them: (B, 5, 5), identity in the pads
+    Ws = np.stack([np.eye(max(dims))] * len(dims))
+    for b, n in enumerate(dims):
         X = rng.normal(size=(n, n))
-        Ws.append(X @ X.T + n * np.eye(n))
+        Ws[b, :n, :n] = X @ X.T + n * np.eye(n)
     return sdp._Assembled(prob), Ws
 
 
 def _unit_At(A):
+    # A^*(e_i), stacked and zero in the pads
     return [A.apply_At(np.eye(A.p)[i]) for i in range(A.p)]
 
 
@@ -229,3 +231,71 @@ def test_refined_solve_on_ill_conditioned_schur():
     Bs = Ms @ rng.normal(size=p)
     Xs = sdp._refined_solver(Ms)(Bs)
     assert np.linalg.norm(Bs - Ms @ Xs) <= 100 * eps * np.linalg.norm(Bs)
+
+
+def _mixed_size_problem():
+    # blocks [1, 3, 2]: min y s.t. diag(G1) = y with the path graph's unit
+    # off-diagonals, G0 = y - 1 (an n = 1 block), and G2 in no equality;
+    # y* = sqrt(2), the path matrix's largest eigenvalue
+    eqs = [Equality([(1, i, i, 1.0)], {"y": 1.0}, 0.0) for i in range(3)]
+    eqs += [Equality([(1, 0, 1, 1.0)], {}, 1.0), Equality([(1, 1, 2, 1.0)], {}, 1.0),
+            Equality([(1, 0, 2, 1.0)], {}, 0.0), Equality([(0, 0, 0, 1.0)], {"y": 1.0}, -1.0)]
+    return make_problem([1, 3, 2], eqs, {"y": 1.0})
+
+
+def test_mixed_size_blocks_solve_to_reference():
+    sol = sdp.solve(_mixed_size_problem())
+    assert sol.ok and not sol.message
+    # reference: the same program solved block by block, without the stacking
+    assert sol.objective_value == pytest.approx(1.4142135633519517, abs=1e-9)
+    assert [G.shape for G in sol.gram_values] == [(1, 1), (3, 3), (2, 2)]
+    assert sol.gram_values[0][0, 0] == pytest.approx(np.sqrt(2) - 1, abs=1e-7)
+
+
+@pytest.mark.parametrize("problem", [_mixed_size_problem(), _random_assembled()[0]],
+                         ids=["mixed-size", "random"])
+def test_pads_stay_identity_at_every_iterate(monkeypatch, problem):
+    # every stacked factorization the IPM asks for is of an iterate G or Z
+    seen = []
+    chol = sdp._chol
+
+    def recording(M):
+        if M.ndim == 3:
+            seen.append(M.copy())
+        return chol(M)
+
+    monkeypatch.setattr(sdp, "_chol", recording)
+    A = problem if isinstance(problem, sdp._Assembled) else sdp._Assembled(problem)
+    sol = sdp._solve_ipm(A, 1e-8, 1e-8, 200)
+    assert sol.iterations >= 5 and len(seen) == 2 * sol.iterations
+    pad = A.mask == 0
+    assert pad.any()
+    eye = np.broadcast_to(np.eye(A.n), A.mask.shape)
+    for X in seen:
+        np.testing.assert_array_equal(X[pad], eye[pad])
+    # and they add nothing to mu: iteration k factors G, then Z
+    for k, rec in enumerate(sol.trace[:sol.iterations]):
+        G, Z = seen[2 * k], seen[2 * k + 1]
+        mu = sum(np.vdot(G[b, :n, :n], Z[b, :n, :n]) for b, n in enumerate(A.dims))
+        assert rec["mu"] == pytest.approx(mu / sum(A.dims), rel=1e-12)
+
+
+def test_batched_max_step_is_the_per_block_minimum():
+    rng = np.random.default_rng(11)
+    B, n = 4, 6
+    inv_sqrt = 1.0 / rng.uniform(0.1, 3.0, size=(B, n))
+    sym = lambda X: X + np.swapaxes(X, -1, -2)
+    deltas = sym(rng.normal(size=(3, B, n, n)))
+    # a direction that keeps every block positive definite: no bound
+    deltas[2] = np.eye(n)
+
+    def one_block(s_inv, D):
+        # the unbatched step of a single block (scaled coordinates)
+        emin = float(np.linalg.eigvalsh(s_inv[:, None] * D * s_inv[None, :])[0])
+        return np.inf if emin >= -1e-14 else -1.0 / emin
+
+    ref = [min(one_block(inv_sqrt[b], deltas[k, b]) for b in range(B)) for k in range(3)]
+    got = sdp._max_step(inv_sqrt, deltas)
+    assert got.shape == (3,) and got[2] == np.inf
+    np.testing.assert_allclose(got, ref, rtol=1e-13)
+    assert sdp._max_step(inv_sqrt, deltas[0]) == pytest.approx(ref[0], rel=1e-13)
