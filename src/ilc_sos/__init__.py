@@ -24,12 +24,9 @@ from .polyalg import (
     AffinePoly,
     PolyMatrix,
     AffinityError,
-    NotToeplitz,
-    NotTriangular,
     DegenerateDenominator,
     homogenize,
     substitute_squares,
-    triangular_toeplitz_det_adj,
 )
 from .soscompiler import SdpProblem, compile_sos, monomial_basis, check_certificate
 from .sdp import SdpSolution, SolverFailure, solve
@@ -76,12 +73,9 @@ __all__ = [
     "AffinePoly",
     "PolyMatrix",
     "AffinityError",
-    "NotToeplitz",
-    "NotTriangular",
     "DegenerateDenominator",
     "homogenize",
     "substitute_squares",
-    "triangular_toeplitz_det_adj",
     "SdpProblem",
     "compile_sos",
     "monomial_basis",

@@ -31,14 +31,6 @@ class AffinityError(Exception):
     """Product would be bilinear in the decision variables."""
 
 
-class NotTriangular(Exception):
-    """Matrix expected to be lower triangular is not."""
-
-
-class NotToeplitz(Exception):
-    """Matrix expected to be (lower-triangular) Toeplitz is not."""
-
-
 class DegenerateDenominator(Exception):
     """Plant denominator vanishes (or nearly vanishes) on the unit circle."""
 
@@ -753,58 +745,3 @@ def _check_den_on_circle(den: Mapping[int, AffinePoly], lambda_points: Iterable[
             raise DegenerateDenominator(
                 f"denominator has magnitude {mags[bad[0]]:.2e} at omega={omegas[bad[0]]:.4f}, "
                 f"point={dict(pt)}")
-
-
-# ---------------------------------------------------------------------------
-# lower-triangular Toeplitz determinant / adjugate
-
-
-def triangular_toeplitz_det_adj(P: PolyMatrix) -> tuple[AffinePoly, PolyMatrix]:
-    """Determinant and adjugate of a lower-triangular Toeplitz matrix.
-
-    Division-free: with first column p1..pN, det = p1^N and the adjugate is
-    again lower-triangular Toeplitz with first column
-
-        g_k = p1^(N-1-k) * e_k,   e_0 = 1,
-        e_k = -sum_{j=1..k} p_{j+1} p1^(j-1) e_{k-j}.
-
-    P @ adj == det * I holds exactly (no truncation involved).
-    """
-    if P.rows != P.cols:
-        raise ValueError("matrix must be square")
-    N = P.rows
-    variables = P.variables
-    scale = max(p.max_magnitude() for p in P.entries) if P.entries else 0.0
-    tol = 1e-12 * max(scale, 1.0)
-    for i in range(N):
-        for j in range(i + 1, N):
-            if P[i, j].max_magnitude() > tol:
-                raise NotTriangular(f"entry ({i},{j}) above the diagonal is nonzero")
-    for i in range(N):
-        for j in range(i + 1):
-            if not P[i, j].allclose(P[i - j, 0], 1e-9):
-                raise NotToeplitz(f"entry ({i},{j}) differs from first-column entry {i - j}")
-    for p in P.entries:
-        if p.has_decisions():
-            raise ValueError("det/adj requires decision-free entries")
-
-    p = [P[i, 0] for i in range(N)]  # p[0] = p1
-    det = p[0] ** N
-
-    e = [AffinePoly.constant(variables, 1.0)]
-    p1_pow = [AffinePoly.constant(variables, 1.0)]  # p1^0, p1^1, ...
-    for k in range(1, N):
-        p1_pow.append(p1_pow[-1] * p[0])
-        acc = AffinePoly.zero(variables)
-        for j in range(1, k + 1):
-            acc = acc + p[j] * p1_pow[j - 1] * e[k - j]
-        e.append(-acc)
-    while len(p1_pow) < N:
-        p1_pow.append(p1_pow[-1] * p[0])
-
-    g = [p1_pow[N - 1 - k] * e[k] for k in range(N)]
-    adj = PolyMatrix.zeros(N, N, variables)
-    for i in range(N):
-        for j in range(i + 1):
-            adj[i, j] = g[i - j]
-    return det, adj

@@ -249,8 +249,8 @@ def _refined_solver(M: np.ndarray):
     it factorable.  The triangular factor is inverted, so each solve is
     matrix products only.  Iterative refinement against the unridged M then
     removes any ridge bias and the rounding of the inverse: a sweep is kept
-    while it lowers the residual norm, for at most five sweeps (LAPACK's
-    limit in xPORFS).
+    while it lowers the squared residual norm, for at most five sweeps
+    (LAPACK's limit in xPORFS).
     """
     scale = max(1.0, float(M.diagonal().max()))
     for ridge in _RIDGES:
@@ -264,11 +264,11 @@ def _refined_solver(M: np.ndarray):
     def solve(B):
         X = Li.T @ (Li @ B)
         R = B - M @ X
-        res = np.linalg.norm(R)
+        res = np.vdot(R, R)
         for _ in range(5):
             Xc = X + Li.T @ (Li @ R)
             Rc = B - M @ Xc
-            res_c = np.linalg.norm(Rc)
+            res_c = np.vdot(Rc, Rc)
             if not res_c < res:
                 break
             X, R, res = Xc, Rc, res_c

@@ -6,12 +6,23 @@ matrices.  The guaranteed trial-to-trial contraction rate is
 
     gamma = max over the simplex of  sigma_max( P Q (I - L P) P^-1 )
 
-and gamma <= sqrt(eta) is certified by a polynomial matrix inequality: with
-W = P Q (I - L P) adj(P) and a = det(P), the 2N x 2N block matrix
+and gamma <= sqrt(eta) is certified by a polynomial matrix inequality that
+forms no rational function of lambda.  Lower-triangular Toeplitz matrices
+are polynomials in the shift matrix, so they commute (Norrlof & Gunnarsson
+2002).  For a causal Q the contraction matrix is therefore T = Q (I - P L),
+and
 
-    [[eta * a^2 * I, W^T], [W, I]]
+    [[eta * I, T^T], [T, I]]
 
-must be PSD on the simplex.  After homogenizing in the simplex weights,
+must be PSD on the simplex; it has the degree of P and is affine in L.  A
+non-causal Q = Qc + Qa, with Qa its taps at d < 0, leaves the contraction
+matrix Qc (I - P L) + P Qa (P^-1 - L).  When p1 is constant P^-1 is a
+polynomial matrix, so that matrix takes T's place.  Otherwise the
+congruence by P gives the equivalent condition with X = P Q (I - L P):
+
+    [[eta * P^T P, X^T], [X, I]]
+
+of twice P's degree.  After homogenizing in the simplex weights,
 substituting lam -> lam^2 and multiplying by ||lam||^(2k), positivity is
 relaxed to an SOS feasibility problem that tightens as k grows.
 """
@@ -19,17 +30,26 @@ relaxed to an SOS feasibility problem that tightens as k grows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
 import warnings
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .polyalg import (AffineCoeff, AffinePoly, PolyMatrix, substitute_squares,
-                      homogenize, triangular_toeplitz_det_adj)
+                      homogenize)
 from .soscompiler import compile_sos, kron_pairs, monomial_basis, sign_classes
 from .result import SynthesisResult, decision_value, escalate
 
-MAX_TRIAL_LENGTH = 8
+# Two limits keep synth_time near a 10 s budget (2 vCPUs, one BLAS thread,
+# CLI defaults; every timing is in BENCH_11.json).  The program size stops
+# Markov parameters whose degree grows with N, as for a plant lifted by
+# from_transfer: the lifted paper plant took 10.0 s at N = 8 (size 2312) and
+# 19.2 s at N = 9 (2907).  The trial length stops affine Markov parameters,
+# whose time grows faster than their size: N = 13 took 9.2 s with two
+# weights and a non-causal Q, but three weights took 11.4 s already at 12.
+MAX_TRIAL_LENGTH = 12
+MAX_PROGRAM_SIZE = 2400
 
 
 class SingularPlant(Exception):
@@ -268,11 +288,30 @@ def build_filter_matrix(filt: LiftedFilter, N: int, variables: Sequence[str] = (
     return PolyMatrix.from_rows(rows)
 
 
-def build_M(problem: TimeSynthesisProblem) -> PolyMatrix:
-    """Homogenized 2N x 2N block matrix [[eta a^2 I, W^T], [W, I]].
+def _inverse_markov(markov: Sequence[AffinePoly]) -> list:
+    """Markov parameters of P^-1 for a constant p_1 (then they are polynomials)."""
+    variables = markov[0].variables
+    c = 1.0 / markov[0].evaluate(dict.fromkeys(variables, 0.0))
+    inv = [AffinePoly.constant(variables, c)]
+    for k in range(1, len(markov)):
+        acc = AffinePoly.zero(variables)
+        for j in range(1, k + 1):
+            acc = acc + markov[j] * inv[k - j]
+        inv.append(acc.scaled(-c))
+    return inv
 
-    W = P Q (I - L P) adj(P), a = det(P); PSD of this block on the simplex
-    is the Schur-complement form of sigma_max(P Q (I - L P) P^-1) <= sqrt(eta).
+
+def build_M(problem: TimeSynthesisProblem) -> PolyMatrix:
+    """Homogenized 2N x 2N block matrix whose PSD on the simplex is
+    sigma_max(P Q (I - L P) P^-1) <= sqrt(eta).
+
+    Causal Q (no tap at d < 0): [[eta I, T^T], [T, I]] with T = Q (I - P L).
+    T is the contraction matrix itself, since P Q = Q P gives
+    P Q (I - L P) P^-1 = Q - Q P L for any L.  A non-causal Q = Qc + Qa
+    (Qa: the taps at d < 0) with a constant p1 gives the same block with
+    T = Qc (I - P L) + P Qa (P^-1 - L), P^-1 polynomial.  Otherwise
+    [[eta P^T P, X^T], [X, I]] with X = P Q (I - L P), the congruence of
+    the same condition by P.
     """
     plant = problem.plant
     N = plant.N
@@ -280,11 +319,18 @@ def build_M(problem: TimeSynthesisProblem) -> PolyMatrix:
     P = build_lifted_plant(plant.markov, N)
     Q = build_filter_matrix(problem.qfilter, N, variables)
     L = build_filter_matrix(problem.lstructure, N, variables)
-    det, adj = triangular_toeplitz_det_adj(P)
     I = PolyMatrix.identity(N, variables)
-    W = (P @ Q @ (I - L @ P)) @ adj
-    head = I.scaled((det * det).scaled(AffineCoeff.decision("eta")))
-    return homogenize(PolyMatrix.from_blocks([[head, W.transpose()], [W, I]]), variables)
+    eta = AffineCoeff.decision("eta")
+    future = problem.qfilter.coeffs[:N - 1]  # taps c_{-(N-1)}..c_{-1}
+    if not any(future):
+        R, head = Q @ (I - P @ L), I.scaled(eta)
+    elif plant.markov[0].degree() == 0:
+        Qa = build_filter_matrix(LiftedFilter(N, future + (0.0,) * N), N, variables)
+        Pinv = build_lifted_plant(_inverse_markov(plant.markov), N)
+        R, head = (Q - Qa) @ (I - P @ L) + P @ Qa @ (Pinv - L), I.scaled(eta)
+    else:
+        R, head = P @ Q @ (I - L @ P), (P.transpose() @ P).scaled(eta)
+    return homogenize(PolyMatrix.from_blocks([[head, R.transpose()], [R, I]]), variables)
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +370,17 @@ def contraction_matrix(plant: LiftedUncertainPlant, q_taps: np.ndarray,
     return P @ Qm @ (np.eye(N) - Lm @ P) @ np.linalg.inv(P)
 
 
+def program_size(N: int, n_lambda: int, deg_lambda: int) -> int:
+    """Size of the level-0 SOS program for a 2N x 2N block of lambda-degree d.
+
+    Counts (monomial, entry) pairs of its coefficient identity: monomials of
+    degree 2d in the simplex weights times the N (2N + 1) upper-triangle
+    entries.  It bounds the equality count and is known before compiling.
+    """
+    monomials = math.comb(2 * deg_lambda + n_lambda - 1, n_lambda - 1) if n_lambda else 1
+    return monomials * N * (2 * N + 1)
+
+
 def _gain_list(filt: LiftedFilter, gains: Mapping[str, float]) -> list:
     return [decision_value(gains, c) for c in filt.coeffs if isinstance(c, str)]
 
@@ -346,14 +403,20 @@ def synth_time(problem: TimeSynthesisProblem) -> SynthesisResult:
     N = plant.N
     if N > MAX_TRIAL_LENGTH:
         raise ValueError(
-            f"trial length N={N} blows up the lifted program; "
-            "use the frequency-domain route (synth_freq_robust)")
+            f"trial length N={N} is above the lifted program's limit of "
+            f"{MAX_TRIAL_LENGTH}; use the frequency-domain route (synth_freq_robust)")
     lam = plant.lambda_vars
     M = build_M(problem)
     variables = M.variables
+    deg_lambda = M.degree_in(lam)
+    size = program_size(N, len(lam), deg_lambda)
+    if size > MAX_PROGRAM_SIZE:
+        raise ValueError(
+            f"the lifted program at N={N} (lambda-degree {deg_lambda}, {len(lam)} "
+            f"simplex weights) has size {size}, above the limit of {MAX_PROGRAM_SIZE}; "
+            "use the frequency-domain route (synth_freq_robust)")
 
     flips = [((variables.index(v),), ()) for v in lam]
-    deg_lambda = M.degree_in(lam)
     base = substitute_squares(M, lam)
     norm2 = AffinePoly.zero(variables)
     for v in lam:

@@ -15,7 +15,6 @@ from ilc_sos.polyalg import (
     PolyMatrix,
     homogenize,
     substitute_squares,
-    triangular_toeplitz_det_adj,
 )
 from ilc_sos.soscompiler import SosCertificate, check_certificate, kron_pairs, monomial_basis
 from ilc_sos import freqdomain as fd
@@ -271,18 +270,18 @@ def test_criterion_7_structural_properties():
         worst = max(worst, abs(ratio - direct))
     assert worst <= 1e-9
 
-    # P adj(P) = det(P) I as polynomials
+    # causal lifted operators commute: P Q (I - L P) = Q (I - P L) P as
+    # polynomials, for any L (the rate matrix of build_M's causal-Q form)
     lam2 = ("lam1", "lam2")
     markov = [lin(lam2, 0.0, rng.uniform(0.5, 1.5), rng.uniform(0.5, 1.5))]
     markov += [lin(lam2, 0.0, rng.normal(), rng.normal()) for _ in range(3)]
     P = td.build_lifted_plant(markov, 4)
-    det, adj = triangular_toeplitz_det_adj(P)
-    prod = P @ adj
-    zero = AffinePoly.zero(P.variables)
-    for r in range(4):
-        for s in range(4):
-            want = det if r == s else zero
-            assert prod[r, s].allclose(want, 1e-12)
+    Q = td.build_filter_matrix(td.LiftedFilter(4, (0.0,) * 3 + tuple(rng.normal(size=4))),
+                               4, lam2)
+    L = td.build_filter_matrix(td.LiftedFilter.full_decision(4), 4, lam2)
+    I = PolyMatrix.identity(4, lam2)
+    for a, b in zip((P @ Q @ (I - L @ P)).entries, (Q @ (I - P @ L) @ P).entries):
+        assert a.allclose(b, 1e-12)
 
     # Gram certificate round-trip at machine precision
     basis = monomial_basis(("x", "y"), [(("x", "y"), "graded", 2)])

@@ -9,14 +9,11 @@ from ilc_sos.polyalg import (
     AffinePoly,
     PolyMatrix,
     AffinityError,
-    NotToeplitz,
-    NotTriangular,
     DegenerateDenominator,
     homogenize,
     substitute_squares,
     circle_degree,
     circle_image,
-    triangular_toeplitz_det_adj,
     laurent_eval,
     _check_den_on_circle,
 )
@@ -315,71 +312,3 @@ def test_den_on_circle_check_matches_scalar_loop():
         assert (want is None) == stable
         assert _den_verdict(den, points) == want
     assert _den_verdict(cases[3][0], points) == "omega=3.1416, point={'l1': 1.0, 'l2': 0.0}"
-
-
-# ---------------------------------------------------------------------------
-# triangular Toeplitz determinant / adjugate
-
-
-def toeplitz_from_markov(markov):
-    variables = markov[0].variables
-    N = len(markov)
-    P = PolyMatrix.zeros(N, N, variables)
-    for i in range(N):
-        for j in range(i + 1):
-            P[i, j] = markov[i - j]
-    return P
-
-
-def test_det_adj_known_case():
-    variables = ()
-    markov = [AffinePoly.constant(variables, v) for v in (1.0, 2.0, 3.0)]
-    P = toeplitz_from_markov(markov)
-    det, adj = triangular_toeplitz_det_adj(P)
-    assert det.evaluate({}) == pytest.approx(1.0)
-    np.testing.assert_allclose(
-        adj.evaluate({}),
-        np.array([[1.0, 0, 0], [-2.0, 1.0, 0], [1.0, -2.0, 1.0]]),
-        atol=1e-12,
-    )
-
-
-def test_det_adj_exact_identity_symbolic():
-    variables = ("t",)
-    markov = [random_poly(variables, 2, 3) for _ in range(4)]
-    # make sure p1 isn't the zero polynomial
-    markov[0] = markov[0] + AffinePoly.constant(variables, 1.5)
-    P = toeplitz_from_markov(markov)
-    det, adj = triangular_toeplitz_det_adj(P)
-    prod = P @ adj
-    for i in range(4):
-        for j in range(4):
-            want = det if i == j else AffinePoly.zero(variables)
-            diff = prod[i, j] - want
-            assert diff.max_magnitude() <= 1e-9 * max(det.max_magnitude(), 1.0)
-
-
-def test_det_adj_matches_numpy():
-    variables = ()
-    vals = rng.normal(size=5)
-    vals[0] = 1.0 + abs(vals[0])
-    markov = [AffinePoly.constant(variables, v) for v in vals]
-    P = toeplitz_from_markov(markov)
-    det, adj = triangular_toeplitz_det_adj(P)
-    Pn = P.evaluate({})
-    assert det.evaluate({}) == pytest.approx(np.linalg.det(Pn), rel=1e-9)
-    np.testing.assert_allclose(
-        adj.evaluate({}), np.linalg.det(Pn) * np.linalg.inv(Pn), rtol=1e-9, atol=1e-12
-    )
-
-
-def test_det_adj_structure_errors():
-    variables = ()
-    P = PolyMatrix.identity(3, variables)
-    P[0, 2] = AffinePoly.constant(variables, 1.0)
-    with pytest.raises(NotTriangular):
-        triangular_toeplitz_det_adj(P)
-    Q = PolyMatrix.identity(3, variables)
-    Q[2, 2] = AffinePoly.constant(variables, 2.0)
-    with pytest.raises(NotToeplitz):
-        triangular_toeplitz_det_adj(Q)

@@ -134,20 +134,23 @@ def test_build_M_scalar_nominal():
 
 def test_build_M_uncertain_scalar_hand_expansion():
     plant = td.LiftedUncertainPlant(1, (lin(LAM2, 0, 1, 2),), LAM2)
-    prob = td.TimeSynthesisProblem(plant, td.LiftedFilter.identity(1),
-                                   td.LiftedFilter.causal_decision(1))
+    q = td.LiftedFilter.identity(1)
+    lstr = td.LiftedFilter.causal_decision(1)
+    prob = td.TimeSynthesisProblem(plant, q, lstr)
     M = td.build_M(prob)
-    # every entry homogeneous of degree 2 in lambda
+    # causal Q: [[eta, 1 - l0 a], [., 1]], every entry homogeneous of degree 1
     for e in M.entries:
-        assert {sum(exp) for exp in e.terms} <= {2}
+        assert {sum(exp) for exp in e.terms} <= {1}
     rng = np.random.default_rng(3)
     for _ in range(100):
         pt = rng.dirichlet([1, 1])
         eta, l0 = rng.normal(size=2)
         a = pt[0] + 2 * pt[1]
-        W = a * (1 - l0 * a)
+        T = 1 - l0 * a
+        G = td.contraction_matrix(plant, q.numeric(), lstr.numeric({"l0": l0}), pt)
+        assert G[0, 0] == pytest.approx(T, abs=1e-12)
         vals = M.evaluate(at(pt), {"eta": eta, "l0": l0})
-        assert np.allclose(vals, [[eta * a * a, W], [W, 1.0]], atol=1e-12)
+        assert np.allclose(vals, [[eta, T], [T, 1.0]], atol=1e-12)
 
 
 def test_build_M_symmetric():
@@ -166,25 +169,98 @@ def test_build_M_symmetric():
 
 
 def test_error_dynamics_factorization():
-    # P Q (I - L P) P^-1 must equal W / det(P) everywhere
+    # for a causal Q the off-diagonal block is P Q (I - L P) P^-1 itself:
+    # Q = I with a causal L, and a causal Q with c_1 != 0 with a full L
     rng = np.random.default_rng(17)
     N = 3
     plant = td.LiftedUncertainPlant(
         N, tuple(lin(LAM2, rng.normal() + 2.5, rng.normal(), rng.normal())
                  for _ in range(N)), LAM2)
-    q = td.LiftedFilter.identity(N)
-    lstr = td.LiftedFilter.causal_decision(N)
-    prob = td.TimeSynthesisProblem(plant, q, lstr)
+    for q, lstr in [(td.LiftedFilter.identity(N), td.LiftedFilter.causal_decision(N)),
+                    (td.LiftedFilter(N, (0.0, 0.0, 0.7, 0.3, 0.1)),
+                     td.LiftedFilter.full_decision(N))]:
+        M = td.build_M(td.TimeSynthesisProblem(plant, q, lstr))
+        for _ in range(100):
+            pt = rng.dirichlet([1, 1])
+            gains = {d: rng.normal() for d in lstr.decision_ids()}
+            gains["eta"] = 0.0
+            G = td.contraction_matrix(plant, q.numeric(), lstr.numeric(gains), pt)
+            vals = np.asarray(M.evaluate(at(pt), gains))
+            assert np.max(np.abs(G - vals[N:, :N])) < 1e-8
+
+
+def random_plant(seed, N):
+    """Two-vertex plant: p1 in [0.6, 1.8], later Markov parameters in [-0.5, 0.5]."""
+    rng = np.random.default_rng(seed)
+    verts = np.vstack([rng.uniform(0.6, 1.8, size=(1, 2)),
+                       rng.uniform(-0.5, 0.5, size=(N - 1, 2))])
+    return td.LiftedUncertainPlant(N, tuple(lin(LAM2, 0.0, *v) for v in verts), LAM2)
+
+
+def noncausal_problem():
+    # Q = (0.2, 0.6, 0.2) as taps c_-2..c_2, and a full L
+    return td.TimeSynthesisProblem(random_plant(202, 3),
+                                   td.LiftedFilter(3, (0.0, 0.2, 0.6, 0.2, 0.0)),
+                                   td.LiftedFilter.full_decision(3),
+                                   epsilon=1e-6, k_max=2, k_tol=1e-7)
+
+
+def test_build_M_noncausal_q_congruence():
+    # a non-causal Q does not commute with P: the block is the congruence by
+    # P, [[eta P^T P, X^T], [X, I]] with X P^-1 the contraction matrix
+    prob = noncausal_problem()
+    plant, q, lstr = prob.plant, prob.qfilter, prob.lstructure
+    N = plant.N
     M = td.build_M(prob)
+    assert M.degree_in(LAM2) == 2
+    rng = np.random.default_rng(5)
     for _ in range(100):
         pt = rng.dirichlet([1, 1])
         gains = {d: rng.normal() for d in lstr.decision_ids()}
-        gains["eta"] = 0.0
+        gains["eta"] = eta = rng.uniform(0.1, 2.0)
         G = td.contraction_matrix(plant, q.numeric(), lstr.numeric(gains), pt)
+        P = td.lifted_numeric(plant, pt)
         vals = np.asarray(M.evaluate(at(pt), gains))
-        det = plant.markov_at(pt)[0] ** N
-        W = vals[N:, :N]
-        assert np.max(np.abs(G - W / det)) < 1e-8
+        assert np.max(np.abs(G - vals[N:, :N] @ np.linalg.inv(P))) < 1e-8
+        assert np.allclose(vals[:N, :N], eta * P.T @ P, atol=1e-12)
+
+
+def paper_lifted(N):
+    """The paper's interval plant lifted to N samples: p1 = 2 for every theta."""
+    tv = ("theta",)
+    plant = simplexify(
+        [lin(tv, 16, 60), lin(tv, -40)],
+        [lin(tv, 1, 16), lin(tv, 4, 20), lin(tv, -20)],
+        [[-0.5], [-0.7]], theta_vars=tv)
+    return td.LiftedUncertainPlant.from_transfer(plant, N)
+
+
+def constant_lead_problem():
+    # Q = (0.2, 0.6, 0.2) and a full L on a plant with a constant p1
+    return td.TimeSynthesisProblem(paper_lifted(3),
+                                   td.LiftedFilter(3, (0.0, 0.2, 0.6, 0.2, 0.0)),
+                                   td.LiftedFilter.full_decision(3),
+                                   epsilon=1e-6, k_max=2, k_tol=1e-7)
+
+
+def test_build_M_noncausal_q_constant_lead():
+    # p1 constant: P^-1 is polynomial, so the block keeps the head eta I and
+    # its off-diagonal is the contraction matrix, of degree below 2 deg P
+    prob = constant_lead_problem()
+    plant, q, lstr = prob.plant, prob.qfilter, prob.lstructure
+    N, lam = plant.N, plant.lambda_vars
+    assert plant.markov[0].degree() == 0 and plant.markov[2].degree() == 2
+    M = td.build_M(prob)
+    assert M.degree_in(lam) == 3
+    rng = np.random.default_rng(6)
+    for _ in range(100):
+        pt = rng.dirichlet([1, 1])
+        gains = {d: rng.normal() for d in lstr.decision_ids()}
+        gains["eta"] = eta = rng.uniform(0.1, 2.0)
+        G = td.contraction_matrix(plant, q.numeric(), lstr.numeric(gains), pt)
+        vals = np.asarray(M.evaluate(dict(zip(lam, pt)), gains))
+        assert np.max(np.abs(G - vals[N:, :N])) < 1e-8
+        assert np.allclose(vals[:N, :N], eta * np.eye(N), atol=1e-12)
 
 
 # -- synthesis ---------------------------------------------------------------
@@ -220,6 +296,35 @@ def test_synth_uncertain_n2_vs_sampled():
     assert abs(gam_hat - res.gamma) <= 0.01 * res.gamma
 
 
+@pytest.mark.parametrize("make, gamma_det_adj", [(noncausal_problem, 0.070835),
+                                                  (constant_lead_problem, 0.073102)],
+                         ids=["congruence", "constant-p1"])
+def test_synth_noncausal_q_vs_sampled(make, gamma_det_adj):
+    prob = make()
+    res = prob.solve()
+    assert res.certified and res.gamma < 1
+    grid = vf.make_grid(2, resolution=50, n_random=1000, seed=0)
+    gam_hat, _ = vf.sampled_gamma_time(prob.plant, prob.qfilter,
+                                       prob.lstructure.pinned(res.gains), grid)
+    assert gam_hat <= res.gamma + 1e-6
+    # the det(P)/adj(P) form of the same condition gave gamma_det_adj
+    assert abs(res.gamma - gamma_det_adj) <= 1e-5
+
+
+def test_synth_long_horizon_vs_sampled():
+    # N = 10 is beyond the horizon the det(P)/adj(P) form could reach (8)
+    N = 10
+    plant = random_plant(303, N)
+    q = td.LiftedFilter.identity(N)
+    prob = td.TimeSynthesisProblem(plant, q, td.LiftedFilter.causal_decision(N))
+    res = prob.solve()
+    assert res.certified and res.gamma < 1
+    assert res.diagnostics["deg_lambda"] == 1
+    grid = vf.make_grid(2, resolution=50, n_random=1000, seed=0)
+    gam_hat, _ = vf.sampled_gamma_time(plant, q, prob.lstructure.pinned(res.gains), grid)
+    assert gam_hat <= res.gamma + 1e-6
+
+
 def test_synth_k_escalation_monotone():
     rng = np.random.default_rng(29)
     for _ in range(2):
@@ -234,10 +339,24 @@ def test_synth_k_escalation_monotone():
 
 
 def test_large_horizon_rejected():
-    plant = td.LiftedUncertainPlant(9, const_markov([1.0] + [0.0] * 8), ())
-    prob = td.TimeSynthesisProblem(plant, td.LiftedFilter.identity(9),
-                                   td.LiftedFilter.causal_decision(9))
+    N = td.MAX_TRIAL_LENGTH + 1
+    plant = td.LiftedUncertainPlant(N, const_markov([1.0] + [0.0] * (N - 1)), ())
+    prob = td.TimeSynthesisProblem(plant, td.LiftedFilter.identity(N),
+                                   td.LiftedFilter.causal_decision(N))
     with pytest.raises(ValueError, match="synth_freq"):
+        prob.solve()
+
+
+def test_large_program_rejected():
+    # the lifted paper plant's Markov degree grows with N: N = 8 fits the
+    # program-size limit, N = 9 does not, whatever the trial-length limit
+    assert td.program_size(8, 2, 7) <= td.MAX_PROGRAM_SIZE < td.program_size(9, 2, 8)
+    assert td.program_size(td.MAX_TRIAL_LENGTH, 2, 1) <= td.MAX_PROGRAM_SIZE
+    N = 9
+    prob = td.TimeSynthesisProblem(paper_lifted(N), td.LiftedFilter.identity(N),
+                                   td.LiftedFilter.causal_decision(N))
+    assert N <= td.MAX_TRIAL_LENGTH
+    with pytest.raises(ValueError, match="size 2907.*synth_freq"):
         prob.solve()
 
 
@@ -257,12 +376,7 @@ def test_problem_validation():
 
 
 def test_from_transfer_lifts_paper_plant():
-    tv = ("theta",)
-    plant = simplexify(
-        [lin(tv, 16, 60), lin(tv, -40)],
-        [lin(tv, 1, 16), lin(tv, 4, 20), lin(tv, -20)],
-        [[-0.5], [-0.7]], theta_vars=tv)
-    lifted = td.LiftedUncertainPlant.from_transfer(plant, 4)
+    lifted = paper_lifted(4)
     # markov samples must match plain numeric long division at each theta
     for pt in [np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([0.4, 0.6])]:
         th = -0.5 * pt[0] - 0.7 * pt[1]
