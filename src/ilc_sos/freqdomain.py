@@ -7,9 +7,9 @@ variables (``lam1 + ... + lams = 1``, all nonnegative).  The learning update
     u_{j+1}(z) = Q(z) [ u_j(z) + L(z) e_j(z) ]
 
 contracts the tracking error monotonically for every admissible uncertainty
-iff  sup_{lam, |z|=1} |Q(z)(1 - z L(z) P(z, lam))| < 1.  The squared bound
-eta on that sup is minimized over the free taps of L (or Q) through a
-sum-of-squares program: map the circle to one real parameter x through
+iff  sup_{lam, |z|=1} |Q(z)(1 - z L(z) P(z, lam))| < 1.  A bound gamma on
+that sup, linear in a Schur form, is minimized over the free taps of L (or
+Q) through a sum-of-squares program: map the circle to one real x through
 z = (1 + jx)/(1 - jx), homogenize in lam, substitute lam -> lam^2 to drop
 the nonnegativity constraints, and escalate a "multiply by ||lam||^2k"
 relaxation ladder until the bound stops improving.  A plant without
@@ -359,7 +359,7 @@ def jury_stability(plant: UncertainTransferFunction, resolution: int = 50) -> Ju
 
 @dataclass
 class THatData:
-    T_hat: PolyMatrix      # over ("x", lam...), affine in eta and the taps
+    T_hat: PolyMatrix      # over ("x", lam...), affine in gamma and the taps
     deg_x: int             # degree of T in (Re z, Im z)
     deg_lambda: int        # homogeneous lambda degree of T
     nu3: AffinePoly        # (1 + x^2)^deg_x |den(z(x))|^2 over ("x", lam...)
@@ -373,14 +373,13 @@ def build_T_hat(qfilter: NoncausalFir, lfir: NoncausalFir,
 
     a = Q, b = -zLQ; at z = (1 + jx)/(1 - jx), both sides times
     (1 + x^2)^deg_x give nu1 + j nu2 over nu3 (see :func:`circle_image`).
-    The 3x3 matrix
+    With S = (1 + x^2)^deg_x and E = nu3^2 / S, the 3x3 matrix
 
-        T = [[eta nu3^2 / (1 + x^2)^deg_x, nu1, nu2],
-             [nu1, (1 + x^2)^deg_x, 0], [nu2, 0, (1 + x^2)^deg_x]]
+        T = [[gamma E, nu1, nu2], [nu1, gamma S, 0], [nu2, 0, gamma S]]
 
-    is PSD iff |Q(1 - zLP)|^2 <= eta.  deg_x is the degree of T in
-    (Re z, Im z), the smallest that clears every entry; T is homogenized
-    over the simplex variables."""
+    is PSD iff gamma^2 E S >= nu1^2 + nu2^2 (S > 0): |Q(1 - zLP)| <= gamma.
+    deg_x is the degree of T in (Re z, Im z), the smallest that clears every
+    entry; T is homogenized over the simplex variables."""
     lam = plant.lambda_vars
     den = plant.den_laurent()
     # the simplex vertices and the barycenter ({} alone when lam = ())
@@ -401,14 +400,15 @@ def build_T_hat(qfilter: NoncausalFir, lfir: NoncausalFir,
     variables = ("x",) + lam
     nu1, nu2 = circle_image(numer, deg_x, variables)
     nu3 = circle_image(den_sq, deg_x, variables)[0]
-    eta_term = circle_image(laurent_mul(den_sq, den_sq), deg_x, variables)[0]
+    gamma = AffineCoeff.decision("gamma")
+    E = circle_image(laurent_mul(den_sq, den_sq), deg_x, variables)[0].scaled(gamma)
     x = AffinePoly.variable(variables, "x")
-    scale = (AffinePoly.constant(variables, 1.0) + x * x) ** deg_x
+    S = ((AffinePoly.constant(variables, 1.0) + x * x) ** deg_x).scaled(gamma)
     zero = AffinePoly.zero(variables)
     T_hat = homogenize(PolyMatrix.from_rows([
-        [eta_term.scaled(AffineCoeff.decision("eta")), nu1, nu2],
-        [nu1, scale, zero],
-        [nu2, zero, scale],
+        [E, nu1, nu2],
+        [nu1, S, zero],
+        [nu2, zero, S],
     ]), lam)
     return THatData(T_hat=T_hat, deg_x=deg_x, deg_lambda=T_hat.degree_in(lam), nu3=nu3)
 
@@ -469,7 +469,7 @@ def synth_freq_robust(qfilter: NoncausalFir, lstructure: NoncausalFir,
     def compile_level(S, k):
         basis = monomial_basis(variables, [(("x",), "graded", data.deg_x),
                                            (lam, "homogeneous", data.deg_lambda + k)])
-        return compile_sos(S, {"eta": 1.0}, bases=sign_classes(kron_pairs(basis, 3), flips),
+        return compile_sos(S, {"gamma": 1.0}, bases=sign_classes(kron_pairs(basis, 3), flips),
                            nonneg=nonneg + list(extra_nonneg))
 
     esc = escalate(base, norm2, compile_level, k_max, k_tol)

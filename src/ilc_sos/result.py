@@ -2,18 +2,12 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from . import sdp
 from .polyalg import AffinePoly, PolyMatrix
 from .soscompiler import RESIDUAL_TOL, CertificateReport, SdpProblem, SosCertificate
-
-
-# the solver's default gap of 1e-8 stops exact deadbeat designs of plants
-# without uncertainty at eta = 2e-8 (gamma = 1.4e-4) instead of near zero
-SYNTH_GAP_TOL = 1e-9
 
 
 class UnusedDecision(Exception):
@@ -32,11 +26,11 @@ def decision_value(gains: Mapping[str, float], name: str) -> float:
 class SynthesisResult:
     """Outcome of one rate-minimization run.
 
-    ``gamma`` is the guaranteed contraction rate sqrt(eta); ``gains`` maps
-    decision ids (learning-function taps, optionally filter taps and the
-    positivity margin 'eps') to their optimized values.  ``k_trace`` records
-    the bound for every multiplier power k that was solved, ``polya_k`` the
-    power that produced the reported bound.
+    ``gamma`` is the guaranteed contraction rate, ``eta`` its square;
+    ``gains`` maps decision ids (learning-function taps, optionally filter
+    taps and the positivity margin 'eps') to their optimized values.
+    ``k_trace`` records the bound eta for every multiplier power k that was
+    solved, ``polya_k`` the power that produced the reported bound.
     """
 
     gamma: float
@@ -59,11 +53,11 @@ class SynthesisResult:
                       report: CertificateReport, gain_list: list,
                       epsilon: float | None, diagnostics: dict, polya_k: int = 0,
                       k_trace: list | None = None) -> "SynthesisResult":
-        """Result of a solve whose objective scalar is ``eta``; ``k_trace``
+        """Result of a solve whose objective scalar is ``gamma``; ``k_trace``
         defaults to the single level 0.  A gamma within the certificate's
         residual tolerance of 1 is rounding, not a contraction."""
-        eta = float(sol.scalar_values["eta"])
-        gamma = math.sqrt(max(eta, 0.0))
+        gamma = _gamma(sol)
+        eta = gamma * gamma
         return cls(
             gamma=gamma, eta=eta,
             gains={k: float(v) for k, v in sol.scalar_values.items()},
@@ -104,6 +98,11 @@ class SynthesisResult:
         }
 
 
+def _gamma(sol: sdp.SdpSolution) -> float:
+    """The solved rate; a roundoff-negative value certifies gamma = 0."""
+    return max(float(sol.scalar_values["gamma"]), 0.0)
+
+
 @dataclass
 class Escalation:
     """Best level of a multiplier ladder, its checked solution and the
@@ -120,16 +119,16 @@ class Escalation:
 def escalate(base: PolyMatrix, norm2: AffinePoly,
              compile_level: Callable[[PolyMatrix, int], SdpProblem],
              k_max: int, k_tol: float) -> Escalation:
-    """Minimize the bound eta over the levels S_k = norm2^k * base.
+    """Minimize the rate gamma over the levels S_k = norm2^k * base.
 
     ``compile_level(S_k, k)`` returns level k's program, whose objective is
-    the scalar ``eta``.  Levels k = 0, 1, ... are solved until the bound
-    improves by less than ``k_tol`` or ``k_max`` is reached.  An identically
-    zero ``norm2`` (no simplex variable) leaves level 0 alone.  The solved
-    levels' Gram matrices are then checked as certificates by
-    ``sdp.ensure_certified`` in ascending eta (nothing is re-solved), and the
-    first that passes is returned; when none passes, the lowest-eta level
-    comes back with its failed report.
+    the scalar ``gamma``; the ladder is kept in eta = gamma^2.  Levels
+    k = 0, 1, ... are solved until eta improves by less than ``k_tol`` or
+    ``k_max`` is reached.  An identically zero ``norm2`` (no simplex
+    variable) leaves level 0 alone.  The solved levels' Gram matrices are
+    then checked as certificates by ``sdp.ensure_certified`` in ascending
+    eta (nothing is re-solved), and the first that passes is returned; when
+    none passes, the lowest-eta level comes back with its failed report.
 
     A certificate solved at level j stays valid at every level k > j
     (multiply the Gram polynomial by the norm factor), so the guaranteed
@@ -148,9 +147,9 @@ def escalate(base: PolyMatrix, norm2: AffinePoly,
     for k in range(k_max + 1):
         S = base.scaled(mult) if k else base
         prob = compile_level(S, k)
-        sol = sdp.solve(prob, gap_tol=SYNTH_GAP_TOL)
+        sol = sdp.solve(prob)
         if sol.ok:
-            eta = float(sol.scalar_values["eta"])
+            eta = _gamma(sol) ** 2
             k_raw.append((k, eta))
             solved.append((k, eta, sol, prob, S))
             if len(k_raw) > 1 and eta > k_raw[-2][1] + 1e-6:

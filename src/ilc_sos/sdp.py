@@ -368,26 +368,6 @@ def _solve_ipm(A: _Assembled, feas_tol: float, gap_tol: float, max_iter: int) ->
     beta_scale = 1.0 + float(np.max(np.abs(A.beta)))
     c_scale = 1.0 + (float(np.max(np.abs(A.c))) if q else 0.0)
 
-    # Degenerate optima (strict complementarity failing) stall the residuals a
-    # hair above tolerance while mu keeps shrinking.  Keep the best iterate and
-    # accept it at a relaxed tolerance instead of reporting a hard failure.
-    best = None
-    no_improve = 0
-
-    reduced_feas = max(1e-6, 100 * feas_tol)
-    reduced_gap = max(1e-5, 100 * gap_tol)
-
-    def finish(msg, it):
-        if best is not None:
-            b_pobj, b_y, b_Gs, b_nu, b_pinf, b_dinf, b_gap, b_mu, b_it = best
-            if (b_pinf <= reduced_feas and b_dinf <= reduced_feas
-                    and (b_gap <= reduced_gap or b_mu / scale0 <= reduced_gap)):
-                return SdpSolution("optimal", b_pobj, A.scalars(b_y), b_Gs,
-                                   dual_values=b_nu, iterations=it, gap=b_gap,
-                                   primal_residual=b_pinf, dual_residual=b_dinf,
-                                   message=f"reduced accuracy ({msg})", trace=trace)
-        return fail(msg, it)
-
     for it in range(max_iter):
         rp = A.beta - A.apply_A(G) + A.D @ y
         rfree = -A.c - A.D.T @ nu
@@ -403,22 +383,12 @@ def _solve_ipm(A: _Assembled, feas_tol: float, gap_tol: float, max_iter: int) ->
         trace.append({"iter": it, "mu": mu, "pinf": pinf, "dinf": dinf, "gap": gap})
 
         if not np.isfinite(mu) or not np.isfinite(pinf) or not np.isfinite(dinf):
-            return finish("non-finite iterate", it)
+            return fail("non-finite iterate", it)
         if pinf <= feas_tol and dinf <= feas_tol and (gap <= gap_tol or mu / scale0 <= gap_tol):
             return SdpSolution("optimal", pobj, A.scalars(y), A.unpad(G),
                                dual_values=nu, iterations=it, gap=gap,
                                primal_residual=pinf, dual_residual=dinf, trace=trace)
 
-        score = max(pinf, dinf, min(gap, mu / scale0))
-        if best is None or score < 0.9 * best_score:
-            best = (pobj, y.copy(), A.unpad(G), nu.copy(),
-                    pinf, dinf, gap, mu, it)
-            best_score = score
-            no_improve = 0
-        else:
-            no_improve += 1
-            if no_improve >= 6 and mu / scale0 <= gap_tol:
-                return finish("progress stalled near optimum", it)
         if dinf <= 1e-6 and dobj > 1e10 * beta_scale:
             return SdpSolution("infeasible", float("inf"),
                                dict.fromkeys(A.scalar_ids, float("nan")), A.unpad(G),
@@ -435,10 +405,10 @@ def _solve_ipm(A: _Assembled, feas_tol: float, gap_tol: float, max_iter: int) ->
         # L_Z^T L_G = U Sigma V^T; R^-1 = Sigma^-1/2 U^T L_Z^T needs no inverse
         LG, LZ = _chol(G), _chol(Z)
         if LG is None or LZ is None:
-            return finish("iterate lost positive definiteness", it)
+            return fail("iterate lost positive definiteness", it)
         U, s, Vt = np.linalg.svd(tr(LZ) @ LG)
         if np.min(s) <= 0:
-            return finish("iterate lost positive definiteness", it)
+            return fail("iterate lost positive definiteness", it)
         rs = np.sqrt(s)
         R = LG @ tr(Vt) / rs[:, None, :]
         Rinv = tr(U) / rs[:, :, None] @ tr(LZ)
@@ -446,7 +416,7 @@ def _solve_ipm(A: _Assembled, feas_tol: float, gap_tol: float, max_iter: int) ->
 
         kkt = _null_space_solver(A, A.schur(W))
         if kkt is None:
-            return finish("Schur complement not PD", it)
+            return fail("Schur complement not PD", it)
 
         def newton_raw(rp_loc, rfree_loc, Rd_loc, tmp):
             """Direction whose dG is tmp + W A^*(dnu) W; tmp = R V R^T - W Rd W
@@ -487,7 +457,7 @@ def _solve_ipm(A: _Assembled, feas_tol: float, gap_tol: float, max_iter: int) ->
         dG, dy, dnu, dZ = newton(2.0 * Rc / (s[:, :, None] + s[:, None, :]))
         ap, ad, _ = step_lengths(dG, dZ)
         if not np.isfinite(ap) or not np.isfinite(ad) or ap <= 1e-12 or ad <= 1e-12:
-            return finish("step length collapsed", it)
+            return fail("step length collapsed", it)
 
         G = G + ap * dG
         y = y + ap * dy
@@ -495,7 +465,7 @@ def _solve_ipm(A: _Assembled, feas_tol: float, gap_tol: float, max_iter: int) ->
         nu = nu + ad * dnu
         trace[-1].update(ap=float(ap), ad=float(ad), sigma=sigma)
 
-    return finish(f"no convergence in {max_iter} iterations", max_iter)
+    return fail(f"no convergence in {max_iter} iterations", max_iter)
 
 
 # ---------------------------------------------------------------------------

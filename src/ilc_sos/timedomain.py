@@ -6,13 +6,13 @@ matrices.  The guaranteed trial-to-trial contraction rate is
 
     gamma = max over the simplex of  sigma_max( P Q (I - L P) P^-1 )
 
-and gamma <= sqrt(eta) is certified by a polynomial matrix inequality that
-forms no rational function of lambda.  Lower-triangular Toeplitz matrices
-are polynomials in the shift matrix, so they commute (Norrlof & Gunnarsson
-2002).  For a causal Q the contraction matrix is therefore T = Q (I - P L),
-and
+and a bound on it is certified by a polynomial matrix inequality, linear
+in the bound, that forms no rational function of lambda.
+Lower-triangular Toeplitz matrices are polynomials in the shift matrix, so
+they commute (Norrlof & Gunnarsson 2002).  For a causal Q the contraction
+matrix is therefore T = Q (I - P L), and ||T|| <= gamma in Schur form,
 
-    [[eta * I, T^T], [T, I]]
+    [[gamma * I, T^T], [T, gamma * I]],
 
 must be PSD on the simplex; it has the degree of P and is affine in L.  A
 non-causal Q = Qc + Qa, with Qa its taps at d < 0, leaves the contraction
@@ -20,7 +20,7 @@ matrix Qc (I - P L) + P Qa (P^-1 - L).  When p1 is constant P^-1 is a
 polynomial matrix, so that matrix takes T's place.  Otherwise the
 congruence by P gives the equivalent condition with X = P Q (I - L P):
 
-    [[eta * P^T P, X^T], [X, I]]
+    [[gamma * P^T P, X^T], [X, gamma * I]]
 
 of twice P's degree.  After homogenizing in the simplex weights,
 substituting lam -> lam^2 and multiplying by ||lam||^(2k), positivity is
@@ -303,15 +303,16 @@ def _inverse_markov(markov: Sequence[AffinePoly]) -> list:
 
 def build_M(problem: TimeSynthesisProblem) -> PolyMatrix:
     """Homogenized 2N x 2N block matrix whose PSD on the simplex is
-    sigma_max(P Q (I - L P) P^-1) <= sqrt(eta).
+    sigma_max(P Q (I - L P) P^-1) <= gamma.
 
-    Causal Q (no tap at d < 0): [[eta I, T^T], [T, I]] with T = Q (I - P L).
+    Causal Q (no tap at d < 0): [[gamma I, T^T], [T, gamma I]] with
+    T = Q (I - P L).
     T is the contraction matrix itself, since P Q = Q P gives
     P Q (I - L P) P^-1 = Q - Q P L for any L.  A non-causal Q = Qc + Qa
     (Qa: the taps at d < 0) with a constant p1 gives the same block with
     T = Qc (I - P L) + P Qa (P^-1 - L), P^-1 polynomial.  Otherwise
-    [[eta P^T P, X^T], [X, I]] with X = P Q (I - L P), the congruence of
-    the same condition by P.
+    [[gamma P^T P, X^T], [X, gamma I]] with X = P Q (I - L P), the
+    congruence of the same condition by P.
     """
     plant = problem.plant
     N = plant.N
@@ -320,17 +321,39 @@ def build_M(problem: TimeSynthesisProblem) -> PolyMatrix:
     Q = build_filter_matrix(problem.qfilter, N, variables)
     L = build_filter_matrix(problem.lstructure, N, variables)
     I = PolyMatrix.identity(N, variables)
-    eta = AffineCoeff.decision("eta")
+    gamma = AffineCoeff.decision("gamma")
+    head = gI = I.scaled(gamma)
     future = problem.qfilter.coeffs[:N - 1]  # taps c_{-(N-1)}..c_{-1}
     if not any(future):
-        R, head = Q @ (I - P @ L), I.scaled(eta)
+        R = Q @ (I - P @ L)
     elif plant.markov[0].degree() == 0:
         Qa = build_filter_matrix(LiftedFilter(N, future + (0.0,) * N), N, variables)
         Pinv = build_lifted_plant(_inverse_markov(plant.markov), N)
-        R, head = (Q - Qa) @ (I - P @ L) + P @ Qa @ (Pinv - L), I.scaled(eta)
+        R = (Q - Qa) @ (I - P @ L) + P @ Qa @ (Pinv - L)
     else:
-        R, head = P @ Q @ (I - L @ P), (P.transpose() @ P).scaled(eta)
-    return homogenize(PolyMatrix.from_blocks([[head, R.transpose()], [R, I]]), variables)
+        R, head = P @ Q @ (I - L @ P), (P.transpose() @ P).scaled(gamma)
+    return homogenize(PolyMatrix.from_blocks([[head, R.transpose()], [R, gI]]), variables)
+
+
+def lambda_degree(problem: TimeSynthesisProblem) -> int:
+    """Lambda-degree of :func:`build_M`'s block from the Markov degrees, known
+    before the block is built: deg P (commuting form), 2 deg P (congruence).
+    In the constant-p1 form P Qa P^-1 pairs p_(a+1) with P^-1's parameter b
+    where S^a U^s S^b != 0 (S the down-shift, U = S^T, s the largest lead
+    of Qa), i.e. for a + b <= N - 1 + s.  An upper bound, exact unless
+    terms cancel."""
+    plant = problem.plant
+    N = plant.N
+    deg = [p.degree() for p in plant.markov]
+    future = problem.qfilter.coeffs[:N - 1]
+    if not any(future):
+        return max(deg)
+    if deg[0] == 0:
+        lead = N - 1 - next(i for i, c in enumerate(future) if c)
+        inv = [p.degree() for p in _inverse_markov(plant.markov)]
+        return max(deg[a] + inv[b] for a in range(N) for b in range(N)
+                   if a + b <= N - 1 + lead)
+    return 2 * max(deg)
 
 
 # ---------------------------------------------------------------------------
@@ -406,15 +429,16 @@ def synth_time(problem: TimeSynthesisProblem) -> SynthesisResult:
             f"trial length N={N} is above the lifted program's limit of "
             f"{MAX_TRIAL_LENGTH}; use the frequency-domain route (synth_freq_robust)")
     lam = plant.lambda_vars
-    M = build_M(problem)
-    variables = M.variables
-    deg_lambda = M.degree_in(lam)
+    deg_lambda = lambda_degree(problem)
     size = program_size(N, len(lam), deg_lambda)
     if size > MAX_PROGRAM_SIZE:
         raise ValueError(
             f"the lifted program at N={N} (lambda-degree {deg_lambda}, {len(lam)} "
             f"simplex weights) has size {size}, above the limit of {MAX_PROGRAM_SIZE}; "
             "use the frequency-domain route (synth_freq_robust)")
+    M = build_M(problem)
+    variables = M.variables
+    deg_lambda = M.degree_in(lam)  # the prediction bounds it; the basis needs it exact
 
     flips = [((variables.index(v),), ()) for v in lam]
     base = substitute_squares(M, lam)
@@ -430,7 +454,7 @@ def synth_time(problem: TimeSynthesisProblem) -> SynthesisResult:
 
     def compile_level(S, k):
         basis = monomial_basis(variables, [(lam, "homogeneous", deg_lambda + k)])
-        return compile_sos(S, {"eta": 1.0},
+        return compile_sos(S, {"gamma": 1.0},
                            bases=sign_classes(kron_pairs(basis, S.rows), flips))
 
     esc = escalate(base, norm2, compile_level, problem.k_max, problem.k_tol)

@@ -68,7 +68,7 @@ def test_synth_time_trivial_plant(tmp_path):
 
 
 def test_synth_freq_epsilon_override(tmp_path):
-    # pinned margin shows up as the floor of the optimized rate: eta = eps
+    # pinned margin shows up as the floor of the optimized rate: gamma = eps
     cfg = write_config(tmp_path, {"mode": "synth-freq", "plant": DELAY_PLANT,
                                   "lstructure": {"order": 0}})
     out = tmp_path / "out"
@@ -77,7 +77,7 @@ def test_synth_freq_epsilon_override(tmp_path):
     assert rc == 0
     res = read_result(out)["result"]
     assert res["epsilon"] == pytest.approx(0.01)
-    assert res["gamma"] == pytest.approx(0.1, abs=1e-3)
+    assert res["gamma"] == pytest.approx(0.01, abs=1e-3)
 
 
 def test_synth_freq_pinned_zero_gain_not_monotone(tmp_path, capsys):
@@ -271,18 +271,22 @@ def test_malformed_time_plant_rejected(tmp_path, capsys, plant):
     assert "config error: plant" in capsys.readouterr().err
 
 
-def test_synth_time_unsolvable_plant_is_solver_failure(tmp_path, capsys):
-    # a positivity margin of 2 exceeds the identity block of the lifted
-    # matrix at every vertex, so no multiplier power has a certificate
+def test_synth_time_large_margin_not_monotone(tmp_path, capsys):
+    # the positivity margin floors gamma: with gamma on both diagonal blocks
+    # of the lifted matrix, a margin of 2 is feasible at gamma >= 2, so the
+    # run certifies a rate above one and exits 4
     first = [{"exponents": [1, 0], "value": 1.0}, {"exponents": [0, 1], "value": 2.0}]
     cfg = write_config(tmp_path, {"mode": "synth-time", "epsilon": 2.0, "k_max": 0,
                                   "plant": {"type": "markov", "N": 2, "lambda_vars": ["a", "b"],
                                             "markov": [first, 0.5]}})
-    rc = cli.main(["synth-time", "--config", cfg, "--out", str(tmp_path)])
-    assert rc == 3
-    err = capsys.readouterr().err
-    assert "solver failure" in err
-    assert "bisection" not in err
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning, match="no multiplier power certified"):
+        rc = cli.main(["synth-time", "--config", cfg, "--out", str(out)])
+    assert rc == 4
+    res = read_result(out)["result"]
+    assert res["not_monotone"] is True
+    assert res["gamma"] >= 2.0
+    assert "no contraction certified" in capsys.readouterr().err
 
 
 def test_synth_time_deadbeat_with_huge_gain(tmp_path):

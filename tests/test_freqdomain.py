@@ -153,7 +153,7 @@ def test_tau_trivial_delay():
     assert data.T_hat.variables == ("x",)
     for x in np.linspace(-3, 3, 13):
         for l0 in (-0.5, 0.0, 0.8):
-            num, den = nominal_rate(data, x, {"l0": l0, "eta": 0.0})
+            num, den = nominal_rate(data, x, {"l0": l0, "gamma": 0.0})
             assert num.imag == pytest.approx(0.0, abs=1e-12)
             assert num.real == pytest.approx((1 - l0) * den, abs=1e-9)
 
@@ -163,7 +163,7 @@ def test_tau_dc_evaluation():
     data = fd.build_T_hat(fd.NoncausalFir.unity(),
                           fd.NoncausalFir.causal_decision(1), plant)
     for l0, l1 in [(0.3, 0.2), (1.0, -0.4)]:
-        num, den = nominal_rate(data, 0.0, {"l0": l0, "l1": l1, "eta": 0.0})
+        num, den = nominal_rate(data, 0.0, {"l0": l0, "l1": l1, "gamma": 0.0})
         assert num / den == pytest.approx(1 - l0 - l1, abs=1e-9)
 
 
@@ -175,7 +175,7 @@ def test_tau_identity_on_frozen_plant():
     rng = np.random.default_rng(2)
     for _ in range(50):
         x = rng.uniform(-4, 4)
-        gains = {"l0": rng.normal(), "l1": rng.normal(), "eta": 0.0}
+        gains = {"l0": rng.normal(), "l1": rng.normal(), "gamma": 0.0}
         z = circle_z(x)
         L = lstr.response(z, gains)
         P = plant.response(z, {})
@@ -196,6 +196,31 @@ def test_nominal_delay_deadbeat():
     assert res.gains["l0"] == pytest.approx(1.0, abs=1e-3)
     # no uncertainty: the exact level 0 is the only program solved
     assert [k for k, _ in res.diagnostics["k_trace_raw"]] == [0]
+
+
+@pytest.mark.parametrize("k, order, gamma", [(2, 3, 0.2562961), (5, 2, 0.3626061),
+                                            (23, 2, 0.1458774)])
+def test_nominal_sweep_designs_end_clean(monkeypatch, k, order, gamma):
+    # designs of the benchmark's nominal sweep (theta on 25 points of
+    # [-0.7, -0.5]) whose squared-rate programs stalled near the optimum:
+    # in the gamma form each solve meets the solver's tolerances as is
+    messages = []
+    ipm = sdp._solve_ipm
+
+    def recorded_ipm(*args, **kwargs):
+        sol = ipm(*args, **kwargs)
+        messages.append(sol.message)
+        return sol
+
+    monkeypatch.setattr(sdp, "_solve_ipm", recorded_ipm)
+    theta = float(np.linspace(-0.7, -0.5, 25)[k])
+    res = fd.synth_freq_nominal(fd.NoncausalFir.unity(),
+                                fd.NoncausalFir.causal_decision(order),
+                                frozen_theta_plant(theta))
+    assert res.certified
+    assert res.solver_status == "optimal"
+    assert messages == [""]
+    assert res.gamma == pytest.approx(gamma, abs=1e-6)
 
 
 def test_nominal_pinned_gain():
@@ -280,7 +305,7 @@ def test_T_hat_structure_and_identity():
     for _ in range(100):
         x = rng.uniform(-3, 3)
         lam = rng.dirichlet([1, 1])
-        gains = {"l0": rng.normal(), "l1": rng.normal(), "eta": rng.random()}
+        gains = {"l0": rng.normal(), "l1": rng.normal(), "gamma": rng.random()}
         lam_map = dict(zip(LAM2, lam))
         z = circle_z(x)
         G = 1.0 - z * lstr.response(z, gains) * plant.response(z, lam_map)
@@ -290,8 +315,8 @@ def test_T_hat_structure_and_identity():
         T = np.asarray(data.T_hat.evaluate(pt, gains)) / scale
         assert T[0, 1] == pytest.approx(G.real * nu3, abs=1e-9)
         assert T[0, 2] == pytest.approx(G.imag * nu3, abs=1e-9)
-        assert T[0, 0] == pytest.approx(gains["eta"] * nu3 * nu3, abs=1e-9)
-        assert np.allclose(T[1:, 1:], np.eye(2), atol=1e-9)
+        assert T[0, 0] == pytest.approx(gains["gamma"] * nu3 * nu3, abs=1e-9)
+        assert np.allclose(T[1:, 1:], gains["gamma"] * np.eye(2), atol=1e-9)
 
 
 def test_robust_collapses_to_nominal_on_point_plant():

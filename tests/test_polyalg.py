@@ -237,7 +237,7 @@ def test_circle_rationalize_xy_identity():
     assert data.T_hat.variables == ("x", "l1", "l2")
     assert not data.nu3.has_decisions()
 
-    gains = {"l0": 0.3, "lg1": -0.1, "eta": 0.0}
+    gains = {"l0": 0.3, "lg1": -0.1, "gamma": 0.0}
     for _ in range(15):
         w = rng.uniform(0, 2 * np.pi)
         lpt = rng.dirichlet((1.0, 1.0))

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from ilc_sos import result, sdp
@@ -6,16 +8,17 @@ from ilc_sos.soscompiler import CertificateReport, SdpProblem
 
 
 def _ladder(monkeypatch, etas, passing):
-    """Stub the solver so level k solves to ``etas[k]`` and its certificate
-    passes iff ``etas[k]`` is in ``passing``; returns the checked levels."""
+    """Stub the solver so level k solves to gamma = sqrt(``etas[k]``) and its
+    certificate passes iff ``etas[k]`` is in ``passing``; returns the checked
+    levels."""
     checked = []
 
-    def solve(prob, gap_tol):
-        return sdp.SdpSolution("optimal", etas[prob.objective["k"]],
-                               {"eta": etas[prob.objective["k"]]}, [])
+    def solve(prob):
+        gamma = math.sqrt(etas[prob.objective["k"]])
+        return sdp.SdpSolution("optimal", gamma, {"gamma": gamma}, [])
 
     def ensure_certified(prob, S, sol):
-        eta = sol.scalar_values["eta"]
+        eta = etas[prob.objective["k"]]
         checked.append(prob.objective["k"])
         report = CertificateReport(0.0 if eta in passing else 1e-3, 1.0, [0.0],
                                    eta in passing)
@@ -37,8 +40,8 @@ def test_escalate_falls_back_to_next_certified_level(monkeypatch):
     assert checked == [1, 2]
     assert esc.k == 2
     assert esc.report.passed
-    assert esc.solution.scalar_values["eta"] == pytest.approx(0.45)
-    assert esc.k_trace == [(0, 0.50), (1, 0.40), (2, 0.40)]
+    assert esc.solution.scalar_values["gamma"] == pytest.approx(math.sqrt(0.45))
+    assert dict(esc.k_trace) == pytest.approx({0: 0.50, 1: 0.40, 2: 0.40})
 
 
 def test_escalate_keeps_best_level_when_none_certifies(monkeypatch):
@@ -46,7 +49,7 @@ def test_escalate_keeps_best_level_when_none_certifies(monkeypatch):
     assert checked == [1, 2, 0]
     assert esc.k == 1
     assert not esc.report.passed
-    assert esc.solution.scalar_values["eta"] == pytest.approx(0.40)
+    assert esc.solution.scalar_values["gamma"] == pytest.approx(math.sqrt(0.40))
 
 
 def test_escalate_checks_only_the_best_level_when_it_certifies(monkeypatch):
@@ -56,7 +59,8 @@ def test_escalate_checks_only_the_best_level_when_it_certifies(monkeypatch):
 
 
 def _rate_result(eta):
-    sol = sdp.SdpSolution("optimal", eta, {"eta": eta}, [])
+    gamma = math.sqrt(eta)
+    sol = sdp.SdpSolution("optimal", gamma, {"gamma": gamma}, [])
     return result.SynthesisResult.from_solution(sol, None, None, [], None, {})
 
 

@@ -122,14 +122,22 @@ def test_filter_length_checked():
 # -- the LMI block matrix ----------------------------------------------------
 
 
+def build_M(prob):
+    """td.build_M, checking that the degree predicted before the build (the
+    program-size refusal) is the block's degree."""
+    M = td.build_M(prob)
+    assert td.lambda_degree(prob) == M.degree_in(prob.plant.lambda_vars)
+    return M
+
+
 def test_build_M_scalar_nominal():
     plant = td.LiftedUncertainPlant(1, const_markov([1.0]), ())
     prob = td.TimeSynthesisProblem(plant, td.LiftedFilter.identity(1),
                                    td.LiftedFilter.causal_decision(1))
-    M = td.build_M(prob)
-    for l0, eta in [(0.0, 1.0), (0.7, 0.4), (1.0, 0.0)]:
-        vals = M.evaluate({}, {"eta": eta, "l0": l0})
-        assert np.allclose(vals, [[eta, 1 - l0], [1 - l0, 1.0]])
+    M = build_M(prob)
+    for l0, gamma in [(0.0, 1.0), (0.7, 0.4), (1.0, 0.0)]:
+        vals = M.evaluate({}, {"gamma": gamma, "l0": l0})
+        assert np.allclose(vals, [[gamma, 1 - l0], [1 - l0, gamma]])
 
 
 def test_build_M_uncertain_scalar_hand_expansion():
@@ -137,20 +145,20 @@ def test_build_M_uncertain_scalar_hand_expansion():
     q = td.LiftedFilter.identity(1)
     lstr = td.LiftedFilter.causal_decision(1)
     prob = td.TimeSynthesisProblem(plant, q, lstr)
-    M = td.build_M(prob)
-    # causal Q: [[eta, 1 - l0 a], [., 1]], every entry homogeneous of degree 1
+    M = build_M(prob)
+    # causal Q: [[gamma, 1 - l0 a], [., gamma]], every entry homogeneous of degree 1
     for e in M.entries:
         assert {sum(exp) for exp in e.terms} <= {1}
     rng = np.random.default_rng(3)
     for _ in range(100):
         pt = rng.dirichlet([1, 1])
-        eta, l0 = rng.normal(size=2)
+        gamma, l0 = rng.normal(size=2)
         a = pt[0] + 2 * pt[1]
         T = 1 - l0 * a
         G = td.contraction_matrix(plant, q.numeric(), lstr.numeric({"l0": l0}), pt)
         assert G[0, 0] == pytest.approx(T, abs=1e-12)
-        vals = M.evaluate(at(pt), {"eta": eta, "l0": l0})
-        assert np.allclose(vals, [[eta, T], [T, 1.0]], atol=1e-12)
+        vals = M.evaluate(at(pt), {"gamma": gamma, "l0": l0})
+        assert np.allclose(vals, [[gamma, T], [T, gamma]], atol=1e-12)
 
 
 def test_build_M_symmetric():
@@ -160,9 +168,9 @@ def test_build_M_symmetric():
                  for _ in range(3)), LAM2)
     prob = td.TimeSynthesisProblem(plant, td.LiftedFilter.identity(3),
                                    td.LiftedFilter.causal_decision(3))
-    M = td.build_M(prob)
+    M = build_M(prob)
     gains = {d: rng.normal() for d in prob.lstructure.decision_ids()}
-    gains["eta"] = 0.3
+    gains["gamma"] = 0.3
     for _ in range(10):
         vals = np.asarray(M.evaluate(at(rng.dirichlet([1, 1])), gains))
         assert np.allclose(vals, vals.T, atol=1e-12)
@@ -179,11 +187,11 @@ def test_error_dynamics_factorization():
     for q, lstr in [(td.LiftedFilter.identity(N), td.LiftedFilter.causal_decision(N)),
                     (td.LiftedFilter(N, (0.0, 0.0, 0.7, 0.3, 0.1)),
                      td.LiftedFilter.full_decision(N))]:
-        M = td.build_M(td.TimeSynthesisProblem(plant, q, lstr))
+        M = build_M(td.TimeSynthesisProblem(plant, q, lstr))
         for _ in range(100):
             pt = rng.dirichlet([1, 1])
             gains = {d: rng.normal() for d in lstr.decision_ids()}
-            gains["eta"] = 0.0
+            gains["gamma"] = 0.0
             G = td.contraction_matrix(plant, q.numeric(), lstr.numeric(gains), pt)
             vals = np.asarray(M.evaluate(at(pt), gains))
             assert np.max(np.abs(G - vals[N:, :N])) < 1e-8
@@ -207,22 +215,23 @@ def noncausal_problem():
 
 def test_build_M_noncausal_q_congruence():
     # a non-causal Q does not commute with P: the block is the congruence by
-    # P, [[eta P^T P, X^T], [X, I]] with X P^-1 the contraction matrix
+    # P, [[gamma P^T P, X^T], [X, gamma I]] with X P^-1 the contraction matrix
     prob = noncausal_problem()
     plant, q, lstr = prob.plant, prob.qfilter, prob.lstructure
     N = plant.N
-    M = td.build_M(prob)
+    M = build_M(prob)
     assert M.degree_in(LAM2) == 2
     rng = np.random.default_rng(5)
     for _ in range(100):
         pt = rng.dirichlet([1, 1])
         gains = {d: rng.normal() for d in lstr.decision_ids()}
-        gains["eta"] = eta = rng.uniform(0.1, 2.0)
+        gains["gamma"] = gamma = rng.uniform(0.1, 2.0)
         G = td.contraction_matrix(plant, q.numeric(), lstr.numeric(gains), pt)
         P = td.lifted_numeric(plant, pt)
         vals = np.asarray(M.evaluate(at(pt), gains))
         assert np.max(np.abs(G - vals[N:, :N] @ np.linalg.inv(P))) < 1e-8
-        assert np.allclose(vals[:N, :N], eta * P.T @ P, atol=1e-12)
+        assert np.allclose(vals[:N, :N], gamma * P.T @ P, atol=1e-12)
+        assert np.allclose(vals[N:, N:], gamma * np.eye(N), atol=1e-12)
 
 
 def paper_lifted(N):
@@ -244,23 +253,24 @@ def constant_lead_problem():
 
 
 def test_build_M_noncausal_q_constant_lead():
-    # p1 constant: P^-1 is polynomial, so the block keeps the head eta I and
+    # p1 constant: P^-1 is polynomial, so the block keeps the head gamma I and
     # its off-diagonal is the contraction matrix, of degree below 2 deg P
     prob = constant_lead_problem()
     plant, q, lstr = prob.plant, prob.qfilter, prob.lstructure
     N, lam = plant.N, plant.lambda_vars
     assert plant.markov[0].degree() == 0 and plant.markov[2].degree() == 2
-    M = td.build_M(prob)
+    M = build_M(prob)
     assert M.degree_in(lam) == 3
     rng = np.random.default_rng(6)
     for _ in range(100):
         pt = rng.dirichlet([1, 1])
         gains = {d: rng.normal() for d in lstr.decision_ids()}
-        gains["eta"] = eta = rng.uniform(0.1, 2.0)
+        gains["gamma"] = gamma = rng.uniform(0.1, 2.0)
         G = td.contraction_matrix(plant, q.numeric(), lstr.numeric(gains), pt)
         vals = np.asarray(M.evaluate(dict(zip(lam, pt)), gains))
         assert np.max(np.abs(G - vals[N:, :N])) < 1e-8
-        assert np.allclose(vals[:N, :N], eta * np.eye(N), atol=1e-12)
+        assert np.allclose(vals[:N, :N], gamma * np.eye(N), atol=1e-12)
+        assert np.allclose(vals[N:, N:], gamma * np.eye(N), atol=1e-12)
 
 
 # -- synthesis ---------------------------------------------------------------
@@ -357,6 +367,24 @@ def test_large_program_rejected():
                                    td.LiftedFilter.causal_decision(N))
     assert N <= td.MAX_TRIAL_LENGTH
     with pytest.raises(ValueError, match="size 2907.*synth_freq"):
+        prob.solve()
+
+
+@pytest.mark.parametrize("lead", [False, True], ids=["identity", "noncausal"])
+def test_large_program_rejected_before_build(monkeypatch, lead):
+    # the size is known from the Markov degrees: the lifted paper plant at
+    # N = 12 (lambda-degree 11 with Q = I, 12 with Q = (0.2, 0.6, 0.2)) is
+    # refused without building its block
+    N = 12
+    q = (td.LiftedFilter(N, (0.0,) * (N - 2) + (0.2, 0.6, 0.2) + (0.0,) * (N - 2))
+         if lead else td.LiftedFilter.identity(N))
+    prob = td.TimeSynthesisProblem(paper_lifted(N), q, td.LiftedFilter.causal_decision(N))
+
+    def refused(problem):
+        raise AssertionError("build_M ran for a refused program")
+
+    monkeypatch.setattr(td, "build_M", refused)
+    with pytest.raises(ValueError, match=f"lambda-degree {11 + lead}.*synth_freq"):
         prob.solve()
 
 
