@@ -205,9 +205,10 @@ class UncertainTransferFunction:
 class FreqSynthesisProblem:
     """One z-domain synthesis instance: fixed Q, decision L taps.
 
-    ``epsilon=None`` makes the positivity margin an optimized variable
-    instead of a fixed one, so exact deadbeat designs of a plant without
-    uncertainty reach gamma = 0.
+    ``epsilon=None`` means no positivity margin.  The margin only keeps the
+    Polya relaxation strict on an uncertain plant; a free margin never
+    lowers gamma (the margin term is itself SOS, so eps = 0 is always as
+    good), and without one exact deadbeat designs reach gamma = 0.
     """
 
     plant: UncertainTransferFunction
@@ -221,7 +222,7 @@ class FreqSynthesisProblem:
         if self.qfilter.has_decisions():
             raise ValueError("Q filter must be decision-free")
         if self.epsilon is not None and not (self.epsilon > 0):
-            raise ValueError("epsilon must be positive (or None for a free margin)")
+            raise ValueError("epsilon must be positive (or None for no margin)")
 
     def solve(self) -> SynthesisResult:
         return synth_freq_robust(self.qfilter, self.lstructure, self.plant,
@@ -417,14 +418,6 @@ def build_T_hat(qfilter: NoncausalFir, lfir: NoncausalFir,
 # synthesis
 
 
-def _eps_coeff(epsilon):
-    """(epsilon coefficient, nonneg side constraints, is_variable)."""
-    if epsilon is None:
-        c = AffineCoeff.decision("eps")
-        return c, [AffineCoeff.decision("eps")], True
-    return AffineCoeff(float(epsilon)), [], False
-
-
 def _gain_list(fir: NoncausalFir, gains: Mapping[str, float]) -> list:
     return [decision_value(gains, c) if isinstance(c, str) else float(c)
             for c in fir.coeffs]
@@ -460,25 +453,27 @@ def synth_freq_robust(qfilter: NoncausalFir, lstructure: NoncausalFir,
     norm2 = AffinePoly.linear_form(variables, {}, 0.0)
     for v in lam:
         norm2 = norm2 + AffinePoly.variable(variables, v) ** 2
-    one_px2 = AffinePoly.constant(variables, 1.0) + AffinePoly.variable(variables, "x") ** 2
 
-    eps_c, nonneg, eps_var = _eps_coeff(epsilon)
-    eps_poly = (norm2 ** data.deg_lambda * one_px2 ** data.deg_x).scaled(eps_c)
-    base = T_sq - PolyMatrix.identity(3, variables).scaled(eps_poly)
+    # the margin eps ||lam||^(2 deg_lambda) (1 + x^2)^deg_x I keeps the Polya
+    # relaxation strict; a free one would never lower gamma, since it is SOS
+    base = T_sq
+    if epsilon is not None:
+        one_px2 = AffinePoly.constant(variables, 1.0) + AffinePoly.variable(variables, "x") ** 2
+        eps_poly = (norm2 ** data.deg_lambda * one_px2 ** data.deg_x).scaled(float(epsilon))
+        base = T_sq - PolyMatrix.identity(3, variables).scaled(eps_poly)
 
     def compile_level(S, k):
         basis = monomial_basis(variables, [(("x",), "graded", data.deg_x),
                                            (lam, "homogeneous", data.deg_lambda + k)])
         return compile_sos(S, {"gamma": 1.0}, bases=sign_classes(kron_pairs(basis, 3), flips),
-                           nonneg=nonneg + list(extra_nonneg))
+                           nonneg=list(extra_nonneg))
 
     esc = escalate(base, norm2, compile_level, k_max, k_tol)
     gains = esc.solution.scalar_values
     opt_filter = lstructure if lstructure.has_decisions() else qfilter
     return SynthesisResult.from_solution(
         esc.solution, esc.certificate, esc.report, _gain_list(opt_filter, gains),
-        epsilon=float(gains.get("eps", 0.0)) if eps_var else epsilon,
-        polya_k=esc.k, k_trace=esc.k_trace,
+        epsilon=epsilon, polya_k=esc.k, k_trace=esc.k_trace,
         diagnostics={"deg_x": data.deg_x, "deg_lambda": data.deg_lambda,
                      **esc.diagnostics})
 
@@ -486,9 +481,12 @@ def synth_freq_robust(qfilter: NoncausalFir, lstructure: NoncausalFir,
 def synth_freq_nominal(qfilter: NoncausalFir, lstructure: NoncausalFir,
                        plant: UncertainTransferFunction, epsilon: float | None = None,
                        **kwargs) -> SynthesisResult:
-    """:func:`synth_freq_robust` with a free positivity margin by default, so
-    exact deadbeat designs of a plant without uncertainty reach gamma = 0;
-    pass a float to pin the margin."""
+    """:func:`synth_freq_robust` without a positivity margin by default.
+
+    A plant without uncertainty has an exact program, so the margin has
+    nothing to keep strict, and a free one never lowers gamma: exact
+    deadbeat designs reach gamma = 0 without it.  Pass a float to pin the
+    margin."""
     return synth_freq_robust(qfilter, lstructure, plant, epsilon=epsilon, **kwargs)
 
 

@@ -589,14 +589,6 @@ def simplex_mesh(d: int, resolution: int = 50) -> np.ndarray:
 # structural operations
 
 
-def _shift_scaled(poly: AffinePoly, exps: tuple, coeff: AffineCoeff) -> AffinePoly:
-    """coeff * monomial(exps) * poly  (poly decision-free fast path)."""
-    terms = {}
-    for e, c in poly.terms.items():
-        terms[tuple(a + b for a, b in zip(e, exps))] = c * coeff
-    return AffinePoly(poly.variables, terms)
-
-
 def homogenize(obj, simplex_vars: Sequence[str]):
     """Multiply each term by powers of ``sum(simplex_vars)`` so all terms
     reach the maximum degree in those variables.  Values on the simplex
@@ -625,13 +617,19 @@ def _homogenize_poly(poly: AffinePoly, simplex_vars: Sequence[str], target: int)
             powers[k] = lin_pow(k - 1) * lin
         return powers[k]
 
-    out = AffinePoly.zero(variables)
+    # c * monomial(e) * lin^(target - d) for every term, accumulated in one
+    # dict and pruned once (a running AffinePoly sum re-prunes at every step)
+    acc: dict = {}
     for e, c in poly.terms.items():
         d = sum(e[i] for i in idx)
         if d > target:
             raise ValueError("term exceeds target degree")
-        out = out + _shift_scaled(lin_pow(target - d), e, c)
-    return out.pruned()
+        for el, t in lin_pow(target - d).terms.items():
+            es = tuple(a + b for a, b in zip(el, e))
+            add = t * c
+            cur = acc.get(es)
+            acc[es] = add if cur is None else cur + add
+    return AffinePoly(variables, acc).pruned()
 
 
 def substitute_squares(obj, var_names: Sequence[str]):

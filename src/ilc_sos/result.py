@@ -28,7 +28,8 @@ class SynthesisResult:
 
     ``gamma`` is the guaranteed contraction rate, ``eta`` its square;
     ``gains`` maps decision ids (learning-function taps, optionally filter
-    taps and the positivity margin 'eps') to their optimized values.
+    taps) to their optimized values.  ``epsilon`` is the pinned positivity
+    margin, or None for a program without one.
     ``k_trace`` records the bound eta for every multiplier power k that was
     solved, ``polya_k`` the power that produced the reported bound.
     """

@@ -28,7 +28,10 @@ and M_ij = <K_i, W K_j W> is read off at equality i's own entries.  M is
 factored once per iteration (Cholesky, with a ridge only when it does not
 factor as is) and the triangular factor is inverted once, so every Newton
 solve of the iteration is matrix products.  Iterative refinement against the
-unridged M runs while it lowers the residual.
+unridged M runs while it lowers the residual.  An iteration runs three KKT
+solves: the predictor takes one, since its direction only sets the centering
+parameter and Mehrotra's second-order term, and the corrector takes one plus
+a refinement pass against the primal and free-variable residuals.
 
 The free variables are handled by the null-space method: D = Q [R; 0] is
 factored once per solve, and each iteration factors the trailing block of
@@ -429,32 +432,30 @@ def _solve_ipm(A: _Assembled, feas_tol: float, gap_tol: float, max_iter: int) ->
             dG = tmp + W @ Atdnu @ W
             return 0.5 * (dG + tr(dG)) * mask, dy, dnu, 0.5 * (dZ + tr(dZ))
 
-        def newton(V):
-            # one KKT-level refinement pass: the complementarity and dual rows
-            # are satisfied to roundoff by construction, so only the primal and
-            # free-variable residuals need a correction solve
-            dG, dy, dnu, dZ = newton_raw(rp, rfree, Rd, R @ V @ tr(R) - W @ Rd @ W)
-            res_p = rp - A.apply_A(dG) + A.D @ dy
-            res_f = rfree - A.D.T @ dnu
-            cG, cy, cnu, cZ = newton_raw(res_p, res_f, zeros, zeros)
-            return dG + cG, dy + cy, dnu + cnu, dZ + cZ
-
         def step_lengths(dG, dZ):
             """Fraction-to-boundary steps (primal, dual) and the scaled directions."""
             dt = np.stack([Rinv @ dG @ tr(Rinv), tr(R) @ dZ @ R])
             ap, ad = np.minimum(1.0, 0.99 * _max_step(1.0 / rs, dt))
             return ap, ad, dt
 
-        # predictor
-        dGa, dya, dnua, dZa = newton(-s[:, :, None] * eye)
+        # predictor: one KKT solve and no refinement pass, since its direction
+        # only sets sigma and the corrector's second-order term
+        WRdW = W @ Rd @ W
+        dGa, _, _, dZa = newton_raw(rp, rfree, Rd, -(R * s[:, None, :]) @ tr(R) - WRdW)
         ap, ad, (dGt, dZt) = step_lengths(dGa, dZa)
 
         mu_aff = float(np.vdot(G + ap * dGa, (Z + ad * dZa) * mask)) / max(A.ntot, 1)
         sigma = float(np.clip((max(mu_aff, 0.0) / mu) ** 3, 1e-10, 0.999))
 
-        # corrector
+        # corrector, with one KKT-level refinement pass: the complementarity
+        # and dual rows are satisfied to roundoff by construction, so only the
+        # primal and free-variable residuals need a correction solve
         Rc = (sigma * mu - s * s)[:, :, None] * eye - 0.5 * (dGt @ dZt + dZt @ dGt)
-        dG, dy, dnu, dZ = newton(2.0 * Rc / (s[:, :, None] + s[:, None, :]))
+        V = 2.0 * Rc / (s[:, :, None] + s[:, None, :])
+        dG, dy, dnu, dZ = newton_raw(rp, rfree, Rd, R @ V @ tr(R) - WRdW)
+        cG, cy, cnu, cZ = newton_raw(rp - A.apply_A(dG) + A.D @ dy, rfree - A.D.T @ dnu,
+                                     zeros, zeros)
+        dG, dy, dnu, dZ = dG + cG, dy + cy, dnu + cnu, dZ + cZ
         ap, ad, _ = step_lengths(dG, dZ)
         if not np.isfinite(ap) or not np.isfinite(ad) or ap <= 1e-12 or ad <= 1e-12:
             return fail("step length collapsed", it)

@@ -221,6 +221,11 @@ def test_nominal_sweep_designs_end_clean(monkeypatch, k, order, gamma):
     assert res.solver_status == "optimal"
     assert messages == [""]
     assert res.gamma == pytest.approx(gamma, abs=1e-6)
+    # no margin on a plant without uncertainty: no eps decision, equality
+    # or 1x1 Gram block
+    assert 1 not in res.diagnostics["block_dims"]
+    assert "eps" not in res.gains
+    assert res.epsilon is None
 
 
 def test_nominal_pinned_gain():
@@ -356,6 +361,17 @@ def test_robust_order_monotonicity_and_sampled_bound():
         taps = fd.NoncausalFir(0, order, res.gain_list)
         gam_hat, _ = vf.sampled_gamma_freq(plant, q, taps, grid)
         assert gam_hat <= res.gamma + 1e-4
+
+
+def test_robust_without_margin_on_uncertain_plant():
+    # epsilon=None is no margin on an uncertain plant too; the program stays
+    # solvable and certifies, and dropping a small margin does not raise gamma
+    q, lstr = fd.NoncausalFir.unity(), fd.NoncausalFir.causal_decision(0)
+    free = fd.synth_freq_robust(q, lstr, paper_plant(), epsilon=None, k_max=1)
+    pinned = fd.synth_freq_robust(q, lstr, paper_plant(), epsilon=1e-6, k_max=1)
+    assert free.certified and pinned.certified
+    assert free.epsilon is None and "eps" not in free.gains
+    assert free.gamma <= pinned.gamma + 1e-6
 
 
 def test_robust_rejects_unstable_plant():

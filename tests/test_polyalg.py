@@ -151,6 +151,27 @@ def test_homogenize_preserves_simplex_values():
         assert sum(e) == d
 
 
+def test_homogenize_matches_term_at_a_time_sum():
+    # reference: add each shifted term to a running sum, pruning every step
+    variables = ("x", "l1", "l2")
+    x, l1, l2 = (AffinePoly.variable(variables, v) for v in variables)
+    g = AffineCoeff.decision("gamma", 2.0) + 0.5
+    # l1 - l1^2 - l1 l2 homogenizes to zero on the simplex: a cancelling pair
+    p = (l1 * x).scaled(g) + l1 - l1 * l1 - l1 * l2 + (l2 * l2 * x).scaled(3.0) \
+        + AffinePoly.constant(variables, AffineCoeff.decision("l0", -1.5))
+    target = p.degree_in(("l1", "l2"))
+    lin = l1 + l2
+    ref = AffinePoly.zero(variables)
+    for e, c in p.terms.items():
+        shift = AffinePoly.monomial(variables, e, 1.0) * lin ** (target - e[1] - e[2])
+        ref = ref + shift.scaled(c)
+    h = homogenize(p, ("l1", "l2"))
+    assert h.terms == ref.pruned().terms
+    # the pair cancels: only the decision term's share is left at l1^2, l1 l2
+    assert h.terms[(0, 2, 0)] == AffineCoeff.decision("l0", -1.5)
+    assert h.terms[(0, 1, 1)] == AffineCoeff.decision("l0", -3.0)
+
+
 def test_homogenize_matrix_common_degree():
     variables = ("l1", "l2")
     one = AffinePoly.constant(variables, 1.0)

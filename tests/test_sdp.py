@@ -112,6 +112,26 @@ def test_solve_runs_the_ipm_once(monkeypatch):
     assert len(calls) == 3
 
 
+def test_three_kkt_solves_per_iteration(monkeypatch):
+    # the predictor takes one KKT solve, the corrector one plus a refinement pass
+    solves = []
+    factor = sdp._null_space_solver
+
+    def counted(*args):
+        kkt = factor(*args)
+
+        def solve(*rhs):
+            solves.append(rhs)
+            return kkt(*rhs)
+
+        return solve
+
+    monkeypatch.setattr(sdp, "_null_space_solver", counted)
+    sol = sdp.solve(_offdiag_problem(1.0))
+    assert sol.ok and sol.iterations > 0
+    assert len(solves) == 3 * sol.iterations
+
+
 def test_solution_report_format():
     prob = make_problem([1], [Equality([(0, 0, 0, 1.0)], {"y": 1.0}, 0.0)], {"y": 1.0})
     sol = sdp.solve(prob)
