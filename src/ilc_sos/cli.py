@@ -631,8 +631,8 @@ def main(argv=None) -> int:
         p = sub.add_parser(mode)
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--epsilon", type=float, default=None,
-                       help="override the positivity margin, which floors the "
-                            "certified gamma at epsilon")
+                       help="override the positivity margin, which adds epsilon "
+                            "to the certified gamma")
         p.add_argument("--k-max", type=int, default=None, dest="k_max",
                        help="override the multiplier escalation cap")
         p.add_argument("--seed", type=int, default=None,

@@ -10,11 +10,13 @@ contracts the tracking error monotonically for every admissible uncertainty
 iff  sup_{lam, |z|=1} |Q(z)(1 - z L(z) P(z, lam))| < 1.  A bound gamma on
 that sup, linear in a Schur form, is minimized over the free taps of L (or
 Q) through a sum-of-squares program: map the circle to one real x through
-z = (1 + jx)/(1 - jx), homogenize in lam, substitute lam -> lam^2 to drop
-the nonnegativity constraints, and escalate a "multiply by ||lam||^2k"
-relaxation ladder until the bound stops improving.  A plant without
-uncertainty is the case lam = (): its 3x3 polynomial matrix inequality in
-x is exact, so only level 0 is solved.
+z = (1 + jx)/(1 - jx) and homogenize in lam; :func:`result.escalate`, shared
+with the lifted domain, substitutes lam -> lam^2 to drop the nonnegativity
+constraints and climbs a "multiply by ||lam||^2k" relaxation ladder until
+the bound stops improving.  A positivity margin eps certifies the block
+with slack eps diag(E, S, S), its gamma-coefficient, and costs exactly eps
+on gamma.  A plant without uncertainty is the case lam = (): its 3x3
+polynomial matrix inequality in x is exact, so only level 0 is solved.
 """
 
 from __future__ import annotations
@@ -35,10 +37,8 @@ from .polyalg import (
     laurent_add,
     laurent_mul,
     simplex_mesh,
-    substitute_squares,
 )
 from .result import SynthesisResult, decision_value, escalate
-from .soscompiler import compile_sos, kron_pairs, monomial_basis, sign_classes
 
 
 class EmptyPolytope(Exception):
@@ -91,11 +91,6 @@ class NoncausalFir:
 
     def has_decisions(self) -> bool:
         return any(isinstance(c, str) for c in self.coeffs)
-
-    def has_leads(self) -> bool:
-        return self.k_lead > 0 and any(
-            (isinstance(c, str) or c != 0.0) for i, c in self.taps() if i < 0
-        )
 
     def to_laurent(self, variables: Sequence[str]) -> dict:
         out = {}
@@ -205,10 +200,9 @@ class UncertainTransferFunction:
 class FreqSynthesisProblem:
     """One z-domain synthesis instance: fixed Q, decision L taps.
 
-    ``epsilon=None`` means no positivity margin.  The margin only keeps the
-    Polya relaxation strict on an uncertain plant; a free margin never
-    lowers gamma (the margin term is itself SOS, so eps = 0 is always as
-    good), and without one exact deadbeat designs reach gamma = 0.
+    ``epsilon=None`` means no positivity margin.  A margin eps certifies the
+    rate block with slack eps times its gamma-coefficient and adds exactly
+    eps to gamma; without one exact deadbeat designs reach gamma = 0.
     """
 
     plant: UncertainTransferFunction
@@ -441,41 +435,16 @@ def synth_freq_robust(qfilter: NoncausalFir, lstructure: NoncausalFir,
         raise UnstablePlant(str(report))
 
     data = build_T_hat(qfilter, lstructure, plant)
-    lam = plant.lambda_vars
-    variables = data.T_hat.variables  # ("x", lam...)
-    # Every level is invariant under lam_i -> -lam_i (lam enters squared) and
-    # under x -> -x with congruence by diag(1, 1, -1): x -> -x maps z to
-    # conj(z), which keeps nu1 and nu3 and negates nu2 for real plant and
-    # filter coefficients
-    flips = [((variables.index(v),), ()) for v in lam] + [((variables.index("x"),), (2,))]
-
-    T_sq = substitute_squares(data.T_hat, lam)
-    norm2 = AffinePoly.linear_form(variables, {}, 0.0)
-    for v in lam:
-        norm2 = norm2 + AffinePoly.variable(variables, v) ** 2
-
-    # the margin eps ||lam||^(2 deg_lambda) (1 + x^2)^deg_x I keeps the Polya
-    # relaxation strict; a free one would never lower gamma, since it is SOS
-    base = T_sq
-    if epsilon is not None:
-        one_px2 = AffinePoly.constant(variables, 1.0) + AffinePoly.variable(variables, "x") ** 2
-        eps_poly = (norm2 ** data.deg_lambda * one_px2 ** data.deg_x).scaled(float(epsilon))
-        base = T_sq - PolyMatrix.identity(3, variables).scaled(eps_poly)
-
-    def compile_level(S, k):
-        basis = monomial_basis(variables, [(("x",), "graded", data.deg_x),
-                                           (lam, "homogeneous", data.deg_lambda + k)])
-        return compile_sos(S, {"gamma": 1.0}, bases=sign_classes(kron_pairs(basis, 3), flips),
-                           nonneg=list(extra_nonneg))
-
-    esc = escalate(base, norm2, compile_level, k_max, k_tol)
-    gains = esc.solution.scalar_values
     opt_filter = lstructure if lstructure.has_decisions() else qfilter
-    return SynthesisResult.from_solution(
-        esc.solution, esc.certificate, esc.report, _gain_list(opt_filter, gains),
-        epsilon=epsilon, polya_k=esc.k, k_trace=esc.k_trace,
-        diagnostics={"deg_x": data.deg_x, "deg_lambda": data.deg_lambda,
-                     **esc.diagnostics})
+    # x -> -x with congruence by diag(1, 1, -1) leaves every level invariant:
+    # it maps z to conj(z), which keeps nu1 and nu3 and negates nu2 for real
+    # plant and filter coefficients (x is variable 0)
+    res = escalate(data.T_hat, plant.lambda_vars, epsilon, k_max, k_tol,
+                   lambda gains: _gain_list(opt_filter, gains),
+                   groups=[(("x",), "graded", data.deg_x)], flips=[((0,), (2,))],
+                   nonneg=extra_nonneg)
+    res.diagnostics["deg_x"] = data.deg_x
+    return res
 
 
 def synth_freq_nominal(qfilter: NoncausalFir, lstructure: NoncausalFir,
@@ -483,10 +452,9 @@ def synth_freq_nominal(qfilter: NoncausalFir, lstructure: NoncausalFir,
                        **kwargs) -> SynthesisResult:
     """:func:`synth_freq_robust` without a positivity margin by default.
 
-    A plant without uncertainty has an exact program, so the margin has
-    nothing to keep strict, and a free one never lowers gamma: exact
-    deadbeat designs reach gamma = 0 without it.  Pass a float to pin the
-    margin."""
+    A plant without uncertainty has an exact program, and a margin would
+    only add eps to gamma: exact deadbeat designs reach gamma = 0 without
+    it.  Pass a float to pin the margin."""
     return synth_freq_robust(qfilter, lstructure, plant, epsilon=epsilon, **kwargs)
 
 

@@ -1,13 +1,14 @@
-"""Shared result container and multiplier escalation for both synthesis domains."""
+"""Shared result container and the Polya relaxation ladder for both synthesis domains."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 from . import sdp
-from .polyalg import AffinePoly, PolyMatrix
-from .soscompiler import RESIDUAL_TOL, CertificateReport, SdpProblem, SosCertificate
+from .polyalg import AffineCoeff, AffinePoly, PolyMatrix, substitute_squares
+from .soscompiler import (RESIDUAL_TOL, CertificateReport, SosCertificate, compile_sos,
+                          kron_pairs, monomial_basis, sign_classes)
 
 
 class UnusedDecision(Exception):
@@ -26,16 +27,15 @@ def decision_value(gains: Mapping[str, float], name: str) -> float:
 class SynthesisResult:
     """Outcome of one rate-minimization run.
 
-    ``gamma`` is the guaranteed contraction rate, ``eta`` its square;
-    ``gains`` maps decision ids (learning-function taps, optionally filter
-    taps) to their optimized values.  ``epsilon`` is the pinned positivity
-    margin, or None for a program without one.
+    ``gamma`` is the guaranteed contraction rate; ``gains`` maps decision
+    ids (learning-function taps, optionally filter taps) to their optimized
+    values.  ``epsilon`` is the pinned positivity margin, or None for a
+    program without one.
     ``k_trace`` records the bound eta for every multiplier power k that was
     solved, ``polya_k`` the power that produced the reported bound.
     """
 
     gamma: float
-    eta: float
     gains: dict
     gain_list: list
     epsilon: float | None
@@ -46,28 +46,17 @@ class SynthesisResult:
     solver_status: str = ""
     solver_method: str = ""
     solver_iterations: int = 0
-    not_monotone: bool = False
     diagnostics: dict = field(default_factory=dict)
 
-    @classmethod
-    def from_solution(cls, sol: sdp.SdpSolution, certificate: SosCertificate,
-                      report: CertificateReport, gain_list: list,
-                      epsilon: float | None, diagnostics: dict, polya_k: int = 0,
-                      k_trace: list | None = None) -> "SynthesisResult":
-        """Result of a solve whose objective scalar is ``gamma``; ``k_trace``
-        defaults to the single level 0.  A gamma within the certificate's
-        residual tolerance of 1 is rounding, not a contraction."""
-        gamma = _gamma(sol)
-        eta = gamma * gamma
-        return cls(
-            gamma=gamma, eta=eta,
-            gains={k: float(v) for k, v in sol.scalar_values.items()},
-            gain_list=gain_list, epsilon=epsilon, polya_k=polya_k,
-            k_trace=[(0, eta)] if k_trace is None else k_trace,
-            certificate=certificate, certificate_report=report,
-            solver_status=sol.status, solver_method=sol.method,
-            solver_iterations=sol.iterations,
-            not_monotone=bool(gamma >= 1.0 - RESIDUAL_TOL), diagnostics=diagnostics)
+    @property
+    def eta(self) -> float:
+        return self.gamma * self.gamma
+
+    @property
+    def not_monotone(self) -> bool:
+        """A gamma within the certificate's residual tolerance of 1 is
+        rounding, not a contraction."""
+        return bool(self.gamma >= 1.0 - RESIDUAL_TOL)
 
     @property
     def certified(self) -> bool:
@@ -104,32 +93,34 @@ def _gamma(sol: sdp.SdpSolution) -> float:
     return max(float(sol.scalar_values["gamma"]), 0.0)
 
 
-@dataclass
-class Escalation:
-    """Best level of a multiplier ladder, its checked solution and the
-    per-level record (``diagnostics`` holds the raw trace and program size)."""
+def escalate(M: PolyMatrix, lam: Sequence[str], epsilon: float | None, k_max: int,
+             k_tol: float, gain_list: Callable[[Mapping[str, float]], list],
+             groups: Sequence[tuple] = (), flips: Sequence[tuple] = (),
+             nonneg: Sequence[AffineCoeff] = ()) -> SynthesisResult:
+    """Minimize the rate gamma whose block M is PSD on the simplex.
 
-    k: int
-    solution: sdp.SdpSolution
-    certificate: SosCertificate
-    report: CertificateReport
-    k_trace: list
-    diagnostics: dict
+    M is affine in the decision ``gamma`` and homogeneous in the simplex
+    variables ``lam``.  The Polya relaxation substitutes lam -> lam^2, which
+    drops the nonnegativity constraints, and asks level k,
+    S_k = ||lam||^(2k) M(gamma - eps), to be SOS in a basis of the monomial
+    ``groups`` (:func:`monomial_basis` groups of the other variables) times
+    the lam monomials of degree deg_lam(M) + k.  Every level is invariant
+    under lam_i -> -lam_i, and under the extra ``flips`` ((variable indices,
+    negated coordinates), as in :func:`sign_classes`), so its Gram matrix
+    splits by sign class.  ``nonneg`` lists scalar side constraints.
 
+    The margin eps (None: no margin) is eps times M's gamma-coefficient H,
+    the positive diagonal of the rate block: the Grams certify
+    M(gamma) - eps H, and since M is affine in gamma the certified gamma is
+    the margin-free bound plus eps.
 
-def escalate(base: PolyMatrix, norm2: AffinePoly,
-             compile_level: Callable[[PolyMatrix, int], SdpProblem],
-             k_max: int, k_tol: float) -> Escalation:
-    """Minimize the rate gamma over the levels S_k = norm2^k * base.
-
-    ``compile_level(S_k, k)`` returns level k's program, whose objective is
-    the scalar ``gamma``; the ladder is kept in eta = gamma^2.  Levels
-    k = 0, 1, ... are solved until eta improves by less than ``k_tol`` or
-    ``k_max`` is reached.  An identically zero ``norm2`` (no simplex
-    variable) leaves level 0 alone.  The solved levels' Gram matrices are
-    then checked as certificates by ``sdp.ensure_certified`` in ascending
-    eta (nothing is re-solved), and the first that passes is returned; when
-    none passes, the lowest-eta level comes back with its failed report.
+    Levels k = 0, 1, ... are solved until eta = gamma^2 improves by less
+    than ``k_tol`` or ``k_max`` is reached (level 0 only without simplex
+    variables: that program is exact).  The solved levels' Grams are then
+    checked by ``sdp.ensure_certified`` in ascending eta (nothing is
+    re-solved), and the first that passes is returned; when none passes, the
+    lowest-eta level comes back with its failed report.  ``gain_list`` maps
+    the solved decisions to the result's tap list.
 
     A certificate solved at level j stays valid at every level k > j
     (multiply the Gram polynomial by the norm factor), so the guaranteed
@@ -137,17 +128,26 @@ def escalate(base: PolyMatrix, norm2: AffinePoly,
     records that, and the raw per-level solve values go to the diagnostics
     together with a flag for a numerical increase beyond 1e-6.
     """
+    variables = M.variables
+    deg_lambda = M.degree_in(lam)
+    base = substitute_squares(M, lam)
+    if epsilon is not None:  # M(gamma - eps)
+        base = base.map_entries(lambda p: AffinePoly(p.variables, {
+            e: c - epsilon * c.terms.get("gamma", 0.0) for e, c in p.terms.items()}))
+    norm2 = sum((AffinePoly.variable(variables, v) ** 2 for v in lam), AffinePoly.zero(variables))
+    signs = [((variables.index(v),), ()) for v in lam] + list(flips)
+
     k_trace = []
     k_raw = []
     solved = []
     prev_bound = None
     increased = False
-    mult = AffinePoly.constant(norm2.variables, 1.0)
-    if norm2.is_zero():
-        k_max = 0
-    for k in range(k_max + 1):
+    mult = AffinePoly.constant(variables, 1.0)
+    for k in range(k_max + 1 if lam else 1):
         S = base.scaled(mult) if k else base
-        prob = compile_level(S, k)
+        basis = monomial_basis(variables, [*groups, (lam, "homogeneous", deg_lambda + k)])
+        prob = compile_sos(S, {"gamma": 1.0}, bases=sign_classes(kron_pairs(basis, S.rows), signs),
+                           nonneg=nonneg)
         sol = sdp.solve(prob)
         if sol.ok:
             eta = _gamma(sol) ** 2
@@ -176,9 +176,12 @@ def escalate(base: PolyMatrix, norm2: AffinePoly,
     else:
         k_best, prob, checked = fallback
     sol, cert, report = checked
-    return Escalation(k_best, sol, cert, report, k_trace, {
-        "eta_increased_with_k": increased,
-        "k_trace_raw": k_raw,
-        "n_equalities": prob.n_equalities,
-        "block_dims": list(prob.block_dims),
-    })
+    gains = {k: float(v) for k, v in sol.scalar_values.items()}
+    return SynthesisResult(
+        gamma=_gamma(sol), gains=gains, gain_list=gain_list(gains), epsilon=epsilon,
+        polya_k=k_best, k_trace=k_trace, certificate=cert, certificate_report=report,
+        solver_status=sol.status, solver_method=sol.method,
+        solver_iterations=sol.iterations,
+        diagnostics={"deg_lambda": deg_lambda, "eta_increased_with_k": increased,
+                     "k_trace_raw": k_raw, "n_equalities": prob.n_equalities,
+                     "block_dims": list(prob.block_dims)})

@@ -22,9 +22,12 @@ congruence by P gives the equivalent condition with X = P Q (I - L P):
 
     [[gamma * P^T P, X^T], [X, gamma * I]]
 
-of twice P's degree.  After homogenizing in the simplex weights,
-substituting lam -> lam^2 and multiplying by ||lam||^(2k), positivity is
-relaxed to an SOS feasibility problem that tightens as k grows.
+of twice P's degree.  The block is homogenized in the simplex weights and
+handed to :func:`result.escalate`, shared with the frequency domain: it
+substitutes lam -> lam^2 and multiplies by ||lam||^(2k), an SOS relaxation
+that tightens as k grows.  A positivity margin eps certifies the block
+with slack eps times its gamma-coefficient (I, or P^T P in the congruence
+head) and costs exactly eps on gamma.
 """
 
 from __future__ import annotations
@@ -36,9 +39,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .polyalg import (AffineCoeff, AffinePoly, PolyMatrix, substitute_squares,
-                      homogenize)
-from .soscompiler import compile_sos, kron_pairs, monomial_basis, sign_classes
+from .polyalg import AffineCoeff, AffinePoly, PolyMatrix, homogenize
 from .result import SynthesisResult, decision_value, escalate
 
 # Two limits keep synth_time near a 10 s budget (2 vCPUs, one BLAS thread,
@@ -436,33 +437,11 @@ def synth_time(problem: TimeSynthesisProblem) -> SynthesisResult:
             f"the lifted program at N={N} (lambda-degree {deg_lambda}, {len(lam)} "
             f"simplex weights) has size {size}, above the limit of {MAX_PROGRAM_SIZE}; "
             "use the frequency-domain route (synth_freq_robust)")
-    M = build_M(problem)
-    variables = M.variables
-    deg_lambda = M.degree_in(lam)  # the prediction bounds it; the basis needs it exact
-
-    flips = [((variables.index(v),), ()) for v in lam]
-    base = substitute_squares(M, lam)
-    norm2 = AffinePoly.zero(variables)
-    for v in lam:
-        norm2 = norm2 + AffinePoly.variable(variables, v) ** 2
-    # the margin keeps the Polya relaxation strict; without uncertainty the
-    # program is exact and a margin would only bound gamma away from zero
-    epsilon = float(problem.epsilon) if lam else None
-    if epsilon is not None:
-        eps_poly = (norm2 ** deg_lambda).scaled(epsilon)
-        base = base - PolyMatrix.identity(2 * N, variables).scaled(eps_poly)
-
-    def compile_level(S, k):
-        basis = monomial_basis(variables, [(lam, "homogeneous", deg_lambda + k)])
-        return compile_sos(S, {"gamma": 1.0},
-                           bases=sign_classes(kron_pairs(basis, S.rows), flips))
-
-    esc = escalate(base, norm2, compile_level, problem.k_max, problem.k_tol)
-    result = SynthesisResult.from_solution(
-        esc.solution, esc.certificate, esc.report,
-        _gain_list(problem.lstructure, esc.solution.scalar_values),
-        epsilon=epsilon, polya_k=esc.k, k_trace=esc.k_trace,
-        diagnostics={"N": N, "deg_lambda": deg_lambda, **esc.diagnostics})
+    # without uncertainty the program is exact and takes no margin
+    result = escalate(build_M(problem), lam, float(problem.epsilon) if lam else None,
+                      problem.k_max, problem.k_tol,
+                      lambda gains: _gain_list(problem.lstructure, gains))
+    result.diagnostics["N"] = N
     if result.not_monotone:
         warnings.warn("no multiplier power certified a rate below one", InfeasibleAtAllK)
     return result

@@ -80,6 +80,23 @@ def test_synth_freq_epsilon_override(tmp_path):
     assert res["gamma"] == pytest.approx(0.01, abs=1e-3)
 
 
+def test_synth_freq_margin_on_small_denominator_plant(tmp_path):
+    # 1/(z - theta), theta in [0.85, 0.9]: the default margin costs eps on
+    # gamma, not eps / min |den|^4 (which was 10 here, exit 4)
+    cfg = write_config(tmp_path, {
+        "mode": "synth-freq",
+        "plant": {"type": "polytope", "num": [1.0],
+                  "den": [[{"exponents": [1], "value": -1.0}], 1.0],
+                  "vertices": [[0.85], [0.9]]},
+        "lstructure": {"order": 1}, "k_max": 2,
+    })
+    out = tmp_path / "out"
+    assert cli.main(["synth-freq", "--config", cfg, "--out", str(out)]) == 0
+    res = read_result(out)["result"]
+    assert res["certificate"]["passed"] is True
+    assert res["gamma"] < 0.21
+
+
 def test_synth_freq_pinned_zero_gain_not_monotone(tmp_path, capsys):
     # L pinned to zero cannot contract anything: gamma* = 1, exit 4
     cfg = write_config(tmp_path, {

@@ -372,6 +372,26 @@ def test_robust_without_margin_on_uncertain_plant():
     assert free.certified and pinned.certified
     assert free.epsilon is None and "eps" not in free.gains
     assert free.gamma <= pinned.gamma + 1e-6
+    # the margin is eps times the block's gamma-coefficient: it costs eps on gamma
+    margin = fd.synth_freq_robust(q, lstr, paper_plant(), epsilon=1e-3, k_max=1)
+    assert margin.certified
+    for res, eps in [(pinned, 1e-6), (margin, 1e-3)]:
+        assert res.gamma == pytest.approx(free.gamma + eps, abs=1e-6)
+
+
+def test_margin_does_not_scale_with_the_denominator():
+    # 1/(z - theta), theta in [0.85, 0.9]: |den| falls to 0.1 on the circle.
+    # A margin eps S on every diagonal entry floored gamma at
+    # eps / min |den|^4 = 10 here; eps diag(E, S, S) costs eps whatever the plant
+    tv = ("theta",)
+    plant = fd.simplexify([lin(tv, 1.0)], [lin(tv, 0.0, -1.0), lin(tv, 1.0)],
+                          [[0.85], [0.9]], theta_vars=tv)
+    q, lstr = fd.NoncausalFir.unity(), fd.NoncausalFir.causal_decision(1)
+    res = fd.synth_freq_robust(q, lstr, plant, k_max=2)
+    assert res.certified, str(res.certificate_report)
+    assert res.gamma <= 0.2011
+    gam_hat, _ = vf.sampled_gamma_freq(plant, q, fd.NoncausalFir(0, 1, res.gain_list))
+    assert gam_hat <= res.gamma + 1e-6
 
 
 def test_robust_rejects_unstable_plant():

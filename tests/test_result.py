@@ -3,14 +3,35 @@ import math
 import pytest
 
 from ilc_sos import result, sdp
-from ilc_sos.polyalg import AffinePoly, PolyMatrix
+from ilc_sos.polyalg import AffineCoeff, AffinePoly, PolyMatrix
 from ilc_sos.soscompiler import CertificateReport, SdpProblem
+
+LAM = ("l",)
+
+
+def _block():
+    """[[gamma l]]: a 1 x 1 rate block, homogeneous of degree 1 in l."""
+    gamma = AffineCoeff.decision("gamma")
+    return PolyMatrix.from_rows([[AffinePoly.variable(LAM, "l").scaled(gamma)]])
+
+
+def _stub_compile(monkeypatch):
+    """Replace the compiler by one that records each level's block; level k's
+    program carries k in its objective.  Returns the recorded blocks."""
+    compiled = []
+
+    def compile_sos(S, objective, bases=None, nonneg=None):
+        compiled.append(S)
+        return SdpProblem([1], (), {"k": len(compiled) - 1}, [])
+
+    monkeypatch.setattr(result, "compile_sos", compile_sos)
+    return compiled
 
 
 def _ladder(monkeypatch, etas, passing):
     """Stub the solver so level k solves to gamma = sqrt(``etas[k]``) and its
-    certificate passes iff ``etas[k]`` is in ``passing``; returns the checked
-    levels."""
+    certificate passes iff ``etas[k]`` is in ``passing``; returns the result
+    and the checked levels."""
     checked = []
 
     def solve(prob):
@@ -24,44 +45,58 @@ def _ladder(monkeypatch, etas, passing):
                                    eta in passing)
         return sol, None, report
 
+    _stub_compile(monkeypatch)
     monkeypatch.setattr(result.sdp, "solve", solve)
     monkeypatch.setattr(result.sdp, "ensure_certified", ensure_certified)
-    base = PolyMatrix.from_rows([[AffinePoly.constant(("l",), 1.0)]])
-    norm2 = AffinePoly.variable(("l",), "l") ** 2
-    esc = result.escalate(base, norm2,
-                          lambda S, k: SdpProblem([1], (), {"k": k}, []),
-                          k_max=len(etas) - 1, k_tol=0.0)
-    return esc, checked
+    res = result.escalate(_block(), LAM, None, k_max=len(etas) - 1, k_tol=0.0,
+                          gain_list=lambda gains: [gains["gamma"]])
+    return res, checked
 
 
 def test_escalate_falls_back_to_next_certified_level(monkeypatch):
-    esc, checked = _ladder(monkeypatch, [0.50, 0.40, 0.45], passing={0.50, 0.45})
+    res, checked = _ladder(monkeypatch, [0.50, 0.40, 0.45], passing={0.50, 0.45})
     # the lowest eta (k = 1) fails its certificate; k = 2 is next in eta
     assert checked == [1, 2]
-    assert esc.k == 2
-    assert esc.report.passed
-    assert esc.solution.scalar_values["gamma"] == pytest.approx(math.sqrt(0.45))
-    assert dict(esc.k_trace) == pytest.approx({0: 0.50, 1: 0.40, 2: 0.40})
+    assert res.polya_k == 2
+    assert res.certified
+    assert res.gamma == pytest.approx(math.sqrt(0.45))
+    assert res.gain_list == [pytest.approx(math.sqrt(0.45))]
+    assert dict(res.k_trace) == pytest.approx({0: 0.50, 1: 0.40, 2: 0.40})
+    assert dict(res.diagnostics["k_trace_raw"]) == pytest.approx({0: 0.50, 1: 0.40, 2: 0.45})
 
 
 def test_escalate_keeps_best_level_when_none_certifies(monkeypatch):
-    esc, checked = _ladder(monkeypatch, [0.50, 0.40, 0.45], passing=set())
+    res, checked = _ladder(monkeypatch, [0.50, 0.40, 0.45], passing=set())
     assert checked == [1, 2, 0]
-    assert esc.k == 1
-    assert not esc.report.passed
-    assert esc.solution.scalar_values["gamma"] == pytest.approx(math.sqrt(0.40))
+    assert res.polya_k == 1
+    assert not res.certified
+    assert res.gamma == pytest.approx(math.sqrt(0.40))
 
 
 def test_escalate_checks_only_the_best_level_when_it_certifies(monkeypatch):
-    esc, checked = _ladder(monkeypatch, [0.50, 0.40, 0.45], passing={0.40})
+    res, checked = _ladder(monkeypatch, [0.50, 0.40, 0.45], passing={0.40})
     assert checked == [1]
-    assert esc.k == 1
+    assert res.polya_k == 1
+
+
+def test_escalate_margin_is_epsilon_times_the_gamma_coefficient(monkeypatch):
+    compiled = _stub_compile(monkeypatch)
+    monkeypatch.setattr(result.sdp, "solve",
+                        lambda prob: sdp.SdpSolution("optimal", 0.5, {"gamma": 0.5}, []))
+    monkeypatch.setattr(result.sdp, "ensure_certified",
+                        lambda prob, S, sol: (sol, None, CertificateReport(0.0, 1.0, [0.0], True)))
+    res = result.escalate(_block(), LAM, 1e-3, k_max=1, k_tol=0.0, gain_list=lambda gains: [])
+    # lam -> lam^2, gamma -> gamma - eps, and level 1 multiplies by ||lam||^2
+    l2 = AffinePoly.variable(LAM, "l") ** 2
+    level0 = l2.scaled(AffineCoeff.decision("gamma") - 1e-3)
+    assert [S[0, 0] for S in compiled] == [level0, level0 * l2]
+    assert res.epsilon == 1e-3
+    assert res.diagnostics["deg_lambda"] == 1
 
 
 def _rate_result(eta):
-    gamma = math.sqrt(eta)
-    sol = sdp.SdpSolution("optimal", gamma, {"gamma": gamma}, [])
-    return result.SynthesisResult.from_solution(sol, None, None, [], None, {})
+    return result.SynthesisResult(gamma=math.sqrt(eta), gains={}, gain_list=[],
+                                  epsilon=None, polya_k=0, k_trace=[])
 
 
 def test_rate_within_certificate_tolerance_of_one_is_not_monotone():

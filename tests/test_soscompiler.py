@@ -13,6 +13,7 @@ from ilc_sos.soscompiler import (
     sign_classes,
 )
 from ilc_sos import freqdomain as fd
+from ilc_sos import result
 from ilc_sos import sdp
 from ilc_sos import timedomain as td
 
@@ -225,16 +226,16 @@ def _new_equalities(prob):
             for eq in prob.equalities if eq.monomial is not None]
 
 
-def _capture_compiles(monkeypatch, module):
+def _capture_compiles(monkeypatch):
     seen = []
-    orig = module.compile_sos
+    orig = result.compile_sos
 
     def spy(S, objective, bases=None, nonneg=None):
         prob = orig(S, objective, bases=bases, nonneg=nonneg)
         seen.append((S, prob))
         return prob
 
-    monkeypatch.setattr(module, "compile_sos", spy)
+    monkeypatch.setattr(result, "compile_sos", spy)
     return seen
 
 
@@ -246,7 +247,7 @@ def test_pair_layout_matches_kronecker_lifted_program(monkeypatch):
     problem = td.TimeSynthesisProblem(plant, td.LiftedFilter.identity(2),
                                       td.LiftedFilter.causal_decision(2),
                                       epsilon=1e-6, k_max=1, k_tol=0.0)
-    seen = _capture_compiles(monkeypatch, td)
+    seen = _capture_compiles(monkeypatch)
     td.synth_time(problem)
     assert len(seen) == 2
     for S, prob in seen:
@@ -270,7 +271,7 @@ def test_symmetry_split_keeps_robust_bound(monkeypatch):
 
     # the same program with the lambda-sign split only (no x -> -x flip)
     lam_only = lambda pairs, flips: sign_classes(pairs, [f for f in flips if not f[1]])
-    monkeypatch.setattr(fd, "sign_classes", lam_only)
+    monkeypatch.setattr(result, "sign_classes", lam_only)
     whole = fd.synth_freq_robust(*args, k_max=0)
     assert sum(split.diagnostics["block_dims"]) == sum(whole.diagnostics["block_dims"])
     assert max(split.diagnostics["block_dims"]) < max(whole.diagnostics["block_dims"])

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -319,6 +320,24 @@ def test_synth_noncausal_q_vs_sampled(make, gamma_det_adj):
     assert gam_hat <= res.gamma + 1e-6
     # the det(P)/adj(P) form of the same condition gave gamma_det_adj
     assert abs(res.gamma - gamma_det_adj) <= 1e-5
+
+
+def commuting_problem():
+    return td.TimeSynthesisProblem(random_plant(101, 2), td.LiftedFilter.identity(2),
+                                   td.LiftedFilter.causal_decision(2),
+                                   epsilon=1e-6, k_max=2, k_tol=1e-7)
+
+
+@pytest.mark.parametrize("make", [commuting_problem, noncausal_problem],
+                         ids=["commuting", "congruence"])
+def test_margin_adds_epsilon_to_gamma(make):
+    # the margin is eps times the block's gamma-coefficient (I, or P^T P in the
+    # congruence head), so the certified gamma moves by the change in eps
+    prob = make()
+    small = prob.solve()
+    large = dataclasses.replace(prob, epsilon=1e-3).solve()
+    assert small.certified and large.certified
+    assert large.gamma - small.gamma == pytest.approx(0.999e-3, abs=2e-6)
 
 
 def test_synth_long_horizon_vs_sampled():
