@@ -595,9 +595,12 @@ def homogenize(obj, simplex_vars: Sequence[str]):
     (where the variables sum to one) are unchanged.
 
     Accepts an :class:`AffinePoly` or a :class:`PolyMatrix`; for a matrix the
-    target degree is the maximum over all entries.
+    target degree is the maximum over all entries.  With no simplex
+    variables there is nothing to multiply, and ``obj`` itself is returned.
     """
     simplex_vars = list(simplex_vars)
+    if not simplex_vars:
+        return obj
     if isinstance(obj, PolyMatrix):
         target = obj.degree_in(simplex_vars)
         return obj.map_entries(lambda p: _homogenize_poly(p, simplex_vars, target))

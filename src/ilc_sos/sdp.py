@@ -22,16 +22,20 @@ is zero on them, so they stay exactly I, and they add nothing to mu, the
 residuals or the step lengths.  The returned Grams are per-block copies.
 
 The Schur complement M = A(W A*(.) W) is built block by block from the
-sparse constraint entries: the congruences W K_j W of all equalities are one
-batched product (each equality's few entries padded to a common length),
-and M_ij = <K_i, W K_j W> is read off at equality i's own entries.  M is
-factored once per iteration (Cholesky, with a ridge only when it does not
-factor as is) and the triangular factor is inverted once, so every Newton
-solve of the iteration is matrix products.  Iterative refinement against the
-unridged M runs while it lowers the residual.  An iteration runs three KKT
-solves: the predictor takes one, since its direction only sets the centering
-parameter and Mehrotra's second-order term, and the corrector takes one plus
-a refinement pass against the primal and free-variable residuals.
+sparse constraint entries, as one scatter (the sparse Schur build of
+Fujisawa, Kojima & Nakata 1997).  The congruences W K_j W = C_j + C_j^T of
+all equalities j are one batched product (each equality's few entries padded
+to a common length).  Every Gram entry e belongs to exactly one equality i,
+and its share of M_ij = <K_i, W K_j W> is w_e (C_j[p_e, q_e] + C_j[q_e, p_e]);
+one bincount per block, over flat indices i p + j built at assembly, adds
+the block's shares into M.  M is factored once per iteration (Cholesky,
+with a ridge only when it does not factor as is) and the triangular factor
+is inverted once, so every Newton solve of the iteration is matrix
+products.  Iterative refinement against the unridged M runs while it lowers
+the residual.  An iteration runs three KKT solves: the predictor takes one,
+since its direction only sets the centering parameter and Mehrotra's
+second-order term, and the corrector takes one plus a refinement pass
+against the primal and free-variable residuals.
 
 The free variables are handled by the null-space method: D = Q [R; 0] is
 factored once per solve, and each iteration factors the trailing block of
@@ -97,7 +101,10 @@ class SdpSolution:
 # ---------------------------------------------------------------------------
 # assembly
 
-# largest work array (in doubles) one chunk of the Schur build may allocate
+# largest work array (in doubles) one chunk of the Schur build allocates: its
+# congruences (equalities x n^2) and its entry shares (equalities x entries).
+# The scatter index, of the shares' size for a whole block, is kept from
+# assembly on.
 _SCHUR_CHUNK = 1 << 21
 
 
@@ -162,8 +169,10 @@ class _Assembled:
             self.Rinv = np.linalg.inv(np.triu(h[:, :q].T))
 
         # each active equality's entries, padded to a common length per block
-        # (zero weight in the padding), so that the congruences W K_i W of
-        # all equalities are one batched matmul in schur()
+        # (zero weight in the padding), so that the congruences W K_j W of
+        # all equalities are one batched matmul in schur(); and the flat
+        # index eq_e p + j in M of every (active equality j, entry e) pair,
+        # where schur() adds entry e's share of M[eq_e, j]
         self.padded = []
         for eq, pp, qq, ww in self.blocks:
             active, starts, counts = np.unique(eq, return_index=True,
@@ -175,7 +184,8 @@ class _Assembled:
             Q = np.zeros((len(active), width), int)
             Wt = np.zeros((len(active), width))
             P[row, slot], Q[row, slot], Wt[row, slot] = pp, qq, 0.5 * ww
-            self.padded.append((active, starts, P, Q, Wt))
+            to_M = (eq * p + active[:, None]).astype(np.intp)
+            self.padded.append((active, P, Q, Wt, to_M))
 
     # linear operators on the stacked (B, n, n) array ---------------------
     def apply_A(self, G: np.ndarray) -> np.ndarray:
@@ -197,25 +207,29 @@ class _Assembled:
     def schur(self, Ws: np.ndarray) -> np.ndarray:
         """M_ij = sum_b tr(A_i W_b A_j W_b) = sum_b <K_i, W_b K_j W_b>,
         for the stacked scalings Ws."""
-        M = np.zeros((self.p, self.p))
-        for (eq, pp, qq, ww), (active, starts, P, Q, Wt), Wb, n in zip(
+        M = np.zeros(self.p * self.p)
+        for (eq, pp, qq, ww), (active, P, Q, Wt, to_M), Wb, n in zip(
                 self.blocks, self.padded, Ws, self.dims):
             if not len(eq):
                 continue
             W = Wb[:n, :n]
-            pq = pp * n + qq
+            pq, qp = pp * n + qq, qq * n + pp
             # bound the (equalities x n^2) and (equalities x entries) work
             # arrays so that large blocks do not raise peak memory
             chunk = max(1, _SCHUR_CHUNK // max(n * n, len(eq)))
             for lo in range(0, len(active), chunk):
                 sl = slice(lo, lo + chunk)
-                # H_j = W K_j W = C_j + C_j^T, C_j = sum_l wt_l W[:, p_l] W[q_l, :]
-                C = (W[:, P[sl]].transpose(1, 0, 2) * Wt[sl, None, :]) @ W[Q[sl], :]
-                H = (C + C.transpose(0, 2, 1)).reshape(len(C), n * n)
-                # <K_i, H_j> = sum of w_l (H_j)[p_l, q_l] over the entries of i
-                G = np.take(H, pq, axis=1) * ww
-                M[np.ix_(active, active[sl])] += np.add.reduceat(G, starts, axis=1).T
-        return M
+                # W K_j W = C_j + C_j^T, C_j = sum_l wt_l W[:, p_l] W[q_l, :]
+                # (W is symmetric, so both factors are gathers of whole rows)
+                L = W[P[sl]]
+                L *= Wt[sl, :, None]
+                C = (L.transpose(0, 2, 1) @ W[Q[sl]]).reshape(-1, n * n)
+                # entry e's share of <K_eq_e, W K_j W>: w_e (C_j[p_e, q_e] + C_j[q_e, p_e])
+                X = C[:, pq]
+                X += C[:, qp]
+                X *= ww
+                M += np.bincount(to_M[sl].ravel(), X.ravel(), len(M))
+        return M.reshape(self.p, self.p)
 
 
 def _chol(M: np.ndarray):

@@ -126,14 +126,19 @@ def freq_gain_grid(plant: UncertainTransferFunction, qfilter: NoncausalFir,
     den_c = np.column_stack([c.evaluate_batch(pts) for c in plant.den])
     den_c = np.hstack([den_c, np.ones((K, 1))])
     zp = z[None, :] ** np.arange(plant.n + 1)[:, None]     # (n+1, F)
-    num_v = num_c @ zp[: num_c.shape[1]]
     den_v = den_c @ zp
     den_scale = max(1.0, float(np.max(np.abs(den_c))))
-    if np.min(np.abs(den_v)) <= 1e-10 * den_scale:
-        ik, iw = np.unravel_index(int(np.argmin(np.abs(den_v))), den_v.shape)
+    G = np.abs(den_v)
+    if np.min(G) <= 1e-10 * den_scale:
+        ik, iw = np.unravel_index(int(np.argmin(G)), G.shape)
         raise UnitCirclePole(
             f"denominator ~0 at omega={omega[iw]:.4f}, lambda={pts[ik]}")
-    return np.abs(Qw[None, :] * (1.0 - z[None, :] * Lw[None, :] * num_v / den_v))
+    # |Q (1 - z L num / den)| = |Q| |den - z L num| / |den|, with den - z L num
+    # one matmul of [den num] against [powers; -z L(z) powers]
+    diff = np.hstack([den_c, num_c]) @ np.vstack([zp, -z * Lw * zp[: num_c.shape[1]]])
+    np.divide(np.abs(diff), G, out=G)
+    G *= np.abs(Qw)
+    return G
 
 
 def sampled_gamma_freq(plant: UncertainTransferFunction, qfilter: NoncausalFir,

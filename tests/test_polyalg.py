@@ -186,6 +186,20 @@ def test_homogenize_matrix_common_degree():
     np.testing.assert_allclose(H.evaluate(pt), M.evaluate(pt), atol=1e-12)
 
 
+def test_homogenize_without_simplex_vars_keeps_every_term():
+    # nothing to multiply: even a term pruning would drop (1e-20 next to 1)
+    # stays, in a matrix and in a single polynomial
+    variables = ("x", "y")
+    p = random_poly(variables, 3, 6, decisions=("eta",))
+    p = AffinePoly(variables, {**p.terms, (4, 4): AffineCoeff(1e-20)})
+    M = PolyMatrix.from_rows([[p, AffinePoly.variable(variables, "x")],
+                              [AffinePoly.zero(variables), p.scaled(2.0)]])
+    assert p.pruned().terms != p.terms
+    assert homogenize(p, ()).terms == p.terms
+    H = homogenize(M, ())
+    assert [h.terms for h in H.entries] == [m.terms for m in M.entries]
+
+
 def test_substitute_squares_pointwise():
     p = random_poly(("x", "l1"), 3, 6)
     q = substitute_squares(p, ["l1"])

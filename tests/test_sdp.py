@@ -177,8 +177,30 @@ def _unit_At(A):
     return [A.apply_At(np.eye(A.p)[i]) for i in range(A.p)]
 
 
-def test_schur_matches_definition():
-    A, Ws = _random_assembled()
+def _two_block_assembled():
+    # equality 0 has entries in both blocks, equality 1 in block 1 only
+    eqs = [Equality([(0, 0, 1, 0.6), (0, 2, 2, -1.1), (1, 0, 0, 0.9), (1, 0, 1, 0.4)], {}, 1.0),
+           Equality([(1, 1, 1, 1.3)], {"y": 1.0}, 0.0)]
+    rng = np.random.default_rng(11)
+    Ws = np.stack([np.eye(3)] * 2)
+    for b, n in enumerate([3, 2]):
+        X = rng.normal(size=(n, n))
+        Ws[b, :n, :n] = X @ X.T + n * np.eye(n)
+    return sdp._Assembled(make_problem([3, 2], eqs, {"y": 1.0})), Ws
+
+
+# a chunk of 50 doubles cuts each of _random_assembled's two nonempty blocks
+# (8 equalities each) into at least 3 chunks
+@pytest.mark.parametrize("chunk", [sdp._SCHUR_CHUNK, 50], ids=["default", "chunk50"])
+@pytest.mark.parametrize("make", [_random_assembled, _two_block_assembled],
+                         ids=["random", "two-block"])
+def test_schur_matches_definition(monkeypatch, chunk, make):
+    monkeypatch.setattr(sdp, "_SCHUR_CHUNK", chunk)
+    A, Ws = make()
+    if chunk == 50 and make is _random_assembled:
+        for (eq, *_), (active, *_), n in zip(A.blocks, A.padded, A.dims):
+            size = max(1, chunk // max(n * n, len(eq)))
+            assert not len(eq) or -(-len(active) // size) >= 3
     K = _unit_At(A)
     ref = np.array([[sum(np.trace(Ki[b] @ W @ Kj[b] @ W) for b, W in enumerate(Ws))
                      for Kj in K] for Ki in K])

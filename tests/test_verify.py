@@ -89,6 +89,23 @@ def test_freq_gain_matches_direct_evaluation():
         assert G[0, k] == pytest.approx(abs(Q * (1 - z * L * P)), abs=1e-12)
 
 
+def test_freq_gain_matches_direct_evaluation_uncertain():
+    # the paper's plant at K > 1 simplex points, a Q filter with a lead tap
+    plant = paper_plant()
+    lf = fd.NoncausalFir(1, 2, [0.05, 0.4, -0.1, 0.2])
+    qf = fd.NoncausalFir(1, 1, [0.1, 0.8, 0.1])
+    grid = vf.make_grid(2, resolution=4, n_random=5, n_freq=64)
+    G = vf.freq_gain_grid(plant, qf, lf, grid)
+    assert G.shape == (len(grid.lambda_points), 64) and G.shape[0] > 1
+    for k, lam in enumerate(grid.lambda_points):
+        for f, w in enumerate(grid.freq_points):
+            z = np.exp(1j * w)
+            P = plant.response(z, dict(zip(plant.lambda_vars, lam)))
+            L = sum(c * z ** -i for i, c in lf.numeric().items())
+            Q = sum(c * z ** -i for i, c in qf.numeric().items())
+            assert G[k, f] == pytest.approx(abs(Q * (1 - z * L * P)), abs=1e-12)
+
+
 def test_paper_gains_sampled_bound():
     # published order-3 taps stay comfortably monotone across the polytope
     gains = fd.NoncausalFir(0, 3, [0.508, -0.0716, 0.189, -0.197])
