@@ -41,7 +41,6 @@ from .freqdomain import (
     simplexify,
     synth_freq_nominal,
     synth_freq_robust,
-    alternate_LQ,
 )
 from .timedomain import (
     LiftedUncertainPlant,
@@ -93,7 +92,6 @@ __all__ = [
     "simplexify",
     "synth_freq_nominal",
     "synth_freq_robust",
-    "alternate_LQ",
     "LiftedUncertainPlant",
     "LiftedFilter",
     "TimeSynthesisProblem",

@@ -8,15 +8,15 @@ variables (``lam1 + ... + lams = 1``, all nonnegative).  The learning update
 
 contracts the tracking error monotonically for every admissible uncertainty
 iff  sup_{lam, |z|=1} |Q(z)(1 - z L(z) P(z, lam))| < 1.  A bound gamma on
-that sup, linear in a Schur form, is minimized over the free taps of L (or
-Q) through a sum-of-squares program: map the circle to one real x through
-z = (1 + jx)/(1 - jx) and homogenize in lam; :func:`result.escalate`, shared
-with the lifted domain, substitutes lam -> lam^2 to drop the nonnegativity
-constraints and climbs a "multiply by ||lam||^2k" relaxation ladder until
-the bound stops improving.  A positivity margin eps certifies the block
-with slack eps diag(E, S, S), its gamma-coefficient, and costs exactly eps
-on gamma.  A plant without uncertainty is the case lam = (): its 3x3
-polynomial matrix inequality in x is exact, so only level 0 is solved.
+that sup, linear in a Schur form, is minimized over the free taps of L for
+a fixed Q through a sum-of-squares program: map the circle to one real x
+through z = (1 + jx)/(1 - jx) and homogenize in lam; :func:`result.escalate`,
+shared with the lifted domain, substitutes lam -> lam^2 to drop the
+nonnegativity constraints and climbs a "multiply by ||lam||^2k" relaxation
+ladder until the bound stops improving.  A positivity margin eps certifies
+the block with slack eps diag(E, S, S), its gamma-coefficient, and costs
+exactly eps on gamma.  A plant without uncertainty is the case lam = (): its
+3x3 polynomial matrix inequality in x is exact, so only level 0 is solved.
 """
 
 from __future__ import annotations
@@ -77,10 +77,6 @@ class NoncausalFir:
     def causal_decision(cls, order: int, prefix: str = "l") -> "NoncausalFir":
         return cls(0, order, [f"{prefix}{i}" for i in range(order + 1)])
 
-    @classmethod
-    def decision(cls, k_lead: int, k_lag: int, prefix: str = "l") -> "NoncausalFir":
-        return cls(k_lead, k_lag, [f"{prefix}{i}" for i in range(-k_lead, k_lag + 1)])
-
     def taps(self):
         """Yields (i, coeff) with the tap multiplying z**(-i)."""
         for pos, c in enumerate(self.coeffs):
@@ -105,10 +101,6 @@ class NoncausalFir:
         for i, c in self.taps():
             out[i] = float(gains[c]) if isinstance(c, str) else float(c)
         return out
-
-    def pinned(self, gains: Mapping[str, float]) -> "NoncausalFir":
-        return NoncausalFir(self.k_lead, self.k_lag,
-                            [gains[c] if isinstance(c, str) else c for c in self.coeffs])
 
     def response(self, z: np.ndarray, gains: Mapping[str, float] | None = None) -> np.ndarray:
         z = np.asarray(z, dtype=complex)
@@ -419,9 +411,9 @@ def _gain_list(fir: NoncausalFir, gains: Mapping[str, float]) -> list:
 
 def synth_freq_robust(qfilter: NoncausalFir, lstructure: NoncausalFir,
                       plant: UncertainTransferFunction, epsilon: float | None = 1e-3,
-                      k_max: int = 5, k_tol: float = 1e-3,
-                      extra_nonneg: Sequence[AffineCoeff] = ()) -> SynthesisResult:
-    """Minimize the guaranteed robust rate over the free taps of L (or Q).
+                      k_max: int = 5, k_tol: float = 1e-3) -> SynthesisResult:
+    """Minimize the guaranteed robust rate over the free taps of L for a
+    fixed, decision-free Q.
 
     Solves the SOS program for multiplier powers k = 0, 1, ... and stops
     when the bound improves by less than ``k_tol`` or ``k_max`` is reached.
@@ -430,19 +422,19 @@ def synth_freq_robust(qfilter: NoncausalFir, lstructure: NoncausalFir,
     A plant without uncertainty (lam = ()) has an exact program, solved at
     level 0 only.  An unstable plant raises :class:`UnstablePlant`.
     """
+    if qfilter.has_decisions():
+        raise ValueError("Q filter must be decision-free")
     report = plant.stability or jury_stability(plant)
     if not report.stable:
         raise UnstablePlant(str(report))
 
     data = build_T_hat(qfilter, lstructure, plant)
-    opt_filter = lstructure if lstructure.has_decisions() else qfilter
     # x -> -x with congruence by diag(1, 1, -1) leaves every level invariant:
     # it maps z to conj(z), which keeps nu1 and nu3 and negates nu2 for real
     # plant and filter coefficients (x is variable 0)
     res = escalate(data.T_hat, plant.lambda_vars, epsilon, k_max, k_tol,
-                   lambda gains: _gain_list(opt_filter, gains),
-                   groups=[(("x",), "graded", data.deg_x)], flips=[((0,), (2,))],
-                   nonneg=extra_nonneg)
+                   lambda gains: _gain_list(lstructure, gains),
+                   groups=[(("x",), "graded", data.deg_x)], flips=[((0,), (2,))])
     res.diagnostics["deg_x"] = data.deg_x
     return res
 
@@ -456,44 +448,3 @@ def synth_freq_nominal(qfilter: NoncausalFir, lstructure: NoncausalFir,
     only add eps to gamma: exact deadbeat designs reach gamma = 0 without
     it.  Pass a float to pin the margin."""
     return synth_freq_robust(qfilter, lstructure, plant, epsilon=epsilon, **kwargs)
-
-
-def alternate_LQ(problem: FreqSynthesisProblem, rounds: int = 2,
-                 q_constraints: Mapping[str, tuple] | None = None,
-                 q_structure: NoncausalFir | None = None) -> list:
-    """Coordinate descent on (L, Q): odd rounds optimize the learning taps
-    with Q pinned, even rounds re-optimize the filter taps (subject to the
-    interval bounds in ``q_constraints``) with L pinned.  Each round's
-    feasible set contains the previous optimum when the bounds admit the
-    incumbent Q, so the bound is non-increasing round to round.  Returns one
-    result per round.
-    """
-    if rounds < 1:
-        raise ValueError("rounds must be at least 1")
-    plant = problem.plant
-    lstructure = problem.lstructure
-    q_init = problem.qfilter
-    if q_structure is None:
-        q_structure = NoncausalFir(q_init.k_lead, q_init.k_lag,
-                                   [f"q{i}" for i in range(-q_init.k_lead, q_init.k_lag + 1)])
-    q_constraints = dict(q_constraints or {})
-
-    kwargs = {"k_max": problem.k_max, "k_tol": problem.k_tol}
-
-    results = []
-    q_current = q_init
-    for r in range(rounds):
-        if r % 2 == 0:
-            res = synth_freq_robust(q_current, lstructure, plant,
-                                    epsilon=problem.epsilon, **kwargs)
-            l_current = lstructure.pinned(res.gains)
-        else:
-            bounds = []
-            for qid, (lo, hi) in q_constraints.items():
-                bounds.append(AffineCoeff.decision(qid) - float(lo))
-                bounds.append(AffineCoeff(float(hi)) - AffineCoeff.decision(qid))
-            res = synth_freq_robust(q_structure, l_current, plant, epsilon=problem.epsilon,
-                                    extra_nonneg=bounds, **kwargs)
-            q_current = q_structure.pinned(res.gains)
-        results.append(res)
-    return results

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 from . import sdp
-from .polyalg import AffineCoeff, AffinePoly, PolyMatrix, substitute_squares
+from .polyalg import AffinePoly, PolyMatrix, substitute_squares
 from .soscompiler import (RESIDUAL_TOL, CertificateReport, SosCertificate, compile_sos,
                           kron_pairs, monomial_basis, sign_classes)
 
@@ -28,9 +28,9 @@ class SynthesisResult:
     """Outcome of one rate-minimization run.
 
     ``gamma`` is the guaranteed contraction rate; ``gains`` maps decision
-    ids (learning-function taps, optionally filter taps) to their optimized
-    values.  ``epsilon`` is the pinned positivity margin, or None for a
-    program without one.
+    ids (the learning-function taps and gamma) to their optimized values.
+    ``epsilon`` is the pinned positivity margin, or None for a program
+    without one.
     ``k_trace`` records the bound eta for every multiplier power k that was
     solved, ``polya_k`` the power that produced the reported bound.
     """
@@ -95,8 +95,7 @@ def _gamma(sol: sdp.SdpSolution) -> float:
 
 def escalate(M: PolyMatrix, lam: Sequence[str], epsilon: float | None, k_max: int,
              k_tol: float, gain_list: Callable[[Mapping[str, float]], list],
-             groups: Sequence[tuple] = (), flips: Sequence[tuple] = (),
-             nonneg: Sequence[AffineCoeff] = ()) -> SynthesisResult:
+             groups: Sequence[tuple] = (), flips: Sequence[tuple] = ()) -> SynthesisResult:
     """Minimize the rate gamma whose block M is PSD on the simplex.
 
     M is affine in the decision ``gamma`` and homogeneous in the simplex
@@ -107,7 +106,7 @@ def escalate(M: PolyMatrix, lam: Sequence[str], epsilon: float | None, k_max: in
     the lam monomials of degree deg_lam(M) + k.  Every level is invariant
     under lam_i -> -lam_i, and under the extra ``flips`` ((variable indices,
     negated coordinates), as in :func:`sign_classes`), so its Gram matrix
-    splits by sign class.  ``nonneg`` lists scalar side constraints.
+    splits by sign class.
 
     The margin eps (None: no margin) is eps times M's gamma-coefficient H,
     the positive diagonal of the rate block: the Grams certify
@@ -146,8 +145,7 @@ def escalate(M: PolyMatrix, lam: Sequence[str], epsilon: float | None, k_max: in
     for k in range(k_max + 1 if lam else 1):
         S = base.scaled(mult) if k else base
         basis = monomial_basis(variables, [*groups, (lam, "homogeneous", deg_lambda + k)])
-        prob = compile_sos(S, {"gamma": 1.0}, bases=sign_classes(kron_pairs(basis, S.rows), signs),
-                           nonneg=nonneg)
+        prob = compile_sos(S, {"gamma": 1.0}, bases=sign_classes(kron_pairs(basis, S.rows), signs))
         sol = sdp.solve(prob)
         if sol.ok:
             eta = _gamma(sol) ** 2

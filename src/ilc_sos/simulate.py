@@ -13,8 +13,6 @@ the reported ratios are exactly the quantity the synthesized gamma bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import csv
-import json
 
 import numpy as np
 
@@ -191,19 +189,3 @@ def run_ilc(plant, qfilter, lfilter, config: TrialConfig,
         e_infinity=e_inf, truncated_noncausal=truncated,
         errors=errors, inputs=inputs,
         lambda_sample=config.lambda_sample, seed=config.seed)
-
-
-def write_trace_csv(trace: TrialTrace, path) -> None:
-    """Columns trial, error_norm, ratio (ratio blank where not defined)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["trial", "error_norm", "ratio"])
-        for j, en in enumerate(trace.error_norms):
-            ratio = trace.contraction_ratios[j - 1] if 1 <= j <= len(trace.contraction_ratios) else ""
-            w.writerow([j, f"{en:.12e}", f"{ratio:.12e}" if ratio != "" else ""])
-
-
-def write_trace_summary(trace: TrialTrace, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(trace.summary(), fh, indent=2, sort_keys=True)
-        fh.write("\n")

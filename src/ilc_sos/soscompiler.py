@@ -160,7 +160,7 @@ class SdpProblem:
     objective: dict
     equalities: list
     # metadata for certificate reconstruction (not serialized): one
-    # (monomial, coordinate) pair list per Gram block, None for the others
+    # (monomial, coordinate) pair list per Gram block
     bases: list | None = None
     matrix_dim: int | None = None
     variables: tuple | None = None
@@ -247,10 +247,8 @@ class CertificateReport:
 
 
 def compile_sos(S: PolyMatrix, objective: Mapping[str, float],
-                bases: Sequence[Sequence[tuple]] | None = None,
-                nonneg: Sequence[AffineCoeff] | None = None) -> SdpProblem:
-    """Compile ``S is SOS`` (plus optional scalar nonnegativity side
-    constraints) into an :class:`SdpProblem` minimizing ``objective``.
+                bases: Sequence[Sequence[tuple]] | None = None) -> SdpProblem:
+    """Compile ``S is SOS`` into an :class:`SdpProblem` minimizing ``objective``.
 
     ``bases`` lists the Gram blocks, each a list of (monomial, coordinate)
     pairs; when omitted, one block ``v (x) I_m`` with the graded basis v in
@@ -308,7 +306,7 @@ def compile_sos(S: PolyMatrix, objective: Mapping[str, float],
     for eq in equalities:
         free_ids |= set(eq.free)
 
-    problem = SdpProblem(
+    return SdpProblem(
         block_dims=[len(b) for b in bases],
         free_ids=tuple(sorted(free_ids)),
         objective=dict(objective),
@@ -317,30 +315,14 @@ def compile_sos(S: PolyMatrix, objective: Mapping[str, float],
         matrix_dim=m,
         variables=variables,
     )
-    if nonneg:
-        for expr in nonneg:
-            add_nonneg(problem, expr)
-    return problem
-
-
-def add_nonneg(problem: SdpProblem, expr: AffineCoeff) -> None:
-    """Append the scalar constraint ``expr >= 0`` as a 1x1 PSD block."""
-    b = len(problem.block_dims)
-    problem.block_dims.append(1)
-    problem.equalities.append(Equality([(b, 0, 0, 1.0)], dict(expr.terms), expr.const))
-    if problem.bases is not None:
-        problem.bases.append(None)  # placeholder: not a Gram block
-    ids = set(problem.free_ids) | set(expr.terms)
-    problem.free_ids = tuple(sorted(ids))
 
 
 def certificate_from_grams(problem: SdpProblem, grams: Sequence[np.ndarray]) -> SosCertificate:
     if problem.bases is None or problem.matrix_dim is None:
         raise ValueError("problem lacks basis metadata")
-    keep = [(g, b) for g, b in zip(grams, problem.bases) if b is not None]
     return SosCertificate(
-        grams=[np.asarray(g, dtype=float) for g, _ in keep],
-        bases=[list(b) for _, b in keep],
+        grams=[np.asarray(g, dtype=float) for g in grams],
+        bases=[list(b) for b in problem.bases],
         matrix_dim=problem.matrix_dim,
         variables=problem.variables or (),
     )

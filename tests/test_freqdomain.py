@@ -402,31 +402,15 @@ def test_robust_rejects_unstable_plant():
                              fd.NoncausalFir.causal_decision(0), unstable)
 
 
-# -- alternating refinement --------------------------------------------------
+def test_robust_rejects_decision_q():
+    # the decision taps are L's; gain_list reports L, so a free Q tap
+    # would be optimized but never reported
+    q = fd.NoncausalFir(0, 0, ["q0"])
+    with pytest.raises(ValueError, match="decision-free"):
+        fd.synth_freq_robust(q, fd.NoncausalFir.causal_decision(1), frozen_theta_plant())
 
 
-def test_alternate_single_round_is_direct():
-    plant = frozen_theta_plant()
-    prob = fd.FreqSynthesisProblem(plant, fd.NoncausalFir.unity(),
-                                   fd.NoncausalFir.causal_decision(1))
-    seq = fd.alternate_LQ(prob, rounds=1)
-    direct = prob.solve()
-    assert len(seq) == 1
-    assert seq[0].gamma == pytest.approx(direct.gamma, abs=1e-12)
-
-
-def test_alternate_descends_with_q_bounds():
-    plant = frozen_theta_plant()
-    prob = fd.FreqSynthesisProblem(plant, fd.NoncausalFir.unity(),
-                                   fd.NoncausalFir.causal_decision(1))
-    seq = fd.alternate_LQ(prob, rounds=2, q_constraints={"q0": (0.8, 1.0)})
-    assert len(seq) == 2
-    assert seq[1].gamma <= seq[0].gamma + 1e-6
-    # the q-round should exploit the full slack allowed by the bound
-    assert seq[1].gamma == pytest.approx(0.8 * seq[0].gamma, rel=0.02)
-
-
-def test_alternate_paper_three_rounds(monkeypatch):
+def test_paper_grams_symmetric_and_certified(monkeypatch):
     # every Gram the IPM returns is symmetric, and every certificate check
     # (one per checked level: nothing re-solves) passes
     grams, reports = [], []
@@ -443,20 +427,10 @@ def test_alternate_paper_three_rounds(monkeypatch):
 
     monkeypatch.setattr(sdp, "_solve_ipm", recorded_ipm)
     monkeypatch.setattr(sdp, "check_certificate", recorded_check)
-    prob = fd.FreqSynthesisProblem(paper_plant(), fd.NoncausalFir.unity(),
-                                   fd.NoncausalFir.causal_decision(1),
-                                   k_max=2)
-    seq = fd.alternate_LQ(prob, rounds=3, q_constraints={"q0": (0.9, 1.0)})
-    for a, b in zip(seq, seq[1:]):
-        assert b.gamma <= a.gamma + 1e-6
-    assert seq[-1].gamma <= 0.683 + 1e-6
+    res = fd.synth_freq_robust(fd.NoncausalFir.unity(), fd.NoncausalFir.causal_decision(1),
+                               paper_plant(), k_max=2)
+    assert res.certified
+    assert grams
     for G in grams:
         assert np.linalg.norm(G - G.T) <= 1e-12 * np.linalg.norm(G)
     assert reports and all(r.passed for r in reports)
-
-
-def test_alternate_rejects_bad_rounds():
-    prob = fd.FreqSynthesisProblem(frozen_theta_plant(), fd.NoncausalFir.unity(),
-                                   fd.NoncausalFir.causal_decision(0))
-    with pytest.raises(ValueError):
-        fd.alternate_LQ(prob, rounds=0)

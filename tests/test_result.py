@@ -20,7 +20,7 @@ def _stub_compile(monkeypatch):
     program carries k in its objective.  Returns the recorded blocks."""
     compiled = []
 
-    def compile_sos(S, objective, bases=None, nonneg=None):
+    def compile_sos(S, objective, bases=None):
         compiled.append(S)
         return SdpProblem([1], (), {"k": len(compiled) - 1}, [])
 

@@ -1,6 +1,3 @@
-import csv
-import json
-
 import numpy as np
 import pytest
 
@@ -120,33 +117,6 @@ def test_disturbance_sampler_reproducible():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert np.max(np.abs(a)) <= 0.1
-
-
-def test_trace_csv_and_summary_roundtrip(tmp_path):
-    col, y_d, d = random_setup(7)
-    N = len(col)
-    L = causal_matrix(np.array([0.5] + [0.0] * (N - 1)), N)
-    cfg = sim.TrialConfig(y_d=y_d, d=d, trials=12, seed=77)
-    trace = sim.run_ilc(col, np.eye(N), L, cfg)
-
-    csv_path = tmp_path / "trace.csv"
-    sim.write_trace_csv(trace, csv_path)
-    with open(csv_path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["trial", "error_norm", "ratio"]
-    assert len(rows) == 14  # header + initial error + 12 trials
-    assert rows[1][2] == ""  # no ratio before the first update
-    assert float(rows[1][1]) == pytest.approx(trace.error_norms[0])
-    assert float(rows[2][2]) == pytest.approx(trace.contraction_ratios[0])
-
-    json_path = tmp_path / "summary.json"
-    sim.write_trace_summary(trace, json_path)
-    with open(json_path) as fh:
-        summary = json.load(fh)
-    assert summary["trials"] == 12
-    assert summary["seed"] == 77
-    assert summary["max_ratio"] == pytest.approx(max(trace.contraction_ratios))
-    assert summary["final_error"] == pytest.approx(trace.error_norms[-1])
 
 
 def test_config_validation():

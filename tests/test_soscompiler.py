@@ -170,17 +170,6 @@ def test_serialize_round_trip():
     assert s1.objective_value == pytest.approx(s2.objective_value, abs=1e-12)
 
 
-def test_nonneg_side_constraint():
-    # minimize eta s.t. eta - 0.25 >= 0  (via the 1x1 block path)
-    x = AffinePoly.variable(("x",), "x")
-    eta_c = AffineCoeff.decision("eta")
-    S = PolyMatrix.from_rows([[x * x + AffinePoly.constant(("x",), eta_c)]])
-    prob = compile_sos(S, {"eta": 1.0}, nonneg=[eta_c - 0.25])
-    sol = sdp.solve(prob)
-    assert sol.ok
-    assert sol.scalar_values["eta"] == pytest.approx(0.25, abs=1e-6)
-
-
 # ---------------------------------------------------------------------------
 # the (monomial, coordinate) pair layout against the two layouts it replaced
 
@@ -230,8 +219,8 @@ def _capture_compiles(monkeypatch):
     seen = []
     orig = result.compile_sos
 
-    def spy(S, objective, bases=None, nonneg=None):
-        prob = orig(S, objective, bases=bases, nonneg=nonneg)
+    def spy(S, objective, bases=None):
+        prob = orig(S, objective, bases=bases)
         seen.append((S, prob))
         return prob
 
