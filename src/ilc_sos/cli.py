@@ -72,6 +72,12 @@ def _integer(x, path: str) -> int:
     return x
 
 
+def _count(x, path: str, least: int) -> int:
+    n = _integer(x, path)
+    _require(n >= least, f"{path}: must be at least {least}")
+    return n
+
+
 def _poly(obj, variables: tuple, path: str) -> AffinePoly:
     """A coefficient: plain number, or [{exponents, value}, ...] over the
     declared variables."""
@@ -324,9 +330,9 @@ def _run_synth_time(cfg: dict, out_dir: str) -> int:
 def _grid_settings(cfg: dict):
     g = cfg.get("grid", {})
     _check_keys(g, {"resolution", "n_random", "n_freq"}, "grid")
-    return (_integer(g.get("resolution", 50), "grid.resolution"),
-            _integer(g.get("n_random", 1000), "grid.n_random"),
-            _integer(g.get("n_freq", 720), "grid.n_freq"))
+    return (_count(g.get("resolution", 50), "grid.resolution", 1),
+            _count(g.get("n_random", 1000), "grid.n_random", 0),
+            _count(g.get("n_freq", 720), "grid.n_freq", 1))
 
 
 def _run_verify(cfg: dict, out_dir: str) -> int:
@@ -337,7 +343,7 @@ def _run_verify(cfg: dict, out_dir: str) -> int:
     _require("plant" in cfg and "lfilter" in cfg,
              "config: 'plant' and 'lfilter' required")
     resolution, n_random, n_freq = _grid_settings(cfg)
-    seed = _integer(cfg.get("seed", 0), "seed")
+    seed = _count(cfg.get("seed", 0), "seed", 0)
     bound = None if cfg.get("bound") is None else _number(cfg["bound"], "bound")
 
     if domain == "freq":
@@ -402,10 +408,10 @@ def _run_simulate(cfg: dict, out_dir: str) -> int:
     _require(not (qf.has_decisions() or lf.has_decisions()),
              "simulate needs numeric filter taps")
     N = _integer(cfg.get("horizon", 100), "horizon")
-    trials = _integer(cfg.get("trials", 40), "trials")
-    n_runs = _integer(cfg.get("n_runs", 30), "n_runs")
+    trials = _count(cfg.get("trials", 40), "trials", 1)
+    n_runs = _count(cfg.get("n_runs", 30), "n_runs", 1)
     scale = _number(cfg.get("disturbance_scale", 0.1), "disturbance_scale")
-    seed = _integer(cfg.get("seed", 0), "seed")
+    seed = _count(cfg.get("seed", 0), "seed", 0)
     gamma_star = None if cfg.get("gamma_star") is None \
         else _number(cfg["gamma_star"], "gamma_star")
     if "reference" in cfg:

@@ -568,6 +568,8 @@ class PolyMatrix:
 def simplex_mesh(d: int, resolution: int = 50) -> np.ndarray:
     """All barycentric grid points of the unit simplex in d coordinates with
     denominators ``resolution``, in lexicographic order."""
+    if resolution < 1:
+        raise ValueError(f"mesh resolution must be at least 1, got {resolution}")
     if d == 0:
         return np.zeros((1, 0))
     if d == 1:

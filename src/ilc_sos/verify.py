@@ -4,6 +4,10 @@ Both oracles sample the uncertainty simplex (vertices, a uniform barycentric
 mesh, and seeded random draws) and take a plain max.  They can only certify
 violations -- a sampled value slightly below the synthesized bound is the
 expected outcome, never proof of optimality.
+
+Both evaluate the grid a batch of simplex points at a time, so their
+temporaries stay near ``BATCH_ENTRIES`` entries however large the grid is;
+only the per-point coefficients and the output grow with it.
 """
 
 from __future__ import annotations
@@ -16,6 +20,17 @@ from .freqdomain import NoncausalFir, UncertainTransferFunction
 from .polyalg import simplex_mesh
 from .timedomain import LiftedFilter, LiftedUncertainPlant, SingularPlant, \
     toeplitz_from_taps
+
+
+# entries per array of one batch's temporaries (at least one grid row a batch)
+BATCH_ENTRIES = 1 << 16
+
+
+def _row_batches(n_rows: int, row_entries: int) -> list:
+    """Consecutive slices covering range(n_rows), each of as many rows of
+    ``row_entries`` entries as fit in BATCH_ENTRIES, and at least one."""
+    step = max(1, BATCH_ENTRIES // max(1, row_entries))
+    return [slice(i, min(i + step, n_rows)) for i in range(0, n_rows, step)]
 
 
 class UnitCirclePole(Exception):
@@ -33,8 +48,10 @@ class SampleGrid:
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.lambda_points, dtype=float))
         object.__setattr__(self, "lambda_points", pts)
-        object.__setattr__(self, "freq_points",
-                           np.asarray(self.freq_points, dtype=float))
+        freq = np.asarray(self.freq_points, dtype=float)
+        object.__setattr__(self, "freq_points", freq)
+        if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(freq))):
+            raise ValueError("grid points must be finite")
         if pts.shape[1] > 0:
             if np.any(pts < -1e-12) or np.max(np.abs(pts.sum(axis=1) - 1.0)) > 1e-12:
                 raise ValueError("lambda points must lie on the unit simplex")
@@ -44,6 +61,8 @@ def make_grid(n_lambda: int, resolution: int = 50, n_random: int = 1000,
               n_freq: int = 720, seed: int = 0) -> SampleGrid:
     """Vertices + uniform barycentric mesh + seeded Dirichlet draws; uniform
     frequencies on [0, 2pi)."""
+    if resolution < 1:
+        raise ValueError(f"mesh resolution must be at least 1, got {resolution}")
     freq = np.linspace(0.0, 2.0 * np.pi, n_freq, endpoint=False)
     if n_lambda == 0:
         return SampleGrid(np.zeros((1, 0)), freq, seed)
@@ -87,13 +106,13 @@ def time_gain_profile(plant: LiftedUncertainPlant, qfilter, lfilter,
     N = plant.N
     Qm, Lm = toeplitz_from_taps(q, N), toeplitz_from_taps(l, N)
     r, c = np.tril_indices(N)
-    out = []
-    for hk in np.array_split(h, 1 + (h.size * N >> 21)):  # ~2^21 matrix entries a batch
-        P = np.zeros((len(hk), N, N))
-        P[:, r, c] = hk[:, r - c]  # lifted plant at every point: P[k, i, j] = h[k, i - j]
+    out = np.empty(len(h))
+    for b in _row_batches(len(h), N * N):
+        P = np.zeros((b.stop - b.start, N, N))
+        P[:, r, c] = h[b, r - c]  # lifted plant at every point: P[k, i, j] = h[k, i - j]
         X = P @ Qm @ (np.eye(N) - Lm @ P) @ np.linalg.inv(P)
-        out.append(np.linalg.svd(X, compute_uv=False)[:, 0])
-    return np.concatenate(out)
+        out[b] = np.linalg.svd(X, compute_uv=False)[:, 0]
+    return out
 
 
 def sampled_gamma_time(plant: LiftedUncertainPlant, qfilter, lfilter,
@@ -108,36 +127,44 @@ def sampled_gamma_time(plant: LiftedUncertainPlant, qfilter, lfilter,
 
 def freq_gain_grid(plant: UncertainTransferFunction, qfilter: NoncausalFir,
                    lfilter: NoncausalFir, grid: SampleGrid | None = None) -> np.ndarray:
-    """|Q(z)[1 - z L(z) P(z, lambda)]| on the grid; shape (K, F)."""
+    """|Q(z)[1 - z L(z) P(z, lambda)]| on the grid; shape (K, F).
+
+    Rows are evaluated in batches of about BATCH_ENTRIES complex entries,
+    each written straight into the float result, so the temporaries stay
+    the same size on any grid.  Raises UnitCirclePole at the first batch
+    where the plant denominator vanishes on the circle."""
     if grid is None:
         grid = make_grid(len(plant.lambda_vars))
     if qfilter.has_decisions() or lfilter.has_decisions():
         raise ValueError("filter taps must be numeric for sampling")
     omega = grid.freq_points
     z = np.exp(1j * omega)
-    Qw = qfilter.response(z)
+    absQ = np.abs(qfilter.response(z))
     Lw = lfilter.response(z)
     pts = grid.lambda_points
 
-    # plant response on the whole lambda grid at once: coefficient matrices
-    # (K x n+1) against the Vandermonde powers of z
+    # plant response on the lambda grid: coefficient matrices (K x n+1)
+    # against the Vandermonde powers of z
     K = pts.shape[0]
     num_c = np.column_stack([c.evaluate_batch(pts) for c in plant.num])
     den_c = np.column_stack([c.evaluate_batch(pts) for c in plant.den])
     den_c = np.hstack([den_c, np.ones((K, 1))])
     zp = z[None, :] ** np.arange(plant.n + 1)[:, None]     # (n+1, F)
-    den_v = den_c @ zp
     den_scale = max(1.0, float(np.max(np.abs(den_c))))
-    G = np.abs(den_v)
-    if np.min(G) <= 1e-10 * den_scale:
-        ik, iw = np.unravel_index(int(np.argmin(G)), G.shape)
-        raise UnitCirclePole(
-            f"denominator ~0 at omega={omega[iw]:.4f}, lambda={pts[ik]}")
     # |Q (1 - z L num / den)| = |Q| |den - z L num| / |den|, with den - z L num
     # one matmul of [den num] against [powers; -z L(z) powers]
-    diff = np.hstack([den_c, num_c]) @ np.vstack([zp, -z * Lw * zp[: num_c.shape[1]]])
-    np.divide(np.abs(diff), G, out=G)
-    G *= np.abs(Qw)
+    coeffs = np.hstack([den_c, num_c])
+    basis = np.vstack([zp, -z * Lw * zp[: num_c.shape[1]]])
+    G = np.empty((K, omega.size))
+    for b in _row_batches(K, omega.size):
+        Gb = G[b]
+        np.abs(den_c[b] @ zp, out=Gb)
+        if np.min(Gb) <= 1e-10 * den_scale:
+            ik, iw = np.unravel_index(int(np.argmin(Gb)), Gb.shape)
+            raise UnitCirclePole(
+                f"denominator ~0 at omega={omega[iw]:.4f}, lambda={pts[b.start + ik]}")
+        np.divide(np.abs(coeffs[b] @ basis), Gb, out=Gb)
+        Gb *= absQ
     return G
 
 

@@ -31,6 +31,14 @@ PAPER_POLYTOPE = {
 PAPER_GAINS = {"k_lead": 0, "k_lag": 3, "coeffs": [0.508, -0.0716, 0.189, -0.197]}
 
 
+def verify_config(bound, grid=None):
+    cfg = {"mode": "verify", "domain": "freq", "plant": PAPER_POLYTOPE,
+           "lfilter": PAPER_GAINS, "bound": bound}
+    if grid:
+        cfg["grid"] = grid
+    return cfg
+
+
 def read_result(out_dir):
     with open(out_dir / "result.json") as fh:
         return json.load(fh)
@@ -285,6 +293,46 @@ def test_unusable_plant_exits_2(tmp_path, capsys, mode, payload):
     assert "unusable input" in capsys.readouterr().err
 
 
+SIMULATE_DEADBEAT = {"mode": "simulate", "plant": DELAY_PLANT,
+                     "lfilter": {"k_lead": 0, "k_lag": 0, "coeffs": [1.0]},
+                     "horizon": 8, "trials": 3, "n_runs": 2}
+
+
+@pytest.mark.parametrize("mode, payload, flags, key", [
+    # resolution 0 used to sample a NaN point and print "sampled gamma = nan"
+    pytest.param("verify", verify_config(None, {"resolution": 0}), [], "grid.resolution",
+                 id="verify-resolution-0"),
+    pytest.param("verify", verify_config(0.339, {"resolution": 0}), [], "grid.resolution",
+                 id="verify-resolution-0-bound"),
+    pytest.param("verify", verify_config(None, {"resolution": -2}), [], "grid.resolution",
+                 id="verify-resolution-negative"),
+    pytest.param("verify", verify_config(None, {"n_freq": 0}), [], "grid.n_freq",
+                 id="verify-n-freq-0"),
+    pytest.param("verify", verify_config(None, {"n_freq": -2}), [], "grid.n_freq",
+                 id="verify-n-freq-negative"),
+    pytest.param("verify", verify_config(None, {"n_random": -1}), [], "grid.n_random",
+                 id="verify-n-random-negative"),
+    pytest.param("verify", {**verify_config(None), "seed": -1}, [], "seed",
+                 id="verify-seed-negative"),
+    pytest.param("verify", verify_config(None), ["--seed", "-1"], "seed",
+                 id="verify-seed-flag-negative"),
+    pytest.param("simulate", {**SIMULATE_DEADBEAT, "seed": -1}, [], "seed",
+                 id="simulate-seed-negative"),
+    pytest.param("simulate", SIMULATE_DEADBEAT, ["--seed", "-1"], "seed",
+                 id="simulate-seed-flag-negative"),
+    # no run or no trial used to end in a traceback
+    pytest.param("simulate", {**SIMULATE_DEADBEAT, "n_runs": 0}, [], "n_runs",
+                 id="simulate-n-runs-0"),
+    pytest.param("simulate", {**SIMULATE_DEADBEAT, "trials": 0}, [], "trials",
+                 id="simulate-trials-0"),
+])
+def test_bad_sampling_setting_exits_2(tmp_path, capsys, mode, payload, flags, key):
+    cfg = write_config(tmp_path, payload)
+    rc = cli.main([mode, "--config", cfg, "--out", str(tmp_path / "out"), *flags])
+    assert rc == 2
+    assert f"config error: {key}: must be at least" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("plant", [
     pytest.param({"type": "markov", "markov": 99}, id="markov-int"),
     pytest.param({"type": "markov", "markov": True}, id="markov-bool"),
@@ -408,14 +456,6 @@ def test_fuzzed_configs_exit_with_documented_codes(tmp_path):
 
 
 # -- verify mode ---------------------------------------------------------
-
-
-def verify_config(bound, grid=None):
-    cfg = {"mode": "verify", "domain": "freq", "plant": PAPER_POLYTOPE,
-           "lfilter": PAPER_GAINS, "bound": bound}
-    if grid:
-        cfg["grid"] = grid
-    return cfg
 
 
 def test_verify_paper_gains_within_bound(tmp_path, capsys):

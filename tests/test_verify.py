@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,35 @@ def test_make_grid_no_random_points():
 def test_sample_grid_rejects_off_simplex():
     with pytest.raises(ValueError):
         vf.SampleGrid(np.array([[0.5, 0.6]]), np.array([0.0]))
+
+
+@pytest.mark.parametrize("pts, freq", [
+    ([[np.nan, 1.0]], [0.0]),
+    ([[0.5, 0.5], [np.nan, np.nan]], [0.0]),
+    ([[0.5, 0.5]], [0.0, np.inf]),
+])
+def test_sample_grid_rejects_non_finite(pts, freq):
+    with pytest.raises(ValueError, match="finite"):
+        vf.SampleGrid(np.array(pts), np.array(freq))
+
+
+@pytest.mark.parametrize("resolution", [0, -2])
+def test_mesh_resolution_below_one_rejected(resolution):
+    # resolution 0 used to divide by zero into a NaN grid point
+    with pytest.raises(ValueError, match="resolution"):
+        vf.simplex_mesh(2, resolution)
+    for d in (0, 1, 2):
+        with pytest.raises(ValueError, match="resolution"):
+            vf.make_grid(d, resolution=resolution)
+
+
+def test_row_batches_cover_rows_in_budget():
+    for n_rows, row_entries in [(0, 5), (1, 10**6), (1053, 720), (7, 0)]:
+        batches = vf._row_batches(n_rows, row_entries)
+        assert [i for b in batches for i in range(b.start, b.stop)] == list(range(n_rows))
+        for b in batches:
+            rows = b.stop - b.start
+            assert rows >= 1 and (rows == 1 or rows * row_entries <= vf.BATCH_ENTRIES)
 
 
 # -- frequency-domain sampling ------------------------------------------
@@ -106,6 +137,54 @@ def test_freq_gain_matches_direct_evaluation_uncertain():
             assert G[k, f] == pytest.approx(abs(Q * (1 - z * L * P)), abs=1e-12)
 
 
+def _unbatched_freq_gain(plant, qf, lf, grid):
+    # the oracle's formula over the whole grid in one pass:
+    # |Q| |den - z L num| / |den|, den - z L num from one matmul
+    z = np.exp(1j * grid.freq_points)
+    pts = grid.lambda_points
+    num_c = np.column_stack([c.evaluate_batch(pts) for c in plant.num])
+    den_c = np.column_stack([c.evaluate_batch(pts) for c in plant.den]
+                            + [np.ones(len(pts))])
+    zp = z[None, :] ** np.arange(plant.n + 1)[:, None]
+    diff = np.hstack([den_c, num_c]) @ np.vstack(
+        [zp, -z * lf.response(z) * zp[: num_c.shape[1]]])
+    return np.abs(qf.response(z)) * (np.abs(diff) / np.abs(den_c @ zp))
+
+
+def test_freq_gain_batches_match_one_pass():
+    # 91 rows of 720 frequencies a batch: 263 rows are 91 + 91 + 81
+    plant = paper_plant()
+    lf = fd.NoncausalFir(1, 2, [0.05, 0.4, -0.1, 0.2])
+    qf = fd.NoncausalFir(1, 1, [0.1, 0.8, 0.1])
+    grid = vf.make_grid(2, resolution=10, n_random=250, n_freq=720, seed=4)
+    batches = vf._row_batches(len(grid.lambda_points), 720)
+    sizes = [b.stop - b.start for b in batches]
+    assert len(sizes) >= 3 and sizes[-1] < sizes[0]
+    G = vf.freq_gain_grid(plant, qf, lf, grid)
+    ref = _unbatched_freq_gain(plant, qf, lf, grid)
+    np.testing.assert_allclose(G, ref, rtol=1e-14, atol=0)
+    g, (lam, omega) = vf.sampled_gamma_freq(plant, qf, lf, grid)
+    ik, iw = np.unravel_index(int(np.argmax(ref)), ref.shape)
+    assert (g, omega) == (G[ik, iw], grid.freq_points[iw])
+    assert np.array_equal(lam, grid.lambda_points[ik])
+
+
+def test_freq_oracle_memory_stays_near_output_size():
+    # on the default grid (1,053 points x 720 frequencies) the temporaries
+    # of one batch, not of the whole grid, ride on top of the result
+    plant = paper_plant()
+    gains = fd.NoncausalFir(0, 3, [0.508, -0.0716, 0.189, -0.197])
+    grid = vf.make_grid(2)
+    out_bytes = grid.lambda_points.shape[0] * grid.freq_points.size * 8
+    tracemalloc.start()
+    try:
+        vf.sampled_gamma_freq(plant, fd.NoncausalFir.unity(), gains, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out_bytes + 4 * 2**20
+
+
 def test_paper_gains_sampled_bound():
     # published order-3 taps stay comfortably monotone across the polytope
     gains = fd.NoncausalFir(0, 3, [0.508, -0.0716, 0.189, -0.197])
@@ -134,6 +213,23 @@ def test_unit_circle_pole_detected():
     with pytest.raises(vf.UnitCirclePole):
         vf.freq_gain_grid(plant, fd.NoncausalFir.unity(),
                           fd.NoncausalFir(0, 0, [0.1]))
+
+
+def test_unit_circle_pole_in_later_batch_names_its_point():
+    # pole at z = 0.5 lam1 + lam2, on the circle (at omega = 0) only at the
+    # last grid point, lambda = (0, 1), three batches in
+    lam = ("lam1", "lam2")
+    plant = fd.UncertainTransferFunction.from_coeffs(
+        [AffinePoly.constant(lam, 1.0)],
+        [lin(lam, 0, -0.5, -1.0), AffinePoly.constant(lam, 1.0)], lam)
+    t = np.linspace(1.0, 0.05, 299)
+    grid = vf.SampleGrid(np.vstack([np.column_stack([t, 1 - t]), [0.0, 1.0]]),
+                         np.linspace(0, 2 * np.pi, 720, endpoint=False))
+    assert len(vf._row_batches(300, 720)) >= 3
+    with pytest.raises(vf.UnitCirclePole) as err:
+        vf.freq_gain_grid(plant, fd.NoncausalFir.unity(), fd.NoncausalFir(0, 0, [0.1]), grid)
+    assert f"lambda={grid.lambda_points[-1]}" in str(err.value)
+    assert "omega=0.0000" in str(err.value)
 
 
 def test_freq_rejects_decision_taps():
@@ -188,9 +284,8 @@ def test_time_gain_singular_plant_on_grid():
 
 
 @pytest.mark.parametrize("N, lam", [(5, ("lam1", "lam2")), (64, ("lam1", "lam2")),
-                                    (4, ())])
+                                    (4, ()), (16, ("lam1", "lam2"))])
 def test_time_gain_profile_matches_per_point_loop(N, lam):
-    # N = 64 runs the batched evaluation in more than one chunk
     rng = np.random.default_rng(N)
     markov = [lin(lam, 1.0, *(0.5 + rng.uniform(size=len(lam))))]
     markov += [lin(lam, *rng.normal(scale=0.3, size=len(lam) + 1)) for _ in range(N - 1)]
@@ -199,6 +294,8 @@ def test_time_gain_profile_matches_per_point_loop(N, lam):
     q[N - 1] = 1.0
     l = rng.normal(scale=0.3, size=2 * N - 1)
     grid = vf.make_grid(len(lam), resolution=10, n_random=600, seed=1)
+    # 613 points: 256 + 256 + 101 a batch at N = 16, 38 x 16 + 5 at N = 64
+    assert (len(vf._row_batches(len(grid.lambda_points), N * N)) >= 3) == (N >= 16)
     batched = vf.time_gain_profile(plant, q, l, grid)
     loop = np.array([np.linalg.svd(td.contraction_matrix(plant, q, l, pt),
                                    compute_uv=False)[0]
