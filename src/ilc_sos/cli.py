@@ -354,12 +354,7 @@ def _run_verify(cfg: dict, out_dir: str) -> int:
                  "verify needs numeric filter taps")
         grid = vf.make_grid(len(plant.lambda_vars), resolution=resolution,
                             n_random=n_random, n_freq=n_freq, seed=seed)
-        G = vf.freq_gain_grid(plant, qf, lf, grid)
-        ik, iw = np.unravel_index(int(np.argmax(G)), G.shape)
-        gamma_hat = float(G[ik, iw])
-        argmax = {"lambda": grid.lambda_points[ik],
-                  "omega": float(grid.freq_points[iw])}
-        per_point = G.max(axis=1)
+        per_point, arg = vf.freq_gain_profile(plant, qf, lf, grid)
     else:
         plant = _time_plant(cfg["plant"], "plant")
         qf = _lifted_filter(cfg.get("qfilter"), plant.N, "qfilter", "q")
@@ -369,9 +364,11 @@ def _run_verify(cfg: dict, out_dir: str) -> int:
         grid = vf.make_grid(plant.n_lambda, resolution=resolution,
                             n_random=n_random, n_freq=n_freq, seed=seed)
         per_point = vf.time_gain_profile(plant, qf, lf, grid)
-        ik = int(np.argmax(per_point))
-        gamma_hat = float(per_point[ik])
-        argmax = {"lambda": grid.lambda_points[ik]}
+    ik = int(np.argmax(per_point))
+    gamma_hat = float(per_point[ik])
+    argmax = {"lambda": grid.lambda_points[ik]}
+    if domain == "freq":
+        argmax["omega"] = float(grid.freq_points[arg[ik]])
 
     d = grid.lambda_points.shape[1]
     _write_csv(os.path.join(out_dir, "trace.csv"),

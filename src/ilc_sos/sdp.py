@@ -22,16 +22,17 @@ is zero on them, so they stay exactly I, and they add nothing to mu, the
 residuals or the step lengths.  The returned Grams are per-block copies.
 
 The Schur complement M = A(W A*(.) W) is built block by block from the
-sparse constraint entries, as one scatter (the sparse Schur build of
-Fujisawa, Kojima & Nakata 1997).  The congruences W K_j W = C_j + C_j^T of
-all equalities j are one batched product (each equality's few entries padded
-to a common length).  Every Gram entry e belongs to exactly one equality i,
-and its share of M_ij = <K_i, W K_j W> is w_e (C_j[p_e, q_e] + C_j[q_e, p_e]);
-one bincount per block, over flat indices i p + j built at assembly, adds
-the block's shares into M.  M is factored once per iteration (Cholesky,
-with a ridge only when it does not factor as is) and the triangular factor
-is inverted once, so every Newton solve of the iteration is matrix
-products.  Iterative refinement against the unridged M runs while it lowers
+sparse constraint entries (the sparse Schur build of Fujisawa, Kojima &
+Nakata 1997), a chunk of a block's equalities at a time.  The congruences
+W K_j W of a chunk's equalities j are one batched product (each equality's
+few entries padded to a common length).  Every Gram entry e belongs to
+exactly one equality i, and its share of M_ij = <K_i, W K_j W> is
+w_e (W K_j W)[p_e, q_e]; np.add.at over flat indices i p + j built at
+assembly adds the shares into M in place.  M and the chunks' work buffers
+are allocated once per solve, so no iteration allocates anything p^2-sized
+for the build.  M is factored once per iteration (Cholesky, with a ridge
+only when it does not factor as is) and the triangular factor is inverted
+once, so every Newton solve of the iteration is matrix products.  Iterative refinement against the unridged M runs while it lowers
 the residual.  An iteration runs three KKT solves: the predictor takes one,
 since its direction only sets the centering parameter and Mehrotra's
 second-order term, and the corrector takes one plus a refinement pass
@@ -51,6 +52,7 @@ No external solver is involved anywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,11 +103,17 @@ class SdpSolution:
 # ---------------------------------------------------------------------------
 # assembly
 
-# largest work array (in doubles) one chunk of the Schur build allocates: its
-# congruences (equalities x n^2) and its entry shares (equalities x entries).
-# The scatter index, of the shares' size for a whole block, is kept from
-# assembly on.
-_SCHUR_CHUNK = 1 << 21
+# largest work buffer (in doubles) of the Schur build, 256 KB: a block's
+# active equalities are taken in chunks whose work arrays (_chunk_shapes) fit
+# this size.  The buffers are allocated once per solve and shared by all
+# blocks.
+_SCHUR_CHUNK = 1 << 15
+
+
+def _chunk_shapes(rows: int, n: int, width: int, entries: int) -> tuple:
+    """Work arrays of a chunk of ``rows`` equalities of a block: the two
+    gathers of rows of W, the congruences and the entry shares."""
+    return (rows, width, n), (rows, width, n), (rows, n, n), (rows, entries)
 
 
 class _Assembled:
@@ -168,24 +176,34 @@ class _Assembled:
                 self.T[:k, k] = -tau[k] * self.T[:k, :k] @ (self.V[:, :k].T @ self.V[:, k])
             self.Rinv = np.linalg.inv(np.triu(h[:, :q].T))
 
-        # each active equality's entries, padded to a common length per block
-        # (zero weight in the padding), so that the congruences W K_j W of
-        # all equalities are one batched matmul in schur(); and the flat
-        # index eq_e p + j in M of every (active equality j, entry e) pair,
-        # where schur() adds entry e's share of M[eq_e, j]
+        # per block, for schur(): each active equality's entries, listed as
+        # (p, q) and again as (q, p) and padded to a common width (zero weight
+        # in the padding), so that the congruences W K_j W of a chunk of
+        # equalities are one batched matmul; every entry's flat index p n + q;
+        # the flat index eq_e p + j in M of every (active equality j, entry e)
+        # pair, where schur() adds entry e's share of M[eq_e, j]; and how many
+        # equalities a chunk takes.  work_sizes are the largest work arrays a
+        # chunk of any block needs.
         self.padded = []
-        for eq, pp, qq, ww in self.blocks:
+        self.work_sizes = [0] * 4
+        for (eq, pp, qq, ww), n in zip(self.blocks, self.dims):
             active, starts, counts = np.unique(eq, return_index=True,
                                                return_counts=True)
             width = int(counts.max()) if len(eq) else 0
             row = np.repeat(np.arange(len(active)), counts)
             slot = np.arange(len(eq)) - np.repeat(starts, counts)
-            P = np.zeros((len(active), width), int)
-            Q = np.zeros((len(active), width), int)
+            P = np.zeros((len(active), width), np.intp)
+            Q = np.zeros((len(active), width), np.intp)
             Wt = np.zeros((len(active), width))
             P[row, slot], Q[row, slot], Wt[row, slot] = pp, qq, 0.5 * ww
+            P, Q, Wt = np.hstack([P, Q]), np.hstack([Q, P]), np.hstack([Wt, Wt])
+            rows = min(len(active), _SCHUR_CHUNK // max(1, n * n, len(eq), 2 * width * n))
+            rows = max(1, rows)
             to_M = (eq * p + active[:, None]).astype(np.intp)
-            self.padded.append((active, P, Q, Wt, to_M))
+            self.padded.append((active, P, Q, Wt, pp * n + qq, to_M, rows))
+            if len(active):
+                self.work_sizes = [max(k, math.prod(shape)) for k, shape in zip(
+                    self.work_sizes, _chunk_shapes(rows, n, 2 * width, len(eq)))]
 
     # linear operators on the stacked (B, n, n) array ---------------------
     def apply_A(self, G: np.ndarray) -> np.ndarray:
@@ -204,32 +222,39 @@ class _Assembled:
         vals = dict(zip(self.free_ids, y))
         return {k: vals.get(k, 0.0) for k in self.scalar_ids}
 
-    def schur(self, Ws: np.ndarray) -> np.ndarray:
+    def workspace(self) -> list:
+        """Work buffers for schur(), shared by all blocks; see work_sizes."""
+        return [np.empty(k) for k in self.work_sizes]
+
+    def schur(self, Ws: np.ndarray, M: np.ndarray, work: list) -> np.ndarray:
         """M_ij = sum_b tr(A_i W_b A_j W_b) = sum_b <K_i, W_b K_j W_b>,
-        for the stacked scalings Ws."""
-        M = np.zeros(self.p * self.p)
-        for (eq, pp, qq, ww), (active, P, Q, Wt, to_M), Wb, n in zip(
+        for the stacked scalings Ws, written into M (a C-contiguous p x p
+        array, returned) with the buffers of workspace(); nothing larger
+        than a block's W is allocated besides them."""
+        M.fill(0.0)
+        Mf = M.reshape(-1)
+        for (_, _, _, ww), (active, P, Q, Wt, pq, to_M, rows), Wb, n in zip(
                 self.blocks, self.padded, Ws, self.dims):
-            if not len(eq):
-                continue
-            W = Wb[:n, :n]
-            pq, qp = pp * n + qq, qq * n + pp
-            # bound the (equalities x n^2) and (equalities x entries) work
-            # arrays so that large blocks do not raise peak memory
-            chunk = max(1, _SCHUR_CHUNK // max(n * n, len(eq)))
-            for lo in range(0, len(active), chunk):
-                sl = slice(lo, lo + chunk)
-                # W K_j W = C_j + C_j^T, C_j = sum_l wt_l W[:, p_l] W[q_l, :]
-                # (W is symmetric, so both factors are gathers of whole rows)
-                L = W[P[sl]]
+            W = np.ascontiguousarray(Wb[:n, :n])
+            for lo in range(0, len(active), rows):
+                sl = slice(lo, lo + rows)
+                c = len(active[sl])
+                L, R, C, X = (b[:math.prod(shape)].reshape(shape) for b, shape in zip(
+                    work, _chunk_shapes(c, n, P.shape[1], len(pq))))
+                # W K_j W = C_j + C_j^T, C_j = sum_l wt_l W[:, p_l] W[q_l, :], is one
+                # sum over the entries as (p, q) and as (q, p); W is symmetric, so
+                # both factors are gathers of whole rows (mode "clip" keeps take
+                # from buffering its output)
+                np.take(W, P[sl], axis=0, out=L, mode="clip")
                 L *= Wt[sl, :, None]
-                C = (L.transpose(0, 2, 1) @ W[Q[sl]]).reshape(-1, n * n)
-                # entry e's share of <K_eq_e, W K_j W>: w_e (C_j[p_e, q_e] + C_j[q_e, p_e])
-                X = C[:, pq]
-                X += C[:, qp]
+                np.take(W, Q[sl], axis=0, out=R, mode="clip")
+                np.matmul(L.transpose(0, 2, 1), R, out=C)
+                # entry e's share of <K_eq_e, W K_j W> is w_e (W K_j W)[p_e, q_e],
+                # added into M[eq_e, j] in place
+                np.take(C.reshape(c, n * n), pq, axis=1, out=X, mode="clip")
                 X *= ww
-                M += np.bincount(to_M[sl].ravel(), X.ravel(), len(M))
-        return M.reshape(self.p, self.p)
+                np.add.at(Mf, to_M[sl].ravel(), X.ravel())
+        return M
 
 
 def _chol(M: np.ndarray):
@@ -384,6 +409,8 @@ def _solve_ipm(A: _Assembled, feas_tol: float, gap_tol: float, max_iter: int) ->
 
     beta_scale = 1.0 + float(np.max(np.abs(A.beta)))
     c_scale = 1.0 + (float(np.max(np.abs(A.c))) if q else 0.0)
+    # the Schur complement and its work buffers, rewritten every iteration
+    M, work = np.empty((p, p)), A.workspace()
 
     for it in range(max_iter):
         rp = A.beta - A.apply_A(G) + A.D @ y
@@ -431,7 +458,7 @@ def _solve_ipm(A: _Assembled, feas_tol: float, gap_tol: float, max_iter: int) ->
         Rinv = tr(U) / rs[:, :, None] @ tr(LZ)
         W = R @ tr(R)
 
-        kkt = _null_space_solver(A, A.schur(W))
+        kkt = _null_space_solver(A, A.schur(W, M, work))
         if kkt is None:
             return fail("Schur complement not PD", it)
 

@@ -6,8 +6,10 @@ violations -- a sampled value slightly below the synthesized bound is the
 expected outcome, never proof of optimality.
 
 Both evaluate the grid a batch of simplex points at a time, so their
-temporaries stay near ``BATCH_ENTRIES`` entries however large the grid is;
-only the per-point coefficients and the output grow with it.
+temporaries stay near ``BATCH_ENTRIES`` entries however large the grid is.
+The frequency oracle reduces each batch over the frequencies at once, so
+both return one value per simplex point, and only the per-point
+coefficients and that (K,) profile grow with the grid.
 """
 
 from __future__ import annotations
@@ -52,6 +54,8 @@ class SampleGrid:
         object.__setattr__(self, "freq_points", freq)
         if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(freq))):
             raise ValueError("grid points must be finite")
+        if pts.shape[0] == 0:
+            raise ValueError("the grid needs at least one lambda point")
         if pts.shape[1] > 0:
             if np.any(pts < -1e-12) or np.max(np.abs(pts.sum(axis=1) - 1.0)) > 1e-12:
                 raise ValueError("lambda points must lie on the unit simplex")
@@ -63,6 +67,10 @@ def make_grid(n_lambda: int, resolution: int = 50, n_random: int = 1000,
     frequencies on [0, 2pi)."""
     if resolution < 1:
         raise ValueError(f"mesh resolution must be at least 1, got {resolution}")
+    if n_freq < 1:
+        raise ValueError(f"n_freq must be at least 1, got {n_freq}")
+    if n_random < 0:
+        raise ValueError(f"n_random must be at least 0, got {n_random}")
     freq = np.linspace(0.0, 2.0 * np.pi, n_freq, endpoint=False)
     if n_lambda == 0:
         return SampleGrid(np.zeros((1, 0)), freq, seed)
@@ -76,6 +84,17 @@ def make_grid(n_lambda: int, resolution: int = 50, n_random: int = 1000,
     pts = np.clip(pts, 0.0, None)
     pts /= pts.sum(axis=1, keepdims=True)
     return SampleGrid(pts, freq, seed)
+
+
+def _grid_for(grid: SampleGrid | None, n_lambda: int) -> SampleGrid:
+    """The default grid when none is given; otherwise the grid, checked to
+    sample a simplex of the plant's dimension."""
+    if grid is None:
+        return make_grid(n_lambda)
+    if grid.lambda_points.shape[1] != n_lambda:
+        raise ValueError(f"grid points have {grid.lambda_points.shape[1]} lambda "
+                         f"coordinates, the plant has {n_lambda}")
+    return grid
 
 
 def _filter_taps(filt, N: int) -> np.ndarray:
@@ -92,8 +111,7 @@ def _filter_taps(filt, N: int) -> np.ndarray:
 def time_gain_profile(plant: LiftedUncertainPlant, qfilter, lfilter,
                       grid: SampleGrid | None = None) -> np.ndarray:
     """sigma_max(P Q (I - L P) P^-1) at every grid point; shape (K,)."""
-    if grid is None:
-        grid = make_grid(plant.n_lambda)
+    grid = _grid_for(grid, plant.n_lambda)
     q = _filter_taps(qfilter, plant.N)
     l = _filter_taps(lfilter, plant.N)
     pts = grid.lambda_points
@@ -118,26 +136,24 @@ def time_gain_profile(plant: LiftedUncertainPlant, qfilter, lfilter,
 def sampled_gamma_time(plant: LiftedUncertainPlant, qfilter, lfilter,
                        grid: SampleGrid | None = None) -> tuple:
     """Max over the grid of sigma_max(P Q (I - L P) P^-1); also the argmax."""
-    if grid is None:
-        grid = make_grid(plant.n_lambda)
+    grid = _grid_for(grid, plant.n_lambda)
     vals = time_gain_profile(plant, qfilter, lfilter, grid)
     i = int(np.argmax(vals))
     return float(vals[i]), np.asarray(grid.lambda_points[i])
 
 
-def freq_gain_grid(plant: UncertainTransferFunction, qfilter: NoncausalFir,
-                   lfilter: NoncausalFir, grid: SampleGrid | None = None) -> np.ndarray:
-    """|Q(z)[1 - z L(z) P(z, lambda)]| on the grid; shape (K, F).
-
-    Rows are evaluated in batches of about BATCH_ENTRIES complex entries,
-    each written straight into the float result, so the temporaries stay
-    the same size on any grid.  Raises UnitCirclePole at the first batch
-    where the plant denominator vanishes on the circle."""
-    if grid is None:
-        grid = make_grid(len(plant.lambda_vars))
+def _freq_gain_batches(plant: UncertainTransferFunction, qfilter: NoncausalFir,
+                       lfilter: NoncausalFir, grid: SampleGrid):
+    """Yield (rows, G) for each row batch of the grid: rows is the batch's
+    slice of the simplex points, and G is |Q(z)[1 - z L(z) P(z, lambda)]|
+    at those points x every grid frequency, in work buffers that the next
+    batch overwrites.  Raises UnitCirclePole at the first batch where the
+    plant denominator vanishes on the circle."""
     if qfilter.has_decisions() or lfilter.has_decisions():
         raise ValueError("filter taps must be numeric for sampling")
     omega = grid.freq_points
+    if omega.size == 0:
+        raise ValueError("the frequency oracle needs at least one grid frequency")
     z = np.exp(1j * omega)
     absQ = np.abs(qfilter.response(z))
     Lw = lfilter.response(z)
@@ -155,17 +171,39 @@ def freq_gain_grid(plant: UncertainTransferFunction, qfilter: NoncausalFir,
     # one matmul of [den num] against [powers; -z L(z) powers]
     coeffs = np.hstack([den_c, num_c])
     basis = np.vstack([zp, -z * Lw * zp[: num_c.shape[1]]])
-    G = np.empty((K, omega.size))
-    for b in _row_batches(K, omega.size):
-        Gb = G[b]
-        np.abs(den_c[b] @ zp, out=Gb)
-        if np.min(Gb) <= 1e-10 * den_scale:
-            ik, iw = np.unravel_index(int(np.argmin(Gb)), Gb.shape)
+    batches = _row_batches(K, omega.size)
+    rows = batches[0].stop  # the first batch is the largest
+    work = np.empty((rows, omega.size), complex)
+    den_abs, gain = np.empty((2, rows, omega.size))
+    for b in batches:
+        n = b.stop - b.start
+        D, G = den_abs[:n], gain[:n]
+        np.abs(np.matmul(den_c[b], zp, out=work[:n]), out=D)
+        if np.min(D) <= 1e-10 * den_scale:
+            ik, iw = np.unravel_index(int(np.argmin(D)), D.shape)
             raise UnitCirclePole(
                 f"denominator ~0 at omega={omega[iw]:.4f}, lambda={pts[b.start + ik]}")
-        np.divide(np.abs(coeffs[b] @ basis), Gb, out=Gb)
-        Gb *= absQ
-    return G
+        np.abs(np.matmul(coeffs[b], basis, out=work[:n]), out=G)
+        G /= D
+        G *= absQ
+        yield b, G
+
+
+def freq_gain_profile(plant: UncertainTransferFunction, qfilter: NoncausalFir,
+                      lfilter: NoncausalFir, grid: SampleGrid | None = None) -> tuple:
+    """Max over the grid frequencies of |Q(z)[1 - z L(z) P(z, lambda)]| at
+    every grid point, and the index of the frequency that reaches it (the
+    first on ties); shapes (K,) and (K,).
+
+    The gain is reduced over the frequencies one row batch at a time, so
+    the (K, F) gain grid is never formed."""
+    grid = _grid_for(grid, len(plant.lambda_vars))
+    K = grid.lambda_points.shape[0]
+    peak, arg = np.empty(K), np.empty(K, dtype=np.intp)
+    for b, G in _freq_gain_batches(plant, qfilter, lfilter, grid):
+        np.argmax(G, axis=1, out=arg[b])
+        np.max(G, axis=1, out=peak[b])
+    return peak, arg
 
 
 def sampled_gamma_freq(plant: UncertainTransferFunction, qfilter: NoncausalFir,
@@ -174,8 +212,7 @@ def sampled_gamma_freq(plant: UncertainTransferFunction, qfilter: NoncausalFir,
 
     Returns (gamma_hat, (argmax lambda, argmax omega)).
     """
-    if grid is None:
-        grid = make_grid(len(plant.lambda_vars))
-    G = freq_gain_grid(plant, qfilter, lfilter, grid)
-    ik, iw = np.unravel_index(int(np.argmax(G)), G.shape)
-    return float(G[ik, iw]), (grid.lambda_points[ik], float(grid.freq_points[iw]))
+    grid = _grid_for(grid, len(plant.lambda_vars))
+    peak, arg = freq_gain_profile(plant, qfilter, lfilter, grid)
+    k = int(np.argmax(peak))
+    return float(peak[k]), (grid.lambda_points[k], float(grid.freq_points[arg[k]]))

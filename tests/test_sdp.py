@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -198,13 +200,48 @@ def test_schur_matches_definition(monkeypatch, chunk, make):
     monkeypatch.setattr(sdp, "_SCHUR_CHUNK", chunk)
     A, Ws = make()
     if chunk == 50 and make is _random_assembled:
-        for (eq, *_), (active, *_), n in zip(A.blocks, A.padded, A.dims):
-            size = max(1, chunk // max(n * n, len(eq)))
-            assert not len(eq) or -(-len(active) // size) >= 3
+        for active, *_, rows in A.padded:
+            assert not len(active) or -(-len(active) // rows) >= 3
     K = _unit_At(A)
     ref = np.array([[sum(np.trace(Ki[b] @ W @ Kj[b] @ W) for b, W in enumerate(Ws))
                      for Kj in K] for Ki in K])
-    np.testing.assert_allclose(A.schur(Ws), ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+    tol = dict(rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+    M, work = np.empty((A.p, A.p)), A.workspace()
+    assert A.schur(Ws, M, work) is M
+    np.testing.assert_allclose(M, ref, **tol)
+    # a second call into the same (dirty) M and workspace overwrites them
+    A.schur(Ws, M, work)
+    np.testing.assert_allclose(M, ref, **tol)
+
+
+def test_schur_with_supplied_buffers_allocates_under_one_chunk():
+    # two 24 x 24 blocks whose 300 upper-triangle entries each are spread
+    # over 168 equalities: p = 168 like the paper's level-1 programs, and
+    # every block spans at least 3 chunks; M and the workspace are given,
+    # so nothing p^2-sized or block-sized is allocated per call
+    rng = np.random.default_rng(3)
+    p, n = 168, 24
+    eqs = [Equality([], {}, float(rng.normal())) for _ in range(p)]
+    for b in range(2):
+        for r, c in zip(*np.triu_indices(n)):
+            eqs[int(rng.integers(p))].gram.append((b, int(r), int(c), float(rng.normal())))
+    eqs[0].free = {"y": 1.0}
+    A = sdp._Assembled(make_problem([n, n], eqs, {"y": 1.0}))
+    assert all(-(-len(active) // rows) >= 3 for active, *_, rows in A.padded)
+    Ws = np.empty((2, n, n))
+    for b in range(2):
+        X = rng.normal(size=(n, n))
+        Ws[b] = X @ X.T + n * np.eye(n)
+    M, work = np.empty((p, p)), A.workspace()
+    assert all(w.size <= sdp._SCHUR_CHUNK for w in work)
+    A.schur(Ws, M, work)
+    tracemalloc.start()
+    try:
+        A.schur(Ws, M, work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= sdp._SCHUR_CHUNK * 8
 
 
 @pytest.mark.parametrize("n_free", [0, 3, 9])

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -44,6 +45,26 @@ def test_make_grid_contains_vertices():
     assert grid.freq_points[0] == 0.0
 
 
+@pytest.mark.parametrize("n_freq", [0, -2])
+def test_make_grid_rejects_n_freq_below_one(n_freq):
+    # n_freq 0 used to give a grid that the frequency oracle then failed on
+    # with a numpy reduction error, and -2 failed inside linspace
+    for d in (0, 2):
+        with pytest.raises(ValueError, match="n_freq"):
+            vf.make_grid(d, n_freq=n_freq)
+
+
+def test_make_grid_rejects_negative_n_random():
+    # used to be ignored silently (53 points at resolution 50)
+    with pytest.raises(ValueError, match="n_random"):
+        vf.make_grid(2, n_random=-1)
+
+
+def test_sample_grid_rejects_empty_point_set():
+    with pytest.raises(ValueError, match="at least one lambda point"):
+        vf.SampleGrid(np.zeros((0, 2)), np.array([0.0]))
+
+
 def test_make_grid_no_random_points():
     grid = vf.make_grid(2, resolution=10, n_random=0, n_freq=8, seed=0)
     assert grid.lambda_points.shape == (13, 2)  # 2 vertices + 11 mesh points
@@ -86,11 +107,17 @@ def test_row_batches_cover_rows_in_budget():
 # -- frequency-domain sampling ------------------------------------------
 
 
+def _gain_grid(plant, qf, lf, grid=None):
+    # the whole (K, F) gain grid, stacked from the oracle's per-batch kernel
+    if grid is None:
+        grid = vf.make_grid(len(plant.lambda_vars))
+    return np.vstack([G.copy() for _, G in vf._freq_gain_batches(plant, qf, lf, grid)])
+
+
 def test_freq_gain_flat_for_delay_plant():
     # P = 1/z, L = 0.5: |1 - z * 0.5 * z^-1| = 0.5 at every frequency
     plant = fd.UncertainTransferFunction.from_coeffs([1.0], [0.0, 1.0], ())
-    G = vf.freq_gain_grid(plant, fd.NoncausalFir.unity(),
-                          fd.NoncausalFir(0, 0, [0.5]))
+    G = _gain_grid(plant, fd.NoncausalFir.unity(), fd.NoncausalFir(0, 0, [0.5]))
     assert G.shape == (1, 720)
     assert np.allclose(G, 0.5, atol=1e-12)
 
@@ -111,7 +138,7 @@ def test_freq_gain_matches_direct_evaluation():
     lf = fd.NoncausalFir(1, 2, list(rng.normal(size=4) * 0.3))
     qf = fd.NoncausalFir(0, 1, [0.8, 0.1])
     grid = vf.SampleGrid(np.zeros((1, 0)), np.linspace(0.1, 6.0, 40))
-    G = vf.freq_gain_grid(plant, qf, lf, grid)
+    G = _gain_grid(plant, qf, lf, grid)
     for k, w in enumerate(grid.freq_points):
         z = np.exp(1j * w)
         P = (num[0] + num[1] * z) / (den[0] + den[1] * z + z ** 2)
@@ -126,7 +153,7 @@ def test_freq_gain_matches_direct_evaluation_uncertain():
     lf = fd.NoncausalFir(1, 2, [0.05, 0.4, -0.1, 0.2])
     qf = fd.NoncausalFir(1, 1, [0.1, 0.8, 0.1])
     grid = vf.make_grid(2, resolution=4, n_random=5, n_freq=64)
-    G = vf.freq_gain_grid(plant, qf, lf, grid)
+    G = _gain_grid(plant, qf, lf, grid)
     assert G.shape == (len(grid.lambda_points), 64) and G.shape[0] > 1
     for k, lam in enumerate(grid.lambda_points):
         for f, w in enumerate(grid.freq_points):
@@ -160,29 +187,70 @@ def test_freq_gain_batches_match_one_pass():
     batches = vf._row_batches(len(grid.lambda_points), 720)
     sizes = [b.stop - b.start for b in batches]
     assert len(sizes) >= 3 and sizes[-1] < sizes[0]
-    G = vf.freq_gain_grid(plant, qf, lf, grid)
+    assert [b for b, _ in vf._freq_gain_batches(plant, qf, lf, grid)] == batches
+    G = _gain_grid(plant, qf, lf, grid)
     ref = _unbatched_freq_gain(plant, qf, lf, grid)
     np.testing.assert_allclose(G, ref, rtol=1e-14, atol=0)
+    # the profile is the row maxima and their first argmax
+    peak, arg = vf.freq_gain_profile(plant, qf, lf, grid)
+    np.testing.assert_allclose(peak, ref.max(axis=1), rtol=1e-14, atol=0)
+    assert np.array_equal(arg, np.argmax(ref, axis=1))
     g, (lam, omega) = vf.sampled_gamma_freq(plant, qf, lf, grid)
     ik, iw = np.unravel_index(int(np.argmax(ref)), ref.shape)
     assert (g, omega) == (G[ik, iw], grid.freq_points[iw])
     assert np.array_equal(lam, grid.lambda_points[ik])
 
 
+def test_freq_gain_profile_argmax_first_on_ties():
+    # every frequency twice: each row's maximum is reached at two indices
+    # with bitwise equal gains, and the profile names the first
+    plant = paper_plant()
+    lf = fd.NoncausalFir(1, 2, [0.05, 0.4, -0.1, 0.2])
+    omega = np.linspace(0, 2 * np.pi, 32, endpoint=False)
+    grid = vf.SampleGrid(vf.make_grid(2, resolution=5, n_random=0).lambda_points,
+                         np.concatenate([omega, omega]))
+    G = _gain_grid(plant, fd.NoncausalFir.unity(), lf, grid)
+    assert np.array_equal(G[:, :32], G[:, 32:])
+    peak, arg = vf.freq_gain_profile(plant, fd.NoncausalFir.unity(), lf, grid)
+    assert np.array_equal(peak, G.max(axis=1))
+    assert np.array_equal(arg, np.argmax(G[:, :32], axis=1))
+
+
 def test_freq_oracle_memory_stays_near_output_size():
-    # on the default grid (1,053 points x 720 frequencies) the temporaries
-    # of one batch, not of the whole grid, ride on top of the result
+    # on the default grid (1,053 points x 720 frequencies) only the work
+    # buffers of one batch are allocated; the (K, F) gain grid (6 MB) never is
     plant = paper_plant()
     gains = fd.NoncausalFir(0, 3, [0.508, -0.0716, 0.189, -0.197])
     grid = vf.make_grid(2)
-    out_bytes = grid.lambda_points.shape[0] * grid.freq_points.size * 8
     tracemalloc.start()
     try:
         vf.sampled_gamma_freq(plant, fd.NoncausalFir.unity(), gains, grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= out_bytes + 4 * 2**20
+    assert peak <= 3 * vf.BATCH_ENTRIES * 16
+
+
+def test_freq_profile_rejects_grid_without_frequencies():
+    grid = vf.SampleGrid(np.eye(2), np.zeros(0))
+    with pytest.raises(ValueError, match="at least one grid frequency"):
+        vf.freq_gain_profile(paper_plant(), fd.NoncausalFir.unity(),
+                             fd.NoncausalFir(0, 0, [0.1]), grid)
+
+
+def test_oracles_reject_grid_of_another_lambda_dimension():
+    # a two-vertex grid on a nominal plant used to fail with a broadcast error
+    nominal = fd.UncertainTransferFunction.from_coeffs([1.0], [0.0, 1.0], ())
+    lifted = td.LiftedUncertainPlant(1, [AffinePoly.constant((), 2.0)], ())
+    q, l = fd.NoncausalFir.unity(), fd.NoncausalFir(0, 0, [0.1])
+    for grid in (vf.make_grid(2, n_freq=8), vf.make_grid(3, n_freq=8)):
+        with pytest.raises(ValueError, match="lambda coordinates"):
+            vf.sampled_gamma_freq(nominal, q, l, grid)
+        with pytest.raises(ValueError, match="lambda coordinates"):
+            vf.sampled_gamma_time(lifted, td.LiftedFilter.identity(1),
+                                  td.LiftedFilter(1, (0.25,)), grid)
+    with pytest.raises(ValueError, match="lambda coordinates"):
+        vf.freq_gain_profile(paper_plant(), q, l, vf.make_grid(0, n_freq=8))
 
 
 def test_paper_gains_sampled_bound():
@@ -211,8 +279,9 @@ def test_sampled_gamma_freq_grows_with_grid():
 def test_unit_circle_pole_detected():
     plant = fd.UncertainTransferFunction.from_coeffs([1.0], [-1.0, 1.0], ())
     with pytest.raises(vf.UnitCirclePole):
-        vf.freq_gain_grid(plant, fd.NoncausalFir.unity(),
-                          fd.NoncausalFir(0, 0, [0.1]))
+        _gain_grid(plant, fd.NoncausalFir.unity(), fd.NoncausalFir(0, 0, [0.1]))
+    with pytest.raises(vf.UnitCirclePole):
+        vf.sampled_gamma_freq(plant, fd.NoncausalFir.unity(), fd.NoncausalFir(0, 0, [0.1]))
 
 
 def test_unit_circle_pole_in_later_batch_names_its_point():
@@ -226,10 +295,13 @@ def test_unit_circle_pole_in_later_batch_names_its_point():
     grid = vf.SampleGrid(np.vstack([np.column_stack([t, 1 - t]), [0.0, 1.0]]),
                          np.linspace(0, 2 * np.pi, 720, endpoint=False))
     assert len(vf._row_batches(300, 720)) >= 3
+    q, l = fd.NoncausalFir.unity(), fd.NoncausalFir(0, 0, [0.1])
     with pytest.raises(vf.UnitCirclePole) as err:
-        vf.freq_gain_grid(plant, fd.NoncausalFir.unity(), fd.NoncausalFir(0, 0, [0.1]), grid)
+        _gain_grid(plant, q, l, grid)
     assert f"lambda={grid.lambda_points[-1]}" in str(err.value)
     assert "omega=0.0000" in str(err.value)
+    with pytest.raises(vf.UnitCirclePole, match=re.escape(str(err.value))):
+        vf.freq_gain_profile(plant, q, l, grid)
 
 
 def test_freq_rejects_decision_taps():
