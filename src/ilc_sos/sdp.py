@@ -27,16 +27,20 @@ Nakata 1997), a chunk of a block's equalities at a time.  The congruences
 W K_j W of a chunk's equalities j are one batched product (each equality's
 few entries padded to a common length).  Every Gram entry e belongs to
 exactly one equality i, and its share of M_ij = <K_i, W K_j W> is
-w_e (W K_j W)[p_e, q_e]; np.add.at over flat indices i p + j built at
-assembly adds the shares into M in place.  M and the chunks' work buffers
-are allocated once per solve, so no iteration allocates anything p^2-sized
-for the build.  M is factored once per iteration (Cholesky, with a ridge
-only when it does not factor as is) and the triangular factor is inverted
-once, so every Newton solve of the iteration is matrix products.  Iterative refinement against the unridged M runs while it lowers
-the residual.  An iteration runs three KKT solves: the predictor takes one,
-since its direction only sets the centering parameter and Mehrotra's
-second-order term, and the corrector takes one plus a refinement pass
-against the primal and free-variable residuals.
+w_e (W K_j W)[p_e, q_e]; np.add.at adds the shares into M in place, over
+flat indices i p + j that each chunk builds from the entries' row offsets
+i p kept at assembly.  M, one more p x p buffer and the chunks' work
+buffers are allocated once per solve.  Each iteration forms K = Q^T M Q
+(below) in M's storage and factors its trailing block once (Cholesky, with
+a ridge only when it does not factor as is), so the factor, and the ridged
+copy when a ridge is needed, are the only p x p arrays an iteration
+allocates.  Every Newton solve of the iteration is a blocked forward and
+back substitution with that factor, whose diagonal blocks alone are
+inverted.  A ridged factor's solves are refined against the unridged block
+while that lowers the residual.  An iteration runs three KKT solves: the
+predictor takes one, since its direction only sets the centering parameter
+and Mehrotra's second-order term, and the corrector takes one plus a
+refinement pass against the primal and free-variable residuals.
 
 The free variables are handled by the null-space method: D = Q [R; 0] is
 factored once per solve, and each iteration factors the trailing block of
@@ -112,8 +116,9 @@ _SCHUR_CHUNK = 1 << 15
 
 def _chunk_shapes(rows: int, n: int, width: int, entries: int) -> tuple:
     """Work arrays of a chunk of ``rows`` equalities of a block: the two
-    gathers of rows of W, the congruences and the entry shares."""
-    return (rows, width, n), (rows, width, n), (rows, n, n), (rows, entries)
+    gathers of rows of W, the congruences, the entry shares and their flat
+    indices in M (the last one intp, the others float)."""
+    return (rows, width, n), (rows, width, n), (rows, n, n), (rows, entries), (rows, entries)
 
 
 class _Assembled:
@@ -180,12 +185,12 @@ class _Assembled:
         # (p, q) and again as (q, p) and padded to a common width (zero weight
         # in the padding), so that the congruences W K_j W of a chunk of
         # equalities are one batched matmul; every entry's flat index p n + q;
-        # the flat index eq_e p + j in M of every (active equality j, entry e)
-        # pair, where schur() adds entry e's share of M[eq_e, j]; and how many
-        # equalities a chunk takes.  work_sizes are the largest work arrays a
-        # chunk of any block needs.
+        # every entry's row offset eq_e p in the flat M, to which schur() adds
+        # the column j of an active equality to place entry e's share of
+        # M[eq_e, j]; and how many equalities a chunk takes.  work_sizes are
+        # the largest work arrays a chunk of any block needs.
         self.padded = []
-        self.work_sizes = [0] * 4
+        self.work_sizes = [0] * 5
         for (eq, pp, qq, ww), n in zip(self.blocks, self.dims):
             active, starts, counts = np.unique(eq, return_index=True,
                                                return_counts=True)
@@ -199,8 +204,7 @@ class _Assembled:
             P, Q, Wt = np.hstack([P, Q]), np.hstack([Q, P]), np.hstack([Wt, Wt])
             rows = min(len(active), _SCHUR_CHUNK // max(1, n * n, len(eq), 2 * width * n))
             rows = max(1, rows)
-            to_M = (eq * p + active[:, None]).astype(np.intp)
-            self.padded.append((active, P, Q, Wt, pp * n + qq, to_M, rows))
+            self.padded.append((active, P, Q, Wt, pp * n + qq, (eq * p).astype(np.intp), rows))
             if len(active):
                 self.work_sizes = [max(k, math.prod(shape)) for k, shape in zip(
                     self.work_sizes, _chunk_shapes(rows, n, 2 * width, len(eq)))]
@@ -224,7 +228,8 @@ class _Assembled:
 
     def workspace(self) -> list:
         """Work buffers for schur(), shared by all blocks; see work_sizes."""
-        return [np.empty(k) for k in self.work_sizes]
+        *floats, index = self.work_sizes
+        return [np.empty(k) for k in floats] + [np.empty(index, np.intp)]
 
     def schur(self, Ws: np.ndarray, M: np.ndarray, work: list) -> np.ndarray:
         """M_ij = sum_b tr(A_i W_b A_j W_b) = sum_b <K_i, W_b K_j W_b>,
@@ -233,13 +238,13 @@ class _Assembled:
         than a block's W is allocated besides them."""
         M.fill(0.0)
         Mf = M.reshape(-1)
-        for (_, _, _, ww), (active, P, Q, Wt, pq, to_M, rows), Wb, n in zip(
+        for (_, _, _, ww), (active, P, Q, Wt, pq, row_at, rows), Wb, n in zip(
                 self.blocks, self.padded, Ws, self.dims):
             W = np.ascontiguousarray(Wb[:n, :n])
             for lo in range(0, len(active), rows):
                 sl = slice(lo, lo + rows)
                 c = len(active[sl])
-                L, R, C, X = (b[:math.prod(shape)].reshape(shape) for b, shape in zip(
+                L, R, C, X, I = (b[:math.prod(shape)].reshape(shape) for b, shape in zip(
                     work, _chunk_shapes(c, n, P.shape[1], len(pq))))
                 # W K_j W = C_j + C_j^T, C_j = sum_l wt_l W[:, p_l] W[q_l, :], is one
                 # sum over the entries as (p, q) and as (q, p); W is symmetric, so
@@ -250,10 +255,11 @@ class _Assembled:
                 np.take(W, Q[sl], axis=0, out=R, mode="clip")
                 np.matmul(L.transpose(0, 2, 1), R, out=C)
                 # entry e's share of <K_eq_e, W K_j W> is w_e (W K_j W)[p_e, q_e],
-                # added into M[eq_e, j] in place
+                # added into M[eq_e, j], flat index eq_e p + j, in place
                 np.take(C.reshape(c, n * n), pq, axis=1, out=X, mode="clip")
                 X *= ww
-                np.add.at(Mf, to_M[sl].ravel(), X.ravel())
+                np.add(row_at, active[sl, None], out=I)
+                np.add.at(Mf, I.ravel(), X.ravel())
         return M
 
 
@@ -264,19 +270,41 @@ def _chol(M: np.ndarray):
         return None
 
 
-def _tril_inv(L: np.ndarray) -> np.ndarray:
-    """Inverse of a lower-triangular L by recursive 2x2 blocking, so that
-    almost all the work is matrix products (np.linalg.inv would run a full
-    LU factorization on the triangle)."""
+# width of the diagonal blocks of a Cholesky factor that _tril_solver inverts
+_SUBST_BLOCK = 64
+
+
+def _tril_solver(L: np.ndarray):
+    """Return X -> (L L^T)^-1 X for a lower-triangular L, by blocked forward
+    and back substitution: only L's diagonal blocks are inverted, and the
+    rest of the work is products with L's off-diagonal panels."""
     n = len(L)
-    if n <= 64:
-        return np.linalg.inv(L)
-    h = n // 2
-    A, D = _tril_inv(L[:h, :h]), _tril_inv(L[h:, h:])
-    out = np.zeros_like(L)
-    out[:h, :h], out[h:, h:] = A, D
-    out[h:, :h] = -D @ (L[h:, :h] @ A)
-    return out
+    k = min(n, _SUBST_BLOCK)
+    blocks = [slice(lo, min(lo + k, n)) for lo in range(0, n, k)]
+    # the diagonal blocks are inverted in one batched call, into one array
+    # (one small array per block fragmented the heap, and left the
+    # benchmark's paper_robust peak RSS about 1 MB higher in most runs); the
+    # last block is padded with identity, which leaves its own inverse in the
+    # leading corner
+    D = np.empty((len(blocks), k, k))
+    D[:] = np.eye(k)
+    for Db, b in zip(D, blocks):
+        Db[:b.stop - b.start, :b.stop - b.start] = L[b, b]
+    inv = [Di[:b.stop - b.start, :b.stop - b.start] for Di, b in zip(np.linalg.inv(D), blocks)]
+
+    def solve(B):
+        X = np.array(B, dtype=float)
+        for b, Di in zip(blocks, inv):  # L Y = B, Y in X
+            if b.start:
+                X[b] -= L[b, :b.start] @ X[:b.start]
+            X[b] = Di @ X[b]
+        for b, Di in zip(blocks[::-1], inv[::-1]):  # L^T X = Y
+            if b.stop < n:
+                X[b] -= L[b.stop:, b].T @ X[b.stop:]
+            X[b] = Di.T @ X[b]
+        return X
+
+    return solve
 
 
 # ridges tried, in order, when a Schur complement does not factor as is
@@ -288,27 +316,33 @@ def _refined_solver(M: np.ndarray):
 
     M is factored once: plain Cholesky first, and only when that fails with
     the smallest ridge (relative to its largest diagonal entry) that makes
-    it factorable.  The triangular factor is inverted, so each solve is
-    matrix products only.  Iterative refinement against the unridged M then
-    removes any ridge bias and the rounding of the inverse: a sweep is kept
-    while it lowers the squared residual norm, for at most five sweeps
-    (LAPACK's limit in xPORFS).
+    it factorable.  A factor of M itself gives the direct solve
+    (_tril_solver).  A ridged factor's solves are refined against the
+    unridged M, which removes the ridge's bias: a sweep is kept while it
+    lowers the squared residual norm, for at most five sweeps (LAPACK's
+    limit in xPORFS).
     """
     scale = max(1.0, float(M.diagonal().max()))
     for ridge in _RIDGES:
-        L = _chol(M + np.eye(len(M)) * (ridge * scale) if ridge else M)
+        Mr = M
+        if ridge:  # a copy of M with the ridge on its diagonal
+            Mr = M.copy()
+            Mr[np.diag_indices_from(Mr)] += ridge * scale
+        L = _chol(Mr)
         if L is not None:
             break
     else:
         return None
-    Li = _tril_inv(L)
+    direct = _tril_solver(L)
+    if not ridge:
+        return direct
 
     def solve(B):
-        X = Li.T @ (Li @ B)
+        X = direct(B)
         R = B - M @ X
         res = np.vdot(R, R)
         for _ in range(5):
-            Xc = X + Li.T @ (Li @ R)
+            Xc = X + direct(R)
             Rc = B - M @ Xc
             res_c = np.vdot(Rc, Rc)
             if not res_c < res:
@@ -319,20 +353,23 @@ def _refined_solver(M: np.ndarray):
     return solve
 
 
-def _null_space_solver(A: _Assembled, M: np.ndarray):
+def _null_space_solver(A: _Assembled, M: np.ndarray, buf: np.ndarray):
     """Return (h, r) -> (dnu, dy) solving M dnu - D dy = h, D^T dnu = r, or None.
 
     The null-space method (Nocedal & Wright, Numerical Optimization, 16.2):
     with D = Q [R; 0] and dnu = Q [a; b], the second equation gives
     a = R^-T r, the trailing rows of K [a; b] - [R dy; 0] = Q^T h give b, and
-    the leading rows give dy.  K = Q^T M Q is M minus a rank-2q update built
-    from M V (O(q p^2)), and its trailing block, positive definite whenever M
-    is, is factored by _refined_solver.
+    the leading rows give dy.  K = Q^T M Q is M minus a rank-2q update U + U^T
+    built from M V (O(q p^2)); it is formed in M's storage, with U in the
+    p x p ``buf``, so M holds K afterwards.  K's trailing block, positive
+    definite whenever M is, is factored by _refined_solver.
     """
     p, q, V, T = A.p, A.q, A.V, A.T
     W = M @ V
-    U = V @ (W @ T - 0.5 * V @ (T.T @ (V.T @ W) @ T)).T
-    K = M - (U + U.T)
+    np.matmul(V, (W @ T - 0.5 * V @ (T.T @ (V.T @ W) @ T)).T, out=buf)
+    M -= buf
+    M -= buf.T
+    K = M  # M holds K from here on
     ksolve = _refined_solver(K[q:, q:]) if p > q else (lambda x: x)
     if ksolve is None:
         return None
@@ -409,8 +446,9 @@ def _solve_ipm(A: _Assembled, feas_tol: float, gap_tol: float, max_iter: int) ->
 
     beta_scale = 1.0 + float(np.max(np.abs(A.beta)))
     c_scale = 1.0 + (float(np.max(np.abs(A.c))) if q else 0.0)
-    # the Schur complement and its work buffers, rewritten every iteration
-    M, work = np.empty((p, p)), A.workspace()
+    # the Schur complement, the buffer of its rank-2q update (_null_space_solver)
+    # and the Schur build's work buffers, rewritten every iteration
+    M, buf, work = np.empty((p, p)), np.empty((p, p)), A.workspace()
 
     for it in range(max_iter):
         rp = A.beta - A.apply_A(G) + A.D @ y
@@ -458,7 +496,7 @@ def _solve_ipm(A: _Assembled, feas_tol: float, gap_tol: float, max_iter: int) ->
         Rinv = tr(U) / rs[:, :, None] @ tr(LZ)
         W = R @ tr(R)
 
-        kkt = _null_space_solver(A, A.schur(W, M, work))
+        kkt = _null_space_solver(A, A.schur(W, M, work), buf)
         if kkt is None:
             return fail("Schur complement not PD", it)
 
@@ -506,6 +544,7 @@ def _solve_ipm(A: _Assembled, feas_tol: float, gap_tol: float, max_iter: int) ->
         Z = Z + ad * dZ
         nu = nu + ad * dnu
         trace[-1].update(ap=float(ap), ad=float(ad), sigma=sigma)
+        del kkt  # free this iteration's factor before the next one is formed
 
     return fail(f"no convergence in {max_iter} iterations", max_iter)
 

@@ -1,10 +1,12 @@
+import gc
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from ilc_sos.soscompiler import Equality, SdpProblem
-from ilc_sos import sdp
+from ilc_sos import cli, sdp
+from ilc_sos import timedomain as td
 
 
 def make_problem(block_dims, equalities, objective):
@@ -244,6 +246,64 @@ def test_schur_with_supplied_buffers_allocates_under_one_chunk():
     assert peak <= sdp._SCHUR_CHUNK * 8
 
 
+class _Captured(Exception):
+    """Raised by a stand-in for sdp.solve to hand out the program it got."""
+
+
+@pytest.fixture(scope="module")
+def lifted_paper_level0():
+    # the level-0 program of the lifted paper plant at N = 8 (Q = I, causal
+    # L), as synthesis hands it to the solver: p = 1,088 equalities on two
+    # 64 x 64 Gram blocks
+    N = 8
+    problem = td.TimeSynthesisProblem(td.LiftedUncertainPlant.from_transfer(cli.paper_plant(), N),
+                                      td.LiftedFilter.identity(N),
+                                      td.LiftedFilter.causal_decision(N))
+
+    def capture(prob, **_):
+        raise _Captured(prob)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sdp, "solve", capture)
+        with pytest.raises(_Captured) as got:
+            problem.solve()
+    return got.value.args[0]
+
+
+def _traced(fn):
+    """fn()'s result, the traced memory it leaves allocated and its traced
+    peak, both above what was traced before the call."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, held - base, peak - base
+
+
+def test_assembly_holds_no_index_per_equality_pair(lifted_paper_level0):
+    # one intp per (active equality, block entry) pair was 33.0 MB here; a
+    # row offset per entry is what the Schur build keeps instead
+    A, held, _ = _traced(lambda: sdp._Assembled(lifted_paper_level0))
+    assert A.p == 1088 and A.dims == [64, 64]
+    assert held < 2e6
+
+
+def test_ipm_iteration_allocates_one_factor_beyond_its_buffers(lifted_paper_level0):
+    # M, the rank-2q update's buffer and the Cholesky factor of K's trailing
+    # block are the only p x p arrays of a solve: two iterations peak 3.3 p^2
+    # doubles above the entry (8.4 p^2 with K, U, U + U^T and the factor's
+    # inverse formed every iteration)
+    A = sdp._Assembled(lifted_paper_level0)
+    assert A.p >= 400
+    sol, _, peak = _traced(lambda: sdp._solve_ipm(A, 1e-8, 1e-8, 2))
+    assert sol.iterations == 2 and "no convergence" in sol.message
+    assert peak <= 4 * 8 * A.p ** 2
+
+
 @pytest.mark.parametrize("n_free", [0, 3, 9])
 def test_null_space_step_matches_dense_kkt(n_free):
     # q = 1, 3 and 9 free columns against p = 9 equalities (9 is p == q)
@@ -253,7 +313,8 @@ def test_null_space_step_matches_dense_kkt(n_free):
     X = rng.normal(size=(A.p, A.p))
     M = X @ X.T + A.p * np.eye(A.p)
     h, r = rng.normal(size=A.p), rng.normal(size=A.q)
-    dnu, dy = sdp._null_space_solver(A, M)(h, r)
+    # the solver forms Q^T M Q in M's storage, with the dirty buffer as scratch
+    dnu, dy = sdp._null_space_solver(A, M.copy(), np.full((A.p, A.p), np.nan))(h, r)
     kkt = np.block([[M, -A.D], [A.D.T, np.zeros((A.q, A.q))]])
     ref = np.linalg.solve(kkt, np.concatenate([h, r]))
     np.testing.assert_allclose(np.concatenate([dnu, dy]), ref,
@@ -293,23 +354,50 @@ def test_dependent_free_scalars_are_a_named_failure(free_ids, objective, eqs):
 
 
 def test_refined_solve_on_ill_conditioned_schur():
-    rng = np.random.default_rng(7)
-    p = 120
-    Q, _ = np.linalg.qr(rng.normal(size=(p, p)))
-    M = (Q * np.logspace(0, -12, p)) @ Q.T
-    M = 0.5 * (M + M.T)
-    B = rng.normal(size=(p, 3))
-    X = sdp._refined_solver(M)(B)
+    # p = 120 spans two diagonal blocks of the substitution, p = 300 five
     eps = np.finfo(float).eps
-    resid = np.linalg.norm(B - M @ X) / (np.linalg.norm(M, 2) * np.linalg.norm(X))
-    assert resid <= 4 * eps  # normwise backward stable despite the explicit inverse
-    # a rank-deficient M only factors with a ridge, whose bias (residual
-    # ~1e-13 relative without refinement) the refinement removes
-    V = rng.normal(size=(p, p // 2))
-    Ms = V @ V.T
-    Bs = Ms @ rng.normal(size=p)
-    Xs = sdp._refined_solver(Ms)(Bs)
-    assert np.linalg.norm(Bs - Ms @ Xs) <= 100 * eps * np.linalg.norm(Bs)
+    for p in (120, 300):
+        rng = np.random.default_rng(7)
+        Q, _ = np.linalg.qr(rng.normal(size=(p, p)))
+        M = (Q * np.logspace(0, -12, p)) @ Q.T
+        M = 0.5 * (M + M.T)
+        B = rng.normal(size=(p, 3))
+        X = sdp._refined_solver(M)(B)
+        resid = np.linalg.norm(B - M @ X) / (np.linalg.norm(M, 2) * np.linalg.norm(X))
+        assert resid <= 4 * eps  # normwise backward stable without refinement
+        # a rank-deficient M only factors with a ridge, whose bias (residual
+        # ~1e-13 relative without refinement) the refinement removes
+        V = rng.normal(size=(p, p // 2))
+        Ms = V @ V.T
+        Bs = Ms @ rng.normal(size=p)
+        Xs = sdp._refined_solver(Ms)(Bs)
+        assert np.linalg.norm(Bs - Ms @ Xs) <= 100 * eps * np.linalg.norm(Bs)
+
+
+@pytest.mark.parametrize("cols", [None, 1, 4], ids=["vector", "one-column", "four-columns"])
+def test_blocked_substitution_matches_dense_solve(cols):
+    # p = 200 spans four diagonal blocks, the last one partial
+    rng = np.random.default_rng(13)
+    p = 200
+    assert -(-p // sdp._SUBST_BLOCK) >= 3 and p % sdp._SUBST_BLOCK
+    X = rng.normal(size=(p, p))
+    M = X @ X.T + p * np.eye(p)
+    B = rng.normal(size=(p,) if cols is None else (p, cols))
+    got = sdp._tril_solver(np.linalg.cholesky(M))(B)
+    assert got.shape == B.shape
+    np.testing.assert_allclose(got, np.linalg.solve(M, B), rtol=1e-10)
+
+
+def test_unridged_factor_solves_without_refinement():
+    # a factor of M itself gives the substitution as it stands: no product
+    # with M, so a solve returns _tril_solver's result bit for bit
+    rng = np.random.default_rng(17)
+    p = 150
+    X = rng.normal(size=(p, p))
+    M = X @ X.T + p * np.eye(p)
+    B = rng.normal(size=(p, 2))
+    ref = sdp._tril_solver(np.linalg.cholesky(M))(B)
+    np.testing.assert_array_equal(sdp._refined_solver(M)(B), ref)
 
 
 def _mixed_size_problem():
