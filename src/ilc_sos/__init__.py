@@ -9,7 +9,7 @@ trial-simulation checks validate every synthesized certificate.
 
 Modules
 -------
-polyalg     exact polynomial/matrix arithmetic with affine decision terms
+polyalg     array-backed polynomials/matrices with affine decision terms
 soscompiler SOS feasibility -> semidefinite program (Gram matrix form)
 sdp         self-contained primal-dual SDP solver
 timedomain  lifted (finite-horizon) synthesis
@@ -20,7 +20,6 @@ cli         command line front end
 """
 
 from .polyalg import (
-    AffineCoeff,
     AffinePoly,
     PolyMatrix,
     AffinityError,
@@ -68,7 +67,6 @@ from .simulate import (
 )
 
 __all__ = [
-    "AffineCoeff",
     "AffinePoly",
     "PolyMatrix",
     "AffinityError",

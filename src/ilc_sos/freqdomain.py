@@ -27,15 +27,12 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .polyalg import (
-    AffineCoeff,
     AffinePoly,
     PolyMatrix,
     _check_den_on_circle,
     circle_degree,
     circle_image,
     homogenize,
-    laurent_add,
-    laurent_mul,
     simplex_mesh,
 )
 from .result import SynthesisResult, decision_value, escalate
@@ -82,18 +79,17 @@ class NoncausalFir:
         for pos, c in enumerate(self.coeffs):
             yield pos - self.k_lead, c
 
-    def decision_ids(self) -> list:
-        return [c for c in self.coeffs if isinstance(c, str)]
-
     def has_decisions(self) -> bool:
         return any(isinstance(c, str) for c in self.coeffs)
 
-    def to_laurent(self, variables: Sequence[str]) -> dict:
-        out = {}
+    def to_laurent(self, variables: Sequence[str]) -> AffinePoly:
+        """sum_i tap_i z^-i over ("z", *variables)."""
+        zv = ("z",) + tuple(variables)
+        out = AffinePoly.zero(zv)
         for i, c in self.taps():
-            coeff = AffineCoeff.decision(c) if isinstance(c, str) else AffineCoeff(float(c))
-            out[-i] = AffinePoly.constant(variables, coeff)
-        return {k: v for k, v in out.items() if not v.is_zero()}
+            z_i = AffinePoly.monomial(zv, (-i,) + (0,) * len(variables), 1.0)
+            out = out + z_i * (AffinePoly.decision(zv, c) if isinstance(c, str) else float(c))
+        return out
 
     def numeric(self, gains: Mapping[str, float] | None = None) -> dict:
         """Taps as {i: float}, decisions resolved through ``gains``."""
@@ -112,6 +108,14 @@ class NoncausalFir:
 
 # ---------------------------------------------------------------------------
 # plants
+
+
+def _z_series(coeffs: Sequence[AffinePoly], lam: tuple) -> AffinePoly:
+    """sum_i coeffs[i] z^i over ("z", *lam), for decision-free coefficients."""
+    exps = [np.zeros((0, 1 + len(lam)), dtype=np.int64)]
+    exps += [np.column_stack([np.full(len(c.exps), i), c.exps]) for i, c in enumerate(coeffs)]
+    return AffinePoly(("z",) + lam, np.concatenate(exps),
+                      np.concatenate([np.zeros((0, 1))] + [c.coeffs for c in coeffs]))
 
 
 @dataclass
@@ -146,7 +150,7 @@ class UncertainTransferFunction:
         lead = den[-1]
         if lead.has_decisions() or lead.degree() > 0:
             raise ValueError("leading denominator coefficient must be a nonzero constant")
-        lead_val = lead.coeff((0,) * len(lambda_vars)).const
+        lead_val = lead.evaluate(dict.fromkeys(lambda_vars, 0.0))
         if lead_val == 0.0:
             raise ValueError("leading denominator coefficient must be a nonzero constant")
         num = [c.scaled(1.0 / lead_val) for c in num]
@@ -166,13 +170,11 @@ class UncertainTransferFunction:
     def m(self) -> int:
         return len(self.num) - 1
 
-    def num_laurent(self) -> dict:
-        return {i: c for i, c in enumerate(self.num) if not c.is_zero()}
+    def num_laurent(self) -> AffinePoly:
+        return _z_series(self.num, self.lambda_vars)
 
-    def den_laurent(self) -> dict:
-        out = {i: c for i, c in enumerate(self.den) if not c.is_zero()}
-        out[self.n] = AffinePoly.constant(self.lambda_vars, 1.0)
-        return out
+    def den_laurent(self) -> AffinePoly:
+        return _z_series(self.den + [AffinePoly.constant(self.lambda_vars, 1.0)], self.lambda_vars)
 
     def coeff_arrays(self, lam: Mapping[str, float]) -> tuple:
         num = np.array([c.evaluate(lam) for c in self.num])
@@ -238,8 +240,8 @@ def simplexify(num_theta: Sequence, den_theta: Sequence, vertices,
 
     images = {}
     for j, tv in enumerate(theta_vars):
-        images[tv] = AffinePoly.linear_form(
-            lam_vars, {lv: vertices[i, j] for i, lv in enumerate(lam_vars)})
+        images[tv] = sum((AffinePoly.variable(lam_vars, lv).scaled(vertices[i, j])
+                          for i, lv in enumerate(lam_vars)), AffinePoly.zero(lam_vars))
 
     def convert(c):
         if not isinstance(c, AffinePoly):
@@ -374,23 +376,21 @@ def build_T_hat(qfilter: NoncausalFir, lfir: NoncausalFir,
                          + [{v: 1.0 / len(lam) for v in lam}])
 
     a = qfilter.to_laurent(lam)
-    zlq = laurent_mul({1: AffinePoly.constant(lam, 1.0)},
-                      laurent_mul(lfir.to_laurent(lam), a))
-    b = {k: -v for k, v in zlq.items()}
-    den_conj = {-i: p for i, p in den.items()}
-    numer = laurent_mul(laurent_add(laurent_mul(a, den), laurent_mul(b, plant.num_laurent())),
-                        den_conj)
-    den_sq = laurent_mul(den, den_conj)
+    zv = den.variables
+    b = -(AffinePoly.variable(zv, "z") * (lfir.to_laurent(lam) * a))
+    den_conj = AffinePoly(zv, den.exps * ([-1] + [1] * len(lam)), den.coeffs)  # z -> 1/z
+    numer = (a * den + b * plant.num_laurent()) * den_conj
+    den_sq = den * den_conj
     deg_x = max(2 * circle_degree(den_sq), circle_degree(numer),
                 circle_degree(numer, imag=True))
 
-    variables = ("x",) + lam
-    nu1, nu2 = circle_image(numer, deg_x, variables)
-    nu3 = circle_image(den_sq, deg_x, variables)[0]
-    gamma = AffineCoeff.decision("gamma")
-    E = circle_image(laurent_mul(den_sq, den_sq), deg_x, variables)[0].scaled(gamma)
+    nu1, nu2 = circle_image(numer, deg_x)
+    nu3 = circle_image(den_sq, deg_x)[0]
+    variables = nu3.variables
+    gamma = AffinePoly.decision(variables, "gamma")
+    E = circle_image(den_sq * den_sq, deg_x)[0] * gamma
     x = AffinePoly.variable(variables, "x")
-    S = ((AffinePoly.constant(variables, 1.0) + x * x) ** deg_x).scaled(gamma)
+    S = (AffinePoly.constant(variables, 1.0) + x * x) ** deg_x * gamma
     zero = AffinePoly.zero(variables)
     T_hat = homogenize(PolyMatrix.from_rows([
         [E, nu1, nu2],

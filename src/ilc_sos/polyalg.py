@@ -1,18 +1,24 @@
-"""Exact polynomial arithmetic with affine decision coefficients.
+"""Polynomial arithmetic with affine decision coefficients, on arrays.
 
 Everything downstream (SOS compilation, synthesis in both domains) works on
 polynomials whose coefficients are *affine* expressions in a set of named
-decision scalars (learning gains, the squared contraction rate, ...).  The
-affine structure is what keeps the synthesis programs convex, so products of
-two decision-carrying objects raise :class:`AffinityError` instead of
+decision scalars (learning gains, the contraction rate, ...).  The affine
+structure is what keeps the synthesis programs convex, so a product of two
+decision-carrying polynomials raises :class:`AffinityError` instead of
 silently producing a bilinear term.
 
-Numbers are floats throughout; after every arithmetic operation, terms whose
-magnitude is below ``PRUNE_REL`` times the largest coefficient of the result
-are dropped, so exact cancellations do not leave 1e-17 dust behind.
+An :class:`AffinePoly` is two arrays: an integer exponent array (terms x
+variables) and a float coefficient array (terms x (1 + m)) whose column 0 is
+the constant and whose column 1 + j is the weight of ``decisions[j]``, a
+sorted tuple.  A sum or product concatenates (or outer-sums) the exponent
+rows, sorts them once and adds up the coefficients of equal rows.  After
+every sum and product, coefficients whose magnitude is at most ``PRUNE_REL``
+times the operands' largest coefficient are dropped, so exact cancellations
+do not leave 1e-17 dust behind.
 
-Expressions on the unit circle ``z = e^{j omega}`` are Laurent polynomials
-in z.  :func:`circle_image` maps one to real polynomial data in a single
+Expressions on the unit circle ``z = e^{j omega}`` are Laurent polynomials:
+an :class:`AffinePoly` over ``("z", *lam)`` with signed z exponents.
+:func:`circle_image` maps one to real polynomial data in a single
 substitution, ``z = (1 + jx) / (1 - jx)``, which covers the circle minus
 ``z = -1`` as ``x`` ranges over the reals, and clears the denominator
 ``(1 + x^2)^deg``.
@@ -20,6 +26,7 @@ substitution, ``z = (1 + jx) / (1 - jx)``, which covers the circle minus
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -35,134 +42,68 @@ class DegenerateDenominator(Exception):
     """Plant denominator vanishes (or nearly vanishes) on the unit circle."""
 
 
-# ---------------------------------------------------------------------------
-# affine coefficients
+def _collect(exps: np.ndarray, coeffs: np.ndarray) -> tuple:
+    """Sort exponent rows lexicographically and add up the coefficient rows
+    of equal exponents (in input order)."""
+    if len(exps) < 2:
+        return exps, coeffs
+    if exps.shape[1] == 0:
+        return exps[:1], coeffs.sum(axis=0, keepdims=True)
+    order = np.lexsort(exps.T[::-1])
+    exps, coeffs = exps[order], coeffs[order]
+    new = np.empty(len(exps), dtype=bool)
+    new[0] = True
+    np.any(exps[1:] != exps[:-1], axis=1, out=new[1:])
+    if new.all():
+        return exps, coeffs
+    starts = np.flatnonzero(new)
+    return exps[starts], np.add.reduceat(coeffs, starts, axis=0)
 
 
-class AffineCoeff:
-    """constant + sum of weight * decision_id, e.g. ``0.5 - 2.0*l0``."""
-
-    __slots__ = ("const", "terms")
-
-    def __init__(self, const: float = 0.0, terms: Mapping[str, float] | None = None):
-        self.const = float(const)
-        self.terms = dict(terms) if terms else {}
-
-    # -- constructors -------------------------------------------------
-    @classmethod
-    def constant(cls, value: float) -> "AffineCoeff":
-        return cls(value)
-
-    @classmethod
-    def decision(cls, name: str, weight: float = 1.0) -> "AffineCoeff":
-        return cls(0.0, {name: float(weight)})
-
-    @staticmethod
-    def wrap(value) -> "AffineCoeff":
-        if isinstance(value, AffineCoeff):
-            return value
-        return AffineCoeff(float(value))
-
-    # -- queries -------------------------------------------------------
-    def magnitude(self) -> float:
-        m = abs(self.const)
-        for w in self.terms.values():
-            m = max(m, abs(w))
-        return m
-
-    def is_constant(self) -> bool:
-        return not self.terms
-
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return self.magnitude() <= tol
-
-    def decision_ids(self):
-        return set(self.terms)
-
-    def evaluate(self, assignment: Mapping[str, float] | None = None) -> float:
-        val = self.const
-        for name, w in self.terms.items():
-            if assignment is None:
-                raise KeyError(f"no assignment for decision '{name}'")
-            val += w * assignment[name]
-        return val
-
-    # -- arithmetic ----------------------------------------------------
-    def __add__(self, other) -> "AffineCoeff":
-        other = AffineCoeff.wrap(other)
-        terms = dict(self.terms)
-        for k, w in other.terms.items():
-            terms[k] = terms.get(k, 0.0) + w
-        return AffineCoeff(self.const + other.const, terms)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "AffineCoeff":
-        return AffineCoeff(-self.const, {k: -w for k, w in self.terms.items()})
-
-    def __sub__(self, other) -> "AffineCoeff":
-        return self + (-AffineCoeff.wrap(other))
-
-    def __rsub__(self, other) -> "AffineCoeff":
-        return AffineCoeff.wrap(other) + (-self)
-
-    def __mul__(self, other) -> "AffineCoeff":
-        other = AffineCoeff.wrap(other)
-        if self.terms and other.terms:
-            raise AffinityError(
-                f"product of two decision-carrying coefficients: "
-                f"{sorted(self.terms)} x {sorted(other.terms)}"
-            )
-        if other.terms:
-            self, other = other, self
-        c = other.const  # other is constant here
-        return AffineCoeff(self.const * c, {k: w * c for k, w in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def scaled(self, factor: float) -> "AffineCoeff":
-        return AffineCoeff(self.const * factor, {k: w * factor for k, w in self.terms.items()})
-
-    def pruned(self, tol: float) -> "AffineCoeff":
-        return AffineCoeff(
-            self.const if abs(self.const) > tol else 0.0,
-            {k: w for k, w in self.terms.items() if abs(w) > tol},
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AffineCoeff):
-            return NotImplemented
-        return self.const == other.const and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.const, tuple(sorted(self.terms.items()))))
-
-    def __repr__(self) -> str:
-        parts = []
-        if self.const or not self.terms:
-            parts.append(f"{self.const:g}")
-        for k in sorted(self.terms):
-            parts.append(f"{self.terms[k]:+g}*{k}")
-        return " ".join(parts)
+def _widened(coeffs: np.ndarray, have: tuple, names: tuple) -> np.ndarray:
+    """Coefficient columns over decisions ``have`` spread over ``names``."""
+    if have == names:
+        return coeffs
+    out = np.zeros((len(coeffs), 1 + len(names)))
+    out[:, [0] + [1 + names.index(d) for d in have]] = coeffs
+    return out
 
 
-# ---------------------------------------------------------------------------
-# polynomials
+def _resolved(coeffs: np.ndarray, decisions: tuple, assignment: Mapping[str, float] | None) -> np.ndarray:
+    """Each coefficient row's value with the decisions set by ``assignment``."""
+    if not decisions:
+        return coeffs[:, 0]
+    if assignment is None:
+        raise KeyError(f"no assignment for decisions {decisions}")
+    return coeffs @ np.array([1.0] + [float(assignment[d]) for d in decisions])
+
+
+def _monomials(points: np.ndarray, exps: np.ndarray) -> np.ndarray:
+    """(K, terms): every exponent row's monomial at every point (K x nvars)."""
+    return np.prod(points[:, None, :] ** exps[None, :, :], axis=2)
 
 
 class AffinePoly:
-    """Multivariate polynomial; coefficients are :class:`AffineCoeff`.
+    """Multivariate polynomial whose coefficients are affine in decisions.
 
-    ``variables`` fixes the meaning and order of exponent tuples.  Binary
-    operations require both operands to share the same variable tuple (use
-    :meth:`lift` to embed into a larger variable set).
+    ``exps`` (terms x variables, int) and ``coeffs`` (terms x (1 + m)) hold
+    the terms; no exponent row repeats, and arithmetic drops all-zero rows
+    and decision columns.  ``variables`` fixes the meaning of the exponent
+    columns.  Binary operations require both operands to share the same
+    variable tuple (use :meth:`lift` to embed into a larger variable set).
     """
 
-    __slots__ = ("variables", "terms")
+    __slots__ = ("variables", "exps", "coeffs", "decisions")
 
-    def __init__(self, variables: Sequence[str], terms: Mapping[tuple, AffineCoeff] | None = None):
+    def __init__(self, variables: Sequence[str], exps=None, coeffs=None,
+                 decisions: Sequence[str] = ()):
         self.variables = tuple(variables)
-        self.terms = dict(terms) if terms else {}
+        self.decisions = tuple(decisions)
+        if exps is None:
+            exps = np.zeros((0, len(self.variables)), dtype=np.int64)
+            coeffs = np.zeros((0, 1 + len(self.decisions)))
+        self.exps = np.asarray(exps, dtype=np.int64)
+        self.coeffs = np.asarray(coeffs, dtype=float)
 
     # -- constructors ----------------------------------------------------
     @classmethod
@@ -170,66 +111,42 @@ class AffinePoly:
         return cls(variables)
 
     @classmethod
-    def constant(cls, variables: Sequence[str], value) -> "AffinePoly":
-        c = AffineCoeff.wrap(value)
-        n = len(tuple(variables))
-        if c.is_zero():
-            return cls(variables)
-        return cls(variables, {(0,) * n: c})
+    def constant(cls, variables: Sequence[str], value: float) -> "AffinePoly":
+        return cls.monomial(variables, (0,) * len(tuple(variables)), value)
+
+    @classmethod
+    def decision(cls, variables: Sequence[str], name: str, weight: float = 1.0) -> "AffinePoly":
+        """The constant ``weight * name``: the way a decision enters."""
+        variables = tuple(variables)
+        return cls(variables, [[0] * len(variables)], [[0.0, float(weight)]], (name,))
 
     @classmethod
     def variable(cls, variables: Sequence[str], name: str) -> "AffinePoly":
         variables = tuple(variables)
-        idx = variables.index(name)
-        exp = tuple(1 if i == idx else 0 for i in range(len(variables)))
-        return cls(variables, {exp: AffineCoeff(1.0)})
+        return cls.monomial(variables, np.eye(len(variables), dtype=int)[variables.index(name)], 1.0)
 
     @classmethod
-    def monomial(cls, variables: Sequence[str], exponents: Sequence[int], coeff) -> "AffinePoly":
-        c = AffineCoeff.wrap(coeff)
-        if c.is_zero():
+    def monomial(cls, variables: Sequence[str], exponents: Sequence[int], coeff: float) -> "AffinePoly":
+        if coeff == 0:
             return cls(variables)
-        return cls(variables, {tuple(int(e) for e in exponents): c})
-
-    @classmethod
-    def linear_form(cls, variables: Sequence[str], weights: Mapping[str, float], const: float = 0.0) -> "AffinePoly":
-        variables = tuple(variables)
-        p = cls.constant(variables, const)
-        for name, w in weights.items():
-            p = p + cls.variable(variables, name).scaled(w)
-        return p
+        return cls(variables, [list(exponents)], [[float(coeff)]])
 
     # -- queries ----------------------------------------------------------
     def is_zero(self) -> bool:
-        return not self.terms
+        return len(self.exps) == 0
 
     def degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
+        return int(self.exps.sum(axis=1).max(initial=0))
 
     def degree_in(self, names: Iterable[str]) -> int:
         idx = [self.variables.index(n) for n in names]
-        if not self.terms:
-            return 0
-        return max(sum(e[i] for i in idx) for e in self.terms)
+        return int(self.exps[:, idx].sum(axis=1).max(initial=0))
 
     def max_magnitude(self) -> float:
-        if not self.terms:
-            return 0.0
-        return max(c.magnitude() for c in self.terms.values())
-
-    def decision_ids(self) -> set:
-        ids: set = set()
-        for c in self.terms.values():
-            ids |= c.decision_ids()
-        return ids
+        return float(np.abs(self.coeffs).max(initial=0.0))
 
     def has_decisions(self) -> bool:
-        return any(c.terms for c in self.terms.values())
-
-    def coeff(self, exponents: Sequence[int]) -> AffineCoeff:
-        return self.terms.get(tuple(exponents), AffineCoeff(0.0))
+        return bool(self.decisions)
 
     # -- structural ops ----------------------------------------------------
     def lift(self, variables: Sequence[str]) -> "AffinePoly":
@@ -237,30 +154,26 @@ class AffinePoly:
         variables = tuple(variables)
         if variables == self.variables:
             return self
-        pos = [variables.index(v) for v in self.variables]
-        n = len(variables)
-        terms = {}
-        for e, c in self.terms.items():
-            ne = [0] * n
-            for p, ei in zip(pos, e):
-                ne[p] = ei
-            terms[tuple(ne)] = c
-        return AffinePoly(variables, terms)
+        exps = np.zeros((len(self.exps), len(variables)), dtype=np.int64)
+        exps[:, [variables.index(v) for v in self.variables]] = self.exps
+        return AffinePoly(variables, exps, self.coeffs, self.decisions)
 
-    def pruned(self, rel: float = PRUNE_REL, scale: float | None = None) -> "AffinePoly":
-        if scale is None:
-            scale = self.max_magnitude()
-        else:
-            scale = max(scale, self.max_magnitude())
-        if scale == 0.0:
-            return AffinePoly(self.variables)
-        tol = rel * scale
-        terms = {}
-        for e, c in self.terms.items():
-            c = c.pruned(tol)
-            if not c.is_zero():
-                terms[e] = c
-        return AffinePoly(self.variables, terms)
+    def pruned(self, scale: float = 0.0) -> "AffinePoly":
+        """Drop coefficients at most ``PRUNE_REL`` times the larger of
+        ``scale`` and the largest coefficient, then all-zero rows and
+        decision columns."""
+        mag = np.abs(self.coeffs)
+        keep = mag > PRUNE_REL * max(scale, mag.max(initial=0.0))
+        rows = keep.any(axis=1)
+        used = keep[:, 1:].any(axis=0)
+        exps, coeffs = self.exps, self.coeffs * keep
+        if not rows.all():
+            exps, coeffs = exps[rows], coeffs[rows]
+        if used.all():
+            return AffinePoly(self.variables, exps, coeffs, self.decisions)
+        cols = np.flatnonzero(used)
+        return AffinePoly(self.variables, exps, coeffs[:, [0, *(cols + 1)]],
+                          [self.decisions[j] for j in cols])
 
     # -- arithmetic ---------------------------------------------------------
     def _check(self, other: "AffinePoly"):
@@ -271,47 +184,49 @@ class AffinePoly:
         if not isinstance(other, AffinePoly):
             other = AffinePoly.constant(self.variables, other)
         self._check(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            acc = terms.get(e)
-            terms[e] = c if acc is None else acc + c
-        scale = max(self.max_magnitude(), other.max_magnitude())
-        return AffinePoly(self.variables, terms).pruned(scale=scale)
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return other
+        names = self.decisions
+        if other.decisions != names:
+            names = tuple(sorted(set(names) | set(other.decisions)))
+        coeffs = np.concatenate([_widened(self.coeffs, self.decisions, names),
+                                 _widened(other.coeffs, other.decisions, names)])
+        scale = np.abs(coeffs).max()
+        exps, coeffs = _collect(np.concatenate([self.exps, other.exps]), coeffs)
+        return AffinePoly(self.variables, exps, coeffs, names).pruned(scale=scale)
 
     __radd__ = __add__
 
     def __neg__(self) -> "AffinePoly":
-        return AffinePoly(self.variables, {e: -c for e, c in self.terms.items()})
+        return AffinePoly(self.variables, self.exps, -self.coeffs, self.decisions)
 
     def __sub__(self, other) -> "AffinePoly":
         if not isinstance(other, AffinePoly):
             other = AffinePoly.constant(self.variables, other)
         return self + (-other)
 
-    def __rsub__(self, other) -> "AffinePoly":
-        return AffinePoly.constant(self.variables, other) - self
-
-    def scaled(self, factor) -> "AffinePoly":
-        c = AffineCoeff.wrap(factor)
-        if c.is_constant():
-            f = c.const
-            return AffinePoly(self.variables, {e: t.scaled(f) for e, t in self.terms.items()})
-        # affine factor: delegate to coefficient multiply (guards affinity)
-        return AffinePoly(self.variables, {e: t * c for e, t in self.terms.items()}).pruned()
+    def scaled(self, factor: float) -> "AffinePoly":
+        if factor == 0:
+            return AffinePoly(self.variables)
+        return AffinePoly(self.variables, self.exps, self.coeffs * factor, self.decisions)
 
     def __mul__(self, other) -> "AffinePoly":
         if not isinstance(other, AffinePoly):
             return self.scaled(other)
         self._check(other)
-        acc: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                prod = c1 * c2
-                cur = acc.get(e)
-                acc[e] = prod if cur is None else cur + prod
+        if self.decisions and other.decisions:
+            raise AffinityError(f"product of two decision-carrying polynomials: "
+                                f"{list(self.decisions)} x {list(other.decisions)}")
+        n, k = len(self.exps) * len(other.exps), max(self.coeffs.shape[1], other.coeffs.shape[1])
+        exps = (self.exps[:, None, :] + other.exps[None, :, :]).reshape(n, len(self.variables))
+        coeffs = (self.coeffs[:, None, :] * other.coeffs[None, :, :]).reshape(n, k)
+        if len(self.exps) > 1 and len(other.exps) > 1:  # a monomial factor keeps rows distinct
+            exps, coeffs = _collect(exps, coeffs)
         scale = self.max_magnitude() * other.max_magnitude()
-        return AffinePoly(self.variables, acc).pruned(scale=scale)
+        return AffinePoly(self.variables, exps, coeffs,
+                          self.decisions or other.decisions).pruned(scale=scale)
 
     __rmul__ = __mul__
 
@@ -334,60 +249,32 @@ class AffinePoly:
         to themselves.
         """
         variables = tuple(variables)
-        for img in images.values():
-            if img.has_decisions():
-                raise AffinityError("substitution images must be decision-free")
-        base: dict[str, AffinePoly] = {}
-        for v in self.variables:
-            if v in images:
-                base[v] = images[v].lift(variables)
-            else:
-                base[v] = AffinePoly.variable(variables, v)
+        if any(img.has_decisions() for img in images.values()):
+            raise AffinityError("substitution images must be decision-free")
+        base = [images[v].lift(variables) if v in images else AffinePoly.variable(variables, v)
+                for v in self.variables]
         out = AffinePoly.zero(variables)
-        for e, c in self.terms.items():
+        for e, c in zip(self.exps.tolist(), self.coeffs):
             term = AffinePoly.constant(variables, 1.0)
-            for v, ei in zip(self.variables, e):
-                if ei:
-                    term = term * base[v] ** ei
-            out = out + term.scaled(c)
+            for b, k in zip(base, e):
+                if k:
+                    term = term * b ** k
+            out = out + term * AffinePoly(variables, [[0] * len(variables)], [c], self.decisions)
         return out
 
     # -- evaluation ----------------------------------------------------------
-    def evaluate_coeff(self, point: Mapping[str, float]) -> AffineCoeff:
-        """Evaluate the variables at ``point``; decisions stay symbolic."""
-        vals = [float(point[v]) for v in self.variables]
-        out = AffineCoeff(0.0)
-        for e, c in self.terms.items():
-            m = 1.0
-            for vi, ei in zip(vals, e):
-                if ei:
-                    m *= vi ** ei
-            out = out + c.scaled(m)
-        return out
-
-    def evaluate(self, point: Mapping[str, float], assignment: Mapping[str, float] | None = None) -> float:
-        return self.evaluate_coeff(point).evaluate(assignment)
+    def evaluate(self, point: Mapping[str, float], assignment: Mapping[str, float] | None = None):
+        """Value at ``point`` (complex values allowed), decisions resolved
+        by ``assignment``."""
+        return self.evaluate_batch(np.array([[point[v] for v in self.variables]]),
+                                   assignment)[0].item()
 
     def evaluate_batch(self, points: np.ndarray, assignment: Mapping[str, float] | None = None) -> np.ndarray:
         """Evaluate at ``points`` (K x nvars), decisions resolved by ``assignment``."""
-        points = np.asarray(points, dtype=float)
+        points = np.asarray(points) * 1.0
         if points.ndim == 1:
             points = points[:, None]
-        if not self.terms:
-            return np.zeros(points.shape[0])
-        exps = np.array(list(self.terms.keys()), dtype=int)          # (T, n)
-        coeffs = np.array([c.evaluate(assignment) for c in self.terms.values()])
-        # (K, T): product over variables of point^exp
-        mono = np.prod(points[:, None, :] ** exps[None, :, :], axis=2)
-        return mono @ coeffs
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AffinePoly):
-            return NotImplemented
-        return self.variables == other.variables and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.variables, tuple(sorted(self.terms.items()))))
+        return _monomials(points, self.exps) @ _resolved(self.coeffs, self.decisions, assignment)
 
     def allclose(self, other: "AffinePoly", tol: float = 1e-9) -> bool:
         self._check(other)
@@ -395,39 +282,114 @@ class AffinePoly:
         scale = max(self.max_magnitude(), other.max_magnitude(), 1.0)
         return diff.max_magnitude() <= tol * scale
 
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "AffinePoly(0)"
-        bits = []
-        for e in sorted(self.terms, key=lambda t: (sum(t), t)):
-            mono = "*".join(
-                f"{v}^{k}" if k > 1 else v
-                for v, k in zip(self.variables, e) if k
-            )
-            c = self.terms[e]
-            cs = f"({c!r})" if c.terms else f"{c.const:g}"
-            bits.append(f"{cs}*{mono}" if mono else cs)
-        return " + ".join(bits)
-
 
 # ---------------------------------------------------------------------------
 # polynomial matrices
+#
+# A matrix's terms also form one table (entry, exps, coeffs, decisions): the
+# rows of entry i * cols + j in ascending entry order, the coefficients over
+# the sorted union of the entries' decisions.  The whole-matrix operations
+# work on that table; each entry is pruned relative to its own scale.
+
+
+def _entry_max(count: int, entry: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Largest coefficient magnitude per entry 0..count-1 (0 when empty)."""
+    out = np.zeros(count)
+    np.maximum.at(out, entry, np.abs(coeffs).max(axis=1, initial=0.0))
+    return out
+
+
+def _summed_table(count: int, entry, exps, coeffs, names, scale) -> tuple:
+    """The table of the terms summed per (entry, exponents), with each
+    entry's coefficients at most ``PRUNE_REL`` times the larger of
+    ``scale[entry]`` and the entry's largest coefficient dropped, then the
+    rows and decision columns left all zero."""
+    keys, coeffs = _collect(np.column_stack([entry, exps]), coeffs)
+    entry = keys[:, 0]
+    mag = np.abs(coeffs)
+    tol = PRUNE_REL * np.maximum(scale, _entry_max(count, entry, coeffs))[entry]
+    keep = mag > tol[:, None]
+    rows = keep.any(axis=1)
+    cols = np.flatnonzero(keep[:, 1:].any(axis=0))
+    return (entry[rows], keys[rows, 1:], (coeffs * keep)[rows][:, [0, *(cols + 1)]],
+            tuple(names[j] for j in cols))
+
+
+def _joined(parts: Sequence[tuple]) -> tuple:
+    """One table from (entry, exps, coeffs, decisions) parts, over the union
+    of their decisions, rows stably sorted by entry."""
+    names = tuple(sorted({d for *_, have in parts for d in have}))
+    entry = np.concatenate([e for e, *_ in parts])
+    order = np.argsort(entry, kind="stable")
+    return (entry[order], np.concatenate([x for _, x, _, _ in parts])[order],
+            np.concatenate([_widened(c, have, names) for _, _, c, have in parts])[order], names)
+
+
+def _products(count: int, a: tuple, b: tuple, ai, bi, entry) -> tuple:
+    """Sum per ``entry`` of the products of table a's rows ``ai`` with table
+    b's rows ``bi`` (affine: no pair may carry decisions on both sides),
+    pruned relative to the largest product of the two entries' scales."""
+    names = tuple(sorted(set(a[3]) | set(b[3])))
+    ca, cb = _widened(a[2], a[3], names)[ai], _widened(b[2], b[3], names)[bi]
+    if ((ca[:, 1:] != 0).any(axis=1) & (cb[:, 1:] != 0).any(axis=1)).any():
+        raise AffinityError(f"product of two decision-carrying polynomials: "
+                            f"{list(a[3])} x {list(b[3])}")
+    coeffs = ca[:, :1] * cb + cb[:, :1] * ca
+    coeffs[:, 0] *= 0.5
+
+    def entry_scale(t):  # per row, the largest coefficient of its entry
+        return _entry_max(int(t[0].max(initial=0)) + 1, t[0], t[2])[t[0]]
+
+    scale = np.zeros(count)
+    np.maximum.at(scale, entry, entry_scale(a)[ai] * entry_scale(b)[bi])
+    return _summed_table(count, entry, a[1][ai] + b[1][bi], coeffs, names, scale)
 
 
 class PolyMatrix:
-    """Dense matrix of :class:`AffinePoly`, all sharing one variable tuple."""
+    """Dense matrix of :class:`AffinePoly`, all sharing one variable tuple.
 
-    __slots__ = ("rows", "cols", "variables", "entries")
+    It holds its entries, its term table (:meth:`table`) or both, and forms
+    the other on first use."""
 
-    def __init__(self, rows: int, cols: int, variables: Sequence[str], entries: list | None = None):
+    __slots__ = ("rows", "cols", "variables", "_entries", "_table")
+
+    def __init__(self, rows: int, cols: int, variables: Sequence[str], entries: list | None = None,
+                 table: tuple | None = None):
         self.rows = rows
         self.cols = cols
         self.variables = tuple(variables)
-        if entries is None:
-            entries = [AffinePoly.zero(self.variables) for _ in range(rows * cols)]
-        if len(entries) != rows * cols:
+        if entries is None and table is None:
+            table = (np.zeros(0, np.int64), np.zeros((0, len(self.variables)), np.int64),
+                     np.zeros((0, 1)), ())
+        if entries is not None and len(entries) != rows * cols:
             raise ValueError("entry count mismatch")
-        self.entries = entries
+        self._entries = entries
+        self._table = table
+
+    @property
+    def entries(self) -> list:
+        if self._entries is None:
+            entry, exps, coeffs, names = self._table
+            bounds = np.searchsorted(entry, np.arange(self.rows * self.cols + 1)).tolist()
+            used = coeffs[:, 1:] != 0
+            self._entries = []
+            for lo, hi in zip(bounds, bounds[1:]):
+                cols = np.flatnonzero(used[lo:hi].any(axis=0))
+                self._entries.append(AffinePoly(self.variables, exps[lo:hi],
+                                                coeffs[lo:hi, [0, *(cols + 1)]],
+                                                [names[c] for c in cols]))
+        return self._entries
+
+    def table(self) -> tuple:
+        """(entry, exps, coeffs, decisions): every entry's terms in one table."""
+        if self._table is None:
+            self._table = _joined([(np.full(len(p.exps), k), p.exps, p.coeffs, p.decisions)
+                                   for k, p in enumerate(self._entries)])
+        return self._table
+
+    def with_table(self, table: tuple) -> "PolyMatrix":
+        """A matrix of this shape and variables holding ``table``."""
+        return PolyMatrix(self.rows, self.cols, self.variables, table=table)
 
     @classmethod
     def zeros(cls, rows: int, cols: int, variables: Sequence[str]) -> "PolyMatrix":
@@ -435,43 +397,35 @@ class PolyMatrix:
 
     @classmethod
     def identity(cls, n: int, variables: Sequence[str]) -> "PolyMatrix":
-        m = cls(n, n, variables)
-        for i in range(n):
-            m[i, i] = AffinePoly.constant(variables, 1.0)
-        return m
+        variables = tuple(variables)
+        return cls(n, n, variables, table=(np.arange(n) * (n + 1),
+                                           np.zeros((n, len(variables)), np.int64),
+                                           np.ones((n, 1)), ()))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[AffinePoly]]) -> "PolyMatrix":
-        r = len(rows)
         c = len(rows[0])
+        if any(len(row) != c for row in rows):
+            raise ValueError("ragged rows")
         variables = rows[0][0].variables
-        entries = []
-        for row in rows:
-            if len(row) != c:
-                raise ValueError("ragged rows")
-            for p in row:
-                entries.append(p.lift(variables))
-        return cls(r, c, variables, entries)
+        return cls(len(rows), c, variables, [p.lift(variables) for row in rows for p in row])
 
     @classmethod
     def from_blocks(cls, blocks: Sequence[Sequence["PolyMatrix"]]) -> "PolyMatrix":
-        variables = blocks[0][0].variables
-        rows = sum(b[0].rows for b in blocks)
         cols = sum(m.cols for m in blocks[0])
-        out = cls.zeros(rows, cols, variables)
+        parts = []
         r0 = 0
         for brow in blocks:
             c0 = 0
-            h = brow[0].rows
             for blk in brow:
-                if blk.rows != h:
+                if blk.rows != brow[0].rows:
                     raise ValueError("block height mismatch")
-                for i in range(blk.rows):
-                    for j in range(blk.cols):
-                        out[r0 + i, c0 + j] = blk[i, j].lift(variables)
+                entry, exps, coeffs, names = blk.table()
+                i, j = np.divmod(entry, blk.cols)
+                parts.append(((r0 + i) * cols + c0 + j, exps, coeffs, names))
                 c0 += blk.cols
-            r0 += h
-        return out
+            r0 += brow[0].rows
+        return cls(r0, cols, blocks[0][0].variables, table=_joined(parts))
 
     def __getitem__(self, key) -> AffinePoly:
         i, j = key
@@ -480,89 +434,84 @@ class PolyMatrix:
     def __setitem__(self, key, value: AffinePoly):
         i, j = key
         self.entries[i * self.cols + j] = value.lift(self.variables)
-
-    def map_entries(self, fn) -> "PolyMatrix":
-        ent = [fn(p) for p in self.entries]
-        return PolyMatrix(self.rows, self.cols, ent[0].variables, ent)
+        self._table = None
 
     def transpose(self) -> "PolyMatrix":
-        out = PolyMatrix.zeros(self.cols, self.rows, self.variables)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                out[j, i] = self[i, j]
-        return out
+        entry, exps, coeffs, names = self.table()
+        i, j = np.divmod(entry, self.cols)
+        moved = j * self.rows + i
+        order = np.argsort(moved, kind="stable")
+        return PolyMatrix(self.cols, self.rows, self.variables,
+                          table=(moved[order], exps[order], coeffs[order], names))
 
     @property
     def T(self) -> "PolyMatrix":
         return self.transpose()
 
-    def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
+    def _summed(self, other: "PolyMatrix", sign: float) -> "PolyMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return PolyMatrix(self.rows, self.cols, self.variables,
-                          [a + b for a, b in zip(self.entries, other.entries)])
+        n = self.rows * self.cols
+        a, (eb, xb, cb, db) = self.table(), other.table()
+        scale = np.maximum(_entry_max(n, a[0], a[2]), _entry_max(n, eb, cb))
+        return self.with_table(_summed_table(n, *_joined([a, (eb, xb, sign * cb, db)]), scale))
+
+    def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
+        return self._summed(other, 1.0)
 
     def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return PolyMatrix(self.rows, self.cols, self.variables,
-                          [a - b for a, b in zip(self.entries, other.entries)])
+        return self._summed(other, -1.0)
 
-    def __neg__(self) -> "PolyMatrix":
-        return self.map_entries(lambda p: -p)
-
-    def scaled(self, factor) -> "PolyMatrix":
-        if isinstance(factor, AffinePoly):
-            return self.map_entries(lambda p: p * factor)
-        return self.map_entries(lambda p: p.scaled(factor))
+    def scaled(self, factor: AffinePoly) -> "PolyMatrix":
+        """Every entry times the polynomial ``factor``."""
+        a = self.table()
+        b = (np.zeros(len(factor.exps), np.int64), factor.exps, factor.coeffs, factor.decisions)
+        ai = np.repeat(np.arange(len(a[0])), len(b[0]))
+        bi = np.tile(np.arange(len(b[0])), len(a[0]))
+        return self.with_table(_products(self.rows * self.cols, a, b, ai, bi, a[0][ai]))
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matmul")
-        out = PolyMatrix.zeros(self.rows, other.cols, self.variables)
-        for i in range(self.rows):
-            for k in range(self.cols):
-                a = self[i, k]
-                if a.is_zero():
-                    continue
-                for j in range(other.cols):
-                    b = other[k, j]
-                    if b.is_zero():
-                        continue
-                    out[i, j] = out[i, j] + a * b
-        return out
+        a, b = self.table(), other.table()
+        # every (A[i, k] term, B[k, j] term) pair; B's rows are sorted by k
+        i, ka = np.divmod(a[0], self.cols)
+        kb, j = np.divmod(b[0], other.cols)
+        first = np.searchsorted(kb, np.arange(other.rows + 1))
+        count = first[ka + 1] - first[ka]
+        ai = np.repeat(np.arange(len(ka)), count)
+        bi = np.arange(count.sum()) + np.repeat(first[ka] - np.cumsum(count) + count, count)
+        return PolyMatrix(self.rows, other.cols, self.variables, table=_products(
+            self.rows * other.cols, a, b, ai, bi, i[ai] * other.cols + j[bi]))
 
     def degree(self) -> int:
-        return max((p.degree() for p in self.entries), default=0)
+        return int(self.table()[1].sum(axis=1).max(initial=0))
 
     def degree_in(self, names: Iterable[str]) -> int:
-        names = list(names)
-        return max((p.degree_in(names) for p in self.entries), default=0)
-
-    def decision_ids(self) -> set:
-        ids: set = set()
-        for p in self.entries:
-            ids |= p.decision_ids()
-        return ids
+        idx = [self.variables.index(n) for n in names]
+        return int(self.table()[1][:, idx].sum(axis=1).max(initial=0))
 
     def is_symmetric(self, tol: float = 1e-9) -> bool:
+        """Each entry (i, j) differs from (j, i) by at most ``tol`` times
+        the larger of 1 and the two entries' largest coefficient."""
         if self.rows != self.cols:
             return False
-        for i in range(self.rows):
-            for j in range(i + 1, self.cols):
-                if not self[i, j].allclose(self[j, i], tol):
-                    return False
-        return True
+        n = self.rows
+        entry, exps, coeffs, _ = self.table()
+        i, j = np.divmod(entry, n)
+        off = i != j
+        keys, diff = _collect(np.column_stack([np.minimum(i, j) * n + np.maximum(i, j), exps])[off],
+                              (coeffs * np.where(i < j, 1.0, -1.0)[:, None])[off])
+        scale = _entry_max(n * n, entry, coeffs).reshape(n, n)
+        scale = np.maximum(np.maximum(scale, scale.T), 1.0).ravel()[keys[:, 0]]
+        return bool((np.abs(diff).max(axis=1) <= tol * scale).all())
 
     def evaluate(self, point: Mapping[str, float], assignment: Mapping[str, float] | None = None) -> np.ndarray:
-        out = np.empty((self.rows, self.cols))
-        for i in range(self.rows):
-            for j in range(self.cols):
-                out[i, j] = self[i, j].evaluate(point, assignment)
-        return out
-
-    def __repr__(self) -> str:
-        return f"PolyMatrix({self.rows}x{self.cols}, vars={self.variables})"
+        entry, exps, coeffs, names = self.table()
+        vals = _monomials(np.array([[point[v] for v in self.variables]]) * 1.0, exps)[0]
+        vals = vals * _resolved(coeffs, names, assignment)
+        return np.bincount(entry, weights=vals, minlength=self.rows * self.cols).reshape(
+            self.rows, self.cols)
 
 
 def simplex_mesh(d: int, resolution: int = 50) -> np.ndarray:
@@ -600,149 +549,103 @@ def homogenize(obj, simplex_vars: Sequence[str]):
     target degree is the maximum over all entries.  With no simplex
     variables there is nothing to multiply, and ``obj`` itself is returned.
     """
-    simplex_vars = list(simplex_vars)
     if not simplex_vars:
         return obj
-    if isinstance(obj, PolyMatrix):
-        target = obj.degree_in(simplex_vars)
-        return obj.map_entries(lambda p: _homogenize_poly(p, simplex_vars, target))
-    return _homogenize_poly(obj, simplex_vars, obj.degree_in(simplex_vars))
-
-
-def _homogenize_poly(poly: AffinePoly, simplex_vars: Sequence[str], target: int) -> AffinePoly:
-    if not poly.terms:
-        return poly
-    variables = poly.variables
+    if isinstance(obj, AffinePoly):
+        return homogenize(PolyMatrix(1, 1, obj.variables, [obj]), simplex_vars)[0, 0]
+    variables = obj.variables
+    entry, exps, coeffs, names = obj.table()
+    if not len(entry):
+        return obj
     idx = [variables.index(v) for v in simplex_vars]
-    lin = AffinePoly.linear_form(variables, {v: 1.0 for v in simplex_vars})
-    powers: dict[int, AffinePoly] = {0: AffinePoly.constant(variables, 1.0)}
-
-    def lin_pow(k: int) -> AffinePoly:
-        if k not in powers:
-            powers[k] = lin_pow(k - 1) * lin
-        return powers[k]
-
-    # c * monomial(e) * lin^(target - d) for every term, accumulated in one
-    # dict and pruned once (a running AffinePoly sum re-prunes at every step)
-    acc: dict = {}
-    for e, c in poly.terms.items():
-        d = sum(e[i] for i in idx)
-        if d > target:
-            raise ValueError("term exceeds target degree")
-        for el, t in lin_pow(target - d).terms.items():
-            es = tuple(a + b for a, b in zip(el, e))
-            add = t * c
-            cur = acc.get(es)
-            acc[es] = add if cur is None else cur + add
-    return AffinePoly(variables, acc).pruned()
+    short = obj.degree_in(simplex_vars) - exps[:, idx].sum(axis=1)
+    lin = AffinePoly(variables, np.eye(len(variables), dtype=np.int64)[idx], np.ones((len(idx), 1)))
+    power = AffinePoly.constant(variables, 1.0)
+    # c * monomial(e) * lin^(target - d) for every term, summed and pruned once
+    parts = []
+    for k in range(short.max(initial=-1) + 1):
+        rows = np.flatnonzero(short == k)
+        ai, bi = np.repeat(rows, len(power.exps)), np.tile(np.arange(len(power.exps)), len(rows))
+        parts.append((entry[ai], exps[ai] + power.exps[bi], coeffs[ai] * power.coeffs[bi]))
+        power = power * lin
+    n = obj.rows * obj.cols
+    return obj.with_table(_summed_table(n, *(np.concatenate(x) for x in zip(*parts)), names,
+                                        np.zeros(n)))
 
 
 def substitute_squares(obj, var_names: Sequence[str]):
     """Replace each listed variable v by v^2 (exponent doubling)."""
-    names = set(var_names)
-    if isinstance(obj, PolyMatrix):
-        return obj.map_entries(lambda p: substitute_squares(p, var_names))
-    idx = [i for i, v in enumerate(obj.variables) if v in names]
-    terms = {}
-    for e, c in obj.terms.items():
-        ne = list(e)
-        for i in idx:
-            ne[i] = 2 * e[i]
-        terms[tuple(ne)] = c
-    return AffinePoly(obj.variables, terms)
+    if isinstance(obj, AffinePoly):
+        return substitute_squares(PolyMatrix(1, 1, obj.variables, [obj]), var_names)[0, 0]
+    entry, exps, coeffs, names = obj.table()
+    factor = np.array([2 if v in var_names else 1 for v in obj.variables], dtype=np.int64)
+    return obj.with_table((entry, exps * factor, coeffs, names))
 
 
 # ---------------------------------------------------------------------------
 # circle rationalization
-
-# Laurent expressions are dicts {power: AffinePoly coefficient}; coefficients
-# share one variable tuple (empty for the nominal case) and are real, so on
-# |z| = 1 the conjugate of c(z) is c(1/z).
-
-
-def laurent_mul(a: Mapping[int, AffinePoly], b: Mapping[int, AffinePoly]) -> dict:
-    out: dict = {}
-    for i, ca in a.items():
-        for j, cb in b.items():
-            prod = ca * cb
-            cur = out.get(i + j)
-            out[i + j] = prod if cur is None else cur + prod
-    return {k: v for k, v in out.items() if not v.is_zero()}
+#
+# A Laurent polynomial is an AffinePoly over ("z", *lam) whose z exponents
+# may be negative; its coefficients in z are real, so on |z| = 1 the
+# conjugate of c(z) is c(1/z).
 
 
-def laurent_add(a: Mapping[int, AffinePoly], b: Mapping[int, AffinePoly]) -> dict:
-    out = dict(a)
-    for i, cb in b.items():
-        out[i] = out[i] + cb if i in out else cb
-    return {k: v for k, v in out.items() if not v.is_zero()}
+def circle_degree(c: AffinePoly, imag: bool = False) -> int:
+    """Highest harmonic of Re (``imag``: Im) of a Laurent polynomial c on
+    |z| = 1: the largest k whose cosine coefficient c_k + c_-k (sine
+    coefficient c_k - c_-k) is nonzero, else 0.  cos(k omega) and
+    sin(k omega) have degree k in (Re z, Im z)."""
+    z = c.exps[:, :1]
+    sign = np.where(z < 0, -1.0, 1.0) if imag else 1.0
+    exps, coeffs = _collect(np.hstack([np.abs(z), c.exps[:, 1:]]), c.coeffs * sign)
+    folded = AffinePoly(c.variables, exps, coeffs, c.decisions).pruned(scale=c.max_magnitude())
+    return int(folded.exps[:, 0].max(initial=0))
 
 
-def circle_degree(c: Mapping[int, AffinePoly], imag: bool = False) -> int:
-    """Highest harmonic of Re (``imag``: Im) of sum_i c_i z^i on |z| = 1: the
-    largest k whose cosine coefficient c_k + c_-k (sine coefficient
-    c_k - c_-k) is nonzero, else 0.  cos(k omega) and sin(k omega) have
-    degree k in (Re z, Im z)."""
-    scale = _laurent_scale(c)
-    sign = -1.0 if imag else 1.0
-    for k in sorted({abs(i) for i in c if i}, reverse=True):
-        part = sum(c[i].scaled(sign) if i < 0 else c[i] for i in (k, -k) if i in c)
-        if not part.pruned(scale=scale).is_zero():
-            return k
-    return 0
-
-
-def circle_image(c: Mapping[int, AffinePoly], deg: int,
-                 variables: Sequence[str]) -> tuple[AffinePoly, AffinePoly]:
-    """(1 + x^2)^deg times (Re, Im) of sum_i c_i z^i at z = (1 + jx)/(1 - jx).
+def circle_image(c: AffinePoly, deg: int) -> tuple[AffinePoly, AffinePoly]:
+    """(1 + x^2)^deg times (Re, Im) of a Laurent polynomial c at
+    z = (1 + jx)/(1 - jx), both over ``("x", *lam)``.
 
     As x runs over the reals, z runs over the unit circle minus z = -1.
     z^i (1 + x^2)^deg = (1 + jx)^(2i) (1 + x^2)^(deg - i) for i >= 0 and the
     conjugate of the |i| term for i < 0, so ``deg`` must reach every |i|.
-    ``variables`` is ("x",) followed by the coefficients' variables.
     """
-    re: dict = {}
-    im: dict = {}
-    for i, coeff in c.items():
-        if abs(i) > deg:
-            raise ValueError(f"z^{i} exceeds the cleared degree {deg}")
-        w = np.ones(1, dtype=complex)  # ascending coefficients in x
-        for _ in range(2 * abs(i)):
-            w = np.convolve(w, [1.0, 1j])
-        for _ in range(deg - abs(i)):
-            w = np.convolve(w, [1.0, 0.0, 1.0])
-        for acc, ws in ((re, w.real), (im, w.imag if i >= 0 else -w.imag)):
-            for k, wk in enumerate(ws.tolist()):
-                if wk == 0.0:
-                    continue
-                for e, t in coeff.terms.items():
-                    add = t.scaled(wk)
-                    cur = acc.get((k,) + e)
-                    acc[(k,) + e] = add if cur is None else cur + add
-    return AffinePoly(variables, re).pruned(), AffinePoly(variables, im).pruned()
+    z = c.exps[:, 0].tolist()
+    if any(abs(i) > deg for i in z):
+        raise ValueError(f"z^{max(z, key=abs)} exceeds the cleared degree {deg}")
+    image = {}
+    for i in set(z):  # ascending coefficients in x, all exact
+        a, b = abs(i), deg - abs(i)
+        w = np.convolve([math.comb(2 * a, k) * 1j ** k for k in range(2 * a + 1)],
+                        [0 if k % 2 else math.comb(b, k // 2) for k in range(2 * b + 1)])
+        image[i] = w if i >= 0 else w.conj()
+    W = np.array([image[i] for i in z]).reshape(len(z), 2 * deg + 1)  # (terms, x powers)
+    T, K, n = W.shape[0], W.shape[1], c.exps.shape[1]
+    exps = np.empty((T, K, n), dtype=np.int64)
+    exps[:, :, 0] = np.arange(K)
+    exps[:, :, 1:] = c.exps[:, None, 1:]
+    exps = exps.reshape(T * K, n)
+    variables = ("x",) + c.variables[1:]
+
+    def part(w):
+        coeffs = (w[:, :, None] * c.coeffs[:, None, :]).reshape(T * K, -1)
+        return AffinePoly(variables, *_collect(exps, coeffs), c.decisions).pruned()
+
+    return part(W.real), part(W.imag)
 
 
-def laurent_eval(c: Mapping[int, AffinePoly], z: complex,
-                 point: Mapping[str, float] | None = None,
-                 assignment: Mapping[str, float] | None = None) -> complex:
-    total = 0.0 + 0.0j
-    for i, p in c.items():
-        total += p.evaluate(point or {}, assignment) * z ** i
-    return total
-
-
-def _laurent_scale(c: Mapping[int, AffinePoly]) -> float:
-    return max((p.max_magnitude() for p in c.values()), default=0.0)
-
-
-def _check_den_on_circle(den: Mapping[int, AffinePoly], lambda_points: Iterable[Mapping[str, float]],
+def _check_den_on_circle(den: AffinePoly, lambda_points: Iterable[Mapping[str, float]],
                          n_omega: int = 721, tol: float = 1e-9):
     """Raise DegenerateDenominator at the first (point, omega) of the grid
-    where |den| falls below ``tol`` times its largest coefficient."""
-    scale = max(_laurent_scale(den), 1.0)
+    where the Laurent polynomial |den| falls below ``tol`` times its largest
+    coefficient."""
+    scale = max(den.max_magnitude(), 1.0)
     omegas = np.linspace(0.0, 2.0 * np.pi, n_omega)
-    zpow = np.exp(1j * np.outer(np.array(list(den), dtype=float), omegas))  # (powers, omegas)
+    zpow = np.exp(1j * np.outer(den.exps[:, 0], omegas))  # (terms, omegas)
+    lam = den.variables[1:]
     for pt in lambda_points:
-        mags = np.abs(np.array([p.evaluate(pt) for p in den.values()]) @ zpow)
+        lam_pt = np.array([float(pt[v]) for v in lam])
+        mags = np.abs((den.coeffs[:, 0] * np.prod(lam_pt ** den.exps[:, 1:], axis=1)) @ zpow)
         bad = np.flatnonzero(mags < tol * scale)
         if bad.size:
             raise DegenerateDenominator(

@@ -93,6 +93,14 @@ def _gamma(sol: sdp.SdpSolution) -> float:
     return max(float(sol.scalar_values["gamma"]), 0.0)
 
 
+def _less_gamma(M: PolyMatrix, epsilon: float) -> PolyMatrix:
+    """M(gamma - epsilon): the constant column loses epsilon times gamma's."""
+    entry, exps, coeffs, names = M.table()
+    coeffs = coeffs.copy()
+    coeffs[:, 0] -= epsilon * coeffs[:, 1 + names.index("gamma")]
+    return M.with_table((entry, exps, coeffs, names))
+
+
 def escalate(M: PolyMatrix, lam: Sequence[str], epsilon: float | None, k_max: int,
              k_tol: float, gain_list: Callable[[Mapping[str, float]], list],
              groups: Sequence[tuple] = (), flips: Sequence[tuple] = ()) -> SynthesisResult:
@@ -130,9 +138,8 @@ def escalate(M: PolyMatrix, lam: Sequence[str], epsilon: float | None, k_max: in
     variables = M.variables
     deg_lambda = M.degree_in(lam)
     base = substitute_squares(M, lam)
-    if epsilon is not None:  # M(gamma - eps)
-        base = base.map_entries(lambda p: AffinePoly(p.variables, {
-            e: c - epsilon * c.terms.get("gamma", 0.0) for e, c in p.terms.items()}))
+    if epsilon is not None:
+        base = _less_gamma(base, epsilon)
     norm2 = sum((AffinePoly.variable(variables, v) ** 2 for v in lam), AffinePoly.zero(variables))
     signs = [((variables.index(v),), ()) for v in lam] + list(flips)
 

@@ -49,12 +49,11 @@ and :func:`compile_sos` raises :class:`BasisDeficiency`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .polyalg import AffineCoeff, PolyMatrix
+from .polyalg import PolyMatrix, _resolved
 
 
 class BasisDeficiency(Exception):
@@ -246,6 +245,31 @@ class CertificateReport:
 # compilation
 
 
+def _codes(keys: np.ndarray) -> np.ndarray:
+    """One int64 per row of the integer array ``keys``, in the rows'
+    lexicographic order."""
+    keys = keys - keys.min(axis=0, initial=0)
+    radix = keys.max(axis=0, initial=0) + 1
+    if np.prod(radix.astype(float)) >= 2.0 ** 62:
+        raise OverflowError("monomial table too large to index")
+    return keys @ np.cumprod(np.r_[radix[1:], 1][::-1])[::-1]
+
+
+def _upper_terms(S: PolyMatrix) -> tuple:
+    """S's upper-triangle terms: (exponents, r, s) rows, their coefficient
+    rows and the decision names of the coefficient columns."""
+    entry, exps, coeffs, names = S.table()
+    r, s = np.divmod(entry, S.cols)
+    up = r <= s
+    return np.column_stack([exps, r, s])[up], coeffs[up], names
+
+
+def _pair_table(pairs: Sequence[tuple], nvars: int) -> tuple:
+    """A Gram block's monomials (pairs x variables) and coordinates."""
+    mono = np.array([mp for mp, _ in pairs], dtype=np.int64).reshape(len(pairs), nvars)
+    return mono, np.array([c for _, c in pairs], dtype=np.int64)
+
+
 def compile_sos(S: PolyMatrix, objective: Mapping[str, float],
                 bases: Sequence[Sequence[tuple]] | None = None) -> SdpProblem:
     """Compile ``S is SOS`` into an :class:`SdpProblem` minimizing ``objective``.
@@ -269,38 +293,45 @@ def compile_sos(S: PolyMatrix, objective: Mapping[str, float],
     if not all(bases) or any(not 0 <= c < m for b in bases for _, c in b):
         raise ValueError("every Gram block needs pairs with coordinates in range(m)")
 
-    # support of S (upper triangle)
-    support: dict = {}
-    for r in range(m):
-        for s in range(r, m):
-            for e, c in S[r, s].terms.items():
-                support.setdefault(e, {})[(r, s)] = c
-
-    # producible monomials, tracked per matrix position
-    prod: dict = {}  # mu -> {(r, s): {(b, p, q): weight}}
+    # every Gram entry (b, p <= q) feeds the monomial m_p + m_q at position
+    # (min, max) of its coordinates, with weight 2 when (q, p) feeds it too
+    entries, keys, weights = [], [], []
     for b, pairs in enumerate(bases):
-        for p, (mp, r) in enumerate(pairs):
-            for q, (mq, s) in enumerate(pairs):
-                if r <= s:
-                    w = prod.setdefault(tuple(map(add, mp, mq)), {}).setdefault((r, s), {})
-                    key = (b, p, q) if p <= q else (b, q, p)
-                    w[key] = w.get(key, 0.0) + 1.0
+        mono, coord = _pair_table(pairs, len(variables))
+        p, q = np.triu_indices(len(pairs))
+        entries.append(np.column_stack([np.full(len(p), b), p, q]))
+        keys.append(np.column_stack([mono[p] + mono[q], np.minimum(coord[p], coord[q]),
+                                     np.maximum(coord[p], coord[q])]))
+        weights.append(np.where((p != q) & (coord[p] == coord[q]), 2.0, 1.0))
+    keys = np.concatenate(keys)
+    s_keys, s_coeffs, names = _upper_terms(S)
 
-    for mu, pos in support.items():
-        for rs, coeff in pos.items():
-            if rs not in prod.get(mu, {}) and not coeff.is_zero():
-                raise BasisDeficiency(f"monomial {mu} at position {rs} not producible")
-
-    equalities: list[Equality] = []
-    for mu in sorted(prod, key=lambda t: (sum(t), t)):
-        by_pos = support.get(mu, {})
-        for (r, s), weights in sorted(prod[mu].items()):
-            coeff = by_pos.get((r, s), AffineCoeff(0.0))
-            scale = max(coeff.magnitude(), 1.0)
-            gram = [(b, p, q, w / scale) for (b, p, q), w in sorted(weights.items())]
-            free = {k: v / scale for k, v in coeff.terms.items()}
-            equalities.append(Equality(gram, free, coeff.const / scale,
-                                       monomial=mu, position=(r, s)))
+    # one equality per producible (monomial, position), by degree, monomial, position
+    both = np.concatenate([keys, s_keys])
+    codes = _codes(np.column_stack([both[:, :-2].sum(axis=1), both]))
+    order = np.argsort(codes[:len(keys)], kind="stable")
+    eq_codes, starts = np.unique(codes[order], return_index=True)
+    at = np.minimum(np.searchsorted(eq_codes, codes[len(keys):]), len(eq_codes) - 1)
+    found = eq_codes[at] == codes[len(keys):]
+    missing = np.flatnonzero(~found & (s_coeffs != 0).any(axis=1))
+    if missing.size:
+        key = s_keys[missing[0]].tolist()
+        raise BasisDeficiency(f"monomial {tuple(key[:-2])} at position {tuple(key[-2:])} "
+                              "not producible")
+    coeff = np.zeros((len(eq_codes), 1 + len(names)))
+    coeff[at[found]] = s_coeffs[found]
+    # each equality is divided by its coefficient's magnitude, floored at 1
+    scale = np.maximum(np.abs(coeff).max(axis=1), 1.0)
+    coeff /= scale[:, None]
+    weights = np.concatenate(weights)[order] / np.repeat(scale, np.diff(np.r_[starts, len(order)]))
+    gram = [tuple(e) + (w,) for e, w in zip(np.concatenate(entries)[order].tolist(),
+                                            weights.tolist())]
+    heads = keys[order][starts].tolist()
+    bounds = np.r_[starts, len(order)].tolist()
+    equalities = [
+        Equality(gram[lo:hi], {d: w for d, w in zip(names, row[1:]) if w}, row[0],
+                 monomial=tuple(head[:-2]), position=tuple(head[-2:]))
+        for lo, hi, row, head in zip(bounds, bounds[1:], coeff.tolist(), heads)]
 
     free_ids = set(objective)
     for eq in equalities:
@@ -343,30 +374,26 @@ def check_certificate(S: PolyMatrix, assignment: Mapping[str, float],
     when the worst scaled mismatch is at most ``residual_tol`` and every Gram
     block has min eigenvalue at least ``eig_tol``.
     """
-    m = cert.matrix_dim
-    target: dict = {}
-    scales: dict = {}
-    for r in range(m):
-        for s in range(r, m):
-            for e, c in S[r, s].terms.items():
-                key = (e, r, s)
-                target[key] = target.get(key, 0.0) + c.evaluate(assignment)
-                scales[key] = max(scales.get(key, 1.0), c.magnitude())
+    t_keys, t_coeffs, names = _upper_terms(S)
+    values = _resolved(t_coeffs, names, assignment)
 
-    expansion: dict = {}
+    # the expansion V^T G V at every (monomial, r <= s)
+    e_keys, e_vals = [], []
     for G, pairs in zip(cert.grams, cert.bases):
-        rows = np.asarray(G, dtype=float).tolist()
-        for p, (mp, r) in enumerate(pairs):
-            for q, (mq, s) in enumerate(pairs):
-                if r <= s:
-                    key = (tuple(map(add, mp, mq)), r, s)
-                    expansion[key] = expansion.get(key, 0.0) + rows[p][q]
+        mono, coord = _pair_table(pairs, len(S.variables))
+        p, q = np.nonzero(coord[:, None] <= coord[None, :])
+        e_keys.append(np.column_stack([mono[p] + mono[q], coord[p], coord[q]]))
+        e_vals.append(np.asarray(G, dtype=float)[p, q])
 
-    scale = max(max(scales.values(), default=1.0), 1.0)
-    residual = 0.0
-    for key in set(target) | set(expansion):
-        err = abs(target.get(key, 0.0) - expansion.get(key, 0.0))
-        residual = max(residual, err / scales.get(key, 1.0))
+    codes = _codes(np.concatenate([t_keys] + e_keys))
+    uniq, inv = np.unique(codes, return_inverse=True)
+    n = len(t_keys)
+    target = np.bincount(inv[:n], weights=values, minlength=len(uniq))
+    expansion = np.bincount(inv[n:], weights=np.concatenate([[]] + e_vals), minlength=len(uniq))
+    scales = np.ones(len(uniq))
+    scales[inv[:n]] = np.maximum(np.abs(t_coeffs).max(axis=1, initial=0.0), 1.0)
+    residual = float((np.abs(target - expansion) / scales).max(initial=0.0))
+    scale = float(scales.max(initial=1.0))
 
     min_eigs = [float(np.linalg.eigvalsh(G)[0]) for G in cert.grams]
     passed = residual <= residual_tol and min(min_eigs, default=0.0) >= eig_tol

@@ -39,7 +39,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .polyalg import AffineCoeff, AffinePoly, PolyMatrix, homogenize
+from .polyalg import AffinePoly, PolyMatrix, homogenize
 from .result import SynthesisResult, decision_value, escalate
 
 # Two limits keep synth_time near a 10 s budget (2 vCPUs, one BLAS thread,
@@ -282,7 +282,7 @@ def build_filter_matrix(filt: LiftedFilter, N: int, variables: Sequence[str] = (
     for d in range(-(N - 1), N):
         c = filt.tap(d)
         if isinstance(c, str):
-            entries[d] = AffinePoly.constant(variables, AffineCoeff.decision(c))
+            entries[d] = AffinePoly.decision(variables, c)
         else:
             entries[d] = AffinePoly.constant(variables, float(c))
     rows = [[entries[i - j] for j in range(N)] for i in range(N)]
@@ -322,7 +322,7 @@ def build_M(problem: TimeSynthesisProblem) -> PolyMatrix:
     Q = build_filter_matrix(problem.qfilter, N, variables)
     L = build_filter_matrix(problem.lstructure, N, variables)
     I = PolyMatrix.identity(N, variables)
-    gamma = AffineCoeff.decision("gamma")
+    gamma = AffinePoly.decision(variables, "gamma")
     head = gI = I.scaled(gamma)
     future = problem.qfilter.coeffs[:N - 1]  # taps c_{-(N-1)}..c_{-1}
     if not any(future):

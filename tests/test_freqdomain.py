@@ -304,7 +304,7 @@ def test_T_hat_structure_and_identity():
     assert data.deg_x == 4  # pins the size of the Gram basis in x
     lam_idx = [data.T_hat.variables.index(v) for v in LAM2]
     for e in data.T_hat.entries:
-        degs = {sum(exp[i] for i in lam_idx) for exp in e.terms}
+        degs = {sum(exp[i] for i in lam_idx) for exp in e.exps.tolist()}
         assert degs <= {data.deg_lambda}
     rng = np.random.default_rng(7)
     for _ in range(100):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from ilc_sos.polyalg import (
-    AffineCoeff,
     AffinePoly,
     PolyMatrix,
     AffinityError,
@@ -14,7 +13,6 @@ from ilc_sos.polyalg import (
     substitute_squares,
     circle_degree,
     circle_image,
-    laurent_eval,
     _check_den_on_circle,
 )
 from ilc_sos import freqdomain as fd
@@ -26,36 +24,54 @@ def random_poly(variables, deg, n_terms, decisions=(), scale=1.0):
     p = AffinePoly.zero(variables)
     for _ in range(n_terms):
         exps = rng.integers(0, deg + 1, size=len(variables))
-        c = AffineCoeff(rng.normal() * scale)
+        c = AffinePoly.constant(variables, rng.normal() * scale)
         for d in decisions:
             if rng.random() < 0.5:
-                c = c + AffineCoeff.decision(d, rng.normal() * scale)
-        p = p + AffinePoly.monomial(variables, exps, c)
+                c = c + AffinePoly.decision(variables, d, rng.normal() * scale)
+        p = p + AffinePoly.monomial(variables, exps, 1.0) * c
     return p
 
 
+def terms(p):
+    """{exponents: {name: weight}}, "" naming the constant; nonzero weights only."""
+    return {tuple(e): {n: w for n, w in zip(("",) + p.decisions, c) if w}
+            for e, c in zip(p.exps.tolist(), p.coeffs.tolist())}
+
+
+def laurent(variables, powers):
+    """sum_i c_i z^i over ("z", *variables) from {i: c_i}, c_i over variables."""
+    zv = ("z",) + tuple(variables)
+    out = AffinePoly.zero(zv)
+    for i, c in powers.items():
+        out = out + AffinePoly.monomial(zv, (i,) + (0,) * len(variables), 1.0) * c.lift(zv)
+    return out
+
+
 def test_affine_coeff_arithmetic():
-    a = AffineCoeff(1.0, {"l0": 2.0})
-    b = AffineCoeff(3.0, {"l1": -1.0})
+    # the affine coefficients 1 + 2 l0 and 3 - l1, as constant polynomials
+    a = AffinePoly.constant((), 1.0) + AffinePoly.decision((), "l0", 2.0)
+    b = AffinePoly.constant((), 3.0) + AffinePoly.decision((), "l1", -1.0)
     s = a + b
-    assert s.const == 4.0
-    assert s.terms == {"l0": 2.0, "l1": -1.0}
-    assert (a * 2.0).terms == {"l0": 4.0}
-    assert s.evaluate({"l0": 1.0, "l1": 2.0}) == pytest.approx(4.0 + 2.0 - 2.0)
+    assert s.decisions == ("l0", "l1")
+    assert s.coeffs.tolist() == [[4.0, 2.0, -1.0]]
+    assert terms(a * 2.0) == {(): {"": 2.0, "l0": 4.0}}
+    assert s.evaluate({}, {"l0": 1.0, "l1": 2.0}) == pytest.approx(4.0 + 2.0 - 2.0)
 
 
 def test_affinity_guard():
-    a = AffineCoeff(0.0, {"l0": 1.0})
-    b = AffineCoeff(0.0, {"l1": 1.0})
+    a = AffinePoly.decision(("x",), "l0")
+    b = AffinePoly.decision(("x",), "l1")
     with pytest.raises(AffinityError):
         a * b
     # decision * constant is fine
-    assert (a * AffineCoeff(2.0)).terms == {"l0": 2.0}
+    assert terms(a * AffinePoly.constant(("x",), 2.0)) == {(0,): {"l0": 2.0}}
 
-    p = AffinePoly.monomial(("x",), (1,), a)
-    q = AffinePoly.monomial(("x",), (0,), b)
+    p = AffinePoly.monomial(("x",), (1,), 1.0) * a
+    q = AffinePoly.monomial(("x",), (0,), 1.0) * b
     with pytest.raises(AffinityError):
         p * q
+    with pytest.raises(AffinityError):
+        PolyMatrix.from_rows([[p]]) @ PolyMatrix.from_rows([[q]])
 
 
 def test_poly_mul_matches_numeric():
@@ -79,7 +95,7 @@ def test_pow_and_degree():
     p = AffinePoly.variable(variables, "a") + AffinePoly.variable(variables, "b")
     q = p ** 4
     # binomial coefficients
-    assert q.coeff((2, 2)).const == pytest.approx(6.0)
+    assert terms(q)[(2, 2)][""] == pytest.approx(6.0)
     assert q.degree() == 4
     assert q.degree_in(["a"]) == 4
 
@@ -87,7 +103,7 @@ def test_pow_and_degree():
 def test_substitute():
     # p(t) = t^2 + 1, t -> 2u - 1
     p = AffinePoly.variable(("t",), "t") ** 2 + AffinePoly.constant(("t",), 1.0)
-    img = AffinePoly.linear_form(("u",), {"u": 2.0}, -1.0)
+    img = AffinePoly.variable(("u",), "u").scaled(2.0) - 1.0
     q = p.substitute({"t": img}, ("u",))
     for u in (-1.3, 0.0, 0.7):
         assert q.evaluate({"u": u}) == pytest.approx((2 * u - 1) ** 2 + 1)
@@ -147,29 +163,28 @@ def test_homogenize_preserves_simplex_values():
         assert h.evaluate(pt, assign) == pytest.approx(p.evaluate(pt, assign), rel=1e-9, abs=1e-9)
     # homogeneous of the max degree
     d = p.degree_in(variables)
-    for e in h.terms:
-        assert sum(e) == d
+    assert set(h.exps.sum(axis=1).tolist()) == {d}
 
 
 def test_homogenize_matches_term_at_a_time_sum():
     # reference: add each shifted term to a running sum, pruning every step
     variables = ("x", "l1", "l2")
     x, l1, l2 = (AffinePoly.variable(variables, v) for v in variables)
-    g = AffineCoeff.decision("gamma", 2.0) + 0.5
+    g = AffinePoly.decision(variables, "gamma", 2.0) + 0.5
     # l1 - l1^2 - l1 l2 homogenizes to zero on the simplex: a cancelling pair
-    p = (l1 * x).scaled(g) + l1 - l1 * l1 - l1 * l2 + (l2 * l2 * x).scaled(3.0) \
-        + AffinePoly.constant(variables, AffineCoeff.decision("l0", -1.5))
+    p = (l1 * x) * g + l1 - l1 * l1 - l1 * l2 + (l2 * l2 * x).scaled(3.0) \
+        + AffinePoly.decision(variables, "l0", -1.5)
     target = p.degree_in(("l1", "l2"))
     lin = l1 + l2
     ref = AffinePoly.zero(variables)
-    for e, c in p.terms.items():
+    for e, c in zip(p.exps.tolist(), p.coeffs):
         shift = AffinePoly.monomial(variables, e, 1.0) * lin ** (target - e[1] - e[2])
-        ref = ref + shift.scaled(c)
+        ref = ref + shift * AffinePoly(variables, [[0, 0, 0]], [c], p.decisions)
     h = homogenize(p, ("l1", "l2"))
-    assert h.terms == ref.pruned().terms
+    assert terms(h) == terms(ref.pruned())
     # the pair cancels: only the decision term's share is left at l1^2, l1 l2
-    assert h.terms[(0, 2, 0)] == AffineCoeff.decision("l0", -1.5)
-    assert h.terms[(0, 1, 1)] == AffineCoeff.decision("l0", -3.0)
+    assert terms(h)[(0, 2, 0)] == {"l0": -1.5}
+    assert terms(h)[(0, 1, 1)] == {"l0": -3.0}
 
 
 def test_homogenize_matrix_common_degree():
@@ -179,8 +194,7 @@ def test_homogenize_matrix_common_degree():
     M = PolyMatrix.from_rows([[lin * lin, one], [one, lin]])
     H = homogenize(M, variables)
     for p in H.entries:
-        for e in p.terms:
-            assert sum(e) == 2
+        assert set(p.exps.sum(axis=1).tolist()) == {2}
     lam = rng.dirichlet((2.0, 1.0))
     pt = {"l1": lam[0], "l2": lam[1]}
     np.testing.assert_allclose(H.evaluate(pt), M.evaluate(pt), atol=1e-12)
@@ -191,13 +205,16 @@ def test_homogenize_without_simplex_vars_keeps_every_term():
     # stays, in a matrix and in a single polynomial
     variables = ("x", "y")
     p = random_poly(variables, 3, 6, decisions=("eta",))
-    p = AffinePoly(variables, {**p.terms, (4, 4): AffineCoeff(1e-20)})
+    dust = np.zeros((1, p.coeffs.shape[1]))
+    dust[0, 0] = 1e-20
+    p = AffinePoly(variables, np.vstack([p.exps, [[4, 4]]]), np.vstack([p.coeffs, dust]),
+                   p.decisions)
     M = PolyMatrix.from_rows([[p, AffinePoly.variable(variables, "x")],
                               [AffinePoly.zero(variables), p.scaled(2.0)]])
-    assert p.pruned().terms != p.terms
-    assert homogenize(p, ()).terms == p.terms
+    assert terms(p.pruned()) != terms(p)
+    assert terms(homogenize(p, ())) == terms(p)
     H = homogenize(M, ())
-    assert [h.terms for h in H.entries] == [m.terms for m in M.entries]
+    assert [terms(h) for h in H.entries] == [terms(m) for m in M.entries]
 
 
 def test_substitute_squares_pointwise():
@@ -221,24 +238,24 @@ L_TWO_TAP = fd.NoncausalFir(0, 1, ["l0", "lg1"])
 def test_circle_image_pointwise():
     lam = ("l1",)
     l1 = AffinePoly.variable(lam, "l1")
-    c = {-2: l1.scaled(0.7),
-         -1: AffinePoly.constant(lam, AffineCoeff(0.2, {"g": -1.5})),
-         0: AffinePoly.constant(lam, 1.0) - l1,
-         3: l1.scaled(-0.4)}
+    c = laurent(lam, {-2: l1.scaled(0.7),
+                      -1: AffinePoly.constant(lam, 0.2) + AffinePoly.decision(lam, "g", -1.5),
+                      0: AffinePoly.constant(lam, 1.0) - l1,
+                      3: l1.scaled(-0.4)})
     deg = 5  # above max |i| = 3: the image carries spare (1 + x^2) factors
-    re, im = circle_image(c, deg, ("x",) + lam)
+    re, im = circle_image(c, deg)
     assert re.variables == im.variables == ("x", "l1")
     assert re.degree_in(["x"]) <= 2 * deg and im.degree_in(["x"]) <= 2 * deg
     gains = {"g": 0.8}
     for _ in range(20):
         x, l = rng.normal() * 2, rng.normal()
         z = (1 + 1j * x) / (1 - 1j * x)
-        want = laurent_eval(c, z, {"l1": l}, gains) * (1 + x * x) ** deg
+        want = c.evaluate({"z": z, "l1": l}, gains) * (1 + x * x) ** deg
         pt = {"x": x, "l1": l}
         got = complex(re.evaluate(pt, gains), im.evaluate(pt, gains))
         assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
     with pytest.raises(ValueError):
-        circle_image(c, 2, ("x",) + lam)
+        circle_image(c, 2)
 
 
 def test_circle_degree_cancellations():
@@ -247,17 +264,18 @@ def test_circle_degree_cancellations():
 
     # c_2 = c_-2: sin(2 omega) cancels, cos(2 omega) stays
     c = {2: k(0.5), -2: k(0.5), 1: k(1.0), -1: k(0.3), 0: k(2.0)}
-    assert circle_degree(c) == 2
-    assert circle_degree(c, imag=True) == 1
+    assert circle_degree(laurent((), c)) == 2
+    assert circle_degree(laurent((), c), imag=True) == 1
     # c_2 = -c_-2: cos(2 omega) cancels, sin(2 omega) stays
     c[-2] = k(-0.5)
-    assert circle_degree(c) == 1
-    assert circle_degree(c, imag=True) == 2
+    assert circle_degree(laurent((), c)) == 1
+    assert circle_degree(laurent((), c), imag=True) == 2
     # decision coefficients: g (z - 1/z) = 2j g sin(omega) has no cosine part
-    g = {1: k(AffineCoeff.decision("g")), -1: k(AffineCoeff.decision("g", -1.0))}
+    g = laurent((), {1: AffinePoly.decision((), "g"), -1: AffinePoly.decision((), "g", -1.0)})
     assert circle_degree(g) == 0
     assert circle_degree(g, imag=True) == 1
-    assert circle_degree({0: k(3.0)}) == circle_degree({0: k(3.0)}, imag=True) == 0
+    three = laurent((), {0: k(3.0)})
+    assert circle_degree(three) == circle_degree(three, imag=True) == 0
 
 
 def test_circle_rationalize_xy_identity():
@@ -307,10 +325,10 @@ def test_circle_rationalize_xy_rejects_uncertain_circle_pole():
 
 def _scalar_den_check(den, lambda_points, n_omega=721, tol=1e-9):
     """The unit-circle denominator check as a scalar double loop."""
-    scale = max(max((p.max_magnitude() for p in den.values()), default=0.0), 1.0)
+    scale = max(den.max_magnitude(), 1.0)
     for pt in lambda_points:
         for w in np.linspace(0.0, 2.0 * np.pi, n_omega):
-            val = laurent_eval(den, cmath.exp(1j * w), pt)
+            val = den.evaluate({"z": cmath.exp(1j * w), **pt})
             if abs(val) < tol * scale:
                 return f"omega={w:.4f}, point={dict(pt)}"
     return None
@@ -342,6 +360,7 @@ def test_den_on_circle_check_matches_scalar_loop():
     r_below = 1.0 + 0.5e-9
     cases += [({1: one, 0: one.scaled(-r_above)}, True),
               ({1: one, 0: one.scaled(-r_below)}, False)]
+    cases = [(laurent(lam, den), stable) for den, stable in cases]
     for den, stable in cases:
         want = _scalar_den_check(den, points)
         assert (want is None) == stable

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from ilc_sos import result, sdp
-from ilc_sos.polyalg import AffineCoeff, AffinePoly, PolyMatrix
+from ilc_sos.polyalg import AffinePoly, PolyMatrix
 from ilc_sos.soscompiler import CertificateReport, SdpProblem
 
 LAM = ("l",)
@@ -11,8 +11,8 @@ LAM = ("l",)
 
 def _block():
     """[[gamma l]]: a 1 x 1 rate block, homogeneous of degree 1 in l."""
-    gamma = AffineCoeff.decision("gamma")
-    return PolyMatrix.from_rows([[AffinePoly.variable(LAM, "l").scaled(gamma)]])
+    gamma = AffinePoly.decision(LAM, "gamma")
+    return PolyMatrix.from_rows([[AffinePoly.variable(LAM, "l") * gamma]])
 
 
 def _stub_compile(monkeypatch):
@@ -88,8 +88,12 @@ def test_escalate_margin_is_epsilon_times_the_gamma_coefficient(monkeypatch):
     res = result.escalate(_block(), LAM, 1e-3, k_max=1, k_tol=0.0, gain_list=lambda gains: [])
     # lam -> lam^2, gamma -> gamma - eps, and level 1 multiplies by ||lam||^2
     l2 = AffinePoly.variable(LAM, "l") ** 2
-    level0 = l2.scaled(AffineCoeff.decision("gamma") - 1e-3)
-    assert [S[0, 0] for S in compiled] == [level0, level0 * l2]
+    level0 = l2 * (AffinePoly.decision(LAM, "gamma") - 1e-3)
+
+    def terms(p):
+        return p.exps.tolist(), p.coeffs.tolist(), p.decisions
+
+    assert [terms(S[0, 0]) for S in compiled] == [terms(level0), terms(level0 * l2)]
     assert res.epsilon == 1e-3
     assert res.diagnostics["deg_lambda"] == 1
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ilc_sos.polyalg import AffineCoeff, AffinePoly, PolyMatrix
+from ilc_sos.polyalg import AffinePoly, PolyMatrix
 from ilc_sos.soscompiler import (
     BasisDeficiency,
     SdpProblem,
@@ -65,7 +65,7 @@ def test_compile_and_solve_scalar_quartic():
     # global minimum of x^4 - 2x^2 is -1; SOS bound is tight for univariate
     x = AffinePoly.variable(("x",), "x")
     f = x ** 4 - (x ** 2).scaled(2.0)
-    S = PolyMatrix.from_rows([[f - AffinePoly.constant(("x",), AffineCoeff.decision("eta"))]])
+    S = PolyMatrix.from_rows([[f - AffinePoly.decision(("x",), "eta")]])
     prob = compile_sos(S, {"eta": -1.0})  # maximize eta
     sol = sdp.solve(prob)
     assert sol.ok
@@ -81,7 +81,7 @@ def test_compile_matrix_case():
     variables = ("x",)
     x = AffinePoly.variable(variables, "x")
     one = AffinePoly.constant(variables, 1.0)
-    eta = AffinePoly.constant(variables, AffineCoeff.decision("eta"))
+    eta = AffinePoly.decision(variables, "eta")
     S = PolyMatrix.from_rows([
         [eta * (one + x * x), x.scaled(2.0)],
         [x.scaled(2.0), one + x * x],
@@ -156,7 +156,7 @@ def test_certificate_rejects_perturbation():
 
 def test_serialize_round_trip():
     x = AffinePoly.variable(("x",), "x")
-    eta = AffinePoly.constant(("x",), AffineCoeff.decision("eta"))
+    eta = AffinePoly.decision(("x",), "eta")
     S = PolyMatrix.from_rows([[x ** 2 - x.scaled(0.6) + eta]])
     prob = compile_sos(S, {"eta": 1.0})
     text = prob.serialize()
@@ -187,8 +187,9 @@ def _old_equalities(S, bases):
     support = {}
     for r in range(m):
         for s in range(r, m):
-            for e, c in S[r, s].terms.items():
-                support.setdefault(e, {})[(r, s)] = c
+            p = S[r, s]
+            for e, c in zip(p.exps.tolist(), p.coeffs.tolist()):
+                support.setdefault(tuple(e), {})[(r, s)] = (c[0], list(zip(p.decisions, c[1:])))
     add = lambda a, b: tuple(x + y for x, y in zip(a, b))
     prod = {}  # mu -> {(r, s): {(b, p, q): weight}}
     for b, basis in enumerate(bases):
@@ -202,11 +203,11 @@ def _old_equalities(S, bases):
     out = []
     for mu in sorted(prod, key=lambda t: (sum(t), t)):
         for (r, s), weights in sorted(prod[mu].items()):
-            coeff = support.get(mu, {}).get((r, s), AffineCoeff(0.0))
-            scale = max(coeff.magnitude(), 1.0)
+            const, dec = support.get(mu, {}).get((r, s), (0.0, []))
+            scale = max(abs(const), *(abs(v) for _, v in dec), 1.0)
             out.append(repr(([(b, p, q, w / scale) for (b, p, q), w in sorted(weights.items())],
-                             [(k, v / scale) for k, v in coeff.terms.items()],
-                             coeff.const / scale, mu, (r, s))))
+                             [(k, v / scale) for k, v in dec if v],
+                             const / scale, mu, (r, s))))
     return out
 
 
@@ -230,8 +231,8 @@ def _capture_compiles(monkeypatch):
 
 def test_pair_layout_matches_kronecker_lifted_program(monkeypatch):
     lam = ("lam1", "lam2")
-    markov = [AffinePoly.linear_form(lam, {"lam1": 1.0, "lam2": 1.4}),
-              AffinePoly.linear_form(lam, {"lam1": 0.3, "lam2": -0.2})]
+    lam1, lam2 = (AffinePoly.variable(lam, v) for v in lam)
+    markov = [lam1 + lam2.scaled(1.4), lam1.scaled(0.3) + lam2.scaled(-0.2)]
     plant = td.LiftedUncertainPlant(2, markov, lam)
     problem = td.TimeSynthesisProblem(plant, td.LiftedFilter.identity(2),
                                       td.LiftedFilter.causal_decision(2),
@@ -250,7 +251,7 @@ def test_pair_layout_matches_kronecker_lifted_program(monkeypatch):
 def test_symmetry_split_keeps_robust_bound(monkeypatch):
     # paper plant, theta in [-0.7, -0.5]
     tv = ("theta",)
-    lin = lambda c0, c1=0.0: AffinePoly.linear_form(tv, {"theta": c1}, c0)
+    lin = lambda c0, c1=0.0: AffinePoly.constant(tv, c0) + AffinePoly.variable(tv, "theta").scaled(c1)
     plant = fd.simplexify([lin(16, 60), lin(-40)], [lin(1, 16), lin(4, 20), lin(-20)],
                           [[-0.5], [-0.7]], theta_vars=tv)
     args = (fd.NoncausalFir.unity(), fd.NoncausalFir.causal_decision(1), plant)
@@ -295,5 +296,5 @@ def test_symmetry_split_rejects_asymmetric_matrix():
     with pytest.raises(BasisDeficiency):
         compile_sos(S, {}, bases=split)
     # ... but a term whose coefficient is identically zero is no obstacle
-    S, split = _x_flip_program(AffinePoly(("x",), {(0,): AffineCoeff(0.0), (1,): AffineCoeff(0.5)}))
+    S, split = _x_flip_program(AffinePoly(("x",), [[0], [1]], [[0.0], [0.5]]))
     assert compile_sos(S, {}, bases=split).block_dims == [3, 3]

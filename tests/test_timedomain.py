@@ -149,7 +149,7 @@ def test_build_M_uncertain_scalar_hand_expansion():
     M = build_M(prob)
     # causal Q: [[gamma, 1 - l0 a], [., gamma]], every entry homogeneous of degree 1
     for e in M.entries:
-        assert {sum(exp) for exp in e.terms} <= {1}
+        assert {sum(exp) for exp in e.exps.tolist()} <= {1}
     rng = np.random.default_rng(3)
     for _ in range(100):
         pt = rng.dirichlet([1, 1])
