@@ -12,9 +12,11 @@ variables) and a float coefficient array (terms x (1 + m)) whose column 0 is
 the constant and whose column 1 + j is the weight of ``decisions[j]``, a
 sorted tuple.  A sum or product concatenates (or outer-sums) the exponent
 rows, sorts them once and adds up the coefficients of equal rows.  After
-every sum and product, coefficients whose magnitude is at most ``PRUNE_REL``
-times the operands' largest coefficient are dropped, so exact cancellations
-do not leave 1e-17 dust behind.
+every sum and product, a coefficient whose magnitude is at most
+``PRUNE_REL`` times its column's largest magnitude in the operands is
+dropped, so exact cancellations do not leave 1e-17 dust behind.  Each
+column has its own scale: a decision weight of 1e13 does not erase the
+constant 1 of ``1 - 1e13 l0``, nor another decision's weight.
 
 Expressions on the unit circle ``z = e^{j omega}`` are Laurent polynomials:
 an :class:`AffinePoly` over ``("z", *lam)`` with signed z exponents.
@@ -158,12 +160,13 @@ class AffinePoly:
         exps[:, [variables.index(v) for v in self.variables]] = self.exps
         return AffinePoly(variables, exps, self.coeffs, self.decisions)
 
-    def pruned(self, scale: float = 0.0) -> "AffinePoly":
-        """Drop coefficients at most ``PRUNE_REL`` times the larger of
-        ``scale`` and the largest coefficient, then all-zero rows and
-        decision columns."""
+    def pruned(self, scale=0.0) -> "AffinePoly":
+        """Drop each coefficient at most ``PRUNE_REL`` times the larger of
+        its column's ``scale`` (a number or one per column) and the
+        column's largest coefficient, then all-zero rows and decision
+        columns."""
         mag = np.abs(self.coeffs)
-        keep = mag > PRUNE_REL * max(scale, mag.max(initial=0.0))
+        keep = mag > PRUNE_REL * np.maximum(scale, mag.max(axis=0, initial=0.0))
         rows = keep.any(axis=1)
         used = keep[:, 1:].any(axis=0)
         exps, coeffs = self.exps, self.coeffs * keep
@@ -193,7 +196,7 @@ class AffinePoly:
             names = tuple(sorted(set(names) | set(other.decisions)))
         coeffs = np.concatenate([_widened(self.coeffs, self.decisions, names),
                                  _widened(other.coeffs, other.decisions, names)])
-        scale = np.abs(coeffs).max()
+        scale = np.abs(coeffs).max(axis=0)  # the operands' scale, per column
         exps, coeffs = _collect(np.concatenate([self.exps, other.exps]), coeffs)
         return AffinePoly(self.variables, exps, coeffs, names).pruned(scale=scale)
 
@@ -222,9 +225,10 @@ class AffinePoly:
         n, k = len(self.exps) * len(other.exps), max(self.coeffs.shape[1], other.coeffs.shape[1])
         exps = (self.exps[:, None, :] + other.exps[None, :, :]).reshape(n, len(self.variables))
         coeffs = (self.coeffs[:, None, :] * other.coeffs[None, :, :]).reshape(n, k)
+        # the largest product per column is the product of the operands' column scales
+        scale = np.abs(coeffs).max(axis=0, initial=0.0)
         if len(self.exps) > 1 and len(other.exps) > 1:  # a monomial factor keeps rows distinct
             exps, coeffs = _collect(exps, coeffs)
-        scale = self.max_magnitude() * other.max_magnitude()
         return AffinePoly(self.variables, exps, coeffs,
                           self.decisions or other.decisions).pruned(scale=scale)
 
@@ -293,22 +297,22 @@ class AffinePoly:
 
 
 def _entry_max(count: int, entry: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Largest coefficient magnitude per entry 0..count-1 (0 when empty)."""
-    out = np.zeros(count)
-    np.maximum.at(out, entry, np.abs(coeffs).max(axis=1, initial=0.0))
+    """(count, columns): the largest magnitude per entry and coefficient column."""
+    out = np.zeros((count, coeffs.shape[1]))
+    np.maximum.at(out, entry, np.abs(coeffs))
     return out
 
 
-def _summed_table(count: int, entry, exps, coeffs, names, scale) -> tuple:
-    """The table of the terms summed per (entry, exponents), with each
-    entry's coefficients at most ``PRUNE_REL`` times the larger of
-    ``scale[entry]`` and the entry's largest coefficient dropped, then the
-    rows and decision columns left all zero."""
+def _summed_table(count: int, entry, exps, coeffs, names, own_scale: bool = False) -> tuple:
+    """The table of the terms summed per (entry, exponents).  Each entry's
+    coefficient in each column is dropped when at most ``PRUNE_REL`` times
+    the column's largest magnitude over the entry's summands (``own_scale``:
+    over the entry's sums), then the rows and decision columns left zero."""
+    scale = 0.0 if own_scale else _entry_max(count, entry, coeffs)
     keys, coeffs = _collect(np.column_stack([entry, exps]), coeffs)
     entry = keys[:, 0]
     mag = np.abs(coeffs)
-    tol = PRUNE_REL * np.maximum(scale, _entry_max(count, entry, coeffs))[entry]
-    keep = mag > tol[:, None]
+    keep = mag > PRUNE_REL * np.maximum(scale, _entry_max(count, entry, coeffs))[entry]
     rows = keep.any(axis=1)
     cols = np.flatnonzero(keep[:, 1:].any(axis=0))
     return (entry[rows], keys[rows, 1:], (coeffs * keep)[rows][:, [0, *(cols + 1)]],
@@ -327,8 +331,7 @@ def _joined(parts: Sequence[tuple]) -> tuple:
 
 def _products(count: int, a: tuple, b: tuple, ai, bi, entry) -> tuple:
     """Sum per ``entry`` of the products of table a's rows ``ai`` with table
-    b's rows ``bi`` (affine: no pair may carry decisions on both sides),
-    pruned relative to the largest product of the two entries' scales."""
+    b's rows ``bi`` (affine: no pair may carry decisions on both sides)."""
     names = tuple(sorted(set(a[3]) | set(b[3])))
     ca, cb = _widened(a[2], a[3], names)[ai], _widened(b[2], b[3], names)[bi]
     if ((ca[:, 1:] != 0).any(axis=1) & (cb[:, 1:] != 0).any(axis=1)).any():
@@ -336,13 +339,7 @@ def _products(count: int, a: tuple, b: tuple, ai, bi, entry) -> tuple:
                             f"{list(a[3])} x {list(b[3])}")
     coeffs = ca[:, :1] * cb + cb[:, :1] * ca
     coeffs[:, 0] *= 0.5
-
-    def entry_scale(t):  # per row, the largest coefficient of its entry
-        return _entry_max(int(t[0].max(initial=0)) + 1, t[0], t[2])[t[0]]
-
-    scale = np.zeros(count)
-    np.maximum.at(scale, entry, entry_scale(a)[ai] * entry_scale(b)[bi])
-    return _summed_table(count, entry, a[1][ai] + b[1][bi], coeffs, names, scale)
+    return _summed_table(count, entry, a[1][ai] + b[1][bi], coeffs, names)
 
 
 class PolyMatrix:
@@ -451,10 +448,9 @@ class PolyMatrix:
     def _summed(self, other: "PolyMatrix", sign: float) -> "PolyMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        n = self.rows * self.cols
-        a, (eb, xb, cb, db) = self.table(), other.table()
-        scale = np.maximum(_entry_max(n, a[0], a[2]), _entry_max(n, eb, cb))
-        return self.with_table(_summed_table(n, *_joined([a, (eb, xb, sign * cb, db)]), scale))
+        eb, xb, cb, db = other.table()
+        return self.with_table(_summed_table(self.rows * self.cols,
+                                             *_joined([self.table(), (eb, xb, sign * cb, db)])))
 
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
         return self._summed(other, 1.0)
@@ -502,7 +498,7 @@ class PolyMatrix:
         off = i != j
         keys, diff = _collect(np.column_stack([np.minimum(i, j) * n + np.maximum(i, j), exps])[off],
                               (coeffs * np.where(i < j, 1.0, -1.0)[:, None])[off])
-        scale = _entry_max(n * n, entry, coeffs).reshape(n, n)
+        scale = _entry_max(n * n, entry, coeffs).max(axis=1).reshape(n, n)
         scale = np.maximum(np.maximum(scale, scale.T), 1.0).ravel()[keys[:, 0]]
         return bool((np.abs(diff).max(axis=1) <= tol * scale).all())
 
@@ -568,9 +564,8 @@ def homogenize(obj, simplex_vars: Sequence[str]):
         ai, bi = np.repeat(rows, len(power.exps)), np.tile(np.arange(len(power.exps)), len(rows))
         parts.append((entry[ai], exps[ai] + power.exps[bi], coeffs[ai] * power.coeffs[bi]))
         power = power * lin
-    n = obj.rows * obj.cols
-    return obj.with_table(_summed_table(n, *(np.concatenate(x) for x in zip(*parts)), names,
-                                        np.zeros(n)))
+    return obj.with_table(_summed_table(obj.rows * obj.cols, *(np.concatenate(x) for x in zip(*parts)),
+                                        names, own_scale=True))
 
 
 def substitute_squares(obj, var_names: Sequence[str]):
@@ -598,7 +593,8 @@ def circle_degree(c: AffinePoly, imag: bool = False) -> int:
     z = c.exps[:, :1]
     sign = np.where(z < 0, -1.0, 1.0) if imag else 1.0
     exps, coeffs = _collect(np.hstack([np.abs(z), c.exps[:, 1:]]), c.coeffs * sign)
-    folded = AffinePoly(c.variables, exps, coeffs, c.decisions).pruned(scale=c.max_magnitude())
+    folded = AffinePoly(c.variables, exps, coeffs, c.decisions).pruned(
+        scale=np.abs(c.coeffs).max(axis=0, initial=0.0))
     return int(folded.exps[:, 0].max(initial=0))
 
 

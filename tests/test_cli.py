@@ -281,16 +281,27 @@ UNIT_CIRCLE_POLE = {"type": "transfer", "num": [1.0], "den": [-1.0, 1.0]}
                                 "lstructure": {"order": 0}}, id="UnusedDecision-zero-num"),
     pytest.param("synth-freq", {"plant": {"type": "transfer", "num": [], "den": [0.0, 1.0]},
                                 "lstructure": {"order": 0}}, id="UnusedDecision-empty-num"),
-    pytest.param("synth-freq", {"plant": {"type": "transfer", "num": [1.0], "den": [0.0, 1e300]},
-                                "lstructure": {"order": 0}}, id="UnusedDecision-huge-den"),
-    pytest.param("synth-time", {"plant": {"type": "markov", "markov": [1.0, 1e300]}},
-                 id="UnusedDecision-huge-markov"),
 ])
 def test_unusable_plant_exits_2(tmp_path, capsys, mode, payload):
     cfg = write_config(tmp_path, {"mode": mode, **payload})
     rc = cli.main([mode, "--config", cfg, "--out", str(tmp_path)])
     assert rc == 2
     assert "unusable input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode, payload", [
+    # the tap keeps its influence next to the 1e300 (the deadbeat tap of
+    # markov [1, x] is -x), but no level of the program solves
+    pytest.param("synth-freq", {"plant": {"type": "transfer", "num": [1.0], "den": [0.0, 1e300]},
+                                "lstructure": {"order": 0}}, id="huge-den"),
+    pytest.param("synth-time", {"plant": {"type": "markov", "markov": [1.0, 1e300]}},
+                 id="huge-markov"),
+])
+def test_huge_coefficient_plant_exits_3(tmp_path, capsys, mode, payload):
+    cfg = write_config(tmp_path, {"mode": mode, **payload})
+    rc = cli.main([mode, "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 3
+    assert "solver failure" in capsys.readouterr().err
 
 
 SIMULATE_DEADBEAT = {"mode": "simulate", "plant": DELAY_PLANT,
@@ -390,8 +401,17 @@ def test_synth_time_huge_first_markov_certifies(tmp_path):
     assert res["gain_list"] == pytest.approx([1e-9, -5e-19], rel=1e-6)
 
 
-@pytest.mark.xfail(strict=True, reason="the compile prunes the 1 of 1 - 1e13 l0 "
-                   "relative to the decision weight, so a zero L certifies")
+def test_synth_time_deadbeat_with_a_1e12_gain(tmp_path):
+    # markov [1, 1e12]: the tap l1 = -1e12 keeps its place next to l0's 1e12
+    cfg = write_config(tmp_path, {"mode": "synth-time",
+                                  "plant": {"type": "markov", "N": 2, "markov": [1.0, 1e12]}})
+    out = tmp_path / "out"
+    assert cli.main(["synth-time", "--config", cfg, "--out", str(out)]) == 0
+    res = read_result(out)["result"]
+    assert res["certificate"]["passed"] is True
+    assert res["gain_list"] == pytest.approx([1.0, -1e12], rel=1e-6)
+
+
 def test_synth_time_huge_first_markov_not_falsely_certified(tmp_path):
     plant = {"type": "markov", "N": 2, "markov": [1e13, 0.5]}
     cfg = write_config(tmp_path, {"mode": "synth-time", "plant": plant})

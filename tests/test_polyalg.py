@@ -88,6 +88,18 @@ def test_exact_cancellation_pruned():
     x = AffinePoly.variable(("x",), "x")
     p = x.scaled(0.1) + x.scaled(0.2) - x.scaled(0.3)
     assert p.is_zero()
+    # each column is pruned against its own scale: a large decision weight
+    # neither drops the constant nor another decision
+    one = AffinePoly.constant(("x",), 1.0)
+    l0, l1 = AffinePoly.decision(("x",), "l0"), AffinePoly.decision(("x",), "l1")
+    assert terms(one - l0.scaled(1e13)) == {(0,): {"": 1.0, "l0": -1e13}}
+    assert terms(l0.scaled(1e12) + l1) == {(0,): {"l0": 1e12, "l1": 1.0}}
+    assert terms(one - l0.scaled(1e13) + l0.scaled(1e13)) == {(0,): {"": 1.0}}
+    # the same on matrices
+    M = PolyMatrix.from_rows([[one]]) - PolyMatrix.from_rows([[l0.scaled(1e13)]])
+    assert terms(M[0, 0]) == {(0,): {"": 1.0, "l0": -1e13}}
+    assert terms((PolyMatrix.from_rows([[x]]) @ PolyMatrix.from_rows([[one - l0.scaled(1e13)]]))[0, 0]) \
+        == {(1,): {"": 1.0, "l0": -1e13}}
 
 
 def test_pow_and_degree():
