@@ -71,6 +71,18 @@ def _widened(coeffs: np.ndarray, have: tuple, names: tuple) -> np.ndarray:
     return out
 
 
+def _kept(keys: np.ndarray, coeffs: np.ndarray, names: tuple, scale) -> tuple:
+    """The prune rule: drop each coefficient at most ``PRUNE_REL`` times its
+    ``scale`` (broadcast over rows and columns), then the rows and decision
+    columns left all zero.  Returns (keys, coeffs, names)."""
+    keep = np.abs(coeffs) > PRUNE_REL * scale
+    rows = keep.any(axis=1)
+    cols = np.flatnonzero(keep[:, 1:].any(axis=0))
+    if rows.all() and len(cols) == len(names):
+        return keys, coeffs * keep, names
+    return keys[rows], (coeffs * keep)[rows][:, [0, *(cols + 1)]], tuple(names[j] for j in cols)
+
+
 def _resolved(coeffs: np.ndarray, decisions: tuple, assignment: Mapping[str, float] | None) -> np.ndarray:
     """Each coefficient row's value with the decisions set by ``assignment``."""
     if not decisions:
@@ -161,22 +173,11 @@ class AffinePoly:
         return AffinePoly(variables, exps, self.coeffs, self.decisions)
 
     def pruned(self, scale=0.0) -> "AffinePoly":
-        """Drop each coefficient at most ``PRUNE_REL`` times the larger of
-        its column's ``scale`` (a number or one per column) and the
-        column's largest coefficient, then all-zero rows and decision
-        columns."""
-        mag = np.abs(self.coeffs)
-        keep = mag > PRUNE_REL * np.maximum(scale, mag.max(axis=0, initial=0.0))
-        rows = keep.any(axis=1)
-        used = keep[:, 1:].any(axis=0)
-        exps, coeffs = self.exps, self.coeffs * keep
-        if not rows.all():
-            exps, coeffs = exps[rows], coeffs[rows]
-        if used.all():
-            return AffinePoly(self.variables, exps, coeffs, self.decisions)
-        cols = np.flatnonzero(used)
-        return AffinePoly(self.variables, exps, coeffs[:, [0, *(cols + 1)]],
-                          [self.decisions[j] for j in cols])
+        """Apply the prune rule with each column's scale the larger of
+        ``scale`` (a number or one per column) and the column's largest
+        magnitude."""
+        scale = np.maximum(scale, np.abs(self.coeffs).max(axis=0, initial=0.0))
+        return AffinePoly(self.variables, *_kept(self.exps, self.coeffs, self.decisions, scale))
 
     # -- arithmetic ---------------------------------------------------------
     def _check(self, other: "AffinePoly"):
@@ -304,19 +305,14 @@ def _entry_max(count: int, entry: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
 
 
 def _summed_table(count: int, entry, exps, coeffs, names, own_scale: bool = False) -> tuple:
-    """The table of the terms summed per (entry, exponents).  Each entry's
-    coefficient in each column is dropped when at most ``PRUNE_REL`` times
-    the column's largest magnitude over the entry's summands (``own_scale``:
-    over the entry's sums), then the rows and decision columns left zero."""
+    """The table of the terms summed per (entry, exponents), pruned with
+    each entry's column scale the larger of the column's largest magnitude
+    over the entry's summands (unless ``own_scale``) and over its sums."""
     scale = 0.0 if own_scale else _entry_max(count, entry, coeffs)
     keys, coeffs = _collect(np.column_stack([entry, exps]), coeffs)
-    entry = keys[:, 0]
-    mag = np.abs(coeffs)
-    keep = mag > PRUNE_REL * np.maximum(scale, _entry_max(count, entry, coeffs))[entry]
-    rows = keep.any(axis=1)
-    cols = np.flatnonzero(keep[:, 1:].any(axis=0))
-    return (entry[rows], keys[rows, 1:], (coeffs * keep)[rows][:, [0, *(cols + 1)]],
-            tuple(names[j] for j in cols))
+    scale = np.maximum(scale, _entry_max(count, keys[:, 0], coeffs))[keys[:, 0]]
+    keys, coeffs, names = _kept(keys, coeffs, names, scale)
+    return keys[:, 0], keys[:, 1:], coeffs, names
 
 
 def _joined(parts: Sequence[tuple]) -> tuple:

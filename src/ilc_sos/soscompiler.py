@@ -252,7 +252,7 @@ def _codes(keys: np.ndarray) -> np.ndarray:
     radix = keys.max(axis=0, initial=0) + 1
     if np.prod(radix.astype(float)) >= 2.0 ** 62:
         raise OverflowError("monomial table too large to index")
-    return keys @ np.cumprod(np.r_[radix[1:], 1][::-1])[::-1]
+    return keys @ np.cumprod(np.append(radix[1:], 1)[::-1])[::-1]
 
 
 def _upper_terms(S: PolyMatrix) -> tuple:
@@ -323,11 +323,11 @@ def compile_sos(S: PolyMatrix, objective: Mapping[str, float],
     # each equality is divided by its coefficient's magnitude, floored at 1
     scale = np.maximum(np.abs(coeff).max(axis=1), 1.0)
     coeff /= scale[:, None]
-    weights = np.concatenate(weights)[order] / np.repeat(scale, np.diff(np.r_[starts, len(order)]))
+    weights = np.concatenate(weights)[order] / np.repeat(scale, np.diff(starts, append=len(order)))
     gram = [tuple(e) + (w,) for e, w in zip(np.concatenate(entries)[order].tolist(),
                                             weights.tolist())]
     heads = keys[order][starts].tolist()
-    bounds = np.r_[starts, len(order)].tolist()
+    bounds = starts.tolist() + [len(order)]
     equalities = [
         Equality(gram[lo:hi], {d: w for d, w in zip(names, row[1:]) if w}, row[0],
                  monomial=tuple(head[:-2]), position=tuple(head[-2:]))
