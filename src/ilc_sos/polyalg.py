@@ -16,7 +16,9 @@ every sum and product, a coefficient whose magnitude is at most
 ``PRUNE_REL`` times its column's largest magnitude in the operands is
 dropped, so exact cancellations do not leave 1e-17 dust behind.  Each
 column has its own scale: a decision weight of 1e13 does not erase the
-constant 1 of ``1 - 1e13 l0``, nor another decision's weight.
+constant 1 of ``1 - 1e13 l0``, nor another decision's weight.  A
+:class:`PolyMatrix` is a grid of them that can also be read as one term
+table; the whole-matrix operations work on that table.
 
 Expressions on the unit circle ``z = e^{j omega}`` are Laurent polynomials:
 an :class:`AffinePoly` over ``("z", *lam)`` with signed z exponents.
@@ -383,10 +385,6 @@ class PolyMatrix:
     def with_table(self, table: tuple) -> "PolyMatrix":
         """A matrix of this shape and variables holding ``table``."""
         return PolyMatrix(self.rows, self.cols, self.variables, table=table)
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int, variables: Sequence[str]) -> "PolyMatrix":
-        return cls(rows, cols, variables)
 
     @classmethod
     def identity(cls, n: int, variables: Sequence[str]) -> "PolyMatrix":

@@ -44,6 +44,16 @@ semidefinite programs, and sums of squares", J. Pure Appl. Algebra 192).
 ``sign_classes`` applies any number of such flips at once.  If S lacks the
 symmetry, some nonzero coefficient of S is unproducible in the split layout
 and :func:`compile_sos` raises :class:`BasisDeficiency`.
+
+Both directions work on arrays.  S arrives as its term table (exponent rows
+and coefficient rows, one column per decision, each column already pruned
+against its own scale; see :mod:`polyalg`).  The compile keys every Gram
+entry (b, p <= q) and every coefficient of S's upper triangle by (degree,
+monomial, position), encoded as one integer; the sorted distinct keys of the
+Gram entries are the equalities, and S's coefficient rows are found among
+them by search.  :func:`check_certificate` rebuilds V^T G V from the
+certificate's own pairs and forms the residual S - V^T G V coefficientwise
+from the same keys; it reads nothing the compile produced.
 """
 
 from __future__ import annotations

@@ -142,6 +142,11 @@ def test_matrix_ops_numeric():
     C = A @ B
     pt = {"s": 0.37}
     np.testing.assert_allclose(C.evaluate(pt), A.evaluate(pt) @ B.evaluate(pt), rtol=1e-10)
+    # the table product against the entry-by-entry sum of polynomial products
+    for i in range(2):
+        for j in range(2):
+            ref = A[i, 0] * B[0, j] + A[i, 1] * B[1, j] + A[i, 2] * B[2, j]
+            assert C[i, j].allclose(ref, 1e-14)
     np.testing.assert_allclose((A + A).evaluate(pt), 2 * A.evaluate(pt), rtol=1e-12)
     np.testing.assert_allclose(A.T.evaluate(pt), A.evaluate(pt).T, rtol=1e-12)
 
