@@ -33,7 +33,6 @@ from .result import SynthesisResult
 from .freqdomain import (
     NoncausalFir,
     UncertainTransferFunction,
-    FreqSynthesisProblem,
     EmptyPolytope,
     JuryReport,
     jury_stability,
@@ -83,7 +82,6 @@ __all__ = [
     "SynthesisResult",
     "NoncausalFir",
     "UncertainTransferFunction",
-    "FreqSynthesisProblem",
     "EmptyPolytope",
     "JuryReport",
     "jury_stability",

@@ -275,6 +275,14 @@ def _synthesis_exit(res: SynthesisResult, out_dir: str, mode: str) -> int:
     return EXIT_OK
 
 
+def _or_config_error(fn, *args, **kwargs):
+    """fn(*args, **kwargs); an input it rejects (ValueError) is a config error."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as e:
+        raise ConfigError(str(e))
+
+
 # ---------------------------------------------------------------------------
 # mode handlers
 
@@ -291,14 +299,9 @@ def _run_synth_freq(cfg: dict, out_dir: str) -> int:
         epsilon = None if cfg["epsilon"] is None else _number(cfg["epsilon"], "epsilon")
     else:
         epsilon = None if plant.is_nominal() else 1e-3
-    k_max = _integer(cfg.get("k_max", 5), "k_max")
-    k_tol = _number(cfg.get("k_tol", 1e-3), "k_tol")
-    try:
-        problem = fd.FreqSynthesisProblem(plant, qf, ls, epsilon=epsilon,
-                                          k_max=k_max, k_tol=k_tol)
-    except ValueError as e:
-        raise ConfigError(str(e))
-    res = problem.solve()
+    res = _or_config_error(fd.synth_freq_robust, qf, ls, plant, epsilon=epsilon,
+                           k_max=_count(cfg.get("k_max", 5), "k_max", 0),
+                           k_tol=_number(cfg.get("k_tol", 1e-3), "k_tol"))
     return _synthesis_exit(res, out_dir, "synth-freq")
 
 
@@ -312,19 +315,11 @@ def _run_synth_time(cfg: dict, out_dir: str) -> int:
              "epsilon: a plant without uncertainty takes no positivity margin")
     qf = _lifted_filter(cfg.get("qfilter"), plant.N, "qfilter", "q")
     ls = _lifted_filter(cfg.get("lstructure"), plant.N, "lstructure", "l")
-    try:
-        problem = td.TimeSynthesisProblem(
-            plant, qf, ls,
-            epsilon=_number(cfg.get("epsilon", 1e-3), "epsilon"),
-            k_max=_integer(cfg.get("k_max", 5), "k_max"),
-            k_tol=_number(cfg.get("k_tol", 1e-3), "k_tol"))
-    except ValueError as e:
-        raise ConfigError(str(e))
-    try:
-        res = problem.solve()
-    except ValueError as e:
-        raise ConfigError(str(e))
-    return _synthesis_exit(res, out_dir, "synth-time")
+    problem = _or_config_error(td.TimeSynthesisProblem, plant, qf, ls,
+                               epsilon=_number(cfg.get("epsilon", 1e-3), "epsilon"),
+                               k_max=_count(cfg.get("k_max", 5), "k_max", 0),
+                               k_tol=_number(cfg.get("k_tol", 1e-3), "k_tol"))
+    return _synthesis_exit(_or_config_error(td.synth_time, problem), out_dir, "synth-time")
 
 
 def _grid_settings(cfg: dict):
@@ -515,14 +510,14 @@ def _run_repro_paper(cfg: dict, out_dir: str) -> int:
     epsilon = _number(cfg.get("epsilon", 1e-3), "epsilon")
     k_values = cfg.get("k_values", [0, 1, 2, 3])
     _require(isinstance(k_values, list) and k_values
-             and all(isinstance(k, int) for k in k_values)
+             and all(isinstance(k, int) and k >= 0 for k in k_values)
              and list(k_values) == sorted(set(k_values)),
-             "k_values: strictly increasing list of ints")
+             "k_values: strictly increasing list of nonnegative ints")
     orders = cfg.get("orders", [0, 1, 2])
     _require(isinstance(orders, list) and orders
              and all(isinstance(o, int) and o >= 0 for o in orders),
              "orders: list of nonnegative ints")
-    order3_k_max = _integer(cfg.get("order3_k_max", 0), "order3_k_max")
+    order3_k_max = _count(cfg.get("order3_k_max", 0), "order3_k_max", 0)
 
     plant = paper_plant()
     jury = fd.jury_stability(plant)
@@ -534,9 +529,8 @@ def _run_repro_paper(cfg: dict, out_dir: str) -> int:
     results = {}
     trace_rows = []
     for order in orders:
-        res = fd.synth_freq_robust(q, fd.NoncausalFir.causal_decision(order),
-                                   plant, epsilon=epsilon,
-                                   k_max=max(k_values), k_tol=0.0)
+        res = _or_config_error(fd.synth_freq_robust, q, fd.NoncausalFir.causal_decision(order),
+                               plant, epsilon=epsilon, k_max=max(k_values), k_tol=0.0)
         if not res.certified:
             print(f"order {order}: certificate check failed", file=sys.stderr)
             return EXIT_SOLVER
@@ -544,8 +538,8 @@ def _run_repro_paper(cfg: dict, out_dir: str) -> int:
         for k, v in res.k_trace:
             trace_rows.append([order, k, f"{math.sqrt(max(v, 0.0)):.12e}"])
 
-    res3 = fd.synth_freq_robust(q, fd.NoncausalFir.causal_decision(3), plant,
-                                epsilon=epsilon, k_max=order3_k_max, k_tol=0.0)
+    res3 = _or_config_error(fd.synth_freq_robust, q, fd.NoncausalFir.causal_decision(3),
+                            plant, epsilon=epsilon, k_max=order3_k_max, k_tol=0.0)
     if not res3.certified:
         print("order 3: certificate check failed", file=sys.stderr)
         return EXIT_SOLVER

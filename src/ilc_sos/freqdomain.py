@@ -190,34 +190,6 @@ class UncertainTransferFunction:
         return len(self.lambda_vars) == 0
 
 
-@dataclass(frozen=True)
-class FreqSynthesisProblem:
-    """One z-domain synthesis instance: fixed Q, decision L taps.
-
-    ``epsilon=None`` means no positivity margin.  A margin eps certifies the
-    rate block with slack eps times its gamma-coefficient and adds exactly
-    eps to gamma; without one exact deadbeat designs reach gamma = 0.
-    """
-
-    plant: UncertainTransferFunction
-    qfilter: NoncausalFir
-    lstructure: NoncausalFir
-    epsilon: float | None = 1e-3
-    k_max: int = 5
-    k_tol: float = 1e-3
-
-    def __post_init__(self):
-        if self.qfilter.has_decisions():
-            raise ValueError("Q filter must be decision-free")
-        if self.epsilon is not None and not (self.epsilon > 0):
-            raise ValueError("epsilon must be positive (or None for no margin)")
-
-    def solve(self) -> SynthesisResult:
-        return synth_freq_robust(self.qfilter, self.lstructure, self.plant,
-                                 epsilon=self.epsilon, k_max=self.k_max,
-                                 k_tol=self.k_tol)
-
-
 def simplexify(num_theta: Sequence, den_theta: Sequence, vertices,
                theta_vars: Sequence[str] = ("theta",),
                lambda_prefix: str = "lam") -> UncertainTransferFunction:

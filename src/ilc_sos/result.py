@@ -119,7 +119,9 @@ def escalate(M: PolyMatrix, lam: Sequence[str], epsilon: float | None, k_max: in
     The margin eps (None: no margin) is eps times M's gamma-coefficient H,
     the positive diagonal of the rate block: the Grams certify
     M(gamma) - eps H, and since M is affine in gamma the certified gamma is
-    the margin-free bound plus eps.
+    the margin-free bound plus eps.  A margin must be positive: with
+    eps <= 0 the certified gamma would undercut the margin-free bound, so it
+    raises ValueError.
 
     Levels k = 0, 1, ... are solved until eta = gamma^2 improves by less
     than ``k_tol`` or ``k_max`` is reached (level 0 only without simplex
@@ -135,6 +137,8 @@ def escalate(M: PolyMatrix, lam: Sequence[str], epsilon: float | None, k_max: in
     records that, and the raw per-level solve values go to the diagnostics
     together with a flag for a numerical increase beyond 1e-6.
     """
+    if epsilon is not None and not epsilon > 0:
+        raise ValueError("epsilon must be positive (or None for no margin)")
     variables = M.variables
     deg_lambda = M.degree_in(lam)
     base = substitute_squares(M, lam)

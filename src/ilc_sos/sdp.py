@@ -13,6 +13,11 @@ predictor-corrector, and one infeasible start at SDPT3's data-scaled point
     maximize    beta^T nu
     subject to  D^T nu = -c,    Z = -A*(nu) >= 0.
 
+The program comes as :class:`SdpProblem`'s arrays and is read as they
+stand: D is ``free``, beta is ``rhs``, and each row (i, b, p, q) of
+``entries`` with its ``weights`` entry w puts w/2 at (p, q) and at (q, p) of
+block b of A_i, so <A_i, G> sums w G_b[p, q] over equality i's rows.
+
 The iteration keeps G, Z and every direction in one stacked (B, n, n) array,
 n the largest block, so each factorization (Cholesky, the SVD of the NT
 scaling, the eigenvalues of the step test) is one batched call, and A and
@@ -122,26 +127,18 @@ def _chunk_shapes(rows: int, n: int, width: int, entries: int) -> tuple:
 
 
 class _Assembled:
-    """Array form of an SdpProblem: per-block sparse entries + dense D."""
+    """An SdpProblem's entries regrouped by block, with the IPM's index maps."""
 
     def __init__(self, problem: SdpProblem):
         self.dims = list(problem.block_dims)
         self.free_ids = list(problem.free_ids)
-        p = len(problem.equalities)
-        q = len(self.free_ids)
-        fidx = {k: j for j, k in enumerate(self.free_ids)}
-        self.beta = np.array([eq.rhs for eq in problem.equalities], dtype=float)
-        self.D = np.zeros((p, q))
-        for i, eq in enumerate(problem.equalities):
-            for k, w in eq.free.items():
-                self.D[i, fidx[k]] = w
-        # every Gram entry (b, i, p, q, w), by block, then by equality; each
-        # block's entries are a slice of these arrays
-        ent = np.array([(b, i, r, s, w) for i, eq in enumerate(problem.equalities)
-                        for b, r, s, w in eq.gram], dtype=float).reshape(-1, 5)
-        ent = ent[np.lexsort((ent[:, 1], ent[:, 0]))]
-        blk, self.eq, pp, qq = ent[:, :4].T.astype(int)
-        self.w = ent[:, 4]
+        self.beta, self.D = problem.rhs, problem.free
+        p = len(self.beta)
+        # every Gram entry's equality, block, p, q and weight, by block, then
+        # by equality; each block's entries are a slice of these arrays
+        order = np.lexsort((problem.entries[:, 0], problem.entries[:, 1]))
+        self.eq, blk, pp, qq = np.ascontiguousarray(problem.entries[order].T)
+        self.w = problem.weights[order]
         cuts = np.searchsorted(blk, np.arange(1, len(self.dims)))
         self.blocks = list(zip(*(np.split(x, cuts) for x in (self.eq, pp, qq, self.w))))
         # The IPM keeps the blocks in one stacked (B, n, n) array, n the

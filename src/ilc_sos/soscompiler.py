@@ -51,9 +51,13 @@ against its own scale; see :mod:`polyalg`).  The compile keys every Gram
 entry (b, p <= q) and every coefficient of S's upper triangle by (degree,
 monomial, position), encoded as one integer; the sorted distinct keys of the
 Gram entries are the equalities, and S's coefficient rows are found among
-them by search.  :func:`check_certificate` rebuilds V^T G V from the
-certificate's own pairs and forms the residual S - V^T G V coefficientwise
-from the same keys; it reads nothing the compile produced.
+them by search.  The program stays in array form from there to the solver
+(:class:`SdpProblem`): one int row (equality, block, p, q) and one weight per
+Gram entry, grouped by equality, a dense equalities x free-scalars matrix of
+the decisions' coefficients and one right-hand side per equality.
+:func:`check_certificate` rebuilds V^T G V from the certificate's own
+pairs and forms the residual S - V^T G V coefficientwise from the same
+keys; it reads nothing the compile produced.
 """
 
 from __future__ import annotations
@@ -151,91 +155,115 @@ def sign_classes(pairs: Sequence[tuple],
 
 
 @dataclass
-class Equality:
-    """sum w*G[b][p,q]  -  sum free[j]*y_j  =  rhs  (G symmetric, p <= q)."""
-
-    gram: list  # list of (block, p, q, weight)
-    free: dict  # id -> coefficient
-    rhs: float
-    # provenance, for debugging and certificate checks
-    monomial: tuple | None = None
-    position: tuple | None = None
-
-
-@dataclass
 class SdpProblem:
+    """The compiled program, as arrays.  Equality i reads
+
+        sum_e weights[e] G[b_e][p_e, q_e]  -  sum_j free[i, j] y_j  =  rhs[i]
+
+    over its Gram entries e, the rows (i, b_e, p_e, q_e) of ``entries``,
+    which are sorted by equality; y_j is the free scalar ``free_ids[j]``.
+    ``bases`` (one (monomial, coordinate) pair list per Gram block) is kept
+    for the certificate and is not serialized.
+    """
+
     block_dims: list
     free_ids: tuple
     objective: dict
-    equalities: list
-    # metadata for certificate reconstruction (not serialized): one
-    # (monomial, coordinate) pair list per Gram block
+    entries: np.ndarray   # int, one row (equality, block, p, q) per Gram entry
+    weights: np.ndarray   # float, one per Gram entry
+    free: np.ndarray      # float, equalities x free_ids
+    rhs: np.ndarray       # float, one per equality
     bases: list | None = None
-    matrix_dim: int | None = None
-    variables: tuple | None = None
 
     @property
     def n_equalities(self) -> int:
-        return len(self.equalities)
+        return len(self.rhs)
 
     def serialize(self) -> str:
-        lines = ["sos-sdp 1"]
-        lines.append("blocks " + " ".join(str(d) for d in self.block_dims))
-        lines.append("free " + " ".join(self.free_ids))
-        lines.append("objective " + " ".join(f"{k} {v!r}" for k, v in sorted(self.objective.items())))
-        lines.append(f"equalities {len(self.equalities)}")
-        for eq in self.equalities:
-            bits = ["g", str(len(eq.gram))]
-            for b, p, q, w in eq.gram:
-                bits += [str(b), str(p), str(q), repr(w)]
-            bits += ["f", str(len(eq.free))]
-            for k in sorted(eq.free):
-                bits += [k, repr(eq.free[k])]
-            bits += ["r", repr(eq.rhs)]
-            lines.append(" ".join(bits))
+        """The program as text, one line per equality:
+        ``g <n> (<block> <p> <q> <weight>)*n f <m> (<id> <coeff>)*m r <rhs>``."""
+        lines = ["sos-sdp 1",
+                 "blocks " + " ".join(str(d) for d in self.block_dims),
+                 "free " + " ".join(self.free_ids),
+                 "objective " + " ".join(f"{k} {v!r}" for k, v in sorted(self.objective.items())),
+                 f"equalities {self.n_equalities}"]
+        gram = [f"{b} {p} {q} {w!r}" for (b, p, q), w in zip(self.entries[:, 1:].tolist(),
+                                                             self.weights.tolist())]
+        bounds = np.searchsorted(self.entries[:, 0], np.arange(self.n_equalities + 1)).tolist()
+        for lo, hi, row, rhs in zip(bounds, bounds[1:], self.free.tolist(), self.rhs.tolist()):
+            free = [f"{k} {v!r}" for k, v in zip(self.free_ids, row) if v]
+            lines.append(" ".join(["g", str(hi - lo), *gram[lo:hi],
+                                   "f", str(len(free)), *free, "r", repr(rhs)]))
         return "\n".join(lines) + "\n"
 
     @classmethod
     def parse(cls, text: str) -> "SdpProblem":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if lines[0].split() != ["sos-sdp", "1"]:
-            raise ValueError("bad header")
-        dims = [int(t) for t in lines[1].split()[1:]]
-        free_ids = tuple(lines[2].split()[1:])
-        obj_toks = lines[3].split()[1:]
-        objective = {obj_toks[i]: float(obj_toks[i + 1]) for i in range(0, len(obj_toks), 2)}
-        n_eq = int(lines[4].split()[1])
-        eqs = []
-        for ln in lines[5:5 + n_eq]:
-            toks = ln.split()
-            assert toks[0] == "g"
-            ng = int(toks[1])
-            pos = 2
-            gram = []
-            for _ in range(ng):
-                b, p, q = int(toks[pos]), int(toks[pos + 1]), int(toks[pos + 2])
-                w = float(toks[pos + 3])
-                gram.append((b, p, q, w))
-                pos += 4
-            assert toks[pos] == "f"
-            nf = int(toks[pos + 1])
-            pos += 2
-            free = {}
-            for _ in range(nf):
-                free[toks[pos]] = float(toks[pos + 1])
-                pos += 2
-            assert toks[pos] == "r"
-            rhs = float(toks[pos + 1])
-            eqs.append(Equality(gram, free, rhs))
-        return cls(dims, free_ids, objective, eqs)
+        """Read :meth:`serialize`'s text back.  Raises ValueError naming the
+        first line that does not read as that format."""
+        rows = iter([(no, ln.split()) for no, ln in enumerate(text.splitlines(), 1)
+                     if ln.strip()])
+        no = 0
+
+        def take(key):
+            """The next line's fields, which must start with ``key``."""
+            nonlocal no
+            no, toks = next(rows, (no + 1, ["(end of text)"]))
+            if toks[0] != key:
+                raise ValueError(f"expected a {key!r} line, found {toks[0]!r}")
+            return toks
+
+        try:
+            if take("sos-sdp") != ["sos-sdp", "1"]:
+                raise ValueError("unknown format version")
+            dims = [int(t) for t in take("blocks")[1:]]
+            free_ids = tuple(take("free")[1:])
+            obj = take("objective")[1:]
+            if len(obj) % 2:
+                raise ValueError("objective needs (id, coefficient) pairs")
+            objective = {k: float(v) for k, v in zip(obj[::2], obj[1::2])}
+            (n_eq,) = (int(t) for t in take("equalities")[1:])
+            if n_eq < 0:
+                raise ValueError("negative equality count")
+            col = {k: j for j, k in enumerate(free_ids)}
+            entries, weights, cells, rhs = [], [], [], []
+            for i in range(n_eq):
+                toks = take("g")
+                pos = 2
+                for _ in range(int(toks[1])):
+                    b, p, q = int(toks[pos]), int(toks[pos + 1]), int(toks[pos + 2])
+                    if not (0 <= b < len(dims) and 0 <= p < dims[b] and 0 <= q < dims[b]):
+                        raise ValueError(f"Gram entry ({b}, {p}, {q}) lies outside the blocks")
+                    entries.append((i, b, p, q))
+                    weights.append(float(toks[pos + 3]))
+                    pos += 4
+                if toks[pos] != "f":
+                    raise ValueError("expected 'f' after the Gram entries")
+                nf = int(toks[pos + 1])
+                for k, v in zip(toks[pos + 2:pos + 2 + 2 * nf:2], toks[pos + 3:pos + 3 + 2 * nf:2]):
+                    if k not in col:
+                        raise ValueError(f"unknown free scalar {k!r}")
+                    cells.append((i, col[k], float(v)))
+                pos += 2 + 2 * nf
+                if toks[pos:pos + 1] != ["r"] or len(toks) != pos + 2:
+                    raise ValueError("expected the line to end with 'r <rhs>'")
+                rhs.append(float(toks[pos + 1]))
+            for no, _ in rows:
+                raise ValueError("text after the last equality")
+        except IndexError:
+            raise ValueError(f"line {no}: the line ends early") from None
+        except ValueError as e:
+            raise ValueError(f"line {no}: {e}") from None
+        free = np.zeros((n_eq, len(free_ids)))
+        for i, j, v in cells:
+            free[i, j] = v
+        return cls(dims, free_ids, objective, np.array(entries, dtype=np.int64).reshape(-1, 4),
+                   np.array(weights, dtype=float), free, np.array(rhs, dtype=float))
 
 
 @dataclass
 class SosCertificate:
     grams: list          # numpy arrays, one per block
     bases: list          # (monomial, coordinate) pairs per block
-    matrix_dim: int
-    variables: tuple
 
 
 @dataclass
@@ -333,40 +361,30 @@ def compile_sos(S: PolyMatrix, objective: Mapping[str, float],
     # each equality is divided by its coefficient's magnitude, floored at 1
     scale = np.maximum(np.abs(coeff).max(axis=1), 1.0)
     coeff /= scale[:, None]
-    weights = np.concatenate(weights)[order] / np.repeat(scale, np.diff(starts, append=len(order)))
-    gram = [tuple(e) + (w,) for e, w in zip(np.concatenate(entries)[order].tolist(),
-                                            weights.tolist())]
-    heads = keys[order][starts].tolist()
-    bounds = starts.tolist() + [len(order)]
-    equalities = [
-        Equality(gram[lo:hi], {d: w for d, w in zip(names, row[1:]) if w}, row[0],
-                 monomial=tuple(head[:-2]), position=tuple(head[-2:]))
-        for lo, hi, row, head in zip(bounds, bounds[1:], coeff.tolist(), heads)]
+    counts = np.diff(starts, append=len(order))
+    weights = np.concatenate(weights)[order] / np.repeat(scale, counts)
+    entries = np.column_stack([np.repeat(np.arange(len(eq_codes)), counts),
+                               np.concatenate(entries)[order]])
+    # a decision is a free scalar when the objective prices it or some
+    # equality carries it; a signed zero is no coefficient
+    carried = np.where(coeff[:, 1:] != 0, coeff[:, 1:], 0.0)
+    free_ids = tuple(sorted(set(objective).union(
+        d for d, col in zip(names, carried.T) if col.any())))
+    free = np.zeros((len(coeff), len(free_ids)))
+    for d, col in zip(names, carried.T):
+        if d in free_ids:
+            free[:, free_ids.index(d)] = col
 
-    free_ids = set(objective)
-    for eq in equalities:
-        free_ids |= set(eq.free)
-
-    return SdpProblem(
-        block_dims=[len(b) for b in bases],
-        free_ids=tuple(sorted(free_ids)),
-        objective=dict(objective),
-        equalities=equalities,
-        bases=bases,
-        matrix_dim=m,
-        variables=variables,
-    )
+    return SdpProblem(block_dims=[len(b) for b in bases], free_ids=free_ids,
+                      objective=dict(objective), entries=entries, weights=weights,
+                      free=free, rhs=coeff[:, 0].copy(), bases=bases)
 
 
 def certificate_from_grams(problem: SdpProblem, grams: Sequence[np.ndarray]) -> SosCertificate:
-    if problem.bases is None or problem.matrix_dim is None:
+    if problem.bases is None:
         raise ValueError("problem lacks basis metadata")
-    return SosCertificate(
-        grams=[np.asarray(g, dtype=float) for g in grams],
-        bases=[list(b) for b in problem.bases],
-        matrix_dim=problem.matrix_dim,
-        variables=problem.variables or (),
-    )
+    return SosCertificate(grams=[np.asarray(g, dtype=float) for g in grams],
+                          bases=[list(b) for b in problem.bases])
 
 
 RESIDUAL_TOL = 1e-6  # largest scaled coefficient mismatch of a passing certificate

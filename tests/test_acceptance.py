@@ -297,8 +297,7 @@ def test_criterion_7_structural_properties():
                     entries[r][s] = entries[r][s] + AffinePoly.monomial(
                         ("x", "y"), mu, G[i * m + r, j * m + s])
     S = PolyMatrix.from_rows(entries)
-    cert = SosCertificate(grams=[G], bases=[kron_pairs(basis, m)], matrix_dim=m,
-                          variables=("x", "y"))
+    cert = SosCertificate(grams=[G], bases=[kron_pairs(basis, m)])
     report = check_certificate(S, {}, cert)
     assert report.residual <= 1e-12
     assert report.passed

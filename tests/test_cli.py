@@ -304,6 +304,12 @@ def test_huge_coefficient_plant_exits_3(tmp_path, capsys, mode, payload):
     assert "solver failure" in capsys.readouterr().err
 
 
+UNCERTAIN_LIFTED = {"mode": "synth-time", "plant": {
+    "type": "markov", "N": 2, "lambda_vars": ["a", "b"],
+    "markov": [[{"exponents": [1, 0], "value": 1.0}, {"exponents": [0, 1], "value": 2.0}], 0.5]}}
+
+REPRO_REDUCED = {"mode": "repro-paper", "orders": [0], "k_values": [0], "order3_k_max": 0}
+
 SIMULATE_DEADBEAT = {"mode": "simulate", "plant": DELAY_PLANT,
                      "lfilter": {"k_lead": 0, "k_lag": 0, "coeffs": [1.0]},
                      "horizon": 8, "trials": 3, "n_runs": 2}
@@ -336,12 +342,50 @@ SIMULATE_DEADBEAT = {"mode": "simulate", "plant": DELAY_PLANT,
                  id="simulate-n-runs-0"),
     pytest.param("simulate", {**SIMULATE_DEADBEAT, "trials": 0}, [], "trials",
                  id="simulate-trials-0"),
+    # a negative escalation cap used to end as "solver failure: no multiplier
+    # power up to k=-1" (exit 3)
+    pytest.param("synth-freq", {"mode": "synth-freq", "plant": PAPER_POLYTOPE,
+                                "lstructure": {"order": 0}}, ["--k-max", "-1"], "k_max",
+                 id="synth-freq-k-max-flag-negative"),
+    pytest.param("synth-time", {**UNCERTAIN_LIFTED, "k_max": -2}, [], "k_max",
+                 id="synth-time-k-max-negative"),
+    pytest.param("repro-paper", {**REPRO_REDUCED, "order3_k_max": -1}, [], "order3_k_max",
+                 id="repro-paper-order3-k-max-negative"),
 ])
 def test_bad_sampling_setting_exits_2(tmp_path, capsys, mode, payload, flags, key):
     cfg = write_config(tmp_path, payload)
     rc = cli.main([mode, "--config", cfg, "--out", str(tmp_path / "out"), *flags])
     assert rc == 2
     assert f"config error: {key}: must be at least" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode, payload, flags", [
+    pytest.param("synth-freq", {"mode": "synth-freq", "plant": DELAY_PLANT,
+                                "lstructure": {"order": 0}, "epsilon": 0}, [],
+                 id="synth-freq-epsilon-0"),
+    pytest.param("synth-freq", {"mode": "synth-freq", "plant": PAPER_POLYTOPE,
+                                "lstructure": {"order": 0}, "epsilon": -1}, [],
+                 id="synth-freq-epsilon-negative"),
+    # M(gamma - eps) with eps = -0.1 used to certify a rate 0.1 below the
+    # margin-free one, and exit 0
+    pytest.param("repro-paper", {**REPRO_REDUCED, "epsilon": -0.1}, [],
+                 id="repro-paper-epsilon-negative"),
+    pytest.param("repro-paper", REPRO_REDUCED, ["--epsilon", "-0.1"],
+                 id="repro-paper-epsilon-flag-negative"),
+])
+def test_nonpositive_epsilon_exits_2(tmp_path, capsys, mode, payload, flags):
+    cfg = write_config(tmp_path, payload)
+    rc = cli.main([mode, "--config", cfg, "--out", str(tmp_path / "out"), *flags])
+    assert rc == 2
+    assert "config error: epsilon must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "result.json").exists()
+
+
+def test_repro_paper_negative_k_value_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, {**REPRO_REDUCED, "k_values": [-1, 0]})
+    rc = cli.main(["repro-paper", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "config error: k_values" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("plant", [

@@ -410,6 +410,15 @@ def test_robust_rejects_decision_q():
         fd.synth_freq_robust(q, fd.NoncausalFir.causal_decision(1), frozen_theta_plant())
 
 
+@pytest.mark.parametrize("epsilon", [0.0, -0.1])
+def test_robust_rejects_nonpositive_margin(monkeypatch, epsilon):
+    # M(gamma - eps) with eps < 0 would certify a rate below the margin-free one
+    monkeypatch.setattr(sdp, "solve", lambda *a, **k: pytest.fail("solved"))
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        fd.synth_freq_robust(fd.NoncausalFir.unity(), fd.NoncausalFir.causal_decision(0),
+                             paper_plant(), epsilon=epsilon, k_max=0)
+
+
 def test_paper_grams_symmetric_and_certified(monkeypatch):
     # every Gram the IPM returns is symmetric, and every certificate check
     # (one per checked level: nothing re-solves) passes

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from ilc_sos import result, sdp
@@ -22,7 +23,8 @@ def _stub_compile(monkeypatch):
 
     def compile_sos(S, objective, bases=None):
         compiled.append(S)
-        return SdpProblem([1], (), {"k": len(compiled) - 1}, [])
+        return SdpProblem([1], (), {"k": len(compiled) - 1}, np.zeros((0, 4), np.int64),
+                          np.zeros(0), np.zeros((0, 0)), np.zeros(0))
 
     monkeypatch.setattr(result, "compile_sos", compile_sos)
     return compiled

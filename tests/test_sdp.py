@@ -4,21 +4,29 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ilc_sos.soscompiler import Equality, SdpProblem
+from ilc_sos.soscompiler import SdpProblem
 from ilc_sos import cli, sdp
 from ilc_sos import timedomain as td
 
 
-def make_problem(block_dims, equalities, objective):
-    ids = set(objective)
-    for eq in equalities:
-        ids |= set(eq.free)
-    return SdpProblem(list(block_dims), tuple(sorted(ids)), dict(objective), list(equalities))
+def make_problem(block_dims, equalities, objective, free_ids=None):
+    """The program of per-row ``(gram, free, rhs)`` lists: ``gram`` holds
+    (block, p, q, weight) tuples, ``free`` maps free ids to coefficients."""
+    if free_ids is None:
+        free_ids = tuple(sorted(set(objective).union(*(free for _, free, _ in equalities))))
+    entries = [(i, b, p, q) for i, (gram, _, _) in enumerate(equalities) for b, p, q, _ in gram]
+    return SdpProblem(
+        list(block_dims), tuple(free_ids), dict(objective),
+        np.array(entries, dtype=np.int64).reshape(-1, 4),
+        np.array([w for gram, _, _ in equalities for *_, w in gram], dtype=float),
+        np.array([[free.get(k, 0.0) for k in free_ids] for _, free, _ in equalities],
+                 dtype=float).reshape(len(equalities), len(free_ids)),
+        np.array([rhs for *_, rhs in equalities], dtype=float))
 
 
 def test_min_scalar_psd():
     # min y s.t. [[y]] >= 0
-    prob = make_problem([1], [Equality([(0, 0, 0, 1.0)], {"y": 1.0}, 0.0)], {"y": 1.0})
+    prob = make_problem([1], [([(0, 0, 0, 1.0)], {"y": 1.0}, 0.0)], {"y": 1.0})
     sol = sdp.solve(prob)
     assert sol.ok
     assert sol.objective_value == pytest.approx(0.0, abs=1e-7)
@@ -27,9 +35,9 @@ def test_min_scalar_psd():
 def test_min_diagonal_with_unit_offdiag():
     # min y s.t. [[y, 1], [1, y]] >= 0  ->  y* = 1
     eqs = [
-        Equality([(0, 0, 0, 1.0)], {"y": 1.0}, 0.0),
-        Equality([(0, 0, 1, 1.0)], {}, 1.0),
-        Equality([(0, 1, 1, 1.0)], {"y": 1.0}, 0.0),
+        ([(0, 0, 0, 1.0)], {"y": 1.0}, 0.0),
+        ([(0, 0, 1, 1.0)], {}, 1.0),
+        ([(0, 1, 1, 1.0)], {"y": 1.0}, 0.0),
     ]
     prob = make_problem([2], eqs, {"y": 1.0})
     sol = sdp.solve(prob)
@@ -43,9 +51,9 @@ def test_two_blocks_and_trace_constraint():
     # blocks G1 (2x2), G2 (1x1); tr(G1) + G2 = 1, G1[0,1] = 0.2
     # minimize G2 via y tied to it
     eqs = [
-        Equality([(0, 0, 0, 1.0), (0, 1, 1, 1.0), (1, 0, 0, 1.0)], {}, 1.0),
-        Equality([(0, 0, 1, 1.0)], {}, 0.2),
-        Equality([(1, 0, 0, 1.0)], {"y": 1.0}, 0.0),
+        ([(0, 0, 0, 1.0), (0, 1, 1, 1.0), (1, 0, 0, 1.0)], {}, 1.0),
+        ([(0, 0, 1, 1.0)], {}, 0.2),
+        ([(1, 0, 0, 1.0)], {"y": 1.0}, 0.0),
     ]
     prob = make_problem([2, 1], eqs, {"y": 1.0})
     sol = sdp.solve(prob)
@@ -56,16 +64,16 @@ def test_two_blocks_and_trace_constraint():
 
 def test_infeasible_psd():
     # [[y]] >= 0 with y = -1 pinned by equality on the Gram entry
-    prob = make_problem([1], [Equality([(0, 0, 0, 1.0)], {}, -1.0)], {})
+    prob = make_problem([1], [([(0, 0, 0, 1.0)], {}, -1.0)], {})
     sol = sdp.solve(prob)
     assert sol.status == "infeasible"
 
 
 def test_determinism():
     eqs = [
-        Equality([(0, 0, 0, 1.0)], {"y": 1.0}, 0.0),
-        Equality([(0, 0, 1, 1.0)], {}, 0.3),
-        Equality([(0, 1, 1, 1.0)], {"y": 1.0}, -0.1),
+        ([(0, 0, 0, 1.0)], {"y": 1.0}, 0.0),
+        ([(0, 0, 1, 1.0)], {}, 0.3),
+        ([(0, 1, 1, 1.0)], {"y": 1.0}, -0.1),
     ]
     prob = make_problem([2], eqs, {"y": 1.0})
     a = sdp.solve(prob)
@@ -79,9 +87,9 @@ def test_determinism():
 def _offdiag_problem(a):
     # min y s.t. [[y, a], [a, y]] >= 0  ->  y* = a
     eqs = [
-        Equality([(0, 0, 0, 1.0)], {"y": 1.0}, 0.0),
-        Equality([(0, 0, 1, 1.0)], {}, a),
-        Equality([(0, 1, 1, 1.0)], {"y": 1.0}, 0.0),
+        ([(0, 0, 0, 1.0)], {"y": 1.0}, 0.0),
+        ([(0, 0, 1, 1.0)], {}, a),
+        ([(0, 1, 1, 1.0)], {"y": 1.0}, 0.0),
     ]
     return make_problem([2], eqs, {"y": 1.0})
 
@@ -111,7 +119,7 @@ def test_solve_runs_the_ipm_once(monkeypatch):
     # cut off after one iteration: a numerical failure, and no second start
     assert sdp.solve(_offdiag_problem(1.0), max_iter=1).status == "numerical_failure"
     assert len(calls) == 2
-    infeasible = make_problem([1], [Equality([(0, 0, 0, 1.0)], {}, -1.0)], {})
+    infeasible = make_problem([1], [([(0, 0, 0, 1.0)], {}, -1.0)], {})
     assert sdp.solve(infeasible).status == "infeasible"
     assert len(calls) == 3
 
@@ -137,7 +145,7 @@ def test_three_kkt_solves_per_iteration(monkeypatch):
 
 
 def test_solution_report_format():
-    prob = make_problem([1], [Equality([(0, 0, 0, 1.0)], {"y": 1.0}, 0.0)], {"y": 1.0})
+    prob = make_problem([1], [([(0, 0, 0, 1.0)], {"y": 1.0}, 0.0)], {"y": 1.0})
     sol = sdp.solve(prob)
     text = sol.report()
     assert "status" in text and "optimal" in text
@@ -158,14 +166,14 @@ def _random_assembled(n_free=0):
             b = int(rng.integers(0, 2))
             r, s = (int(v) for v in rng.integers(0, dims[b], size=2))
             gram.append((b, r, s, float(rng.normal())))
-        eqs.append(Equality(gram, {"y": float(rng.normal())} if i % 3 == 0 else {},
-                            float(rng.normal())))
-    eqs[4].gram.extend([(0, 1, 3, 0.7), (0, 1, 3, -0.2), (0, 3, 1, 0.4)])
+        eqs.append((gram, {"y": float(rng.normal())} if i % 3 == 0 else {},
+                    float(rng.normal())))
+    eqs[4][0].extend([(0, 1, 3, 0.7), (0, 1, 3, -0.2), (0, 3, 1, 0.4)])
     objective = {"y": 1.0}
     if n_free:
         frng = np.random.default_rng(n_free)
-        for eq in eqs:
-            eq.free = {f"f{j}": float(frng.normal()) for j in range(n_free)}
+        eqs = [(gram, {f"f{j}": float(frng.normal()) for j in range(n_free)}, rhs)
+               for gram, _, rhs in eqs]
         objective = {"f0": 1.0}
     prob = make_problem(dims, eqs, objective)
     # scalings stacked as the IPM keeps them: (B, 5, 5), identity in the pads
@@ -183,8 +191,8 @@ def _unit_At(A):
 
 def _two_block_assembled():
     # equality 0 has entries in both blocks, equality 1 in block 1 only
-    eqs = [Equality([(0, 0, 1, 0.6), (0, 2, 2, -1.1), (1, 0, 0, 0.9), (1, 0, 1, 0.4)], {}, 1.0),
-           Equality([(1, 1, 1, 1.3)], {"y": 1.0}, 0.0)]
+    eqs = [([(0, 0, 1, 0.6), (0, 2, 2, -1.1), (1, 0, 0, 0.9), (1, 0, 1, 0.4)], {}, 1.0),
+           ([(1, 1, 1, 1.3)], {"y": 1.0}, 0.0)]
     rng = np.random.default_rng(11)
     Ws = np.stack([np.eye(3)] * 2)
     for b, n in enumerate([3, 2]):
@@ -223,11 +231,11 @@ def test_schur_with_supplied_buffers_allocates_under_one_chunk():
     # so nothing p^2-sized or block-sized is allocated per call
     rng = np.random.default_rng(3)
     p, n = 168, 24
-    eqs = [Equality([], {}, float(rng.normal())) for _ in range(p)]
+    eqs = [([], {}, float(rng.normal())) for _ in range(p)]
     for b in range(2):
         for r, c in zip(*np.triu_indices(n)):
-            eqs[int(rng.integers(p))].gram.append((b, int(r), int(c), float(rng.normal())))
-    eqs[0].free = {"y": 1.0}
+            eqs[int(rng.integers(p))][0].append((b, int(r), int(c), float(rng.normal())))
+    eqs[0][1]["y"] = 1.0
     A = sdp._Assembled(make_problem([n, n], eqs, {"y": 1.0}))
     assert all(-(-len(active) // rows) >= 3 for active, *_, rows in A.padded)
     Ws = np.empty((2, n, n))
@@ -322,8 +330,8 @@ def test_null_space_step_matches_dense_kkt(n_free):
 
 
 def test_free_scalar_in_no_equality_is_fixed_at_zero():
-    prob = SdpProblem([1], ("y", "w"), {"y": 1.0},
-                      [Equality([(0, 0, 0, 1.0)], {"y": 1.0}, 0.0)])
+    prob = make_problem([1], [([(0, 0, 0, 1.0)], {"y": 1.0}, 0.0)], {"y": 1.0},
+                        free_ids=("y", "w"))
     sol = sdp.solve(prob)
     assert sol.ok
     assert sol.scalar_values["w"] == 0.0
@@ -332,9 +340,9 @@ def test_free_scalar_in_no_equality_is_fixed_at_zero():
 
 def _offdiag_with(free):
     # [[y, 1], [1, y]] >= 0 with the diagonal tied to the given free columns
-    return [Equality([(0, 0, 0, 1.0)], dict(free), 0.0),
-            Equality([(0, 0, 1, 1.0)], {}, 1.0),
-            Equality([(0, 1, 1, 1.0)], dict(free), 0.0)]
+    return [([(0, 0, 0, 1.0)], dict(free), 0.0),
+            ([(0, 0, 1, 1.0)], {}, 1.0),
+            ([(0, 1, 1, 1.0)], dict(free), 0.0)]
 
 
 @pytest.mark.parametrize("free_ids, objective, eqs", [
@@ -343,11 +351,11 @@ def _offdiag_with(free):
     pytest.param(("w", "y"), {"y": 1.0}, _offdiag_with({"y": 1.0, "w": 1.0}),
                  id="duplicate-columns"),
     pytest.param(("w", "y"), {"y": 1.0},
-                 [Equality([(0, 0, 0, 1.0)], {"y": 1.0, "w": -2.0}, 0.0)],
+                 [([(0, 0, 0, 1.0)], {"y": 1.0, "w": -2.0}, 0.0)],
                  id="wide"),  # q = 2 free columns, p = 1 equality
 ])
 def test_dependent_free_scalars_are_a_named_failure(free_ids, objective, eqs):
-    sol = sdp.solve(SdpProblem([2], free_ids, objective, eqs))
+    sol = sdp.solve(make_problem([2], eqs, objective, free_ids))
     assert sol.status == "numerical_failure"
     assert "rank-deficient" in sol.message
     assert set(sol.scalar_values) == set(free_ids)
@@ -404,9 +412,9 @@ def _mixed_size_problem():
     # blocks [1, 3, 2]: min y s.t. diag(G1) = y with the path graph's unit
     # off-diagonals, G0 = y - 1 (an n = 1 block), and G2 in no equality;
     # y* = sqrt(2), the path matrix's largest eigenvalue
-    eqs = [Equality([(1, i, i, 1.0)], {"y": 1.0}, 0.0) for i in range(3)]
-    eqs += [Equality([(1, 0, 1, 1.0)], {}, 1.0), Equality([(1, 1, 2, 1.0)], {}, 1.0),
-            Equality([(1, 0, 2, 1.0)], {}, 0.0), Equality([(0, 0, 0, 1.0)], {"y": 1.0}, -1.0)]
+    eqs = [([(1, i, i, 1.0)], {"y": 1.0}, 0.0) for i in range(3)]
+    eqs += [([(1, 0, 1, 1.0)], {}, 1.0), ([(1, 1, 2, 1.0)], {}, 1.0),
+            ([(1, 0, 2, 1.0)], {}, 0.0), ([(0, 0, 0, 1.0)], {"y": 1.0}, -1.0)]
     return make_problem([1, 3, 2], eqs, {"y": 1.0})
 
 

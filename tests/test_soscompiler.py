@@ -12,6 +12,7 @@ from ilc_sos.soscompiler import (
     monomial_basis,
     sign_classes,
 )
+from ilc_sos import cli
 from ilc_sos import freqdomain as fd
 from ilc_sos import result
 from ilc_sos import sdp
@@ -201,6 +202,51 @@ def test_serialize_round_trip():
     assert s1.objective_value == pytest.approx(s2.objective_value, abs=1e-12)
 
 
+@pytest.fixture(scope="module")
+def paper_program():
+    """The level-0 program of the paper plant at order 0, as its text."""
+    with pytest.MonkeyPatch.context() as mp:
+        seen = _capture_compiles(mp)
+        fd.synth_freq_robust(fd.NoncausalFir.unity(), fd.NoncausalFir.causal_decision(0),
+                             cli.paper_plant(), k_max=0)
+    return seen[0][1]
+
+
+def test_solve_file_replays_the_in_memory_solve(tmp_path, paper_program):
+    path = tmp_path / "program.txt"
+    path.write_text(paper_program.serialize())
+    direct, replayed = sdp.solve(paper_program), sdp.solve_file(str(path))
+    assert direct.ok and replayed.ok
+    assert replayed.objective_value == direct.objective_value
+    assert replayed.trace == direct.trace
+
+
+def _garbled(text, line, field, value):
+    lines = text.splitlines()
+    toks = lines[line].split()
+    toks[field] = value
+    lines[line] = " ".join(toks)
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda t: t[:len(t) // 2], id="truncated-mid-line"),
+    pytest.param(lambda t: "\n".join(t.splitlines()[:-1]), id="last-equality-missing"),
+    pytest.param(lambda t: t + "g 0 f 0 r 1.0\n", id="extra-equality"),
+    pytest.param(lambda t: _garbled(t, 0, 1, "2"), id="unknown-version"),
+    pytest.param(lambda t: _garbled(t, 4, 1, "x"), id="count-not-an-int"),
+    pytest.param(lambda t: _garbled(t, 5, 5, "1.0.0"), id="weight-not-a-float"),
+    pytest.param(lambda t: _garbled(t, 5, 2, "99"), id="block-out-of-range"),
+    pytest.param(lambda t: _garbled(t, 5, 0, "h"), id="not-an-equality"),
+    pytest.param(lambda t: _garbled(t, 5, 1, "999"), id="gram-count-too-large"),
+])
+def test_parse_rejects_bad_text(paper_program, edit):
+    text = paper_program.serialize()
+    SdpProblem.parse(text)
+    with pytest.raises(ValueError, match=r"^line \d+: "):
+        SdpProblem.parse(edit(text))
+
+
 # ---------------------------------------------------------------------------
 # the (monomial, coordinate) pair layout against the two layouts it replaced
 
@@ -243,8 +289,17 @@ def _old_equalities(S, bases):
 
 
 def _new_equalities(prob):
-    return [repr((eq.gram, list(eq.free.items()), eq.rhs, eq.monomial, eq.position))
-            for eq in prob.equalities if eq.monomial is not None]
+    """Each compiled equality in _old_equalities' form; its monomial and
+    position are read off the pairs of its first Gram entry."""
+    bounds = np.searchsorted(prob.entries[:, 0], np.arange(prob.n_equalities + 1)).tolist()
+    gram = [(b, p, q, w) for (_, b, p, q), w in zip(prob.entries.tolist(), prob.weights.tolist())]
+    out = []
+    for lo, hi, row, rhs in zip(bounds, bounds[1:], prob.free.tolist(), prob.rhs.tolist()):
+        b, p, q, _ = gram[lo]
+        (mp, cp), (mq, cq) = prob.bases[b][p], prob.bases[b][q]
+        out.append(repr((gram[lo:hi], [(k, v) for k, v in zip(prob.free_ids, row) if v], rhs,
+                         tuple(x + y for x, y in zip(mp, mq)), (min(cp, cq), max(cp, cq)))))
+    return out
 
 
 def _capture_compiles(monkeypatch):
