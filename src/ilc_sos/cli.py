@@ -143,7 +143,7 @@ def _fir(d, path: str, default_unity: bool = False) -> fd.NoncausalFir:
         return fd.NoncausalFir.unity()
     _require(isinstance(d, dict), f"{path}: expected an object")
     if set(d) == {"order"}:
-        return fd.NoncausalFir.causal_decision(_integer(d["order"], f"{path}.order"))
+        return fd.NoncausalFir.causal_decision(_count(d["order"], f"{path}.order", 0))
     _check_keys(d, {"k_lead", "k_lag", "coeffs"}, path)
     _require("coeffs" in d, f"{path}: 'coeffs' required (or use the 'order' shorthand)")
     coeffs = d["coeffs"]

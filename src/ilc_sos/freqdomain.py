@@ -63,6 +63,9 @@ class NoncausalFir:
     coeffs: list
 
     def __post_init__(self):
+        for name in ("k_lead", "k_lag"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name}: must be at least 0")
         if len(self.coeffs) != self.k_lead + self.k_lag + 1:
             raise ValueError("coeffs length must be k_lead + k_lag + 1")
 

@@ -36,25 +36,26 @@ w_e (W K_j W)[p_e, q_e]; np.add.at adds the shares into M in place, over
 flat indices i p + j that each chunk builds from the entries' row offsets
 i p kept at assembly.  M, one more p x p buffer and the chunks' work
 buffers are allocated once per solve.  Each iteration forms K = Q^T M Q
-(below) in M's storage and factors its trailing block once (Cholesky, with
-a ridge only when it does not factor as is), so the factor, and the ridged
-copy when a ridge is needed, are the only p x p arrays an iteration
-allocates.  Every Newton solve of the iteration is a blocked forward and
-back substitution with that factor, whose diagonal blocks alone are
-inverted.  A ridged factor's solves are refined against the unridged block
-while that lowers the residual.  An iteration runs three KKT solves: the
+(below) in M's storage and factors its trailing block once (Cholesky, and
+once more with one small fixed ridge only when it does not factor as is),
+so the factor, and the ridged copy when the ridge is needed, are the only
+p x p arrays an iteration allocates.  Every Newton solve of the iteration
+is a blocked forward and back substitution with that factor, whose diagonal
+blocks alone are inverted.  An iteration runs three KKT solves: the
 predictor takes one, since its direction only sets the centering parameter
 and Mehrotra's second-order term, and the corrector takes one plus a
-refinement pass against the primal and free-variable residuals.
+refinement pass against the primal and free-variable residuals, measured
+against the unridged operators.
 
 The free variables are handled by the null-space method: D = Q [R; 0] is
 factored once per solve, and each iteration factors the trailing block of
 Q^T M Q (positive definite whenever M is) in place of M.  A free variable
-that no equality and no cost touches is fixed at 0; otherwise dependent
-columns of D are a numerical failure.  The Newton directions dG and dZ are
-symmetrized, so the iterates, and the returned Gram matrices, are exactly
-symmetric.  The returned Grams are the certificate as they stand: nothing
-re-solves or projects them afterwards.
+that no equality and no cost touches is fixed at 0; otherwise a column of D
+that R's diagonal shows dependent on the columns before it is a numerical
+failure.  The Newton directions dG and dZ are symmetrized, so the iterates,
+and the returned Gram matrices, are exactly symmetric.  The returned Grams
+are the certificate as they stand: nothing re-solves or projects them
+afterwards.
 
 No external solver is involved anywhere.
 """
@@ -160,23 +161,28 @@ class _Assembled:
         # A free scalar that no equality and no cost touches is fixed at 0.
         # The rest must be independent columns of D = Q [R; 0], factored once
         # with q Householder reflectors (LAPACK's geqrf) and kept in compact
-        # WY form Q = I - V T V^T (Schreiber & Van Loan 1989).
+        # WY form Q = I - V T V^T (Schreiber & Van Loan 1989).  |R_jj| is
+        # column j's distance from the span of the columns before it, so each
+        # column is measured against its own norm: a column far smaller than
+        # the others is still independent when R keeps most of it.
         self.scalar_ids = self.free_ids
         keep = self.D.any(axis=0) | (self.c != 0)
         self.free_ids = [k for k, kept in zip(self.free_ids, keep) if kept]
         self.D, self.c = self.D[:, keep], self.c[keep]
         self.q = q = len(self.free_ids)
         self.defect = None
-        if q and np.linalg.matrix_rank(self.D) < q:
-            self.defect = "free scalars not determined by the equalities (rank-deficient D)"
         self.V, self.T, self.Rinv = np.zeros((p, 0)), np.zeros((0, 0)), np.zeros((0, 0))
-        if q and not self.defect:
+        if q:
             h, tau = np.linalg.qr(self.D, mode="raw")  # h is geqrf's output, transposed
-            self.V = (np.triu(h, 1) + np.eye(q, p)).T
-            self.T = np.diag(tau)
-            for k in range(1, q):
-                self.T[:k, k] = -tau[k] * self.T[:k, :k] @ (self.V[:, :k].T @ self.V[:, k])
-            self.Rinv = np.linalg.inv(np.triu(h[:, :q].T))
+            tiny = max(p, q) * np.finfo(float).eps * np.linalg.norm(self.D, axis=0)
+            if q > p or np.any(np.abs(np.diagonal(h)) <= tiny):
+                self.defect = "free scalars not determined by the equalities (rank-deficient D)"
+            else:
+                self.V = (np.triu(h, 1) + np.eye(q, p)).T
+                self.T = np.diag(tau)
+                for k in range(1, q):
+                    self.T[:k, k] = -tau[k] * self.T[:k, :k] @ (self.V[:, :k].T @ self.V[:, k])
+                self.Rinv = np.linalg.inv(np.triu(h[:, :q].T))
 
         # per block, for schur(): each active equality's entries, listed as
         # (p, q) and again as (q, p) and padded to a common width (zero weight
@@ -304,50 +310,27 @@ def _tril_solver(L: np.ndarray):
     return solve
 
 
-# ridges tried, in order, when a Schur complement does not factor as is
-_RIDGES = (0.0, 1e-13, 1e-8)
+# ridge, relative to max(1, largest diagonal entry), for a Schur complement
+# that does not factor as is
+_RIDGE = 1e-13
 
 
 def _refined_solver(M: np.ndarray):
     """Return X -> M^-1 X for a symmetric positive (semi)definite M, or None.
 
-    M is factored once: plain Cholesky first, and only when that fails with
-    the smallest ridge (relative to its largest diagonal entry) that makes
-    it factorable.  A factor of M itself gives the direct solve
-    (_tril_solver).  A ridged factor's solves are refined against the
-    unridged M, which removes the ridge's bias: a sweep is kept while it
-    lowers the squared residual norm, for at most five sweeps (LAPACK's
-    limit in xPORFS).
+    M is factored by plain Cholesky, and only when that fails once more with
+    _RIDGE (relative to its largest diagonal entry) on its diagonal; None
+    when that fails too.  The solves are the factor's substitutions
+    (_tril_solver).  A ridged factor's bias is left to the corrector's
+    refinement pass, which measures its residuals against the unridged
+    operators.
     """
-    scale = max(1.0, float(M.diagonal().max()))
-    for ridge in _RIDGES:
-        Mr = M
-        if ridge:  # a copy of M with the ridge on its diagonal
-            Mr = M.copy()
-            Mr[np.diag_indices_from(Mr)] += ridge * scale
+    L = _chol(M)
+    if L is None:  # a copy of M with the ridge on its diagonal
+        Mr = M.copy()
+        Mr[np.diag_indices_from(Mr)] += _RIDGE * max(1.0, float(M.diagonal().max()))
         L = _chol(Mr)
-        if L is not None:
-            break
-    else:
-        return None
-    direct = _tril_solver(L)
-    if not ridge:
-        return direct
-
-    def solve(B):
-        X = direct(B)
-        R = B - M @ X
-        res = np.vdot(R, R)
-        for _ in range(5):
-            Xc = X + direct(R)
-            Rc = B - M @ Xc
-            res_c = np.vdot(Rc, Rc)
-            if not res_c < res:
-                break
-            X, R, res = Xc, Rc, res_c
-        return X
-
-    return solve
+    return None if L is None else _tril_solver(L)
 
 
 def _null_space_solver(A: _Assembled, M: np.ndarray, buf: np.ndarray):

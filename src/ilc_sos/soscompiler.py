@@ -57,7 +57,10 @@ Gram entry, grouped by equality, a dense equalities x free-scalars matrix of
 the decisions' coefficients and one right-hand side per equality.
 :func:`check_certificate` rebuilds V^T G V from the certificate's own
 pairs and forms the residual S - V^T G V coefficientwise from the same
-keys; it reads nothing the compile produced.
+keys; it reads nothing the compile produced.  Each mismatch is measured
+against the coefficient's resolved value c0 + sum_j d_j y_j (floored at 1),
+not against the compile's equality scale max(1, |c0|, max_j |d_j|), which
+counts a decision weight d_j in full whatever y_j is.
 """
 
 from __future__ import annotations
@@ -396,9 +399,13 @@ def check_certificate(S: PolyMatrix, assignment: Mapping[str, float],
     """Recompute the Gram expansion and compare against S coefficientwise.
 
     ``assignment`` fixes all decision scalars appearing in S.  Each
-    coefficient mismatch is measured relative to that coefficient's magnitude
-    (the same scaling the compiled equalities use, floored at 1), so the
-    verdict matches what the solver was actually asked to satisfy.  Passes
+    coefficient mismatch is measured relative to that coefficient's resolved
+    value, max(1, |c0 + sum_j d_j y_j|), so the certificate must hold for the
+    decisions as reported.  A larger scale hides a mismatch: measured against
+    the coefficient's size max(1, |c0|, max_j |d_j|) (the compile's equality
+    scale), 1e50/(z - 0.5) passes taps of 1e-37 whose rate is 7e14; measured
+    against its terms max(1, |c0|, max_j |d_j y_j|), markov [1, 1e30] passes
+    a tap one ulp from the cancelling -1e30, whose rate is 1.4e14.  Passes
     when the worst scaled mismatch is at most ``residual_tol`` and every Gram
     block has min eigenvalue at least ``eig_tol``.
     """
@@ -418,8 +425,7 @@ def check_certificate(S: PolyMatrix, assignment: Mapping[str, float],
     n = len(t_keys)
     target = np.bincount(inv[:n], weights=values, minlength=len(uniq))
     expansion = np.bincount(inv[n:], weights=np.concatenate([[]] + e_vals), minlength=len(uniq))
-    scales = np.ones(len(uniq))
-    scales[inv[:n]] = np.maximum(np.abs(t_coeffs).max(axis=1, initial=0.0), 1.0)
+    scales = np.maximum(np.abs(target), 1.0)
     residual = float((np.abs(target - expansion) / scales).max(initial=0.0))
     scale = float(scales.max(initial=1.0))
 

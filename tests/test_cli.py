@@ -289,19 +289,63 @@ def test_unusable_plant_exits_2(tmp_path, capsys, mode, payload):
     assert "unusable input" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("mode, payload", [
-    # the tap keeps its influence next to the 1e300 (the deadbeat tap of
-    # markov [1, x] is -x), but no level of the program solves
-    pytest.param("synth-freq", {"plant": {"type": "transfer", "num": [1.0], "den": [0.0, 1e300]},
-                                "lstructure": {"order": 0}}, id="huge-den"),
-    pytest.param("synth-time", {"plant": {"type": "markov", "markov": [1.0, 1e300]}},
-                 id="huge-markov"),
+def _verify_design(tmp_path, mode, plant, res):
+    """verify's sampled rate of a synthesized design, bounded by its gamma."""
+    if mode == "synth-time":
+        lfilter, domain = {"taps": [0.0] * (len(res["gain_list"]) - 1) + res["gain_list"]}, "time"
+    else:
+        lfilter, domain = {"k_lead": 0, "coeffs": res["gain_list"]}, "freq"
+    vcfg = write_config(tmp_path, {"mode": "verify", "domain": domain, "plant": plant,
+                                   "lfilter": lfilter, "bound": res["gamma"]},
+                        name="verify.json")
+    vout = tmp_path / "verify"
+    cli.main(["verify", "--config", vcfg, "--out", str(vout)])
+    return read_result(vout)["gamma_hat"]
+
+
+@pytest.mark.parametrize("x", [1e15, 1e300], ids=["1e15", "1e300"])
+@pytest.mark.parametrize("mode, plant", [
+    # the deadbeat taps are (1, -x) and x: the compile scales the row of
+    # x l0 by x, so l1's column of D is 1/x of l0's, yet independent
+    pytest.param("synth-time", lambda x: {"type": "markov", "markov": [1.0, x]},
+                 id="markov-1-x"),
+    pytest.param("synth-freq", lambda x: {"type": "transfer", "num": [1.0], "den": [0.0, x]},
+                 id="one-over-xz"),
 ])
-def test_huge_coefficient_plant_exits_3(tmp_path, capsys, mode, payload):
-    cfg = write_config(tmp_path, {"mode": mode, **payload})
-    rc = cli.main([mode, "--config", cfg, "--out", str(tmp_path)])
-    assert rc == 3
-    assert "solver failure" in capsys.readouterr().err
+def test_huge_coefficient_plant_certifies(tmp_path, mode, plant, x):
+    plant = plant(x)
+    cfg = {"mode": mode, "plant": plant}
+    if mode == "synth-freq":
+        cfg["lstructure"] = {"order": 0}
+    out = tmp_path / "out"
+    assert cli.main([mode, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    res = read_result(out)["result"]
+    assert res["certificate"]["passed"] is True
+    assert _verify_design(tmp_path, mode, plant, res) <= res["gamma"] + 1e-6
+
+
+@pytest.mark.parametrize("mode, plant, lstructure", [
+    # the deadbeat taps are (1e-50, -5e-51).  A certificate check that
+    # scaled each mismatch by 1e50, the decision weight, passed taps
+    # (6e-37, -4e-36) whose sampled rate is 7e14
+    pytest.param("synth-freq", {"type": "transfer", "num": [1e50], "den": [-0.5, 1.0]},
+                 {"order": 1}, id="1e50-over-z-minus-half"),
+    # the deadbeat l1 = -x cancels x l0 = x: a tap one ulp off (1.5e-5 at
+    # 1e11, 1.4e14 at 1e30) is a mismatch of 1e-16 against the terms' size
+    pytest.param("synth-time", {"type": "markov", "markov": [1.0, 1e11]}, None,
+                 id="markov-1-1e11"),
+    pytest.param("synth-time", {"type": "markov", "markov": [1.0, 1e30]}, None,
+                 id="markov-1-1e30"),
+])
+def test_huge_gain_not_falsely_certified(tmp_path, mode, plant, lstructure):
+    cfg = {"mode": mode, "plant": plant}
+    if lstructure:
+        cfg["lstructure"] = lstructure
+    out = tmp_path / "out"
+    if cli.main([mode, "--config", write_config(tmp_path, cfg), "--out", str(out)]) != 0:
+        return
+    res = read_result(out)["result"]
+    assert _verify_design(tmp_path, mode, plant, res) <= res["gamma"] + 1e-6
 
 
 UNCERTAIN_LIFTED = {"mode": "synth-time", "plant": {
@@ -351,6 +395,31 @@ SIMULATE_DEADBEAT = {"mode": "simulate", "plant": DELAY_PLANT,
                  id="synth-time-k-max-negative"),
     pytest.param("repro-paper", {**REPRO_REDUCED, "order3_k_max": -1}, [], "order3_k_max",
                  id="repro-paper-order3-k-max-negative"),
+    # a filter order below -1 used to end in a traceback, -1 in an empty FIR
+    # (exit 4), and a negative lead in a silent delay
+    pytest.param("synth-freq", {"mode": "synth-freq", "plant": DELAY_PLANT,
+                                "lstructure": {"order": -2}}, [], "lstructure.order",
+                 id="synth-freq-order-negative"),
+    pytest.param("synth-freq", {"mode": "synth-freq", "plant": DELAY_PLANT,
+                                "lstructure": {"order": -1}}, [], "lstructure.order",
+                 id="synth-freq-order-minus-1"),
+    pytest.param("synth-freq", {"mode": "synth-freq", "plant": DELAY_PLANT,
+                                "qfilter": {"order": -2}, "lstructure": {"order": 0}}, [],
+                 "qfilter.order", id="synth-freq-qfilter-order-negative"),
+    pytest.param("synth-freq", {"mode": "synth-freq", "plant": DELAY_PLANT,
+                                "lstructure": {"k_lead": -2, "coeffs": ["a"]}}, [],
+                 "lstructure: k_lead", id="synth-freq-k-lead-negative"),
+    pytest.param("synth-freq", {"mode": "synth-freq", "plant": DELAY_PLANT,
+                                "lstructure": {"k_lead": 2, "coeffs": ["a"]}}, [],
+                 "lstructure: k_lag", id="synth-freq-k-lag-negative"),
+    pytest.param("synth-time", {"mode": "synth-time",
+                                "plant": {"type": "markov", "N": 2, "markov": [1.0, 0.5]},
+                                "lstructure": {"fir": {"order": -2}}}, [],
+                 "lstructure.fir.order", id="synth-time-fir-order-negative"),
+    pytest.param("verify", {**verify_config(None), "lfilter": {"order": -2}}, [],
+                 "lfilter.order", id="verify-order-negative"),
+    pytest.param("simulate", {**SIMULATE_DEADBEAT, "lfilter": {"order": -2}}, [],
+                 "lfilter.order", id="simulate-order-negative"),
 ])
 def test_bad_sampling_setting_exits_2(tmp_path, capsys, mode, payload, flags, key):
     cfg = write_config(tmp_path, payload)
@@ -464,13 +533,7 @@ def test_synth_time_huge_first_markov_not_falsely_certified(tmp_path):
     res = read_result(out)["result"] if (out / "result.json").exists() else {}
     if not (res.get("certificate") or {}).get("passed"):
         return
-    l0, l1 = res["gain_list"]
-    vcfg = write_config(tmp_path, {"mode": "verify", "domain": "time", "plant": plant,
-                                   "lfilter": {"taps": [0.0, l0, l1]},
-                                   "bound": res["gamma"]}, name="verify.json")
-    vout = tmp_path / "verify"
-    cli.main(["verify", "--config", vcfg, "--out", str(vout)])
-    assert read_result(vout)["gamma_hat"] <= res["gamma"] + 1e-6
+    assert _verify_design(tmp_path, "synth-time", plant, res) <= res["gamma"] + 1e-6
 
 
 # Seeded fuzz: minimal configs with one or two keys deleted or values

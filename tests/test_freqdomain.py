@@ -146,6 +146,13 @@ def nominal_rate(data, x, gains):
     return complex(T[0, 1], T[0, 2]), data.nu3.evaluate({"x": x})
 
 
+@pytest.mark.parametrize("order", [-1, -2])
+def test_fir_rejects_negative_order(order):
+    # order -1 used to give an empty FIR, order -2 a length error
+    with pytest.raises(ValueError, match="k_lag: must be at least 0"):
+        fd.NoncausalFir.causal_decision(order)
+
+
 def test_tau_trivial_delay():
     plant = fd.UncertainTransferFunction.from_coeffs([1.0], [0.0, 1.0], ())
     data = fd.build_T_hat(fd.NoncausalFir.unity(),

@@ -361,6 +361,20 @@ def test_dependent_free_scalars_are_a_named_failure(free_ids, objective, eqs):
     assert set(sol.scalar_values) == set(free_ids)
 
 
+def test_free_columns_far_apart_in_scale_are_independent():
+    # min y s.t. [[y + e, 1], [1, y - e]] >= 0, e = 1e-20 w: y* = 1.  D's
+    # columns (1, 1, 0) and 1e-20 (1, -1, 0) are orthogonal, so R keeps all
+    # of the small one, although it is 1e-20 of the largest singular value
+    eqs = [([(0, 0, 0, 1.0)], {"y": 1.0, "w": 1e-20}, 0.0),
+           ([(0, 1, 1, 1.0)], {"y": 1.0, "w": -1e-20}, 0.0),
+           ([(0, 0, 1, 1.0)], {}, 1.0)]
+    prob = make_problem([2], eqs, {"y": 1.0}, ("w", "y"))
+    assert sdp._Assembled(prob).defect is None
+    sol = sdp.solve(prob)
+    assert sol.ok
+    assert sol.objective_value == pytest.approx(1.0, abs=1e-7)
+
+
 def test_refined_solve_on_ill_conditioned_schur():
     # p = 120 spans two diagonal blocks of the substitution, p = 300 five
     eps = np.finfo(float).eps
@@ -373,13 +387,15 @@ def test_refined_solve_on_ill_conditioned_schur():
         X = sdp._refined_solver(M)(B)
         resid = np.linalg.norm(B - M @ X) / (np.linalg.norm(M, 2) * np.linalg.norm(X))
         assert resid <= 4 * eps  # normwise backward stable without refinement
-        # a rank-deficient M only factors with a ridge, whose bias (residual
-        # ~1e-13 relative without refinement) the refinement removes
+        # a rank-deficient M factors only with the one ridge, and its solve is
+        # not refined: the residual B - M X = ridge X is the ridge's bias
         V = rng.normal(size=(p, p // 2))
         Ms = V @ V.T
         Bs = Ms @ rng.normal(size=p)
+        assert sdp._chol(Ms) is None
         Xs = sdp._refined_solver(Ms)(Bs)
-        assert np.linalg.norm(Bs - Ms @ Xs) <= 100 * eps * np.linalg.norm(Bs)
+        ridge = sdp._RIDGE * Ms.diagonal().max()
+        assert np.linalg.norm(Bs - Ms @ Xs) <= 2 * ridge * np.linalg.norm(Xs)
 
 
 @pytest.mark.parametrize("cols", [None, 1, 4], ids=["vector", "one-column", "four-columns"])

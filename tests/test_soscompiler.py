@@ -143,33 +143,43 @@ def test_gram_round_trip_exact():
 
 
 def test_certificate_residual_matches_term_loop():
-    # the array residual against S - V^T G V formed term by term in dicts
+    # the array residual against S - V^T G V formed term by term in dicts.
+    # Each mismatch is scaled by its coefficient's resolved value; scaling by
+    # the coefficients' sizes instead gives another residual here, since
+    # eta's weights meet eta = 0.7 (50 eta - 34 resolves to 1) and mu's weight
+    # meets mu = 40
     variables = ("x", "y")
     x, y = (AffinePoly.variable(variables, v) for v in variables)
-    eta = AffinePoly.decision(variables, "eta")
-    S = PolyMatrix.from_rows([[x * x + eta + 1.0, x * y.scaled(0.3)],
-                              [x * y.scaled(0.3), y * y * eta + x.scaled(0.2) + 2.0]])
+    eta, mu = (AffinePoly.decision(variables, d) for d in ("eta", "mu"))
+    off = x * y.scaled(0.3) + mu.scaled(0.5)
+    S = PolyMatrix.from_rows([[x * x + eta.scaled(50.0) - 34.0, off],
+                              [off, y * y * eta.scaled(3.0) + x.scaled(0.2) + 2.0]])
     basis = monomial_basis(variables, [(variables, "graded", 1)])
     prob = compile_sos(S, {}, bases=[kron_pairs(basis, 2)])
     F = rng.normal(size=(6, 6))
-    cert = certificate_from_grams(prob, [F @ F.T])
-    assignment = {"eta": 0.7}
-    target, scales, expansion = {}, {}, {}
+    # a small Gram, so that the largest mismatches are at S's own coefficients
+    cert = certificate_from_grams(prob, [1e-3 * F @ F.T])
+    assignment = {"eta": 0.7, "mu": 40.0}
+    target, scales, coeff_scales, expansion = {}, {}, {}, {}
     for r in range(2):
         for s in range(r, 2):
             p = S[r, s]
             for e, c in zip(p.exps.tolist(), p.coeffs.tolist()):
                 w = dict(zip(p.decisions, c[1:]))
                 target[(tuple(e), r, s)] = c[0] + sum(w[d] * assignment[d] for d in w)
-                scales[(tuple(e), r, s)] = max(1.0, *map(abs, c))
+                scales[(tuple(e), r, s)] = max(1.0, abs(target[(tuple(e), r, s)]))
+                coeff_scales[(tuple(e), r, s)] = max(1.0, *map(abs, c))
     G = cert.grams[0]
     for p, (mp, r) in enumerate(cert.bases[0]):
         for q, (mq, s) in enumerate(cert.bases[0]):
             if r <= s:
                 key = (tuple(a + b for a, b in zip(mp, mq)), r, s)
                 expansion[key] = expansion.get(key, 0.0) + G[p, q]
-    want = max(abs(target.get(k, 0.0) - expansion.get(k, 0.0)) / scales.get(k, 1.0)
-               for k in set(target) | set(expansion))
+    want, by_coeffs = (
+        max(abs(target.get(k, 0.0) - expansion.get(k, 0.0)) / sc.get(k, 1.0)
+            for k in set(target) | set(expansion))
+        for sc in (scales, coeff_scales))
+    assert by_coeffs > 10 * want
     assert check_certificate(S, assignment, cert).residual == pytest.approx(want, rel=1e-15)
 
 
