@@ -358,7 +358,7 @@ def _run_verify(cfg: dict, out_dir: str) -> int:
                  "verify needs numeric filter taps")
         grid = vf.make_grid(plant.n_lambda, resolution=resolution,
                             n_random=n_random, n_freq=n_freq, seed=seed)
-        per_point = vf.time_gain_profile(plant, qf, lf, grid)
+        per_point = _or_config_error(vf.time_gain_profile, plant, qf, lf, grid)
     ik = int(np.argmax(per_point))
     gamma_hat = float(per_point[ik])
     argmax = {"lambda": grid.lambda_points[ik]}
@@ -403,6 +403,7 @@ def _run_simulate(cfg: dict, out_dir: str) -> int:
     trials = _count(cfg.get("trials", 40), "trials", 1)
     n_runs = _count(cfg.get("n_runs", 30), "n_runs", 1)
     scale = _number(cfg.get("disturbance_scale", 0.1), "disturbance_scale")
+    _require(scale >= 0, "disturbance_scale: must be at least 0")
     seed = _count(cfg.get("seed", 0), "seed", 0)
     gamma_star = None if cfg.get("gamma_star") is None \
         else _number(cfg["gamma_star"], "gamma_star")
@@ -429,7 +430,7 @@ def _run_simulate(cfg: dict, out_dir: str) -> int:
         lam_pt = rng.dirichlet(np.ones(d_lam)) if d_lam else np.zeros(0)
         lam = dict(zip(plant.lambda_vars, lam_pt))
         num, den = plant.coeff_arrays(lam)
-        h = td.markov_from_coeffs(num, den, N)
+        h = _or_config_error(td.markov_from_coeffs, num, den, N)
         d_vec = sim.sample_disturbance(N, seed=seed + 1000 + run, scale=scale)
         trace = sim.run_ilc(h, q_taps, l_taps,
                             sim.TrialConfig(y_d, d_vec, trials=trials,
@@ -515,8 +516,9 @@ def _run_repro_paper(cfg: dict, out_dir: str) -> int:
              "k_values: strictly increasing list of nonnegative ints")
     orders = cfg.get("orders", [0, 1, 2])
     _require(isinstance(orders, list) and orders
-             and all(isinstance(o, int) and o >= 0 for o in orders),
-             "orders: list of nonnegative ints")
+             and all(isinstance(o, int) and o >= 0 for o in orders)
+             and len(set(orders)) == len(orders),
+             "orders: list of distinct nonnegative ints")
     order3_k_max = _count(cfg.get("order3_k_max", 0), "order3_k_max", 0)
 
     plant = paper_plant()

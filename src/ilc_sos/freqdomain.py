@@ -144,7 +144,7 @@ class UncertainTransferFunction:
                 return c.lift(lambda_vars)
             return AffinePoly.constant(lambda_vars, float(c))
 
-        num = [to_poly(c) for c in num]
+        num = [to_poly(c) for c in num] or [to_poly(0.0)]  # an empty numerator is 0
         den = [to_poly(c) for c in den]
         while len(num) > 1 and num[-1].is_zero():
             num.pop()

@@ -504,6 +504,20 @@ class PolyMatrix:
             self.rows, self.cols)
 
 
+def compositions(total: int, parts: int) -> np.ndarray:
+    """(rows, parts) int array: every row of ``parts`` nonnegative ints that
+    sums to ``total``, in lexicographic order."""
+    if parts == 0:
+        return np.zeros((int(total == 0), 0), dtype=np.int64)
+    rows, left = np.zeros((1, 0), dtype=np.int64), np.array([total])
+    for _ in range(parts - 1):  # each row branches into values 0..left
+        count = left + 1
+        at = np.repeat(np.arange(len(rows)), count)
+        v = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+        rows, left = np.column_stack([rows[at], v]), left[at] - v
+    return np.column_stack([rows, left])
+
+
 def simplex_mesh(d: int, resolution: int = 50) -> np.ndarray:
     """All barycentric grid points of the unit simplex in d coordinates with
     denominators ``resolution``, in lexicographic order."""
@@ -511,19 +525,7 @@ def simplex_mesh(d: int, resolution: int = 50) -> np.ndarray:
         raise ValueError(f"mesh resolution must be at least 1, got {resolution}")
     if d == 0:
         return np.zeros((1, 0))
-    if d == 1:
-        return np.ones((1, 1))
-    out = []
-
-    def rec(prefix, left):
-        if len(prefix) == d - 1:
-            out.append(prefix + [left])
-            return
-        for v in range(left + 1):
-            rec(prefix + [v], left - v)
-
-    rec([], resolution)
-    return np.array(out, dtype=float) / float(resolution)
+    return compositions(resolution, d) / float(resolution)
 
 
 # ---------------------------------------------------------------------------

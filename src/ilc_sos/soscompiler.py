@@ -2,9 +2,10 @@
 
 A constraint ``S(x) is SOS`` for a symmetric m x m polynomial matrix S
 (entries affine in named decision scalars) is parameterized with Gram
-matrices.  A Gram block is a list of (monomial, coordinate) pairs
-(m_p, c_p); it spans the n_b x m matrix V_b(x) with V_b[p, c_p] = m_p(x) and
-zeros elsewhere, and
+matrices.  A Gram block is a pair of int arrays ``(mono, coord)``: row p
+of ``mono`` (n_b x variables) holds the exponents of a monomial m_p and
+``coord[p]`` its coordinate c_p.  The block spans the n_b x m matrix V_b(x)
+with V_b[p, c_p] = m_p(x) and zeros elsewhere, and
 
     S(x) = sum_b  V_b(x)^T  G_b  V_b(x),   G_b >= 0,
 
@@ -26,9 +27,9 @@ always consistent in structure; infeasibility can only come from the PSD
 side.
 
 The usual shared basis v(x) (x) I_m is the block ``kron_pairs(v, m)``, with
-pair (v_i, r) at row i*m + r.  When the rows of S have very different
-degrees (say row 0 carries a high degree polynomial while the rest is an
-identity block), a shared basis has no strictly feasible Gram: every basis
+monomial v_i at coordinate r in row i*m + r.  When the rows of S have very
+different degrees (say row 0 carries a high degree polynomial while the rest
+is an identity block), a shared basis has no strictly feasible Gram: every basis
 monomial of degree >= 1 paired with an identity row is forced to zero on
 the diagonal, which stalls interior-point solvers.  Giving each coordinate
 its own monomial list instead restores a strictly feasible interior
@@ -36,7 +37,7 @@ whenever one exists.
 
 Sign symmetries halve the blocks.  Suppose S is invariant under flipping
 the sign of some variables combined with the congruence D S D by a diagonal
-sign matrix D.  Then pair (m_p, c_p) picks up the sign chi_p =
+sign matrix D.  Then row p (m_p, c_p) picks up the sign chi_p =
 (-1)^(flipped exponents of m_p) * D[c_p, c_p], averaging any Gram over the
 flip zeroes every entry with chi_p != chi_q, and the blocks split by chi
 with no loss of generality (Gatermann & Parrilo 2004, "Symmetry groups,
@@ -56,7 +57,7 @@ them by search.  The program stays in array form from there to the solver
 Gram entry, grouped by equality, a dense equalities x free-scalars matrix of
 the decisions' coefficients and one right-hand side per equality.
 :func:`check_certificate` rebuilds V^T G V from the certificate's own
-pairs and forms the residual S - V^T G V coefficientwise from the same
+blocks and forms the residual S - V^T G V coefficientwise from the same
 keys; it reads nothing the compile produced.  Each mismatch is measured
 against the coefficient's resolved value c0 + sum_j d_j y_j (floored at 1),
 not against the compile's equality scale max(1, |c0|, max_j |d_j|), which
@@ -70,7 +71,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .polyalg import PolyMatrix, _resolved
+from .polyalg import PolyMatrix, _resolved, compositions
 
 
 class BasisDeficiency(Exception):
@@ -81,8 +82,8 @@ class BasisDeficiency(Exception):
 # monomial bases
 
 
-def monomial_basis(variables: Sequence[str], groups: Sequence[tuple]) -> list[tuple]:
-    """Deterministic monomial basis as exponent tuples over ``variables``.
+def monomial_basis(variables: Sequence[str], groups: Sequence[tuple]) -> np.ndarray:
+    """Deterministic monomial basis: an exponent array (monomials x variables).
 
     ``groups`` is a list of ``(names, mode, degree)`` where mode is
 
@@ -90,7 +91,7 @@ def monomial_basis(variables: Sequence[str], groups: Sequence[tuple]) -> list[tu
     * ``"homogeneous"`` -- total degree over the group exactly ``degree``
 
     Every variable must appear in exactly one group; the basis is the cross
-    product of the group bases, sorted graded-lexicographically.
+    product of the group bases, sorted by degree, then lexicographically.
     """
     variables = tuple(variables)
     seen: set = set()
@@ -101,56 +102,41 @@ def monomial_basis(variables: Sequence[str], groups: Sequence[tuple]) -> list[tu
             seen.add(n)
     if seen != set(variables):
         raise ValueError("groups must cover all variables")
-
-    def group_exps(names, mode, degree):
+    basis = np.zeros((1, len(variables)), dtype=np.int64)
+    for names, mode, degree in groups:
+        # a graded group is a homogeneous one with a slack coordinate dropped
         k = len(names)
-        out = []
-
-        def rec(prefix, remaining):
-            if len(prefix) == k - 1:
-                if mode == "homogeneous":
-                    out.append(prefix + (remaining,))
-                else:
-                    for d in range(remaining + 1):
-                        out.append(prefix + (d,))
-                return
-            for d in range(remaining + 1):
-                rec(prefix + (d,), remaining - d)
-
-        if k == 0:
-            return [()]
-        rec((), degree)
-        return out
-
-    partials = [(tuple(names), group_exps(tuple(names), mode, deg)) for names, mode, deg in groups]
-    basis = [{}]
-    for names, exps in partials:
-        basis = [dict(b, **{n: e for n, e in zip(names, ex)}) for b in basis for ex in exps]
-    tuples = [tuple(b.get(v, 0) for v in variables) for b in basis]
-    return sorted(set(tuples), key=lambda t: (sum(t), t))
+        exps = compositions(degree, k) if mode == "homogeneous" else compositions(degree, k + 1)[:, :k]
+        tiled = np.tile(exps, (len(basis), 1))
+        basis = np.repeat(basis, len(exps), axis=0)
+        basis[:, [variables.index(n) for n in names]] = tiled
+    # no numpy quicksort here or in sign_classes: its first call (np.unique,
+    # a default np.argsort) adds up to 1.5 MB to the peak RSS of a run
+    return basis[np.argsort(_codes(np.column_stack([basis.sum(axis=1), basis])), kind="stable")]
 
 
-def kron_pairs(basis: Sequence[tuple], m: int) -> list[tuple]:
-    """The block ``basis (x) I_m``: pair (basis[i], r) at row i*m + r."""
-    return [(mono, r) for mono in basis for r in range(m)]
+def kron_pairs(basis: np.ndarray, m: int) -> tuple:
+    """The block ``basis (x) I_m``: monomial basis[i] at coordinate r in row
+    i*m + r."""
+    return np.repeat(basis, m, axis=0), np.tile(np.arange(m), len(basis))
 
 
-def sign_classes(pairs: Sequence[tuple],
-                 flips: Sequence[tuple[Sequence[int], Sequence[int]]]) -> list[list[tuple]]:
+def sign_classes(block: tuple, flips: Sequence[tuple[Sequence[int], Sequence[int]]]) -> list[tuple]:
     """Split a Gram block by sign symmetries of the matched matrix.
 
     Each flip ``(var_indices, coords)`` negates the listed variables and
     conjugates S by the sign matrix that is -1 at the listed coordinates.
-    Pairs go to one class per pattern of their signs under the flips, in
-    their input order; the classes come out sorted by that pattern.  With
-    S invariant under every flip, the Gram matrix decouples into these
-    classes with no loss of generality.
+    Rows go to one block per pattern of their signs under the flips, in
+    their input order; the blocks come out sorted by that pattern, the first
+    flip most significant.  With S invariant under every flip, the Gram
+    matrix decouples into these blocks with no loss of generality.
     """
-    buckets: dict[tuple, list[tuple]] = {}
-    for mono, c in pairs:
-        key = tuple((sum(mono[i] for i in idx) + (c in coords)) % 2 for idx, coords in flips)
-        buckets.setdefault(key, []).append((mono, c))
-    return [buckets[k] for k in sorted(buckets)]
+    mono, coord = block
+    key = np.zeros(len(coord), dtype=np.int64)
+    for idx, coords in flips:
+        negated = (coord[:, None] == np.asarray(coords, dtype=np.int64)).any(axis=1)
+        key = 2 * key + (mono[:, list(idx)].sum(axis=1) + negated) % 2
+    return [(mono[key == k], coord[key == k]) for k in sorted(set(key.tolist()))]
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +151,8 @@ class SdpProblem:
 
     over its Gram entries e, the rows (i, b_e, p_e, q_e) of ``entries``,
     which are sorted by equality; y_j is the free scalar ``free_ids[j]``.
-    ``bases`` (one (monomial, coordinate) pair list per Gram block) is kept
-    for the certificate and is not serialized.
+    ``bases`` (one (mono, coord) block per Gram block) is kept for the
+    certificate and is not serialized.
     """
 
     block_dims: list
@@ -266,7 +252,7 @@ class SdpProblem:
 @dataclass
 class SosCertificate:
     grams: list          # numpy arrays, one per block
-    bases: list          # (monomial, coordinate) pairs per block
+    bases: list          # one (mono, coord) block per Gram block
 
 
 @dataclass
@@ -305,21 +291,15 @@ def _upper_terms(S: PolyMatrix) -> tuple:
     return np.column_stack([exps, r, s])[up], coeffs[up], names
 
 
-def _pair_table(pairs: Sequence[tuple], nvars: int) -> tuple:
-    """A Gram block's monomials (pairs x variables) and coordinates."""
-    mono = np.array([mp for mp, _ in pairs], dtype=np.int64).reshape(len(pairs), nvars)
-    return mono, np.array([c for _, c in pairs], dtype=np.int64)
-
-
 def compile_sos(S: PolyMatrix, objective: Mapping[str, float],
-                bases: Sequence[Sequence[tuple]] | None = None) -> SdpProblem:
+                bases: Sequence[tuple] | None = None) -> SdpProblem:
     """Compile ``S is SOS`` into an :class:`SdpProblem` minimizing ``objective``.
 
-    ``bases`` lists the Gram blocks, each a list of (monomial, coordinate)
-    pairs; when omitted, one block ``v (x) I_m`` with the graded basis v in
+    ``bases`` lists the Gram blocks, each a (mono, coord) pair of arrays;
+    when omitted, one block ``v (x) I_m`` with the graded basis v in
     all variables up to half the degree of S is used.  Raises
     :class:`BasisDeficiency` if some nonzero coefficient of S cannot be
-    written as a sum of two pairs of one block at its position.
+    written as a sum of two rows of one block at its position.
     """
     if S.rows != S.cols:
         raise ValueError("S must be square")
@@ -330,16 +310,17 @@ def compile_sos(S: PolyMatrix, objective: Mapping[str, float],
     if bases is None:
         half = (S.degree() + 1) // 2
         bases = [kron_pairs(monomial_basis(variables, [(variables, "graded", half)]), m)]
-    bases = [list(b) for b in bases]
-    if not all(bases) or any(not 0 <= c < m for b in bases for _, c in b):
-        raise ValueError("every Gram block needs pairs with coordinates in range(m)")
+    bases = list(bases)
+    if not all(len(coord) and mono.shape == (len(coord), len(variables))
+               and ((0 <= coord) & (coord < m)).all() for mono, coord in bases):
+        raise ValueError("every Gram block needs monomial rows over S's variables "
+                         "and coordinates in range(m)")
 
     # every Gram entry (b, p <= q) feeds the monomial m_p + m_q at position
     # (min, max) of its coordinates, with weight 2 when (q, p) feeds it too
     entries, keys, weights = [], [], []
-    for b, pairs in enumerate(bases):
-        mono, coord = _pair_table(pairs, len(variables))
-        p, q = np.triu_indices(len(pairs))
+    for b, (mono, coord) in enumerate(bases):
+        p, q = np.triu_indices(len(coord))
         entries.append(np.column_stack([np.full(len(p), b), p, q]))
         keys.append(np.column_stack([mono[p] + mono[q], np.minimum(coord[p], coord[q]),
                                      np.maximum(coord[p], coord[q])]))
@@ -378,7 +359,7 @@ def compile_sos(S: PolyMatrix, objective: Mapping[str, float],
         if d in free_ids:
             free[:, free_ids.index(d)] = col
 
-    return SdpProblem(block_dims=[len(b) for b in bases], free_ids=free_ids,
+    return SdpProblem(block_dims=[len(coord) for _, coord in bases], free_ids=free_ids,
                       objective=dict(objective), entries=entries, weights=weights,
                       free=free, rhs=coeff[:, 0].copy(), bases=bases)
 
@@ -387,7 +368,7 @@ def certificate_from_grams(problem: SdpProblem, grams: Sequence[np.ndarray]) -> 
     if problem.bases is None:
         raise ValueError("problem lacks basis metadata")
     return SosCertificate(grams=[np.asarray(g, dtype=float) for g in grams],
-                          bases=[list(b) for b in problem.bases])
+                          bases=list(problem.bases))
 
 
 RESIDUAL_TOL = 1e-6  # largest scaled coefficient mismatch of a passing certificate
@@ -414,8 +395,7 @@ def check_certificate(S: PolyMatrix, assignment: Mapping[str, float],
 
     # the expansion V^T G V at every (monomial, r <= s)
     e_keys, e_vals = [], []
-    for G, pairs in zip(cert.grams, cert.bases):
-        mono, coord = _pair_table(pairs, len(S.variables))
+    for G, (mono, coord) in zip(cert.grams, cert.bases):
         p, q = np.nonzero(coord[:, None] <= coord[None, :])
         e_keys.append(np.column_stack([mono[p] + mono[q], coord[p], coord[q]]))
         e_vals.append(np.asarray(G, dtype=float)[p, q])

@@ -65,7 +65,8 @@ def markov_from_coeffs(num: Sequence[float], den: Sequence[float], count: int) -
     """First ``count`` impulse-response samples of num(z)/den(z).
 
     Coefficients ascending in z; den must have a nonzero leading entry and
-    strictly higher degree than num.  Plain long-division recursion.
+    strictly higher degree than num.  Plain long-division recursion.  Raises
+    ValueError when a sample overflows floating point.
     """
     num = np.asarray(num, dtype=float)
     den = np.asarray(den, dtype=float)
@@ -78,11 +79,14 @@ def markov_from_coeffs(num: Sequence[float], den: Sequence[float], count: int) -
     bb = np.zeros(n + 1)
     bb[: len(num)] = num / den[-1]
     h = np.zeros(count)
-    for k in range(1, count + 1):
-        acc = bb[n - k] if n - k >= 0 else 0.0
-        for j in range(1, min(k, n + 1)):
-            acc -= aa[n - j] * h[k - j - 1]
-        h[k - 1] = acc
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for k in range(1, count + 1):
+            acc = bb[n - k] if n - k >= 0 else 0.0
+            for j in range(1, min(k, n + 1)):
+                acc -= aa[n - j] * h[k - j - 1]
+            h[k - 1] = acc
+    if not np.isfinite(h).all():
+        raise ValueError("Markov parameters overflow floating point")
     return h
 
 

@@ -110,7 +110,8 @@ def _filter_taps(filt, N: int) -> np.ndarray:
 
 def time_gain_profile(plant: LiftedUncertainPlant, qfilter, lfilter,
                       grid: SampleGrid | None = None) -> np.ndarray:
-    """sigma_max(P Q (I - L P) P^-1) at every grid point; shape (K,)."""
+    """sigma_max(P Q (I - L P) P^-1) at every grid point; shape (K,).
+    Raises ValueError when that matrix overflows floating point."""
     grid = _grid_for(grid, plant.n_lambda)
     q = _filter_taps(qfilter, plant.N)
     l = _filter_taps(lfilter, plant.N)
@@ -128,7 +129,10 @@ def time_gain_profile(plant: LiftedUncertainPlant, qfilter, lfilter,
     for b in _row_batches(len(h), N * N):
         P = np.zeros((b.stop - b.start, N, N))
         P[:, r, c] = h[b, r - c]  # lifted plant at every point: P[k, i, j] = h[k, i - j]
-        X = P @ Qm @ (np.eye(N) - Lm @ P) @ np.linalg.inv(P)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            X = P @ Qm @ (np.eye(N) - Lm @ P) @ np.linalg.inv(P)
+        if not np.isfinite(X).all():
+            raise ValueError("the lifted gain overflows floating point on the grid")
         out[b] = np.linalg.svd(X, compute_uv=False)[:, 0]
     return out
 

@@ -386,6 +386,9 @@ SIMULATE_DEADBEAT = {"mode": "simulate", "plant": DELAY_PLANT,
                  id="simulate-n-runs-0"),
     pytest.param("simulate", {**SIMULATE_DEADBEAT, "trials": 0}, [], "trials",
                  id="simulate-trials-0"),
+    # a negative disturbance scale used to end in numpy's "high - low < 0"
+    pytest.param("simulate", {**SIMULATE_DEADBEAT, "disturbance_scale": -1}, [],
+                 "disturbance_scale", id="simulate-disturbance-scale-negative"),
     # a negative escalation cap used to end as "solver failure: no multiplier
     # power up to k=-1" (exit 3)
     pytest.param("synth-freq", {"mode": "synth-freq", "plant": PAPER_POLYTOPE,
@@ -455,6 +458,50 @@ def test_repro_paper_negative_k_value_exits_2(tmp_path, capsys):
     rc = cli.main(["repro-paper", "--config", cfg, "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "config error: k_values" in capsys.readouterr().err
+
+
+def test_repro_paper_repeated_order_exits_2(tmp_path, capsys):
+    # orders [1, 1] used to solve order 1 twice and write two "order 1" columns
+    cfg = write_config(tmp_path, {**REPRO_REDUCED, "orders": [1, 1]})
+    rc = cli.main(["repro-paper", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "config error: orders" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "result.json").exists()
+
+
+# inputs that used to end in a Python traceback (exit 1)
+@pytest.mark.parametrize("mode, payload, message", [
+    pytest.param("simulate", {**SIMULATE_DEADBEAT,
+                              "plant": {"type": "transfer", "num": [1.0, 1.0], "den": [0.5, 1.0]}},
+                 "plant must be strictly proper", id="simulate-biproper"),
+    # a pole at z = -1e300: the Markov parameters overflow
+    pytest.param("simulate", {**SIMULATE_DEADBEAT,
+                              "plant": {"type": "transfer", "num": [1.0], "den": [1e300, 1.0]}},
+                 "Markov parameters overflow", id="simulate-markov-overflow"),
+    pytest.param("verify", {"mode": "verify", "domain": "time",
+                            "plant": {"type": "markov", "markov": [1e300, 0.5]},
+                            "lfilter": {"taps": [0, 1, -0.5]}},
+                 "lifted gain overflows", id="verify-time-gain-overflow"),
+])
+def test_traceback_inputs_exit_2(tmp_path, capsys, mode, payload, message):
+    cfg = write_config(tmp_path, payload)
+    rc = cli.main([mode, "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert err.count("\n") == 1
+
+
+def test_verify_empty_numerator_is_zero_plant(tmp_path):
+    # "num": [] used to end in numpy's "need at least one array to concatenate";
+    # it is the zero plant, whose rate is |Q| = 1
+    cfg = write_config(tmp_path, {"mode": "verify", "bound": 1.0,
+                                  "plant": {"type": "transfer", "num": [], "den": [0.0, 1.0]},
+                                  "lfilter": {"coeffs": [0.5]},
+                                  "grid": {"resolution": 2, "n_random": 2, "n_freq": 8}})
+    out = tmp_path / "out"
+    assert cli.main(["verify", "--config", cfg, "--out", str(out)]) == 0
+    assert read_result(out)["gamma_hat"] == 1.0
 
 
 @pytest.mark.parametrize("plant", [
@@ -569,10 +616,23 @@ def _mutate(cfg, rng):
     return cfg
 
 
-def test_fuzzed_configs_exit_with_documented_codes(tmp_path):
-    rng = np.random.default_rng(20240518)
-    for i in range(400):
-        mode, base = FUZZ_BASES[i % len(FUZZ_BASES)]
+# the sampling modes on small grids and horizons
+FUZZ_SAMPLING_BASES = (
+    ("simulate", {"mode": "simulate", "plant": DELAY_PLANT, "lfilter": {"coeffs": [0.5]},
+                  "horizon": 10, "trials": 3, "n_runs": 2}),
+    ("verify", {"mode": "verify", "plant": DELAY_PLANT, "lfilter": {"coeffs": [0.5]},
+                "grid": {"resolution": 2, "n_random": 2, "n_freq": 8}}),
+    ("verify", {"mode": "verify", "domain": "time",
+                "plant": {"type": "markov", "N": 2, "markov": [1.0, 0.5]},
+                "lfilter": {"taps": [0.0, 0.5, 0.0]},
+                "grid": {"resolution": 2, "n_random": 2, "n_freq": 8}}),
+)
+
+
+def _fuzz(tmp_path, bases, seed, count):
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        mode, base = bases[i % len(bases)]
         payload = _mutate(base, rng)
         cfg = write_config(tmp_path, payload)
         try:
@@ -580,6 +640,14 @@ def test_fuzzed_configs_exit_with_documented_codes(tmp_path):
         except Exception as e:  # report the offending config, not just the error
             raise AssertionError(f"{mode} {json.dumps(payload)} raised {e!r}") from e
         assert rc in (0, 2, 3, 4), (mode, payload, rc)
+
+
+def test_fuzzed_configs_exit_with_documented_codes(tmp_path):
+    _fuzz(tmp_path, FUZZ_BASES, 20240518, 400)
+
+
+def test_fuzzed_sampling_configs_exit_with_documented_codes(tmp_path):
+    _fuzz(tmp_path, FUZZ_SAMPLING_BASES, 20261020, 1500)
 
 
 # -- verify mode ---------------------------------------------------------

@@ -1,7 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from ilc_sos.polyalg import AffinePoly, PolyMatrix
+from ilc_sos.polyalg import AffinePoly, PolyMatrix, compositions
 from ilc_sos.soscompiler import (
     BasisDeficiency,
     SdpProblem,
@@ -23,36 +25,128 @@ rng = np.random.default_rng(7)
 
 def test_monomial_basis_graded():
     b = monomial_basis(("x", "y"), [(("x", "y"), "graded", 2)])
-    assert b == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
+    assert b.dtype == np.int64
+    assert b.tolist() == [[0, 0], [0, 1], [1, 0], [0, 2], [1, 1], [2, 0]]
 
 
 def test_monomial_basis_homogeneous():
     b = monomial_basis(("l1", "l2"), [(("l1", "l2"), "homogeneous", 3)])
-    assert b == [(0, 3), (1, 2), (2, 1), (3, 0)]
-    assert all(sum(e) == 3 for e in b)
+    assert b.tolist() == [[0, 3], [1, 2], [2, 1], [3, 0]]
+    assert (b.sum(axis=1) == 3).all()
 
 
 def test_monomial_basis_mixed_groups():
     b = monomial_basis(("x", "l1", "l2"),
                        [(("x",), "graded", 2), (("l1", "l2"), "homogeneous", 1)])
     assert len(b) == 3 * 2
-    assert all(e[1] + e[2] == 1 and e[0] <= 2 for e in b)
+    assert all(e[1] + e[2] == 1 and e[0] <= 2 for e in b.tolist())
+
+
+@pytest.mark.parametrize("groups", [
+    pytest.param([(("x",), "graded", 1), (("x", "y"), "graded", 1)], id="repeated"),
+    pytest.param([(("x",), "graded", 1)], id="missing"),
+    pytest.param([(("x", "y", "z"), "graded", 1)], id="unknown"),
+])
+def test_monomial_basis_rejects_bad_groups(groups):
+    with pytest.raises(ValueError):
+        monomial_basis(("x", "y"), groups)
+
+
+@pytest.mark.parametrize("total, parts", [(0, 0), (2, 0), (0, 1), (3, 1), (0, 3), (4, 3),
+                                          (3, 4), (5, 2)])
+def test_compositions_match_itertools(total, parts):
+    want = [list(t) for t in itertools.product(range(total + 1), repeat=parts)
+            if sum(t) == total]
+    got = compositions(total, parts)
+    assert got.shape == (len(want), parts)
+    assert got.tolist() == want
+
+
+def _loop_monomial_basis(variables, groups):
+    """The list-of-tuples basis: a recursive enumerator per group, the
+    cross product in dicts, sorted by (degree, exponents)."""
+    def group_exps(names, mode, degree):
+        k = len(names)
+        out = []
+
+        def rec(prefix, remaining):
+            if len(prefix) == k - 1:
+                if mode == "homogeneous":
+                    out.append(prefix + (remaining,))
+                else:
+                    out.extend(prefix + (d,) for d in range(remaining + 1))
+                return
+            for d in range(remaining + 1):
+                rec(prefix + (d,), remaining - d)
+
+        if k == 0:
+            return [()]
+        rec((), degree)
+        return out
+
+    basis = [{}]
+    for names, mode, deg in groups:
+        basis = [dict(b, **dict(zip(names, ex))) for b in basis
+                 for ex in group_exps(tuple(names), mode, deg)]
+    return sorted({tuple(b.get(v, 0) for v in variables) for b in basis},
+                  key=lambda t: (sum(t), t))
+
+
+def _loop_sign_classes(pairs, flips):
+    """The list-of-tuples split: buckets of (monomial, coordinate) pairs by
+    sign pattern, sorted by pattern."""
+    buckets = {}
+    for mono, c in pairs:
+        key = tuple((sum(mono[i] for i in idx) + (c in coords)) % 2 for idx, coords in flips)
+        buckets.setdefault(key, []).append((mono, c))
+    return [buckets[k] for k in sorted(buckets)]
+
+
+def _as_pairs(block):
+    mono, coord = block
+    return [(tuple(e), c) for e, c in zip(mono.tolist(), coord.tolist())]
+
+
+@pytest.mark.parametrize("variables, groups", [
+    (("x", "y"), [(("x", "y"), "graded", 3)]),
+    (("l1", "l2", "l3"), [(("l1", "l2", "l3"), "homogeneous", 4)]),
+    (("x", "l1", "l2"), [(("x",), "graded", 2), (("l1", "l2"), "homogeneous", 3)]),
+    (("l1", "x", "l2"), [(("l2", "l1"), "homogeneous", 2), (("x",), "graded", 3)]),
+    (("x",), [(("x",), "graded", 0)]),
+    ((), [((), "homogeneous", 0)]),
+    ((), []),
+])
+def test_basis_and_sign_classes_match_loop_references(variables, groups):
+    basis = monomial_basis(variables, groups)
+    want = _loop_monomial_basis(variables, groups)
+    assert basis.shape == (len(want), len(variables))
+    assert [tuple(e) for e in basis.tolist()] == want
+    n = len(variables)
+    for m in (1, 3):
+        block = kron_pairs(basis, m)
+        pairs = [(mono, r) for mono in want for r in range(m)]
+        assert _as_pairs(block) == pairs
+        for flips in ([], [((i,), ()) for i in range(n)],
+                      [((i,), ()) for i in range(n)] + [((0,), (m - 1,))] * bool(n),
+                      [(tuple(range(n)), (0,))]):
+            got = sign_classes(block, flips)
+            assert [_as_pairs(c) for c in got] == _loop_sign_classes(pairs, flips)
 
 
 def test_sign_classes():
     b = monomial_basis(("l1", "l2"), [(("l1", "l2"), "homogeneous", 2)])
     classes = sign_classes(kron_pairs(b, 1), [((0,), ()), ((1,), ())])
     # (0,2),(2,0) are even/even; (1,1) is odd/odd
-    sizes = sorted(len(c) for c in classes)
+    sizes = sorted(len(coord) for _, coord in classes)
     assert sizes == [1, 2]
-    for cls in classes:
-        pars = {tuple(e % 2 for e in mono) for mono, _ in cls}
-        assert len(pars) == 1
+    for mono, _ in classes:
+        assert len({tuple(e) for e in (mono % 2).tolist()}) == 1
     # x -> -x with coordinate 2 negated: parity of x XOR (coordinate == 2)
     xb = monomial_basis(("x",), [(("x",), "graded", 2)])
     split = sign_classes(kron_pairs(xb, 3), [((0,), (2,))])
-    assert split == [[((0,), 0), ((0,), 1), ((1,), 2), ((2,), 0), ((2,), 1)],
-                     [((0,), 2), ((1,), 0), ((1,), 1), ((2,), 2)]]
+    assert [(mono.tolist(), coord.tolist()) for mono, coord in split] == [
+        ([[0], [0], [1], [2], [2]], [0, 1, 2, 0, 1]),
+        ([[0], [1], [1], [2]], [2, 0, 1, 2])]
 
 
 def sos_value(S, basis, G, m, point, variables):
@@ -170,8 +264,9 @@ def test_certificate_residual_matches_term_loop():
                 scales[(tuple(e), r, s)] = max(1.0, abs(target[(tuple(e), r, s)]))
                 coeff_scales[(tuple(e), r, s)] = max(1.0, *map(abs, c))
     G = cert.grams[0]
-    for p, (mp, r) in enumerate(cert.bases[0]):
-        for q, (mq, s) in enumerate(cert.bases[0]):
+    pairs = list(zip(*(a.tolist() for a in cert.bases[0])))
+    for p, (mp, r) in enumerate(pairs):
+        for q, (mq, s) in enumerate(pairs):
             if r <= s:
                 key = (tuple(a + b for a, b in zip(mp, mq)), r, s)
                 expansion[key] = expansion.get(key, 0.0) + G[p, q]
@@ -306,7 +401,8 @@ def _new_equalities(prob):
     out = []
     for lo, hi, row, rhs in zip(bounds, bounds[1:], prob.free.tolist(), prob.rhs.tolist()):
         b, p, q, _ = gram[lo]
-        (mp, cp), (mq, cq) = prob.bases[b][p], prob.bases[b][q]
+        mono, coord = (a.tolist() for a in prob.bases[b])
+        (mp, cp), (mq, cq) = (mono[p], coord[p]), (mono[q], coord[q])
         out.append(repr((gram[lo:hi], [(k, v) for k, v in zip(prob.free_ids, row) if v], rhs,
                          tuple(x + y for x, y in zip(mp, mq)), (min(cp, cq), max(cp, cq)))))
     return out
@@ -337,8 +433,9 @@ def test_pair_layout_matches_kronecker_lifted_program(monkeypatch):
     td.synth_time(problem)
     assert len(seen) == 2
     for S, prob in seen:
-        degree = sum(prob.bases[0][0][0])
-        basis = monomial_basis(S.variables, [(lam, "homogeneous", degree)])
+        degree = int(prob.bases[0][0][0].sum())
+        basis = [tuple(e) for e in
+                 monomial_basis(S.variables, [(lam, "homogeneous", degree)]).tolist()]
         old = _old_parity_classes(basis, [S.variables.index(v) for v in lam])
         assert prob.block_dims == [len(b) * S.rows for b in old]
         assert _new_equalities(prob) == _old_equalities(S, old)
