@@ -101,6 +101,19 @@ def _less_gamma(M: PolyMatrix, epsilon: float) -> PolyMatrix:
     return M.with_table((entry, exps, coeffs, names))
 
 
+def level0_exact(M: PolyMatrix, lam: Sequence[str], deg_lambda: int) -> str | None:
+    """Why Polya level 0 is already the exact condition for M to be PSD on
+    the simplex, or None: no simplex weights, at most two weights and no
+    other variable, or M affine in the weights (see :func:`escalate`)."""
+    if not lam:
+        return "no_simplex"
+    if len(lam) <= 2 and set(M.variables) <= set(lam):
+        return "two_weights"
+    if deg_lambda <= 1:
+        return "affine_in_lambda"
+    return None
+
+
 def escalate(M: PolyMatrix, lam: Sequence[str], epsilon: float | None, k_max: int,
              k_tol: float, gain_list: Callable[[Mapping[str, float]], list],
              groups: Sequence[tuple] = (), flips: Sequence[tuple] = ()) -> SynthesisResult:
@@ -124,8 +137,20 @@ def escalate(M: PolyMatrix, lam: Sequence[str], epsilon: float | None, k_max: in
     raises ValueError.
 
     Levels k = 0, 1, ... are solved until eta = gamma^2 improves by less
-    than ``k_tol`` or ``k_max`` is reached (level 0 only without simplex
-    variables: that program is exact).  The solved levels' Grams are then
+    than ``k_tol`` or ``k_max`` is reached.  Level 0 alone is solved where
+    it is already exact (:func:`level0_exact`, recorded in the diagnostics
+    as ``level0_exact``):
+      - ``"no_simplex"``: without simplex variables there is nothing to relax;
+      - ``"two_weights"``: at most two weights and no other variable.  After
+        lam -> lam^2, M is a bivariate matrix form, i.e. a univariate matrix
+        polynomial, and a PSD univariate matrix polynomial is a sum of
+        squares with factors of half its degree (Jakubovic 1970, Dokl. Akad.
+        Nauk SSSR 194; Aylward, Itani & Parrilo 2007, IEEE CDC), which is
+        the level-0 basis;
+      - ``"affine_in_lambda"``: M = sum lam_i M_i is PSD on the simplex iff
+        every M_i is, and level 0, sum lam_i^2 M_i, splits by sign class into
+        exactly those vertex LMIs.
+    The solved levels' Grams are then
     checked by ``sdp.ensure_certified`` in ascending eta (nothing is
     re-solved), and the first that passes is returned; when none passes, the
     lowest-eta level comes back with its failed report.  ``gain_list`` maps
@@ -152,8 +177,9 @@ def escalate(M: PolyMatrix, lam: Sequence[str], epsilon: float | None, k_max: in
     solved = []
     prev_bound = None
     increased = False
+    exact = level0_exact(M, lam, deg_lambda)
     mult = AffinePoly.constant(variables, 1.0)
-    for k in range(k_max + 1 if lam else 1):
+    for k in range(1 if exact else k_max + 1):
         S = base.scaled(mult) if k else base
         basis = monomial_basis(variables, [*groups, (lam, "homogeneous", deg_lambda + k)])
         prob = compile_sos(S, {"gamma": 1.0}, bases=sign_classes(kron_pairs(basis, S.rows), signs))
@@ -191,6 +217,7 @@ def escalate(M: PolyMatrix, lam: Sequence[str], epsilon: float | None, k_max: in
         polya_k=k_best, k_trace=k_trace, certificate=cert, certificate_report=report,
         solver_status=sol.status, solver_method=sol.method,
         solver_iterations=sol.iterations,
-        diagnostics={"deg_lambda": deg_lambda, "eta_increased_with_k": increased,
+        diagnostics={"deg_lambda": deg_lambda, "level0_exact": exact,
+                     "eta_increased_with_k": increased,
                      "k_trace_raw": k_raw, "n_equalities": prob.n_equalities,
                      "block_dims": list(prob.block_dims)})

@@ -430,101 +430,107 @@ def _solve_ipm(A: _Assembled, feas_tol: float, gap_tol: float, max_iter: int) ->
     # and the Schur build's work buffers, rewritten every iteration
     M, buf, work = np.empty((p, p)), np.empty((p, p)), A.workspace()
 
-    for it in range(max_iter):
-        rp = A.beta - A.apply_A(G) + A.D @ y
-        rfree = -A.c - A.D.T @ nu
-        Rd = (-A.apply_At(nu) - Z) * mask
+    # LAPACK can fail to converge on a badly scaled iterate (eigvalsh in
+    # _max_step, the SVD of the scaling): that is a failed solve, not an error
+    try:
+        for it in range(max_iter):
+            rp = A.beta - A.apply_A(G) + A.D @ y
+            rfree = -A.c - A.D.T @ nu
+            Rd = (-A.apply_At(nu) - Z) * mask
 
-        mu = float(np.vdot(G, Z * mask)) / max(A.ntot, 1)
-        pobj = float(A.c @ y)
-        dobj = float(A.beta @ nu)
-        gap = abs(pobj - dobj) / (1.0 + max(abs(pobj), abs(dobj)))
-        pinf = float(np.max(np.abs(rp))) / beta_scale
-        dinf = max(float(np.max(np.abs(rfree))) / c_scale if q else 0.0,
-                   float(np.max(np.abs(Rd))) / c_scale)
-        trace.append({"iter": it, "mu": mu, "pinf": pinf, "dinf": dinf, "gap": gap})
+            mu = float(np.vdot(G, Z * mask)) / max(A.ntot, 1)
+            pobj = float(A.c @ y)
+            dobj = float(A.beta @ nu)
+            gap = abs(pobj - dobj) / (1.0 + max(abs(pobj), abs(dobj)))
+            pinf = float(np.max(np.abs(rp))) / beta_scale
+            dinf = max(float(np.max(np.abs(rfree))) / c_scale if q else 0.0,
+                       float(np.max(np.abs(Rd))) / c_scale)
+            trace.append({"iter": it, "mu": mu, "pinf": pinf, "dinf": dinf, "gap": gap})
 
-        if not np.isfinite(mu) or not np.isfinite(pinf) or not np.isfinite(dinf):
-            return fail("non-finite iterate", it)
-        if pinf <= feas_tol and dinf <= feas_tol and (gap <= gap_tol or mu / scale0 <= gap_tol):
-            return SdpSolution("optimal", pobj, A.scalars(y), A.unpad(G),
-                               dual_values=nu, iterations=it, gap=gap,
-                               primal_residual=pinf, dual_residual=dinf, trace=trace)
+            if not np.isfinite(mu) or not np.isfinite(pinf) or not np.isfinite(dinf):
+                return fail("non-finite iterate", it)
+            if (pinf <= feas_tol and dinf <= feas_tol
+                    and (gap <= gap_tol or mu / scale0 <= gap_tol)):
+                return SdpSolution("optimal", pobj, A.scalars(y), A.unpad(G),
+                                   dual_values=nu, iterations=it, gap=gap,
+                                   primal_residual=pinf, dual_residual=dinf, trace=trace)
 
-        if dinf <= 1e-6 and dobj > 1e10 * beta_scale:
-            return SdpSolution("infeasible", float("inf"),
-                               dict.fromkeys(A.scalar_ids, float("nan")), A.unpad(G),
-                               dual_values=nu, iterations=it, gap=gap,
-                               primal_residual=pinf, dual_residual=dinf,
-                               message="dual objective diverging", trace=trace)
-        if pinf <= 1e-6 and pobj < -1e10 * c_scale:
-            return SdpSolution("unbounded", float("-inf"), A.scalars(y), A.unpad(G),
-                               iterations=it, gap=gap, primal_residual=pinf,
-                               dual_residual=dinf, message="primal objective diverging",
-                               trace=trace)
+            if dinf <= 1e-6 and dobj > 1e10 * beta_scale:
+                return SdpSolution("infeasible", float("inf"),
+                                   dict.fromkeys(A.scalar_ids, float("nan")), A.unpad(G),
+                                   dual_values=nu, iterations=it, gap=gap,
+                                   primal_residual=pinf, dual_residual=dinf,
+                                   message="dual objective diverging", trace=trace)
+            if pinf <= 1e-6 and pobj < -1e10 * c_scale:
+                return SdpSolution("unbounded", float("-inf"), A.scalars(y), A.unpad(G),
+                                   iterations=it, gap=gap, primal_residual=pinf,
+                                   dual_residual=dinf, message="primal objective diverging",
+                                   trace=trace)
 
-        # Nesterov-Todd scaling: W = R R^T, R^-1 G R^-T = R^T Z R = Sigma, from
-        # L_Z^T L_G = U Sigma V^T; R^-1 = Sigma^-1/2 U^T L_Z^T needs no inverse
-        LG, LZ = _chol(G), _chol(Z)
-        if LG is None or LZ is None:
-            return fail("iterate lost positive definiteness", it)
-        U, s, Vt = np.linalg.svd(tr(LZ) @ LG)
-        if np.min(s) <= 0:
-            return fail("iterate lost positive definiteness", it)
-        rs = np.sqrt(s)
-        R = LG @ tr(Vt) / rs[:, None, :]
-        Rinv = tr(U) / rs[:, :, None] @ tr(LZ)
-        W = R @ tr(R)
+            # Nesterov-Todd scaling: W = R R^T, R^-1 G R^-T = R^T Z R = Sigma, from
+            # L_Z^T L_G = U Sigma V^T; R^-1 = Sigma^-1/2 U^T L_Z^T needs no inverse
+            LG, LZ = _chol(G), _chol(Z)
+            if LG is None or LZ is None:
+                return fail("iterate lost positive definiteness", it)
+            U, s, Vt = np.linalg.svd(tr(LZ) @ LG)
+            if np.min(s) <= 0:
+                return fail("iterate lost positive definiteness", it)
+            rs = np.sqrt(s)
+            R = LG @ tr(Vt) / rs[:, None, :]
+            Rinv = tr(U) / rs[:, :, None] @ tr(LZ)
+            W = R @ tr(R)
 
-        kkt = _null_space_solver(A, A.schur(W, M, work), buf)
-        if kkt is None:
-            return fail("Schur complement not PD", it)
+            kkt = _null_space_solver(A, A.schur(W, M, work), buf)
+            if kkt is None:
+                return fail("Schur complement not PD", it)
 
-        def newton_raw(rp_loc, rfree_loc, Rd_loc, tmp):
-            """Direction whose dG is tmp + W A^*(dnu) W; tmp = R V R^T - W Rd W
-            for scaled complementarity targets V (= dG~ + dZ~)."""
-            dnu, dy = kkt(rp_loc - A.apply_A(tmp), rfree_loc)
-            Atdnu = A.apply_At(dnu)
-            # symmetric directions: apply_A reads one triangle of dG, so
-            # roundoff in the congruences would otherwise drift G off symmetry
-            dZ = Rd_loc - Atdnu
-            dG = tmp + W @ Atdnu @ W
-            return 0.5 * (dG + tr(dG)) * mask, dy, dnu, 0.5 * (dZ + tr(dZ))
+            def newton_raw(rp_loc, rfree_loc, Rd_loc, tmp):
+                """Direction whose dG is tmp + W A^*(dnu) W; tmp = R V R^T - W Rd W
+                for scaled complementarity targets V (= dG~ + dZ~)."""
+                dnu, dy = kkt(rp_loc - A.apply_A(tmp), rfree_loc)
+                Atdnu = A.apply_At(dnu)
+                # symmetric directions: apply_A reads one triangle of dG, so
+                # roundoff in the congruences would otherwise drift G off symmetry
+                dZ = Rd_loc - Atdnu
+                dG = tmp + W @ Atdnu @ W
+                return 0.5 * (dG + tr(dG)) * mask, dy, dnu, 0.5 * (dZ + tr(dZ))
 
-        def step_lengths(dG, dZ):
-            """Fraction-to-boundary steps (primal, dual) and the scaled directions."""
-            dt = np.stack([Rinv @ dG @ tr(Rinv), tr(R) @ dZ @ R])
-            ap, ad = np.minimum(1.0, 0.99 * _max_step(1.0 / rs, dt))
-            return ap, ad, dt
+            def step_lengths(dG, dZ):
+                """Fraction-to-boundary steps (primal, dual) and the scaled directions."""
+                dt = np.stack([Rinv @ dG @ tr(Rinv), tr(R) @ dZ @ R])
+                ap, ad = np.minimum(1.0, 0.99 * _max_step(1.0 / rs, dt))
+                return ap, ad, dt
 
-        # predictor: one KKT solve and no refinement pass, since its direction
-        # only sets sigma and the corrector's second-order term
-        WRdW = W @ Rd @ W
-        dGa, _, _, dZa = newton_raw(rp, rfree, Rd, -(R * s[:, None, :]) @ tr(R) - WRdW)
-        ap, ad, (dGt, dZt) = step_lengths(dGa, dZa)
+            # predictor: one KKT solve and no refinement pass, since its direction
+            # only sets sigma and the corrector's second-order term
+            WRdW = W @ Rd @ W
+            dGa, _, _, dZa = newton_raw(rp, rfree, Rd, -(R * s[:, None, :]) @ tr(R) - WRdW)
+            ap, ad, (dGt, dZt) = step_lengths(dGa, dZa)
 
-        mu_aff = float(np.vdot(G + ap * dGa, (Z + ad * dZa) * mask)) / max(A.ntot, 1)
-        sigma = float(np.clip((max(mu_aff, 0.0) / mu) ** 3, 1e-10, 0.999))
+            mu_aff = float(np.vdot(G + ap * dGa, (Z + ad * dZa) * mask)) / max(A.ntot, 1)
+            sigma = float(np.clip((max(mu_aff, 0.0) / mu) ** 3, 1e-10, 0.999))
 
-        # corrector, with one KKT-level refinement pass: the complementarity
-        # and dual rows are satisfied to roundoff by construction, so only the
-        # primal and free-variable residuals need a correction solve
-        Rc = (sigma * mu - s * s)[:, :, None] * eye - 0.5 * (dGt @ dZt + dZt @ dGt)
-        V = 2.0 * Rc / (s[:, :, None] + s[:, None, :])
-        dG, dy, dnu, dZ = newton_raw(rp, rfree, Rd, R @ V @ tr(R) - WRdW)
-        cG, cy, cnu, cZ = newton_raw(rp - A.apply_A(dG) + A.D @ dy, rfree - A.D.T @ dnu,
-                                     zeros, zeros)
-        dG, dy, dnu, dZ = dG + cG, dy + cy, dnu + cnu, dZ + cZ
-        ap, ad, _ = step_lengths(dG, dZ)
-        if not np.isfinite(ap) or not np.isfinite(ad) or ap <= 1e-12 or ad <= 1e-12:
-            return fail("step length collapsed", it)
+            # corrector, with one KKT-level refinement pass: the complementarity
+            # and dual rows are satisfied to roundoff by construction, so only the
+            # primal and free-variable residuals need a correction solve
+            Rc = (sigma * mu - s * s)[:, :, None] * eye - 0.5 * (dGt @ dZt + dZt @ dGt)
+            V = 2.0 * Rc / (s[:, :, None] + s[:, None, :])
+            dG, dy, dnu, dZ = newton_raw(rp, rfree, Rd, R @ V @ tr(R) - WRdW)
+            cG, cy, cnu, cZ = newton_raw(rp - A.apply_A(dG) + A.D @ dy, rfree - A.D.T @ dnu,
+                                         zeros, zeros)
+            dG, dy, dnu, dZ = dG + cG, dy + cy, dnu + cnu, dZ + cZ
+            ap, ad, _ = step_lengths(dG, dZ)
+            if not np.isfinite(ap) or not np.isfinite(ad) or ap <= 1e-12 or ad <= 1e-12:
+                return fail("step length collapsed", it)
 
-        G = G + ap * dG
-        y = y + ap * dy
-        Z = Z + ad * dZ
-        nu = nu + ad * dnu
-        trace[-1].update(ap=float(ap), ad=float(ad), sigma=sigma)
-        del kkt  # free this iteration's factor before the next one is formed
+            G = G + ap * dG
+            y = y + ap * dy
+            Z = Z + ad * dZ
+            nu = nu + ad * dnu
+            trace[-1].update(ap=float(ap), ad=float(ad), sigma=sigma)
+            del kkt  # free this iteration's factor before the next one is formed
+    except np.linalg.LinAlgError as exc:
+        return fail(f"linear algebra failure: {exc}", it)
 
     return fail(f"no convergence in {max_iter} iterations", max_iter)
 

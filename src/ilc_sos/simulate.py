@@ -111,7 +111,8 @@ def asymptotic_error(plant, qfilter, lfilter, y_d, d) -> np.ndarray:
     Solves (I - Q + Q L P) u = Q L (y_d - d) and returns y_d - P u - d;
     falls back to running the recursion itself when the system is close to
     singular.  Raises :class:`Divergent` when the iteration map Q(I - L P)
-    has spectral radius >= 1 (no fixed point is approached).
+    has spectral radius >= 1 (no fixed point is approached), or when the
+    recursion's iterate overflows before it settles.
     """
     y_d = np.asarray(y_d, dtype=float)
     d = np.asarray(d, dtype=float)
@@ -132,13 +133,19 @@ def asymptotic_error(plant, qfilter, lfilter, y_d, d) -> np.ndarray:
         # it must settle or there is no fixed point to measure against
         u_inf = np.zeros(N)
         settled = False
-        for _ in range(10000):
-            nxt = G @ u_inf + rhs
-            if np.linalg.norm(nxt - u_inf) <= 1e-13 * max(1.0, np.linalg.norm(nxt)):
+        # an iterate whose norm overflows has no fixed point to settle on
+        # (and inf <= 1e-13 * inf would pass the settle test)
+        with np.errstate(over="ignore"):
+            for _ in range(10000):
+                nxt = G @ u_inf + rhs
+                size = np.linalg.norm(nxt)
+                if not np.isfinite(size):
+                    raise Divergent(f"recursion overflows (spectral radius {rho:.6f})")
+                if np.linalg.norm(nxt - u_inf) <= 1e-13 * max(1.0, size):
+                    u_inf = nxt
+                    settled = True
+                    break
                 u_inf = nxt
-                settled = True
-                break
-            u_inf = nxt
         if not settled:
             raise Divergent(
                 f"recursion does not settle (spectral radius {rho:.6f})")

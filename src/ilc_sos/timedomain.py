@@ -422,10 +422,12 @@ def synth_time(problem: TimeSynthesisProblem) -> SynthesisResult:
 
     Poses the block-matrix SOS program at multiplier powers k = 0, 1, ... and
     keeps the best certificate (levels never have to get worse: a level-j
-    Gram times the norm factor stays valid at level k > j).  A plant without
-    uncertainty (lam = ()) gives an exact program: it is solved at level 0
-    only, without the positivity margin, and the result's ``epsilon`` is
-    None.
+    Gram times the norm factor stays valid at level k > j).  Level 0 is
+    already exact, and solved alone, for two simplex weights or a block
+    affine in the weights, as with a causal Q and affine Markov parameters
+    (:func:`result.level0_exact`).  A plant without uncertainty (lam = ())
+    gives an exact program too: it is solved at level 0 only, without the
+    positivity margin, and the result's ``epsilon`` is None.
     """
     plant = problem.plant
     N = plant.N

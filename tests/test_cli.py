@@ -729,6 +729,18 @@ def test_simulate_divergent_exits_3(tmp_path, capsys):
     assert "divergent" in capsys.readouterr().err.lower()
 
 
+def test_simulate_overflowing_recursion_exits_3(tmp_path, capsys):
+    # the zero plant with a 1e300 gain: the recursion's norm overflows, which
+    # used to pass its settle test and exit 0 with worst ratio 0
+    cfg = write_config(tmp_path, {
+        "mode": "simulate", "plant": {"type": "transfer", "num": [], "den": [0.0, 1.0]},
+        "lfilter": {"coeffs": [1e300]}, "horizon": 6, "trials": 3, "n_runs": 1,
+    })
+    rc = cli.main(["simulate", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 3
+    assert "divergent" in capsys.readouterr().err.lower()
+
+
 # -- determinism ---------------------------------------------------------
 
 

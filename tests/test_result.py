@@ -7,13 +7,20 @@ from ilc_sos import result, sdp
 from ilc_sos.polyalg import AffinePoly, PolyMatrix
 from ilc_sos.soscompiler import CertificateReport, SdpProblem
 
-LAM = ("l",)
+LAM = ("l1", "l2", "l3")
+
+
+def _rate_block(variables, lam, degree):
+    """[[gamma (sum of lam)^degree]] over ``variables``."""
+    weights = sum((AffinePoly.variable(variables, v) for v in lam),
+                  AffinePoly.zero(variables))
+    return PolyMatrix.from_rows([[weights ** degree * AffinePoly.decision(variables, "gamma")]])
 
 
 def _block():
-    """[[gamma l]]: a 1 x 1 rate block, homogeneous of degree 1 in l."""
-    gamma = AffinePoly.decision(LAM, "gamma")
-    return PolyMatrix.from_rows([[AffinePoly.variable(LAM, "l") * gamma]])
+    """[[gamma (l1 + l2 + l3)^2]]: a 1 x 1 rate block of lambda-degree 2 in
+    three weights, a block whose level 0 is not known to be exact."""
+    return _rate_block(LAM, LAM, 2)
 
 
 def _stub_compile(monkeypatch):
@@ -89,15 +96,41 @@ def test_escalate_margin_is_epsilon_times_the_gamma_coefficient(monkeypatch):
                         lambda prob, S, sol: (sol, None, CertificateReport(0.0, 1.0, [0.0], True)))
     res = result.escalate(_block(), LAM, 1e-3, k_max=1, k_tol=0.0, gain_list=lambda gains: [])
     # lam -> lam^2, gamma -> gamma - eps, and level 1 multiplies by ||lam||^2
-    l2 = AffinePoly.variable(LAM, "l") ** 2
-    level0 = l2 * (AffinePoly.decision(LAM, "gamma") - 1e-3)
+    l2 = sum((AffinePoly.variable(LAM, v) ** 2 for v in LAM), AffinePoly.zero(LAM))
+    level0 = l2 * l2 * (AffinePoly.decision(LAM, "gamma") - 1e-3)
 
     def terms(p):
         return p.exps.tolist(), p.coeffs.tolist(), p.decisions
 
     assert [terms(S[0, 0]) for S in compiled] == [terms(level0), terms(level0 * l2)]
     assert res.epsilon == 1e-3
-    assert res.diagnostics["deg_lambda"] == 1
+    assert res.diagnostics["deg_lambda"] == 2
+    assert res.diagnostics["level0_exact"] is None
+
+
+@pytest.mark.parametrize("variables, lam, degree, case", [
+    pytest.param((), (), 0, "no_simplex", id="no-weights"),
+    pytest.param(("l",), ("l",), 3, "two_weights", id="one-weight"),
+    pytest.param(("l1", "l2"), ("l1", "l2"), 4, "two_weights", id="two-weights"),
+    pytest.param(LAM, LAM, 1, "affine_in_lambda", id="three-weights-affine"),
+    pytest.param(("x", "l1", "l2"), ("l1", "l2"), 1, "affine_in_lambda",
+                 id="other-variable-affine"),
+    pytest.param(("x", "l1", "l2"), ("l1", "l2"), 2, None, id="other-variable"),
+    pytest.param(LAM, LAM, 2, None, id="three-weights"),
+])
+def test_escalate_solves_level0_alone_where_it_is_exact(monkeypatch, variables, lam,
+                                                        degree, case):
+    compiled = _stub_compile(monkeypatch)
+    monkeypatch.setattr(result.sdp, "solve",
+                        lambda prob: sdp.SdpSolution("optimal", 0.5, {"gamma": 0.5}, []))
+    monkeypatch.setattr(result.sdp, "ensure_certified",
+                        lambda prob, S, sol: (sol, None, CertificateReport(0.0, 1.0, [0.0], True)))
+    groups = [(("x",), "graded", 0)] if "x" in variables else []
+    res = result.escalate(_rate_block(variables, lam, degree), lam, None, k_max=2, k_tol=0.0,
+                          gain_list=lambda gains: [], groups=groups)
+    assert res.diagnostics["level0_exact"] == case
+    assert len(compiled) == (1 if case else 3)
+    assert [k for k, _ in res.k_trace] == list(range(len(compiled)))
 
 
 def _rate_result(eta):

@@ -124,6 +124,23 @@ def test_solve_runs_the_ipm_once(monkeypatch):
     assert len(calls) == 3
 
 
+def test_unconverged_eigenvalues_are_a_numerical_failure(monkeypatch, tmp_path):
+    # LAPACK's "Eigenvalues did not converge" in the step length ends the
+    # solve as a named failure, in memory and from a file, instead of raising
+    def no_convergence(S):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    prob = _offdiag_problem(1.0)
+    path = tmp_path / "offdiag.sdp"
+    path.write_text(prob.serialize())
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+    for sol in (sdp.solve(prob), sdp.solve_file(str(path))):
+        assert sol.status == "numerical_failure"
+        assert sol.message == "linear algebra failure: Eigenvalues did not converge"
+        assert sol.iterations == 0 and len(sol.trace) == 1
+        assert np.isnan(sol.scalar_values["y"])
+
+
 def test_three_kkt_solves_per_iteration(monkeypatch):
     # the predictor takes one KKT solve, the corrector one plus a refinement pass
     solves = []

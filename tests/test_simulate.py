@@ -76,6 +76,16 @@ def test_divergent_learning_raises():
         sim.run_ilc(np.array([1.0]), np.eye(1), np.array([[-3.0]]), cfg)
 
 
+def test_overflowing_recursion_is_divergent():
+    # zero plant, Q = I: the map is I (spectral radius 1), so the fixed point
+    # comes from the recursion, whose iterate grows by 1e300 (y_d - d) a
+    # trial; its norm overflows, and inf <= 1e-13 * inf must not settle it
+    N = 3
+    with pytest.raises(sim.Divergent, match="overflows"):
+        sim.asymptotic_error(np.zeros(N), np.eye(N), 1e300 * np.eye(N),
+                             np.ones(N), np.zeros(N))
+
+
 def test_ratios_obey_contraction_bound():
     col, y_d, d = random_setup(5)
     N = len(col)

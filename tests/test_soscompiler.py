@@ -422,9 +422,12 @@ def _capture_compiles(monkeypatch):
 
 
 def test_pair_layout_matches_kronecker_lifted_program(monkeypatch):
-    lam = ("lam1", "lam2")
-    lam1, lam2 = (AffinePoly.variable(lam, v) for v in lam)
-    markov = [lam1 + lam2.scaled(1.4), lam1.scaled(0.3) + lam2.scaled(-0.2)]
+    # three weights and a Markov parameter of degree 2: level 0 is not known
+    # to be exact, so both levels are compiled
+    lam = ("lam1", "lam2", "lam3")
+    lam1, lam2, lam3 = (AffinePoly.variable(lam, v) for v in lam)
+    markov = [lam1 + lam2.scaled(1.4) + lam3.scaled(0.8),
+              lam1.scaled(0.3) + lam2.scaled(-0.2) + (lam1 * lam3).scaled(0.5)]
     plant = td.LiftedUncertainPlant(2, markov, lam)
     problem = td.TimeSynthesisProblem(plant, td.LiftedFilter.identity(2),
                                       td.LiftedFilter.causal_decision(2),

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from ilc_sos.polyalg import AffinePoly
+from ilc_sos import freqdomain as fd
+from ilc_sos import result
 from ilc_sos import timedomain as td
 from ilc_sos import verify as vf
 from ilc_sos.freqdomain import UncertainTransferFunction, simplexify
@@ -235,14 +237,18 @@ def test_build_M_noncausal_q_congruence():
         assert np.allclose(vals[N:, N:], gamma * np.eye(N), atol=1e-12)
 
 
-def paper_lifted(N):
-    """The paper's interval plant lifted to N samples: p1 = 2 for every theta."""
+def paper_plant():
+    """The paper's interval plant, theta in [-0.7, -0.5], on the simplex."""
     tv = ("theta",)
-    plant = simplexify(
+    return simplexify(
         [lin(tv, 16, 60), lin(tv, -40)],
         [lin(tv, 1, 16), lin(tv, 4, 20), lin(tv, -20)],
         [[-0.5], [-0.7]], theta_vars=tv)
-    return td.LiftedUncertainPlant.from_transfer(plant, N)
+
+
+def paper_lifted(N):
+    """The paper's interval plant lifted to N samples: p1 = 2 for every theta."""
+    return td.LiftedUncertainPlant.from_transfer(paper_plant(), N)
 
 
 def constant_lead_problem():
@@ -355,16 +361,76 @@ def test_synth_long_horizon_vs_sampled():
 
 
 def test_synth_k_escalation_monotone():
+    # three weights and a Markov parameter of degree 2, so that level 0 is
+    # not known to be exact and level 1 is solved too
+    lam3 = ("lam1", "lam2", "lam3")
     rng = np.random.default_rng(29)
     for _ in range(2):
+        cross = AffinePoly.monomial(lam3, (1, 0, 1), rng.normal())
         plant = td.LiftedUncertainPlant(
-            2, (lin(LAM2, 2 + rng.random(), rng.normal(), rng.normal()),
-                lin(LAM2, 0, rng.normal(), rng.normal())), LAM2)
+            2, (lin(lam3, 2 + rng.random(), *rng.normal(size=3) / 2),
+                lin(lam3, 0, *rng.normal(size=3)) + cross), lam3)
         prob = td.TimeSynthesisProblem(plant, td.LiftedFilter.identity(2),
                                        td.LiftedFilter.causal_decision(2),
                                        k_max=1, k_tol=0.0)
-        trace = dict(prob.solve().k_trace)
+        res = prob.solve()
+        assert res.diagnostics["level0_exact"] is None
+        trace = dict(res.k_trace)
         assert trace[1] <= trace[0] + 1e-6
+
+
+def three_vertex_affine(N):
+    """A lifted plant with three simplex weights and Markov parameters
+    linear in them (first parameter positive at every vertex)."""
+    lam3 = ("lam1", "lam2", "lam3")
+    rng = np.random.default_rng(7)
+    verts = np.vstack([rng.uniform(0.6, 1.8, size=(1, 3)),
+                       rng.uniform(-0.5, 0.5, size=(N - 1, 3))])
+    return td.LiftedUncertainPlant(N, [lin(lam3, 0.0, *v) for v in verts], lam3)
+
+
+@pytest.mark.parametrize("plant, case, deg_lambda", [
+    pytest.param(three_vertex_affine(4), "affine_in_lambda", 1, id="affine-3-weights"),
+    pytest.param(paper_lifted(4), "two_weights", 3, id="paper-2-weights"),
+])
+def test_exact_level0_matches_level2(monkeypatch, plant, case, deg_lambda):
+    # where level 0 is exact, the ladder is skipped; forcing it shows that
+    # level 2 certifies the same rate
+    N = plant.N
+    prob = td.TimeSynthesisProblem(plant, td.LiftedFilter.identity(N),
+                                   td.LiftedFilter.causal_decision(N), k_max=2, k_tol=0.0)
+    res = prob.solve()
+    assert res.certified
+    assert res.diagnostics["level0_exact"] == case
+    assert res.diagnostics["deg_lambda"] == deg_lambda
+    assert res.polya_k == 0 and [k for k, _ in res.k_trace] == [0]
+
+    monkeypatch.setattr(result, "level0_exact", lambda M, lam, deg_lambda: None)
+    ladder = prob.solve()
+    raw = dict(ladder.diagnostics["k_trace_raw"])
+    assert sorted(raw) == [0, 1, 2]
+    assert raw[0] == res.eta
+    assert np.sqrt(raw[2]) == pytest.approx(res.gamma, abs=1e-7)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_lifted_rate_rises_with_horizon_to_the_frequency_rate(r):
+    # a causal L of order r: the N x N contraction matrix is the leading block
+    # of the (N + 1) x (N + 1) one, so the lifted rate does not fall with N,
+    # and no finite horizon exceeds the frequency-domain (infinite) rate
+    plant = paper_plant()
+    fir = fd.NoncausalFir.causal_decision(r)
+    gamma_freq = fd.synth_freq_robust(fd.NoncausalFir.unity(), fir, plant,
+                                      epsilon=1e-6, k_max=1).gamma
+    gammas = []
+    for N in range(r + 1, 7):
+        res = td.synth_time(td.TimeSynthesisProblem(
+            td.LiftedUncertainPlant.from_transfer(plant, N), td.LiftedFilter.identity(N),
+            td.LiftedFilter.from_fir(fir, N), epsilon=1e-6))
+        assert res.certified
+        gammas.append(res.gamma)
+    assert all(a <= b + 1e-6 for a, b in zip(gammas, gammas[1:])), gammas
+    assert gammas[-1] <= gamma_freq + 1e-6, (gammas, gamma_freq)
 
 
 def test_large_horizon_rejected():
