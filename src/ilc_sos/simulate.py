@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .timedomain import toeplitz_from_taps
+from .timedomain import lower_toeplitz, toeplitz_from_taps
 
 
 class Divergent(Exception):
@@ -83,20 +83,10 @@ def _as_matrix(obj, N: int, lower_triangular: bool = False) -> np.ndarray:
             raise ValueError(f"expected a {N}x{N} matrix, got {arr.shape}")
         return arr
     if lower_triangular and arr.shape == (N,):
-        taps = np.concatenate([np.zeros(N - 1), arr]) if N > 1 else arr
-        return toeplitz_from_taps(taps, N)
+        return lower_toeplitz(arr)
     if arr.shape == (2 * N - 1,):
         return toeplitz_from_taps(arr, N)
     raise ValueError(f"cannot interpret shape {arr.shape} on horizon N={N}")
-
-
-def _has_leads(obj, N: int) -> bool:
-    arr = np.asarray(obj, dtype=float)
-    if arr.ndim == 2:
-        return bool(np.any(np.abs(np.triu(arr, 1)) > 0))
-    if arr.shape == (2 * N - 1,):
-        return bool(np.any(np.abs(arr[N:]) > 0))
-    return False
 
 
 def sample_disturbance(N: int, seed: int, scale: float = 0.1) -> np.ndarray:
@@ -170,7 +160,8 @@ def run_ilc(plant, qfilter, lfilter, config: TrialConfig,
     P = _as_matrix(plant, N, lower_triangular=True)
     Q = _as_matrix(qfilter, N)
     L = _as_matrix(lfilter, N)
-    truncated = _has_leads(qfilter, N) or _has_leads(lfilter, N)
+    # lead taps c_{-(N-1)}..c_{-1} sit above the diagonal
+    truncated = bool(np.any(np.triu(Q, 1) != 0) or np.any(np.triu(L, 1) != 0))
 
     e_inf = asymptotic_error(P, Q, L, y_d, d)
     u = config.u0.copy() if config.u0 is not None else np.zeros(N)

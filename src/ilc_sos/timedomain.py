@@ -65,26 +65,21 @@ def markov_from_coeffs(num: Sequence[float], den: Sequence[float], count: int) -
     """First ``count`` impulse-response samples of num(z)/den(z).
 
     Coefficients ascending in z; den must have a nonzero leading entry and
-    strictly higher degree than num.  Plain long-division recursion.  Raises
-    ValueError when a sample overflows floating point.
+    strictly higher degree than num (trailing zeros of num dropped).  The
+    long division is :func:`lower_toeplitz_solve` on the monic denominator.
+    Raises ValueError when a sample overflows floating point.
     """
-    num = np.asarray(num, dtype=float)
+    num = np.trim_zeros(np.asarray(num, dtype=float), "b")
     den = np.asarray(den, dtype=float)
     n = len(den) - 1
     if abs(den[-1]) < 1e-300:
         raise ValueError("denominator leading coefficient is zero")
     if len(num) - 1 >= n:
         raise ValueError("plant must be strictly proper")
-    aa = den / den[-1]
-    bb = np.zeros(n + 1)
-    bb[: len(num)] = num / den[-1]
-    h = np.zeros(count)
+    rhs = np.zeros(n + count)  # b_{n-1}, ..., b_0, then zeros
+    rhs[n - len(num): n] = num[::-1] / den[-1]
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        for k in range(1, count + 1):
-            acc = bb[n - k] if n - k >= 0 else 0.0
-            for j in range(1, min(k, n + 1)):
-                acc -= aa[n - j] * h[k - j - 1]
-            h[k - 1] = acc
+        h = np.array(lower_toeplitz_solve((den / den[-1])[::-1], rhs[:count], 1.0))
     if not np.isfinite(h).all():
         raise ValueError("Markov parameters overflow floating point")
     return h
@@ -154,15 +149,9 @@ class LiftedUncertainPlant:
             raise ValueError("lifting needs a strictly proper plant (m < n)")
         variables = plant.lambda_vars
         zero = AffinePoly.zero(variables)
-        b = [plant.num[i] if i < len(plant.num) else zero for i in range(n + 1)]
-        a = list(plant.den)  # a_0 .. a_{n-1}; leading coefficient is 1
-        h: list = []
-        for k in range(1, N + 1):
-            acc = b[n - k] if n - k >= 0 else zero
-            for j in range(1, min(k, n + 1)):
-                acc = acc - a[n - j] * h[k - j - 1]
-            h.append(acc)
-        return cls(N, tuple(h), variables)
+        rhs = [zero] * (n - len(plant.num)) + list(plant.num)[::-1] + [zero] * N
+        col = [AffinePoly.constant(variables, 1.0)] + list(plant.den)[::-1]
+        return cls(N, tuple(lower_toeplitz_solve(col, rhs[:N], 1.0)), variables)
 
     def markov_at(self, lam) -> np.ndarray:
         if not isinstance(lam, Mapping):
@@ -191,14 +180,11 @@ class LiftedFilter:
 
     @classmethod
     def identity(cls, N: int) -> "LiftedFilter":
-        c = [0.0] * (2 * N - 1)
-        c[N - 1] = 1.0
-        return cls(N, tuple(c))
+        return cls(N, (0.0,) * (N - 1) + (1.0,) + (0.0,) * (N - 1))
 
     @classmethod
     def causal_decision(cls, N: int, prefix: str = "l") -> "LiftedFilter":
-        c = [0.0] * (N - 1) + [f"{prefix}{d}" for d in range(N)]
-        return cls(N, tuple(c))
+        return cls(N, (0.0,) * (N - 1) + tuple(f"{prefix}{d}" for d in range(N)))
 
     @classmethod
     def full_decision(cls, N: int, prefix: str = "l") -> "LiftedFilter":
@@ -215,9 +201,6 @@ class LiftedFilter:
         for d, coeff in fir.taps():
             c[d + N - 1] = coeff
         return cls(N, tuple(c))
-
-    def tap(self, d: int):
-        return self.coeffs[d + self.N - 1]
 
     def decision_ids(self) -> tuple:
         return tuple(c for c in self.coeffs if isinstance(c, str))
@@ -265,16 +248,16 @@ class TimeSynthesisProblem:
 # lifted matrices
 
 
-def build_lifted_plant(markov: Sequence[AffinePoly], N: int | None = None) -> PolyMatrix:
+def _poly_toeplitz(taps: Sequence[AffinePoly]) -> PolyMatrix:
+    """The :func:`tap_index` map on 2N-1 polynomial taps."""
+    index = tap_index((len(taps) + 1) // 2)
+    return PolyMatrix.from_rows([[taps[k] for k in row] for row in index.tolist()])
+
+
+def build_lifted_plant(markov: Sequence[AffinePoly]) -> PolyMatrix:
     """Lower-triangular Toeplitz plant matrix: entry (i,j) = p_{i-j+1} for i >= j."""
-    if N is None:
-        N = len(markov)
-    if len(markov) != N:
-        raise ValueError(f"expected {N} Markov parameters, got {len(markov)}")
-    variables = markov[0].variables
-    zero = AffinePoly.zero(variables)
-    rows = [[markov[i - j] if i >= j else zero for j in range(N)] for i in range(N)]
-    return PolyMatrix.from_rows(rows)
+    zero = AffinePoly.zero(markov[0].variables)
+    return _poly_toeplitz((zero,) * (len(markov) - 1) + tuple(markov))
 
 
 def build_filter_matrix(filt: LiftedFilter, N: int, variables: Sequence[str] = ()) -> PolyMatrix:
@@ -282,28 +265,17 @@ def build_filter_matrix(filt: LiftedFilter, N: int, variables: Sequence[str] = (
     if len(filt.coeffs) != 2 * N - 1:
         raise ValueError(f"filter has {len(filt.coeffs)} taps, horizon needs {2 * N - 1}")
     variables = tuple(variables)
-    entries = {}
-    for d in range(-(N - 1), N):
-        c = filt.tap(d)
-        if isinstance(c, str):
-            entries[d] = AffinePoly.decision(variables, c)
-        else:
-            entries[d] = AffinePoly.constant(variables, float(c))
-    rows = [[entries[i - j] for j in range(N)] for i in range(N)]
-    return PolyMatrix.from_rows(rows)
+    return _poly_toeplitz([AffinePoly.decision(variables, c) if isinstance(c, str)
+                           else AffinePoly.constant(variables, float(c)) for c in filt.coeffs])
 
 
 def _inverse_markov(markov: Sequence[AffinePoly]) -> list:
-    """Markov parameters of P^-1 for a constant p_1 (then they are polynomials)."""
+    """Markov parameters of P^-1 for a constant p_1 (then they are polynomials):
+    P's Toeplitz system solved for e_1."""
     variables = markov[0].variables
     c = 1.0 / markov[0].evaluate(dict.fromkeys(variables, 0.0))
-    inv = [AffinePoly.constant(variables, c)]
-    for k in range(1, len(markov)):
-        acc = AffinePoly.zero(variables)
-        for j in range(1, k + 1):
-            acc = acc + markov[j] * inv[k - j]
-        inv.append(acc.scaled(-c))
-    return inv
+    e1 = [AffinePoly.constant(variables, 1.0)] + [AffinePoly.zero(variables)] * (len(markov) - 1)
+    return lower_toeplitz_solve(markov, e1, c)
 
 
 def build_M(problem: TimeSynthesisProblem) -> PolyMatrix:
@@ -322,7 +294,7 @@ def build_M(problem: TimeSynthesisProblem) -> PolyMatrix:
     plant = problem.plant
     N = plant.N
     variables = plant.lambda_vars
-    P = build_lifted_plant(plant.markov, N)
+    P = build_lifted_plant(plant.markov)
     Q = build_filter_matrix(problem.qfilter, N, variables)
     L = build_filter_matrix(problem.lstructure, N, variables)
     I = PolyMatrix.identity(N, variables)
@@ -333,7 +305,7 @@ def build_M(problem: TimeSynthesisProblem) -> PolyMatrix:
         R = Q @ (I - P @ L)
     elif plant.markov[0].degree() == 0:
         Qa = build_filter_matrix(LiftedFilter(N, future + (0.0,) * N), N, variables)
-        Pinv = build_lifted_plant(_inverse_markov(plant.markov), N)
+        Pinv = build_lifted_plant(_inverse_markov(plant.markov))
         R = (Q - Qa) @ (I - P @ L) + P @ Qa @ (Pinv - L)
     else:
         R, head = P @ Q @ (I - L @ P), (P.transpose() @ P).scaled(gamma)
@@ -362,37 +334,49 @@ def lambda_degree(problem: TimeSynthesisProblem) -> int:
 
 
 # ---------------------------------------------------------------------------
-# numeric helpers (shared with the verification side)
+# the lifted layout and its triangular solve (shared with verify and simulate)
+
+
+def tap_index(N: int) -> np.ndarray:
+    """Entry (i, j) of a lifted N x N matrix holds the tap c_{i-j}, at
+    (N - 1) + i - j in c_{-(N-1)}..c_{N-1}.  Every lifted matrix reads this."""
+    return (N - 1) + np.subtract.outer(np.arange(N), np.arange(N))
 
 
 def toeplitz_from_taps(taps: np.ndarray, N: int) -> np.ndarray:
-    """Full N x N Toeplitz from taps c_{-(N-1)}..c_{N-1}."""
+    """Full N x N Toeplitz from taps c_{-(N-1)}..c_{N-1} on the last axis;
+    leading axes are a batch."""
     taps = np.asarray(taps, dtype=float)
-    if len(taps) != 2 * N - 1:
+    if taps.shape[-1:] != (2 * N - 1,):
         raise ValueError("tap vector length must be 2N-1")
-    out = np.empty((N, N))
-    for d in range(-(N - 1), N):
-        idx = np.arange(max(0, d), min(N, N + d))
-        out[idx, idx - d] = taps[d + N - 1]
-    return out
+    return taps[..., tap_index(N)]
 
 
-def lifted_numeric(plant: LiftedUncertainPlant, lam) -> np.ndarray:
-    """Numeric lower-triangular Toeplitz plant at one simplex point."""
-    h = plant.markov_at(lam)
-    N = plant.N
-    P = np.zeros((N, N))
-    for d in range(N):
-        idx = np.arange(d, N)
-        P[idx, idx - d] = h[d]
-    return P
+def lower_toeplitz(col) -> np.ndarray:
+    """Lower-triangular Toeplitz (a lifted plant) from first columns on the
+    last axis: the full map after N - 1 zero taps."""
+    col = np.asarray(col, dtype=float)
+    pad = np.zeros(col.shape[:-1] + (col.shape[-1] - 1,))
+    return toeplitz_from_taps(np.concatenate([pad, col], axis=-1), col.shape[-1])
+
+
+def lower_toeplitz_solve(col: Sequence, rhs: Sequence, inv_lead) -> list:
+    """Forward substitution for T x = rhs, T lower-triangular Toeplitz with
+    first column ``col`` (zero past its end) and inv_lead = 1 / col[0],
+    on floats or AffinePoly: x_k = (rhs_k - sum_j col_j x_{k-j}) inv_lead."""
+    x: list = []
+    for k, acc in enumerate(rhs):
+        for j in range(1, min(k + 1, len(col))):
+            acc = acc - col[j] * x[k - j]
+        x.append(acc * inv_lead)
+    return x
 
 
 def contraction_matrix(plant: LiftedUncertainPlant, q_taps: np.ndarray,
                        l_taps: np.ndarray, lam) -> np.ndarray:
     """Numeric P Q (I - L P) P^-1 at one simplex point."""
     N = plant.N
-    P = lifted_numeric(plant, lam)
+    P = lower_toeplitz(plant.markov_at(lam))
     Qm = toeplitz_from_taps(q_taps, N)
     Lm = toeplitz_from_taps(l_taps, N)
     return P @ Qm @ (np.eye(N) - Lm @ P) @ np.linalg.inv(P)

@@ -21,7 +21,7 @@ import numpy as np
 from .freqdomain import NoncausalFir, UncertainTransferFunction
 from .polyalg import simplex_mesh
 from .timedomain import LiftedFilter, LiftedUncertainPlant, SingularPlant, \
-    toeplitz_from_taps
+    lower_toeplitz, toeplitz_from_taps
 
 
 # entries per array of one batch's temporaries (at least one grid row a batch)
@@ -124,11 +124,9 @@ def time_gain_profile(plant: LiftedUncertainPlant, qfilter, lfilter,
         raise SingularPlant(f"p1 vanishes at a grid point (lambda={bad})")
     N = plant.N
     Qm, Lm = toeplitz_from_taps(q, N), toeplitz_from_taps(l, N)
-    r, c = np.tril_indices(N)
     out = np.empty(len(h))
     for b in _row_batches(len(h), N * N):
-        P = np.zeros((b.stop - b.start, N, N))
-        P[:, r, c] = h[b, r - c]  # lifted plant at every point: P[k, i, j] = h[k, i - j]
+        P = lower_toeplitz(h[b])  # the lifted plant at every point of the batch
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             X = P @ Qm @ (np.eye(N) - Lm @ P) @ np.linalg.inv(P)
         if not np.isfinite(X).all():

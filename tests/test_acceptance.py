@@ -275,7 +275,7 @@ def test_criterion_7_structural_properties():
     lam2 = ("lam1", "lam2")
     markov = [lin(lam2, 0.0, rng.uniform(0.5, 1.5), rng.uniform(0.5, 1.5))]
     markov += [lin(lam2, 0.0, rng.normal(), rng.normal()) for _ in range(3)]
-    P = td.build_lifted_plant(markov, 4)
+    P = td.build_lifted_plant(markov)
     Q = td.build_filter_matrix(td.LiftedFilter(4, (0.0,) * 3 + tuple(rng.normal(size=4))),
                                4, lam2)
     L = td.build_filter_matrix(td.LiftedFilter.full_decision(4), 4, lam2)

@@ -741,6 +741,21 @@ def test_simulate_overflowing_recursion_exits_3(tmp_path, capsys):
     assert "divergent" in capsys.readouterr().err.lower()
 
 
+@pytest.mark.parametrize("lfilter, truncated", [
+    ({"k_lead": 0, "k_lag": 1, "coeffs": [0.5, 0.1]}, False),
+    ({"k_lead": 1, "k_lag": 0, "coeffs": [0.1, 0.5]}, True),
+], ids=["lag", "lead"])
+def test_simulate_flags_only_lead_taps_as_truncated(tmp_path, lfilter, truncated):
+    # a lag tap acts on past samples; a lead tap needs samples beyond the
+    # horizon's end, which the lifted filter cuts off
+    cfg = write_config(tmp_path, {"mode": "simulate", "plant": DELAY_PLANT,
+                                  "lfilter": lfilter, "horizon": 8, "trials": 3,
+                                  "n_runs": 2})
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    assert [r["truncated_noncausal"] for r in read_result(out)["runs"]] == [truncated] * 2
+
+
 # -- determinism ---------------------------------------------------------
 
 

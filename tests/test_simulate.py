@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from ilc_sos import simulate as sim
-from ilc_sos.timedomain import toeplitz_from_taps
+from ilc_sos.timedomain import lower_toeplitz
 
 
 def causal_matrix(col, N):
-    return toeplitz_from_taps(np.concatenate([np.zeros(N - 1), col]), N)
+    assert len(col) == N
+    return lower_toeplitz(col)
 
 
 def random_setup(seed, N=6):
@@ -108,16 +109,21 @@ def test_lead_taps_flagged_as_truncated():
     col, y_d, d = random_setup(6)
     N = len(col)
     cfg = sim.TrialConfig(y_d=y_d, d=d, trials=2)
+    # taps c_{-(N-1)}..c_{N-1}: c_d sits at index d + N - 1 and acts on the
+    # input d samples in the past, so d < 0 reaches ahead of the sample
     lead = np.zeros(2 * N - 1)
     lead[N - 1] = 0.3   # current sample
-    lead[N] = 0.2       # one sample ahead
+    lead[N - 2] = 0.2   # one sample ahead (c_{-1})
     trace = sim.run_ilc(col, np.eye(N), lead, cfg)
     assert trace.truncated_noncausal
     causal = np.zeros(2 * N - 1)
     causal[N - 1] = 0.3
-    causal[N - 2] = 0.2
+    causal[N] = 0.2     # one sample in the past (c_1)
     trace = sim.run_ilc(col, np.eye(N), causal, cfg)
     assert not trace.truncated_noncausal
+    # the same filters as matrices: a lead sits above the diagonal
+    assert sim.run_ilc(col, np.eye(N), lower_toeplitz(causal[N - 1:]).T, cfg).truncated_noncausal
+    assert not sim.run_ilc(col, np.eye(N), lower_toeplitz(causal[N - 1:]), cfg).truncated_noncausal
 
 
 def test_disturbance_sampler_reproducible():

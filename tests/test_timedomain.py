@@ -78,18 +78,42 @@ def test_markov_rejects_improper():
         td.markov_from_coeffs([1.0, 2.0], [0.5, 1.0], 3)
 
 
+def test_markov_trailing_zero_numerator_matches_lifted():
+    # num [1, 0] is the plant 1 / (z + 0.5): strictly proper once the zero
+    # z-coefficient is dropped, as from_coeffs drops it
+    h = td.markov_from_coeffs([1.0, 0.0], [0.5, 1.0], 3)
+    tf = UncertainTransferFunction.from_coeffs([1.0, 0.0], [0.5, 1.0], ())
+    lifted = td.LiftedUncertainPlant.from_transfer(tf, 3)
+    assert h.tolist() == [1.0, -0.5, 0.25]
+    assert np.array_equal(lifted.markov_at(()), h)
+    assert td.markov_from_coeffs([0.0, 0.0], [0.5, 1.0], 2).tolist() == [0.0, 0.0]
+
+
+def test_lower_toeplitz_solve_matches_dense_solve():
+    # first columns shorter than, equal to and longer than the system
+    rng = np.random.default_rng(17)
+    for N in range(1, 9):
+        for width in (1, 2, N, N + 2):
+            col = rng.normal(size=width)
+            col[0] = rng.choice([-1, 1]) * (0.5 + rng.random())
+            T = td.lower_toeplitz(np.concatenate([col, np.zeros(N)])[:N])
+            rhs = rng.normal(size=N)
+            x = td.lower_toeplitz_solve(col, rhs, 1.0 / col[0])
+            np.testing.assert_allclose(x, np.linalg.solve(T, rhs), rtol=1e-10, atol=1e-12)
+
+
 # -- lifted matrices ---------------------------------------------------------
 
 
 def test_build_lifted_plant_small():
-    P = td.build_lifted_plant(const_markov([1.0, 2.0]), 2)
+    P = td.build_lifted_plant(const_markov([1.0, 2.0]))
     vals = P.evaluate({}, {})
     assert np.array_equal(vals, [[1.0, 0.0], [2.0, 1.0]])
 
 
 def test_build_lifted_plant_placement():
     p = (lin(LAM2, 0, 1, 0), lin(LAM2, 0, 0, 1), lin(LAM2, 1))
-    P = td.build_lifted_plant(p, 3)
+    P = td.build_lifted_plant(p)
     vals = P.evaluate(at([0.3, 0.7]), {})
     assert vals[2][0] == pytest.approx(1.0)
     assert vals[2][2] == pytest.approx(0.3)
@@ -115,6 +139,49 @@ def test_build_filter_matrix_identity_and_leads():
     lead_only = dict(zero_gains)
     lead_only[l.coeffs[0]] = 1.0  # the two-step lead tap c_{-2}
     assert M.evaluate({}, lead_only)[0][2] == 1.0
+
+
+def toeplitz_loop(taps, N):
+    """Reference map: fill each diagonal d = i - j with its tap c_d."""
+    out = np.empty((N, N))
+    for d in range(-(N - 1), N):
+        for i in range(max(0, d), min(N, N + d)):
+            out[i, i - d] = taps[d + N - 1]
+    return out
+
+
+@pytest.mark.parametrize("N", range(1, 7))
+def test_toeplitz_map_matches_diagonal_loop(N):
+    rng = np.random.default_rng(40 + N)
+    taps = rng.normal(size=2 * N - 1)
+    assert np.array_equal(td.toeplitz_from_taps(taps, N), toeplitz_loop(taps, N))
+    col = rng.normal(size=N)
+    padded = np.concatenate([np.zeros(N - 1), col])
+    assert np.array_equal(td.lower_toeplitz(col), toeplitz_loop(padded, N))
+    batch = rng.normal(size=(5, 2 * N - 1))
+    full = td.toeplitz_from_taps(batch, N)
+    lower = td.lower_toeplitz(batch[:, N - 1:])
+    assert full.shape == lower.shape == (5, N, N)
+    for k in range(5):
+        assert np.array_equal(full[k], toeplitz_loop(batch[k], N))
+        assert np.array_equal(lower[k], toeplitz_loop(np.concatenate(
+            [np.zeros(N - 1), batch[k, N - 1:]]), N))
+    with pytest.raises(ValueError):
+        td.toeplitz_from_taps(np.zeros(2 * N), N)
+
+    # the polynomial builders read the same map: evaluated at a point (and
+    # the decisions at values), they are the numeric matrices
+    markov = [lin(LAM2, *rng.normal(size=3)) for _ in range(N)]
+    filt = td.LiftedFilter(N, tuple(f"c{k}" if k % 2 else float(rng.normal())
+                                    for k in range(2 * N - 1)))
+    gains = {c: float(rng.normal()) for c in filt.decision_ids()}
+    pt = rng.dirichlet([1, 1])
+    P = np.asarray(td.build_lifted_plant(markov).evaluate(at(pt), {}))
+    np.testing.assert_allclose(P, td.lower_toeplitz([p.evaluate(at(pt)) for p in markov]),
+                               rtol=1e-14, atol=1e-15)
+    F = np.asarray(td.build_filter_matrix(filt, N, LAM2).evaluate(at(pt), gains))
+    np.testing.assert_allclose(F, td.toeplitz_from_taps(filt.numeric(gains), N),
+                               rtol=1e-14, atol=1e-15)
 
 
 def test_filter_length_checked():
@@ -230,7 +297,7 @@ def test_build_M_noncausal_q_congruence():
         gains = {d: rng.normal() for d in lstr.decision_ids()}
         gains["gamma"] = gamma = rng.uniform(0.1, 2.0)
         G = td.contraction_matrix(plant, q.numeric(), lstr.numeric(gains), pt)
-        P = td.lifted_numeric(plant, pt)
+        P = td.lower_toeplitz(plant.markov_at(pt))
         vals = np.asarray(M.evaluate(at(pt), gains))
         assert np.max(np.abs(G - vals[N:, :N] @ np.linalg.inv(P))) < 1e-8
         assert np.allclose(vals[:N, :N], gamma * P.T @ P, atol=1e-12)
@@ -496,6 +563,37 @@ def test_from_transfer_lifts_paper_plant():
         ref = td.markov_from_coeffs([16 + 60 * th, -40.0],
                                     [16 * th + 1, 4 + 20 * th, -20.0], 4)
         assert np.allclose(lifted.markov_at(pt), ref, atol=1e-12)
+
+
+def test_from_transfer_matches_numeric_division_on_three_vertices():
+    lam = ("a", "b", "c")
+    num = [lin(lam, 0.0, 0.3, -0.2, 0.5), lin(lam, 0.0, -0.4, 0.1, 0.2),
+           lin(lam, 0.0, 1.0, 1.5, 2.0)]
+    den = [lin(lam, 0.0, 0.1, -0.2, 0.05), lin(lam, 0.0, 0.3, 0.1, -0.4),
+           lin(lam, 0.0, -0.5, 0.2, 0.6), 1.0]
+    plant = UncertainTransferFunction.from_coeffs(num, den, lam)
+    N = 8
+    lifted = td.LiftedUncertainPlant.from_transfer(plant, N)
+    assert [p.degree() for p in lifted.markov[:4]] == [1, 2, 3, 4]
+    rng = np.random.default_rng(23)
+    for pt in rng.dirichlet(np.ones(3), size=50):
+        num_v, den_v = plant.coeff_arrays(dict(zip(lam, pt)))
+        np.testing.assert_allclose(lifted.markov_at(pt), td.markov_from_coeffs(num_v, den_v, N),
+                                   rtol=1e-12, atol=1e-14)
+
+
+def test_inverse_markov_inverts_the_lifted_plant():
+    # constant p1, the other parameters polynomial in three weights
+    lam = ("a", "b", "c")
+    rng = np.random.default_rng(29)
+    N = 6
+    markov = [lin(lam, -1.5)] + [lin(lam, *rng.normal(scale=0.5, size=4)) for _ in range(N - 1)]
+    inv = td._inverse_markov(markov)
+    for pt in rng.dirichlet(np.ones(3), size=30):
+        point = dict(zip(lam, pt))
+        P = td.lower_toeplitz([p.evaluate(point) for p in markov])
+        Pinv = td.lower_toeplitz([p.evaluate(point) for p in inv])
+        np.testing.assert_allclose(P @ Pinv, np.eye(N), atol=1e-12)
 
 
 def test_from_transfer_requires_strictly_proper():
