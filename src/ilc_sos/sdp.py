@@ -6,7 +6,9 @@ Solves
     subject to  <A_i, G> - d_i^T y = beta_i          (i = 1..p)
                 G = blkdiag(G_1..G_B) >= 0,  y free
 
-with a primal-dual interior-point method: Nesterov-Todd scaling, Mehrotra
+with a primal-dual interior-point method: Nesterov-Todd scaling in its
+eigendecomposition form (one Cholesky of G and one eigh of L_G^T Z L_G;
+Todd, Toh & Tutuncu 1998, SIAM J. Optim. 8(3)), Mehrotra
 predictor-corrector, and one infeasible start at SDPT3's data-scaled point
 (Toh, Todd & Tutuncu 1999), with no restart.  The dual is
 
@@ -19,7 +21,7 @@ stand: D is ``free``, beta is ``rhs``, and each row (i, b, p, q) of
 block b of A_i, so <A_i, G> sums w G_b[p, q] over equality i's rows.
 
 The iteration keeps G, Z and every direction in one stacked (B, n, n) array,
-n the largest block, so each factorization (Cholesky, the SVD of the NT
+n the largest block, so each factorization (Cholesky, the eigh of the NT
 scaling, the eigenvalues of the step test) is one batched call, and A and
 A* are one bincount each over flat b n^2 + p n + q indices.  Each block is
 padded with identity in G and Z, and the pads are invisible: every direction
@@ -365,6 +367,27 @@ def _null_space_solver(A: _Assembled, M: np.ndarray, buf: np.ndarray):
     return solve
 
 
+def _nt_scaling(G: np.ndarray, Z: np.ndarray):
+    """The Nesterov-Todd scaling of stacked positive definite G and Z:
+    (R, R^-1, s) with W = R R^T, W Z W = G and R^-1 G R^-T = R^T Z R =
+    diag(s), or None when G or Z is not positive definite.
+
+    The eigendecomposition form (Todd, Toh & Tutuncu 1998, SIAM J. Optim.
+    8(3)): with G = L L^T and L^T Z L = U diag(lambda) U^T, s = lambda^1/2,
+    R = L U diag(lambda)^-1/4 and R^-1 = diag(s)^-1 R^T Z.  One Cholesky
+    and one symmetric eigensolve, and no inverse.
+    """
+    LG = _chol(G)
+    if LG is None:
+        return None
+    lam, U = np.linalg.eigh(LG.transpose(0, 2, 1) @ Z @ LG)
+    if np.min(lam) <= 0:
+        return None
+    s = np.sqrt(lam)
+    R = LG @ U / np.sqrt(s)[:, None, :]
+    return R, R.transpose(0, 2, 1) @ Z / s[:, :, None], s
+
+
 def _max_step(Sig_half_inv: np.ndarray, delta_scaled: np.ndarray) -> np.ndarray:
     """Largest alpha with Sigma + alpha*Delta >= 0 in every block (scaled
     coordinates), for each stack (..., B, n, n) of directions Delta."""
@@ -416,7 +439,7 @@ def _solve_ipm(A: _Assembled, feas_tol: float, gap_tol: float, max_iter: int) ->
                  float(np.max(np.abs(A.c))) if q else 1.0)
     # G and Z are stacked (B, n, n) arrays whose pads stay exactly I: every
     # direction is masked to the blocks' own rows and columns, in the original
-    # coordinates (the SVD's sort moves the pads in the scaled ones)
+    # coordinates (the eigh's sort moves the pads in the scaled ones)
     G, Z = _starting_point(A)
     mask = A.mask
     eye, zeros = np.eye(A.n), np.zeros_like(G)
@@ -431,7 +454,7 @@ def _solve_ipm(A: _Assembled, feas_tol: float, gap_tol: float, max_iter: int) ->
     M, buf, work = np.empty((p, p)), np.empty((p, p)), A.workspace()
 
     # LAPACK can fail to converge on a badly scaled iterate (eigvalsh in
-    # _max_step, the SVD of the scaling): that is a failed solve, not an error
+    # _max_step, the eigh of the scaling): that is a failed solve, not an error
     try:
         for it in range(max_iter):
             rp = A.beta - A.apply_A(G) + A.D @ y
@@ -467,17 +490,11 @@ def _solve_ipm(A: _Assembled, feas_tol: float, gap_tol: float, max_iter: int) ->
                                    dual_residual=dinf, message="primal objective diverging",
                                    trace=trace)
 
-            # Nesterov-Todd scaling: W = R R^T, R^-1 G R^-T = R^T Z R = Sigma, from
-            # L_Z^T L_G = U Sigma V^T; R^-1 = Sigma^-1/2 U^T L_Z^T needs no inverse
-            LG, LZ = _chol(G), _chol(Z)
-            if LG is None or LZ is None:
+            scaling = _nt_scaling(G, Z)
+            if scaling is None:
                 return fail("iterate lost positive definiteness", it)
-            U, s, Vt = np.linalg.svd(tr(LZ) @ LG)
-            if np.min(s) <= 0:
-                return fail("iterate lost positive definiteness", it)
+            R, Rinv, s = scaling
             rs = np.sqrt(s)
-            R = LG @ tr(Vt) / rs[:, None, :]
-            Rinv = tr(U) / rs[:, :, None] @ tr(LZ)
             W = R @ tr(R)
 
             kkt = _null_space_solver(A, A.schur(W, M, work), buf)

@@ -61,17 +61,20 @@ blocks and forms the residual S - V^T G V coefficientwise from the same
 keys; it reads nothing the compile produced.  Each mismatch is measured
 against the coefficient's resolved value c0 + sum_j d_j y_j (floored at 1),
 not against the compile's equality scale max(1, |c0|, max_j |d_j|), which
-counts a decision weight d_j in full whatever y_j is.
+counts a decision weight d_j in full whatever y_j is.  That resolved value
+is rounded once from its exact value, however its terms cancel.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .polyalg import PolyMatrix, _resolved, compositions
+from .polyalg import PolyMatrix, compositions
 
 
 class BasisDeficiency(Exception):
@@ -374,6 +377,64 @@ def certificate_from_grams(problem: SdpProblem, grams: Sequence[np.ndarray]) -> 
 RESIDUAL_TOL = 1e-6  # largest scaled coefficient mismatch of a passing certificate
 
 
+def _split(m: np.ndarray) -> tuple:
+    """m = hi + lo exactly, hi holding m's leading 26 bits (Veltkamp)."""
+    c = 134217729.0 * m  # 2^27 + 1
+    hi = c - (c - m)
+    return hi, m - hi
+
+
+def _two_product(a: np.ndarray, b: np.ndarray) -> tuple:
+    """(hi, lo) with hi = fl(a b) and hi + lo = a b exactly, elementwise
+    (Dekker's product).  It splits the mantissas of a and b, which lie in
+    [0.5, 1), and scales back by their exponents, so the split cannot
+    overflow as a (2^27 + 1) does for |a| > 1.3e300; lo is rounded only
+    where it underflows."""
+    (ma, ea), (mb, eb) = np.frexp(a), np.frexp(b)
+    (ah, al), (bh, bl) = _split(ma), _split(mb)
+    p = ma * mb
+    err = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    return np.ldexp(p, ea + eb), np.ldexp(err, ea + eb)
+
+
+def _exact_sum(terms: list) -> float:
+    """The correctly rounded sum of finite floats (inf past the float
+    range): math.fsum, or exact rationals when one of fsum's partial sums
+    overflows."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        total = sum(map(Fraction, terms))
+        try:
+            return float(total)
+        except OverflowError:
+            return math.inf if total > 0 else -math.inf
+
+
+def _resolved_once(coeffs: np.ndarray, names: tuple,
+                   assignment: Mapping[str, float]) -> np.ndarray:
+    """Each coefficient row's c0 + sum_j d_j y_j, rounded once.
+
+    Each product is split into fl(d_j y_j) plus its exact rounding error
+    (:func:`_two_product`), and a row of several nonzero terms is summed
+    exactly and rounded at the end (the error-free transformations of
+    Ogita, Rump & Oishi 2005, SIAM J. Sci. Comput. 26(6)).  A plain
+    floating-point sum can round a cancelling row to 0: on markov
+    [1, 1e15], x l0 + l1 with l0 = 1 - 2^-53 and l1 = -1e15 + 0.125 is
+    0.014, and fl(x l0) rounds to -l1.  A non-finite row keeps its
+    floating-point sum."""
+    if not names:
+        return coeffs[:, 0]
+    y = np.array([float(assignment[d]) for d in names])
+    with np.errstate(over="ignore", invalid="ignore"):
+        hi, lo = _two_product(coeffs[:, 1:], y)
+        terms = np.column_stack([coeffs[:, 0], hi, lo])
+        values = terms.sum(axis=1)
+    several = (np.count_nonzero(terms, axis=1) > 1) & np.isfinite(terms).all(axis=1)
+    values[several] = [_exact_sum(t) for t in terms[several].tolist()]
+    return values
+
+
 def check_certificate(S: PolyMatrix, assignment: Mapping[str, float],
                       cert: SosCertificate, residual_tol: float = RESIDUAL_TOL,
                       eig_tol: float = -1e-8) -> CertificateReport:
@@ -382,7 +443,8 @@ def check_certificate(S: PolyMatrix, assignment: Mapping[str, float],
     ``assignment`` fixes all decision scalars appearing in S.  Each
     coefficient mismatch is measured relative to that coefficient's resolved
     value, max(1, |c0 + sum_j d_j y_j|), so the certificate must hold for the
-    decisions as reported.  A larger scale hides a mismatch: measured against
+    decisions as reported, and is evaluated to within one rounding
+    (:func:`_resolved_once`).  A larger scale hides a mismatch: measured against
     the coefficient's size max(1, |c0|, max_j |d_j|) (the compile's equality
     scale), 1e50/(z - 0.5) passes taps of 1e-37 whose rate is 7e14; measured
     against its terms max(1, |c0|, max_j |d_j y_j|), markov [1, 1e30] passes
@@ -391,7 +453,7 @@ def check_certificate(S: PolyMatrix, assignment: Mapping[str, float],
     block has min eigenvalue at least ``eig_tol``.
     """
     t_keys, t_coeffs, names = _upper_terms(S)
-    values = _resolved(t_coeffs, names, assignment)
+    values = _resolved_once(t_coeffs, names, assignment)
 
     # the expansion V^T G V at every (monomial, r <= s)
     e_keys, e_vals = [], []

@@ -10,6 +10,15 @@ temporaries stay near ``BATCH_ENTRIES`` entries however large the grid is.
 The frequency oracle reduces each batch over the frequencies at once, so
 both return one value per simplex point, and only the per-point
 coefficients and that (K,) profile grow with the grid.
+
+The time oracle forms no general inverse and no SVD.  P is lower-triangular
+Toeplitz in the Markov parameters, so P^-1 is too, and its first column is
+one forward substitution (:func:`timedomain.lower_toeplitz_solve`, run on
+all points of a batch at once).  Only sigma_max of X = P Q (I - L P) P^-1
+is read, and it is s sqrt(lambda_max(Y^T Y)) for Y = X / s, one batched
+symmetric eigenvalue call.  The scale s, the largest |entry| of X, is
+needed for correctness: X^T X overflows wherever |X| passes about 1e154,
+while X itself is finite up to 1e308.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ import numpy as np
 from .freqdomain import NoncausalFir, UncertainTransferFunction
 from .polyalg import simplex_mesh
 from .timedomain import LiftedFilter, LiftedUncertainPlant, SingularPlant, \
-    lower_toeplitz, toeplitz_from_taps
+    lower_toeplitz, lower_toeplitz_solve, toeplitz_from_taps
 
 
 # entries per array of one batch's temporaries (at least one grid row a batch)
@@ -124,14 +133,26 @@ def time_gain_profile(plant: LiftedUncertainPlant, qfilter, lfilter,
         raise SingularPlant(f"p1 vanishes at a grid point (lambda={bad})")
     N = plant.N
     Qm, Lm = toeplitz_from_taps(q, N), toeplitz_from_taps(l, N)
+    e1 = np.eye(N)[0]
     out = np.empty(len(h))
     for b in _row_batches(len(h), N * N):
-        P = lower_toeplitz(h[b])  # the lifted plant at every point of the batch
+        hb = h[b]
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            X = P @ Qm @ (np.eye(N) - Lm @ P) @ np.linalg.inv(P)
+            # the lifted plant at every point of the batch, and its inverse:
+            # lower-triangular Toeplitz too, with first column P^-1 e1
+            P = lower_toeplitz(hb)
+            Pinv = lower_toeplitz(np.stack(
+                lower_toeplitz_solve(list(hb.T), e1, 1.0 / hb[:, 0]), axis=-1))
+            X = P @ Qm @ (np.eye(N) - Lm @ P) @ Pinv
         if not np.isfinite(X).all():
             raise ValueError("the lifted gain overflows floating point on the grid")
-        out[b] = np.linalg.svd(X, compute_uv=False)[:, 0]
+        # sigma_max(X) = s sqrt(lambda_max(Y^T Y)) with Y = X / s, s the
+        # largest |entry| of X (1 where X = 0): X^T X overflows where X does not
+        peak = np.abs(X).max(axis=(1, 2))
+        peak[peak == 0] = 1.0
+        Y = X / peak[:, None, None]
+        lam_max = np.linalg.eigvalsh(Y.transpose(0, 2, 1) @ Y)[:, -1]
+        out[b] = peak * np.sqrt(np.maximum(lam_max, 0.0))
     return out
 
 

@@ -463,29 +463,59 @@ def test_mixed_size_blocks_solve_to_reference():
 @pytest.mark.parametrize("problem", [_mixed_size_problem(), _random_assembled()[0]],
                          ids=["mixed-size", "random"])
 def test_pads_stay_identity_at_every_iterate(monkeypatch, problem):
-    # every stacked factorization the IPM asks for is of an iterate G or Z
+    # every iterate pair (G, Z) goes through the NT scaling once an iteration
     seen = []
-    chol = sdp._chol
+    scaling = sdp._nt_scaling
 
-    def recording(M):
-        if M.ndim == 3:
-            seen.append(M.copy())
-        return chol(M)
+    def recording(G, Z):
+        seen.append((G.copy(), Z.copy()))
+        return scaling(G, Z)
 
-    monkeypatch.setattr(sdp, "_chol", recording)
+    monkeypatch.setattr(sdp, "_nt_scaling", recording)
     A = problem if isinstance(problem, sdp._Assembled) else sdp._Assembled(problem)
     sol = sdp._solve_ipm(A, 1e-8, 1e-8, 200)
-    assert sol.iterations >= 5 and len(seen) == 2 * sol.iterations
+    assert sol.iterations >= 5 and len(seen) == sol.iterations
     pad = A.mask == 0
     assert pad.any()
     eye = np.broadcast_to(np.eye(A.n), A.mask.shape)
-    for X in seen:
-        np.testing.assert_array_equal(X[pad], eye[pad])
-    # and they add nothing to mu: iteration k factors G, then Z
-    for k, rec in enumerate(sol.trace[:sol.iterations]):
-        G, Z = seen[2 * k], seen[2 * k + 1]
+    for G, Z in seen:
+        np.testing.assert_array_equal(G[pad], eye[pad])
+        np.testing.assert_array_equal(Z[pad], eye[pad])
+    # and they add nothing to mu
+    for (G, Z), rec in zip(seen, sol.trace[:sol.iterations]):
         mu = sum(np.vdot(G[b, :n, :n], Z[b, :n, :n]) for b, n in enumerate(A.dims))
         assert rec["mu"] == pytest.approx(mu / sum(A.dims), rel=1e-12)
+
+
+def test_nt_scaling_on_padded_mixed_size_iterates():
+    rng = np.random.default_rng(5)
+    dims, n = [3, 5, 1, 4], 5
+    tr = lambda X: X.transpose(0, 2, 1)
+
+    def iterate():
+        # positive definite blocks of mixed sizes, padded with identity
+        X = np.array([np.eye(n)] * len(dims))
+        for b, k in enumerate(dims):
+            F = rng.normal(size=(k, k))
+            X[b, :k, :k] = F @ F.T + 0.1 * np.eye(k)
+        return X
+
+    def close(X, Y):
+        np.testing.assert_allclose(X, Y, rtol=0, atol=1e-12 * np.abs(Y).max())
+
+    G, Z = iterate(), iterate()
+    R, Rinv, s = sdp._nt_scaling(G, Z)
+    W = R @ tr(R)
+    close(W @ Z @ W, G)
+    diag = s[:, :, None] * np.eye(n)
+    close(Rinv @ G @ tr(Rinv), diag)
+    close(tr(R) @ Z @ R, diag)
+    close(R @ Rinv, np.array([np.eye(n)] * len(dims)))
+    # an indefinite block of either iterate: no scaling
+    for X in (G, Z):
+        X[2, 0, 0] = -1.0
+        assert sdp._nt_scaling(G, Z) is None
+        X[2, 0, 0] = 1.0
 
 
 def test_batched_max_step_is_the_per_block_minimum():

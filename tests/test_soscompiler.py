@@ -1,9 +1,10 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from ilc_sos.polyalg import AffinePoly, PolyMatrix, compositions
+from ilc_sos.polyalg import AffinePoly, PolyMatrix, compositions, substitute_squares
 from ilc_sos.soscompiler import (
     BasisDeficiency,
     SdpProblem,
@@ -17,6 +18,7 @@ from ilc_sos.soscompiler import (
 from ilc_sos import cli
 from ilc_sos import freqdomain as fd
 from ilc_sos import result
+from ilc_sos import soscompiler
 from ilc_sos import sdp
 from ilc_sos import timedomain as td
 
@@ -289,6 +291,53 @@ def test_certificate_rejects_perturbation():
     cert = certificate_from_grams(prob, [G])
     rep = check_certificate(S, {}, cert)
     assert not rep.passed
+
+
+def test_certificate_refuses_taps_whose_product_rounds_away():
+    # markov [1, 1e15] certifies the deadbeat taps (1, -1e15).  With
+    # l0 = 1 - 2^-53 and l1 = -1e15 + 0.125, x l0 + l1 is 0.125 - 1e15 2^-53
+    # = 0.0140 exactly, but fl(x l0) = -l1 and the float sum is 0
+    plant = td.LiftedUncertainPlant(2, [AffinePoly.constant((), 1.0),
+                                        AffinePoly.constant((), 1e15)], ())
+    prob = td.TimeSynthesisProblem(plant, td.LiftedFilter.identity(2),
+                                   td.LiftedFilter.causal_decision(2))
+    res = td.synth_time(prob)
+    assert res.certificate_report.passed
+    assert res.gain_list == pytest.approx([1.0, -1e15], rel=1e-15)
+    S = substitute_squares(td.build_M(prob), ())
+    assert check_certificate(S, res.gains, res.certificate).passed
+    l0, l1 = 0.9999999999999999, -999999999999999.9
+    assert 1e15 * l0 + l1 == 0.0
+    rep = check_certificate(S, dict(res.gains, l0=l0, l1=l1), res.certificate)
+    assert not rep.passed
+    want = float(Fraction(10**15) * Fraction(l0) + Fraction(l1))
+    assert rep.residual == pytest.approx(want, rel=1e-6)
+
+
+def test_resolved_coefficients_match_exact_sums():
+    # rows c0 + sum_j d_j y_j that cancel to their rounding error, with
+    # coefficients from 1e-200 to 1.7e300 (where Veltkamp's split of d
+    # itself overflows), zeros and single-term rows among them
+    rng = np.random.default_rng(29)
+    rows, m = 600, 4
+    d = rng.normal(size=(rows, m)) * 10.0 ** rng.uniform(-200, 300, size=(rows, 1))
+    d[:50] = rng.choice([-1.7e300, 1.7e300], size=(50, m))
+    d[rng.uniform(size=d.shape) < 0.2] = 0.0
+    y = rng.uniform(0.5, 1.0, size=m) * rng.choice([-1.0, 1.0], size=m)
+    coeffs = np.column_stack([-(d @ y), d])
+    coeffs[-20:, 0] = rng.normal(size=20)
+    coeffs[-10:, 1:] = 0.0
+    names = tuple(f"y{j}" for j in range(m))
+    got = soscompiler._resolved_once(coeffs, names, dict(zip(names, y)))
+    fy = [Fraction(v) for v in y]
+    want = np.array([float(sum((Fraction(c) * v for c, v in zip(row[1:], fy)),
+                               Fraction(row[0]))) for row in coeffs.tolist()])
+    np.testing.assert_array_equal(got, want)
+    assert np.count_nonzero(coeffs @ np.concatenate([[1.0], y]) != want) > rows // 2
+    # a partial sum past the float range, then an exact sum past it
+    big = np.array([[0.0, 1e308, 1e308, -1e308], [0.0, 1e308, 1e308, 0.0]])
+    got = soscompiler._resolved_once(big, names[:3], dict.fromkeys(names[:3], 1.0))
+    np.testing.assert_array_equal(got, [1e308, np.inf])
 
 
 def test_serialize_round_trip():

@@ -355,16 +355,29 @@ def test_time_gain_singular_plant_on_grid():
                              td.LiftedFilter(2, (0.0, 0.5, 0.0)), grid)
 
 
-@pytest.mark.parametrize("N, lam", [(5, ("lam1", "lam2")), (64, ("lam1", "lam2")),
-                                    (4, ()), (16, ("lam1", "lam2"))])
-def test_time_gain_profile_matches_per_point_loop(N, lam):
+@pytest.mark.parametrize("N, lam, case", [
+    pytest.param(5, ("lam1", "lam2"), "random", id="5-lam0"),
+    pytest.param(64, ("lam1", "lam2"), "random", id="64-lam1"),
+    pytest.param(4, (), "random", id="4-lam2"),
+    pytest.param(16, ("lam1", "lam2"), "random", id="16-lam3"),
+    pytest.param(1, ("lam1", "lam2"), "random", id="1-lam4"),
+    pytest.param(3, ("lam1", "lam2"), "taps-1e200", id="3-taps-1e200"),
+    pytest.param(4, ("lam1", "lam2"), "deadbeat", id="4-deadbeat"),
+])
+def test_time_gain_profile_matches_per_point_loop(N, lam, case):
     rng = np.random.default_rng(N)
     markov = [lin(lam, 1.0, *(0.5 + rng.uniform(size=len(lam))))]
     markov += [lin(lam, *rng.normal(scale=0.3, size=len(lam) + 1)) for _ in range(N - 1)]
-    plant = td.LiftedUncertainPlant(N, markov, lam)
     q = rng.normal(scale=0.2, size=2 * N - 1)
     q[N - 1] = 1.0
     l = rng.normal(scale=0.3, size=2 * N - 1)
+    if case == "taps-1e200":
+        l *= 1e200  # X is finite, X^T X is not
+    if case == "deadbeat":  # L P = I exactly, so X = 0
+        markov = [lin(lam, 0.5)] + [lin(lam, 0.0)] * (N - 1)
+        l = np.zeros(2 * N - 1)
+        l[N - 1] = 2.0
+    plant = td.LiftedUncertainPlant(N, markov, lam)
     grid = vf.make_grid(len(lam), resolution=10, n_random=600, seed=1)
     # 613 points: 256 + 256 + 101 a batch at N = 16, 38 x 16 + 5 at N = 64
     assert (len(vf._row_batches(len(grid.lambda_points), N * N)) >= 3) == (N >= 16)
@@ -374,6 +387,10 @@ def test_time_gain_profile_matches_per_point_loop(N, lam):
                      for pt in grid.lambda_points])
     np.testing.assert_allclose(batched, loop, rtol=1e-12, atol=0)
     assert int(np.argmax(batched)) == int(np.argmax(loop))
+    if case == "taps-1e200":
+        assert batched.min() > 1e160  # sigma^2 overflows
+    if case == "deadbeat":
+        assert not batched.any()
 
 
 def test_time_rejects_decision_taps():
