@@ -268,6 +268,11 @@ def _synthesis_exit(res: SynthesisResult, out_dir: str, mode: str) -> int:
     print(f"gamma* = {res.gamma:.6f} at k = {res.polya_k} "
           f"(certificate residual {res.certificate_report.residual:.2e}); "
           f"gains: {gains}")
+    for name, label in [("stability_screen", "stability screen"),
+                        ("circle_check", "unit-circle denominator check")]:
+        check = res.diagnostics.get(name)
+        if check and check["sampled"]:
+            print(f"note: the {label} is sampled ({check['points']} points), not certified")
     if res.not_monotone:
         print(f"synthesis finished but gamma*={res.gamma:.4f} is not below 1 "
               "(no contraction certified)", file=sys.stderr)

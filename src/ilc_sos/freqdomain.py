@@ -14,7 +14,7 @@ through z = (1 + jx)/(1 - jx) and homogenize in lam; :func:`result.escalate`,
 shared with the lifted domain, substitutes lam -> lam^2 to drop the
 nonnegativity constraints and climbs a "multiply by ||lam||^2k" relaxation
 ladder until the bound stops improving.  A positivity margin eps certifies
-the block with slack eps diag(E, S, S), its gamma-coefficient, and costs
+the block with slack eps nu3 I, its gamma-coefficient, and costs
 exactly eps on gamma.  A plant without uncertainty is the case lam = (): its
 3x3 polynomial matrix inequality in x is exact, so only level 0 is solved.
 """
@@ -250,6 +250,7 @@ class JuryReport:
     order: int
     method: str
     n_points: int
+    sampled: bool          # the verdict holds at the mesh points only
 
     def __str__(self) -> str:
         verdict = "stable" if self.stable else "UNSTABLE"
@@ -282,7 +283,8 @@ def jury_stability(plant: UncertainTransferFunction, resolution: int = 50) -> Ju
     First and second order use the closed-form conditions (|a0| < 1 and
     |a1| < 1 + a0), whose margins are concave in affine coefficients, so the
     mesh check is exact for vertex-affine plants; higher orders run the
-    Schur-Cohn table per sample.
+    Schur-Cohn table per sample.  The report is ``sampled`` unless the plant
+    has no uncertainty or is such a vertex-affine plant of order n <= 2.
     """
     lam_vars = plant.lambda_vars
     d = len(lam_vars)
@@ -312,6 +314,7 @@ def jury_stability(plant: UncertainTransferFunction, resolution: int = 50) -> Ju
         order=n,
         method=method,
         n_points=len(pts),
+        sampled=bool(lam_vars) and not (n <= 2 and max(c.degree() for c in plant.den) <= 1),
     )
     plant.stability = report
     return report
@@ -327,6 +330,7 @@ class THatData:
     deg_x: int             # degree of T in (Re z, Im z)
     deg_lambda: int        # homogeneous lambda degree of T
     nu3: AffinePoly        # (1 + x^2)^deg_x |den(z(x))|^2 over ("x", lam...)
+    circle_points: int     # (lam, omega) points of the unit-circle denominator check
 
 
 def build_T_hat(qfilter: NoncausalFir, lfir: NoncausalFir,
@@ -336,19 +340,22 @@ def build_T_hat(qfilter: NoncausalFir, lfir: NoncausalFir,
         Q[1 - zLP] = (a den + b num) den(1/z) / (den den(1/z)),
 
     a = Q, b = -zLQ; at z = (1 + jx)/(1 - jx), both sides times
-    (1 + x^2)^deg_x give nu1 + j nu2 over nu3 (see :func:`circle_image`).
-    With S = (1 + x^2)^deg_x and E = nu3^2 / S, the 3x3 matrix
+    (1 + x^2)^deg_x give nu1 + j nu2 over nu3 >= 0 (see :func:`circle_image`).
+    The balanced arrow
 
-        T = [[gamma E, nu1, nu2], [nu1, gamma S, 0], [nu2, 0, gamma S]]
+        T = [[gamma nu3, nu1, nu2], [nu1, gamma nu3, 0], [nu2, 0, gamma nu3]]
 
-    is PSD iff gamma^2 E S >= nu1^2 + nu2^2 (S > 0): |Q(1 - zLP)| <= gamma.
-    deg_x is the degree of T in (Re z, Im z), the smallest that clears every
-    entry; T is homogenized over the simplex variables."""
+    is PSD iff gamma nu3 >= |nu1 + j nu2| (the arrow form of the
+    second-order cone, Ben-Tal & Nemirovski 2001): |Q(1 - zLP)| <= gamma.
+    Every entry has the degree of nu1, nu2 and nu3, so deg_x, the smallest
+    degree in (Re z, Im z) that clears all three, is also T's; for a plant
+    without uncertainty T is a univariate matrix polynomial, PSD iff SOS
+    (Jakubovic 1970).  T is homogenized over the simplex variables."""
     lam = plant.lambda_vars
     den = plant.den_laurent()
     # the simplex vertices and the barycenter ({} alone when lam = ())
-    _check_den_on_circle(den, [{v: float(v == w) for v in lam} for w in lam]
-                         + [{v: 1.0 / len(lam) for v in lam}])
+    circle_points = _check_den_on_circle(den, [{v: float(v == w) for v in lam} for w in lam]
+                                         + [{v: 1.0 / len(lam) for v in lam}])
 
     a = qfilter.to_laurent(lam)
     zv = den.variables
@@ -356,23 +363,19 @@ def build_T_hat(qfilter: NoncausalFir, lfir: NoncausalFir,
     den_conj = AffinePoly(zv, den.exps * ([-1] + [1] * len(lam)), den.coeffs)  # z -> 1/z
     numer = (a * den + b * plant.num_laurent()) * den_conj
     den_sq = den * den_conj
-    deg_x = max(2 * circle_degree(den_sq), circle_degree(numer),
-                circle_degree(numer, imag=True))
+    deg_x = max(circle_degree(den_sq), circle_degree(numer), circle_degree(numer, imag=True))
 
     nu1, nu2 = circle_image(numer, deg_x)
     nu3 = circle_image(den_sq, deg_x)[0]
-    variables = nu3.variables
-    gamma = AffinePoly.decision(variables, "gamma")
-    E = circle_image(den_sq * den_sq, deg_x)[0] * gamma
-    x = AffinePoly.variable(variables, "x")
-    S = (AffinePoly.constant(variables, 1.0) + x * x) ** deg_x * gamma
-    zero = AffinePoly.zero(variables)
+    diag = nu3 * AffinePoly.decision(nu3.variables, "gamma")
+    zero = AffinePoly.zero(nu3.variables)
     T_hat = homogenize(PolyMatrix.from_rows([
-        [E, nu1, nu2],
-        [nu1, S, zero],
-        [nu2, zero, S],
+        [diag, nu1, nu2],
+        [nu1, diag, zero],
+        [nu2, zero, diag],
     ]), lam)
-    return THatData(T_hat=T_hat, deg_x=deg_x, deg_lambda=T_hat.degree_in(lam), nu3=nu3)
+    return THatData(T_hat=T_hat, deg_x=deg_x, deg_lambda=T_hat.degree_in(lam), nu3=nu3,
+                    circle_points=circle_points)
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +399,13 @@ def synth_freq_robust(qfilter: NoncausalFir, lstructure: NoncausalFir,
     up); a numerical increase beyond 1e-6 is recorded in the diagnostics.
     A plant without uncertainty (lam = ()) has an exact program, solved at
     level 0 only.  An unstable plant raises :class:`UnstablePlant`.
+
+    The diagnostics record the two safety checks: ``stability_screen``
+    (the Jury screen's method, mesh points, margin and whether it is
+    sampled) and ``circle_check`` (the grid points of the unit-circle
+    denominator check of :func:`build_T_hat`).  Where the screen is exact,
+    every admissible plant has its poles strictly inside the circle, so the
+    circle check holds everywhere; otherwise both are samples.
     """
     if qfilter.has_decisions():
         raise ValueError("Q filter must be decision-free")
@@ -411,6 +421,9 @@ def synth_freq_robust(qfilter: NoncausalFir, lstructure: NoncausalFir,
                    lambda gains: _gain_list(lstructure, gains),
                    groups=[(("x",), "graded", data.deg_x)], flips=[((0,), (2,))])
     res.diagnostics["deg_x"] = data.deg_x
+    res.diagnostics["stability_screen"] = {"method": report.method, "points": report.n_points,
+                                           "margin": report.margin, "sampled": report.sampled}
+    res.diagnostics["circle_check"] = {"points": data.circle_points, "sampled": report.sampled}
     return res
 
 

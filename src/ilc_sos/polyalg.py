@@ -627,14 +627,15 @@ def circle_image(c: AffinePoly, deg: int) -> tuple[AffinePoly, AffinePoly]:
 
 
 def _check_den_on_circle(den: AffinePoly, lambda_points: Iterable[Mapping[str, float]],
-                         n_omega: int = 721, tol: float = 1e-9):
+                         n_omega: int = 721, tol: float = 1e-9) -> int:
     """Raise DegenerateDenominator at the first (point, omega) of the grid
     where the Laurent polynomial |den| falls below ``tol`` times its largest
-    coefficient."""
+    coefficient; return the number of grid points checked."""
     scale = max(den.max_magnitude(), 1.0)
     omegas = np.linspace(0.0, 2.0 * np.pi, n_omega)
     zpow = np.exp(1j * np.outer(den.exps[:, 0], omegas))  # (terms, omegas)
     lam = den.variables[1:]
+    lambda_points = list(lambda_points)
     for pt in lambda_points:
         lam_pt = np.array([float(pt[v]) for v in lam])
         mags = np.abs((den.coeffs[:, 0] * np.prod(lam_pt ** den.exps[:, 1:], axis=1)) @ zpow)
@@ -643,3 +644,4 @@ def _check_den_on_circle(den: AffinePoly, lambda_points: Iterable[Mapping[str, f
             raise DegenerateDenominator(
                 f"denominator has magnitude {mags[bad[0]]:.2e} at omega={omegas[bad[0]]:.4f}, "
                 f"point={dict(pt)}")
+    return len(lambda_points) * n_omega

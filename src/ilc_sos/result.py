@@ -199,8 +199,9 @@ def escalate(M: PolyMatrix, lam: Sequence[str], epsilon: float | None, k_max: in
         prev_bound = bound
         mult = mult * norm2
 
-    if not solved:
-        raise sdp.SolverFailure(f"no multiplier power up to k={k_max} yielded a solution")
+    if not solved:  # the ladder ran to its last level
+        raise sdp.SolverFailure(f"no multiplier power up to k={0 if exact else k_max} "
+                                "yielded a solution")
 
     fallback = None
     for k_best, _, sol, prob, S in sorted(solved, key=lambda level: level[1]):

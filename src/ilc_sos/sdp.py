@@ -47,7 +47,9 @@ blocks alone are inverted.  An iteration runs three KKT solves: the
 predictor takes one, since its direction only sets the centering parameter
 and Mehrotra's second-order term, and the corrector takes one plus a
 refinement pass against the primal and free-variable residuals, measured
-against the unridged operators.
+against the unridged operators (up to two more passes while the residual is
+above a hundredth of the feasibility tolerance and each pass at least halves
+it).
 
 The free variables are handled by the null-space method: D = Q [R; 0] is
 factored once per solve, and each iteration factors the trailing block of
@@ -316,6 +318,9 @@ def _tril_solver(L: np.ndarray):
 # that does not factor as is
 _RIDGE = 1e-13
 
+# most refinement passes of the corrector direction (see _solve_ipm)
+_REFINE_PASSES = 3
+
 
 def _refined_solver(M: np.ndarray):
     """Return X -> M^-1 X for a symmetric positive (semi)definite M, or None.
@@ -527,15 +532,26 @@ def _solve_ipm(A: _Assembled, feas_tol: float, gap_tol: float, max_iter: int) ->
             mu_aff = float(np.vdot(G + ap * dGa, (Z + ad * dZa) * mask)) / max(A.ntot, 1)
             sigma = float(np.clip((max(mu_aff, 0.0) / mu) ** 3, 1e-10, 0.999))
 
-            # corrector, with one KKT-level refinement pass: the complementarity
+            # corrector, with KKT-level refinement passes: the complementarity
             # and dual rows are satisfied to roundoff by construction, so only the
-            # primal and free-variable residuals need a correction solve
+            # primal and free-variable residuals need a correction solve.  One
+            # pass always; more while the direction's residual, in the units of
+            # pinf and dinf, is above feas_tol / 100 and the last pass at least
+            # halved it.  Near a degenerate optimum K loses about every digit,
+            # and one pass leaves a residual that the step carries into pinf.
             Rc = (sigma * mu - s * s)[:, :, None] * eye - 0.5 * (dGt @ dZt + dZt @ dGt)
             V = 2.0 * Rc / (s[:, :, None] + s[:, None, :])
             dG, dy, dnu, dZ = newton_raw(rp, rfree, Rd, R @ V @ tr(R) - WRdW)
-            cG, cy, cnu, cZ = newton_raw(rp - A.apply_A(dG) + A.D @ dy, rfree - A.D.T @ dnu,
-                                         zeros, zeros)
-            dG, dy, dnu, dZ = dG + cG, dy + cy, dnu + cnu, dZ + cZ
+            last = np.inf
+            for npass in range(_REFINE_PASSES):
+                r_p, r_free = rp - A.apply_A(dG) + A.D @ dy, rfree - A.D.T @ dnu
+                size = max(float(np.max(np.abs(r_p))) / beta_scale,
+                           float(np.max(np.abs(r_free))) / c_scale if q else 0.0)
+                if npass and (size <= 1e-2 * feas_tol or size > 0.5 * last):
+                    break
+                last = size
+                cG, cy, cnu, cZ = newton_raw(r_p, r_free, zeros, zeros)
+                dG, dy, dnu, dZ = dG + cG, dy + cy, dnu + cnu, dZ + cZ
             ap, ad, _ = step_lengths(dG, dZ)
             if not np.isfinite(ap) or not np.isfinite(ad) or ap <= 1e-12 or ad <= 1e-12:
                 return fail("step length collapsed", it)

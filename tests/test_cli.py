@@ -47,6 +47,30 @@ def read_result(out_dir):
 # -- synthesis modes -----------------------------------------------------
 
 
+THIRD_ORDER_POLYTOPE = {
+    "type": "polytope", "num": [0.0, 0.0, 1.0],
+    "den": [[{"exponents": [0], "value": 0.1}, {"exponents": [1], "value": 0.05}], 0.2,
+            [{"exponents": [0], "value": -0.3}, {"exponents": [1], "value": 0.1}], 1.0],
+    "vertices": [[-1.0], [1.0]], "theta_vars": ["theta"]}
+
+
+@pytest.mark.parametrize("plant, sampled", [
+    pytest.param(PAPER_POLYTOPE, False, id="paper-polytope"),
+    pytest.param(THIRD_ORDER_POLYTOPE, True, id="third-order-polytope"),
+])
+def test_synth_freq_says_when_a_safety_check_is_sampled(tmp_path, capsys, plant, sampled):
+    cfg = write_config(tmp_path, {"mode": "synth-freq", "plant": plant,
+                                  "lstructure": {"order": 0}, "k_max": 0})
+    out = tmp_path / "out"
+    assert cli.main(["synth-freq", "--config", cfg, "--out", str(out)]) == 0
+    diagnostics = read_result(out)["result"]["diagnostics"]
+    assert diagnostics["stability_screen"]["sampled"] is sampled
+    assert diagnostics["circle_check"]["sampled"] is sampled
+    printed = capsys.readouterr().out
+    assert ("stability screen is sampled" in printed) is sampled
+    assert ("unit-circle denominator check is sampled" in printed) is sampled
+
+
 def test_synth_freq_trivial_plant(tmp_path, capsys):
     cfg = write_config(tmp_path, {"mode": "synth-freq", "plant": DELAY_PLANT,
                                   "lstructure": {"order": 0}})
@@ -322,6 +346,39 @@ def test_huge_coefficient_plant_certifies(tmp_path, mode, plant, x):
     res = read_result(out)["result"]
     assert res["certificate"]["passed"] is True
     assert _verify_design(tmp_path, mode, plant, res) <= res["gamma"] + 1e-6
+
+
+def test_large_gain_deadbeat_design_certifies(tmp_path):
+    # x/(z - 0.5) at x = 1e28, order 1: the deadbeat taps are (1e-28, -5e-29)
+    plant = {"type": "transfer", "num": [1e28], "den": [-0.5, 1.0]}
+    cfg = {"mode": "synth-freq", "plant": plant, "lstructure": {"order": 1}}
+    out = tmp_path / "out"
+    assert cli.main(["synth-freq", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    res = read_result(out)["result"]
+    assert res["certificate"]["passed"] is True
+    assert _verify_design(tmp_path, "synth-freq", plant, res) <= res["gamma"] + 1e-6
+
+
+# gamma* = 1 exactly: zP is positive at z = 1 and negative at z = -1 at every
+# vertex, so any nonzero l0 raises one of |1 - z l0 P| above 1.  At l0 = 0 the
+# rate block is singular at every (x, lam), and the IPM ends on that face
+GAMMA_ONE_PLANT = {
+    "type": "polytope", "theta_vars": ["a", "b"],
+    "num": [[{"exponents": [0, 0], "value": 0.8672}, {"exponents": [1, 0], "value": 0.0635}],
+            [{"exponents": [0, 0], "value": -0.1582}, {"exponents": [0, 1], "value": 0.0357}]],
+    "den": [[{"exponents": [0, 0], "value": 0.2204}, {"exponents": [1, 0], "value": 0.0997}],
+            [{"exponents": [0, 0], "value": 0.1586}, {"exponents": [0, 1], "value": 0.0395}], 1.0],
+    "vertices": [[-1, -1], [1, -1], [0, 1]]}
+
+
+def test_rate_of_one_is_certified_and_not_monotone(tmp_path):
+    cfg = {"mode": "synth-freq", "plant": GAMMA_ONE_PLANT, "lstructure": {"order": 0}}
+    out = tmp_path / "out"
+    assert cli.main(["synth-freq", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == cli.EXIT_NOT_MONOTONE
+    res = read_result(out)["result"]
+    assert res["certificate"]["passed"] is True
+    assert res["gamma"] == pytest.approx(1.0 + res["epsilon"], abs=1e-6)
 
 
 @pytest.mark.parametrize("mode, plant, lstructure", [

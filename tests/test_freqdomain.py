@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ilc_sos.polyalg import AffinePoly
+from ilc_sos.polyalg import AffinePoly, PolyMatrix, circle_degree, circle_image, homogenize
 from ilc_sos import freqdomain as fd
 from ilc_sos import sdp
 from ilc_sos import verify as vf
@@ -308,7 +308,7 @@ def test_T_hat_structure_and_identity():
     q = fd.NoncausalFir.unity()
     lstr = fd.NoncausalFir.causal_decision(1)
     data = fd.build_T_hat(q, lstr, plant)
-    assert data.deg_x == 4  # pins the size of the Gram basis in x
+    assert data.deg_x == 2  # pins the size of the Gram basis in x
     lam_idx = [data.T_hat.variables.index(v) for v in LAM2]
     for e in data.T_hat.entries:
         degs = {sum(exp[i] for i in lam_idx) for exp in e.exps.tolist()}
@@ -327,8 +327,65 @@ def test_T_hat_structure_and_identity():
         T = np.asarray(data.T_hat.evaluate(pt, gains)) / scale
         assert T[0, 1] == pytest.approx(G.real * nu3, abs=1e-9)
         assert T[0, 2] == pytest.approx(G.imag * nu3, abs=1e-9)
-        assert T[0, 0] == pytest.approx(gains["gamma"] * nu3 * nu3, abs=1e-9)
-        assert np.allclose(T[1:, 1:], gains["gamma"] * np.eye(2), atol=1e-9)
+        for i in range(3):
+            assert T[i, i] == pytest.approx(gains["gamma"] * nu3, abs=1e-9)
+        assert T[1, 2] == T[2, 1] == 0.0
+
+
+def _reference_T_hat(qfilter, lfir, plant):
+    """The rate block as [[gamma E, nu1, nu2], [nu1, gamma S, 0],
+    [nu2, 0, gamma S]] with S = (1 + x^2)^deg_x and E = nu3^2 / S: the same
+    pointwise condition gamma^2 E S >= nu1^2 + nu2^2 at twice the x-degree
+    of the denominator, kept as a reference for the balanced arrow."""
+    lam = plant.lambda_vars
+    den = plant.den_laurent()
+    a = qfilter.to_laurent(lam)
+    zv = den.variables
+    b = -(AffinePoly.variable(zv, "z") * (lfir.to_laurent(lam) * a))
+    den_conj = AffinePoly(zv, den.exps * ([-1] + [1] * len(lam)), den.coeffs)
+    numer = (a * den + b * plant.num_laurent()) * den_conj
+    den_sq = den * den_conj
+    deg_x = max(2 * circle_degree(den_sq), circle_degree(numer),
+                circle_degree(numer, imag=True))
+    nu1, nu2 = circle_image(numer, deg_x)
+    nu3 = circle_image(den_sq, deg_x)[0]
+    variables = nu3.variables
+    gamma = AffinePoly.decision(variables, "gamma")
+    E = circle_image(den_sq * den_sq, deg_x)[0] * gamma
+    x = AffinePoly.variable(variables, "x")
+    S = (AffinePoly.constant(variables, 1.0) + x * x) ** deg_x * gamma
+    zero = AffinePoly.zero(variables)
+    T_hat = homogenize(PolyMatrix.from_rows([[E, nu1, nu2], [nu1, S, zero], [nu2, zero, S]]), lam)
+    return fd.THatData(T_hat=T_hat, deg_x=deg_x, deg_lambda=T_hat.degree_in(lam), nu3=nu3,
+                       circle_points=0)
+
+
+def test_balanced_arrow_matches_the_reference_block(monkeypatch):
+    plant = paper_plant()
+    q = fd.NoncausalFir.unity()
+    lstr = fd.NoncausalFir.causal_decision(1)
+    new, ref = fd.build_T_hat(q, lstr, plant), _reference_T_hat(q, lstr, plant)
+    assert (new.deg_x, new.deg_lambda) == (2, 2) and (ref.deg_x, ref.deg_lambda) == (4, 4)
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        x = rng.uniform(-3, 3)
+        pt = {"x": x, **dict(zip(LAM2, rng.dirichlet([1, 1])))}
+        gains = {"l0": rng.normal(), "l1": rng.normal(), "gamma": rng.random()}
+        (g, n1, n2), (e, r1, r2) = (np.asarray(d.T_hat.evaluate(pt, gains))[0] for d in (new, ref))
+        s = np.asarray(ref.T_hat.evaluate(pt, gains))[1, 1]
+        arrow = (g * g - n1 * n1 - n2 * n2) / (1 + x * x) ** (2 * new.deg_x)
+        old = (e * s - r1 * r1 - r2 * r2) / (1 + x * x) ** (2 * ref.deg_x)
+        assert arrow == pytest.approx(old, rel=1e-9, abs=1e-9)
+    # the same rate from both blocks, level by level
+    for order in (0, 1):
+        lstr = fd.NoncausalFir.causal_decision(order)
+        etas = []
+        for builder in (fd.build_T_hat, _reference_T_hat):
+            monkeypatch.setattr(fd, "build_T_hat", builder)
+            res = fd.synth_freq_robust(q, lstr, plant, epsilon=None, k_max=1, k_tol=0.0)
+            etas.append([eta for _, eta in res.diagnostics["k_trace_raw"]])
+        assert len(etas[0]) == len(etas[1]) == 2
+        assert np.sqrt(etas[0]) == pytest.approx(np.sqrt(etas[1]), abs=2e-7)
 
 
 def test_robust_collapses_to_nominal_on_point_plant():
@@ -388,8 +445,9 @@ def test_robust_without_margin_on_uncertain_plant():
 
 def test_margin_does_not_scale_with_the_denominator():
     # 1/(z - theta), theta in [0.85, 0.9]: |den| falls to 0.1 on the circle.
-    # A margin eps S on every diagonal entry floored gamma at
-    # eps / min |den|^4 = 10 here; eps diag(E, S, S) costs eps whatever the plant
+    # A margin eps (1 + x^2)^deg_x on every diagonal entry floored gamma at
+    # eps / min |den|^4 = 10 here; eps times the gamma-coefficient, nu3 I,
+    # costs eps whatever the plant
     tv = ("theta",)
     plant = fd.simplexify([lin(tv, 1.0)], [lin(tv, 0.0, -1.0), lin(tv, 1.0)],
                           [[0.85], [0.9]], theta_vars=tv)
@@ -399,6 +457,36 @@ def test_margin_does_not_scale_with_the_denominator():
     assert res.gamma <= 0.2011
     gam_hat, _ = vf.sampled_gamma_freq(plant, q, fd.NoncausalFir(0, 1, res.gain_list))
     assert gam_hat <= res.gamma + 1e-6
+
+
+def third_order_polytope():
+    # z^2 / (z^3 + (0.1 theta - 0.3) z^2 + 0.2 z + 0.1 + 0.05 theta), theta in [-1, 1]
+    tv = ("theta",)
+    return fd.simplexify([lin(tv, 0.0), lin(tv, 0.0), lin(tv, 1.0)],
+                         [lin(tv, 0.1, 0.05), lin(tv, 0.2), lin(tv, -0.3, 0.1), lin(tv, 1.0)],
+                         [[-1.0], [1.0]], theta_vars=tv)
+
+
+@pytest.mark.parametrize("make_plant, method, sampled", [
+    # second order, affine in lam: the closed-form margins are concave, and
+    # the mesh holds the vertices
+    pytest.param(paper_plant, "closed-form-n2", False, id="paper-plant"),
+    pytest.param(third_order_polytope, "schur-cohn-table", True, id="third-order-polytope"),
+    pytest.param(frozen_theta_plant, "closed-form-n2", False, id="nominal"),
+])
+def test_safety_checks_say_whether_they_are_sampled(make_plant, method, sampled):
+    plant = make_plant()
+    res = fd.synth_freq_robust(fd.NoncausalFir.unity(), fd.NoncausalFir.causal_decision(0),
+                               plant, k_max=0)
+    assert res.certified
+    screen = plant.stability
+    assert res.diagnostics["stability_screen"] == {
+        "method": method, "points": screen.n_points, "margin": screen.margin,
+        "sampled": sampled}
+    # the vertices and the barycenter (the one point of a nominal plant), 721 omegas each
+    n_lam = len(plant.lambda_vars)
+    assert res.diagnostics["circle_check"] == {
+        "points": 721 * (n_lam + 1 if n_lam else 1), "sampled": sampled}
 
 
 def test_robust_rejects_unstable_plant():

@@ -133,6 +133,22 @@ def test_escalate_solves_level0_alone_where_it_is_exact(monkeypatch, variables, 
     assert [k for k, _ in res.k_trace] == list(range(len(compiled)))
 
 
+@pytest.mark.parametrize("variables, degree, last", [
+    pytest.param((), 0, 0, id="exact-level0"),
+    pytest.param(LAM, 2, 2, id="ladder"),
+])
+def test_escalate_failure_names_the_last_level_tried(monkeypatch, variables, degree, last):
+    # a program whose level 0 is exact solves level 0 alone, so a failure
+    # there must not name the levels up to k_max that never ran
+    compiled = _stub_compile(monkeypatch)
+    monkeypatch.setattr(result.sdp, "solve", lambda prob: sdp.SdpSolution(
+        "numerical_failure", float("nan"), {"gamma": float("nan")}, []))
+    with pytest.raises(sdp.SolverFailure, match=rf"^no multiplier power up to k={last} "):
+        result.escalate(_rate_block(variables, variables, degree), variables, None, k_max=2,
+                        k_tol=0.0, gain_list=lambda gains: [])
+    assert len(compiled) == last + 1
+
+
 def _rate_result(eta):
     return result.SynthesisResult(gamma=math.sqrt(eta), gains={}, gain_list=[],
                                   epsilon=None, polya_k=0, k_trace=[])
