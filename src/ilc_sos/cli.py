@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from .polyalg import AffinePoly, AffinityError, DegenerateDenominator
+from .polyalg import MAX_MESH_POINTS, AffinePoly, AffinityError, DegenerateDenominator
 from . import freqdomain as fd
 from . import timedomain as td
 from . import verify as vf
@@ -37,6 +37,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_NOT_MONOTONE = 4
+
+# a certified design's sampled rate may exceed its gamma by this much
+SAMPLED_SLACK = 1e-4
 
 
 class ConfigError(Exception):
@@ -253,13 +256,19 @@ def _write_csv(path: str, header, rows):
 
 def _synthesis_exit(res: SynthesisResult, out_dir: str, mode: str) -> int:
     payload = {"mode": mode, "result": res.to_json_dict()}
+    # refuse to report a rate whose certificate does not check out, or that
+    # the sampled rate of its own design exceeds
+    error = None
     if not res.certified:
-        # refuse to report a rate whose certificate does not check out
+        error = "certificate check failed"
+    elif res.diagnostics.get("sampled_check", {}).get("refuted"):
+        error = "the sampled rate refutes the certificate"
+    if error:
         payload["result"]["gamma"] = None
         payload["result"]["eta"] = None
-        payload["error"] = "certificate check failed"
+        payload["error"] = error
         _write_json(os.path.join(out_dir, "result.json"), payload)
-        print("certificate check failed; rate withheld", file=sys.stderr)
+        print(f"{error}; rate withheld", file=sys.stderr)
         return EXIT_SOLVER
     _write_json(os.path.join(out_dir, "result.json"), payload)
     _write_csv(os.path.join(out_dir, "trace.csv"), ["k", "gamma_bound"],
@@ -307,7 +316,23 @@ def _run_synth_freq(cfg: dict, out_dir: str) -> int:
     res = _or_config_error(fd.synth_freq_robust, qf, ls, plant, epsilon=epsilon,
                            k_max=_count(cfg.get("k_max", 5), "k_max", 0),
                            k_tol=_number(cfg.get("k_tol", 1e-3), "k_tol"))
+    if res.certified:
+        _sampled_check(res, plant, qf, ls)
     return _synthesis_exit(res, out_dir, "synth-freq")
+
+
+def _sampled_check(res: SynthesisResult, plant, qf, ls) -> None:
+    """Sample the certified design's rate on the default grid (seed 0; the
+    finest mesh up to resolution 50 within the mesh cap) and record it in
+    ``diagnostics.sampled_check``.  A sampled rate above gamma +
+    SAMPLED_SLACK refutes the certificate."""
+    d = len(plant.lambda_vars)
+    resolution = max(r for r in range(1, 51) if math.comb(r + d - 1, r) <= MAX_MESH_POINTS)
+    lfir = fd.NoncausalFir(ls.k_lead, ls.k_lag, res.gain_list)
+    gamma_hat, (lam, omega) = vf.sampled_gamma_freq(plant, qf, lfir,
+                                                    vf.make_grid(d, resolution=resolution))
+    res.diagnostics["sampled_check"] = {"gamma_hat": gamma_hat, "lambda": lam, "omega": omega,
+                                        "refuted": not gamma_hat <= res.gamma + SAMPLED_SLACK}
 
 
 def _run_synth_time(cfg: dict, out_dir: str) -> int:
@@ -352,8 +377,8 @@ def _run_verify(cfg: dict, out_dir: str) -> int:
         lf = _fir(cfg["lfilter"], "lfilter")
         _require(not (qf.has_decisions() or lf.has_decisions()),
                  "verify needs numeric filter taps")
-        grid = vf.make_grid(len(plant.lambda_vars), resolution=resolution,
-                            n_random=n_random, n_freq=n_freq, seed=seed)
+        grid = _or_config_error(vf.make_grid, len(plant.lambda_vars), resolution=resolution,
+                                n_random=n_random, n_freq=n_freq, seed=seed)
         per_point, arg = vf.freq_gain_profile(plant, qf, lf, grid)
     else:
         plant = _time_plant(cfg["plant"], "plant")
@@ -361,8 +386,8 @@ def _run_verify(cfg: dict, out_dir: str) -> int:
         lf = _lifted_filter(cfg["lfilter"], plant.N, "lfilter", "l")
         _require(not (qf.has_decisions() or lf.has_decisions()),
                  "verify needs numeric filter taps")
-        grid = vf.make_grid(plant.n_lambda, resolution=resolution,
-                            n_random=n_random, n_freq=n_freq, seed=seed)
+        grid = _or_config_error(vf.make_grid, plant.n_lambda, resolution=resolution,
+                                n_random=n_random, n_freq=n_freq, seed=seed)
         per_point = _or_config_error(vf.time_gain_profile, plant, qf, lf, grid)
     ik = int(np.argmax(per_point))
     gamma_hat = float(per_point[ik])

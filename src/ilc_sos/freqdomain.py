@@ -275,24 +275,26 @@ def _jury_margin_table(coeffs: np.ndarray) -> float:
     return margin
 
 
-def jury_stability(plant: UncertainTransferFunction, resolution: int = 50) -> JuryReport:
-    """Evaluate the Jury stability conditions over all simplex vertices and
-    a dense lambda mesh (the single point of a plant without uncertainty);
+def jury_stability(plant: UncertainTransferFunction) -> JuryReport:
+    """Evaluate the Jury stability conditions on the uncertainty simplex;
     attach and return the worst-case report.
 
     First and second order use the closed-form conditions (|a0| < 1 and
-    |a1| < 1 + a0), whose margins are concave in affine coefficients, so the
-    mesh check is exact for vertex-affine plants; higher orders run the
-    Schur-Cohn table per sample.  The report is ``sampled`` unless the plant
-    has no uncertainty or is such a vertex-affine plant of order n <= 2.
+    |a1| < 1 + a0), whose margins are concave in affine coefficients: for a
+    denominator affine in lambda the vertices decide them exactly, and only
+    the vertices are evaluated (the single point of a plant without
+    uncertainty).  Every other plant is ``sampled`` on ``simplex_mesh(d, 50)``,
+    which holds the vertices and refuses (ValueError) a mesh above
+    ``polyalg.MAX_MESH_POINTS``; higher orders run the Schur-Cohn table per
+    point.
     """
     lam_vars = plant.lambda_vars
-    d = len(lam_vars)
-    pts = simplex_mesh(d, resolution)  # holds the vertices
     n = plant.n
+    sampled = bool(lam_vars) and not (n <= 2 and max(c.degree() for c in plant.den) <= 1)
+    pts = simplex_mesh(len(lam_vars), 50 if sampled else 1)  # resolution 1: the vertices
 
+    den_vals = np.stack([c.evaluate_batch(pts) for c in plant.den], axis=1)
     if n <= 2:
-        den_vals = np.stack([c.evaluate_batch(pts) for c in plant.den], axis=1)
         if n == 1:
             margins = 1.0 - np.abs(den_vals[:, 0])
         else:
@@ -301,7 +303,6 @@ def jury_stability(plant: UncertainTransferFunction, resolution: int = 50) -> Ju
         method = f"closed-form-n{n}"
     else:
         margins = np.empty(len(pts))
-        den_vals = np.stack([c.evaluate_batch(pts) for c in plant.den], axis=1)
         for k in range(len(pts)):
             margins[k] = _jury_margin_table(np.append(den_vals[k], 1.0))
         method = "schur-cohn-table"
@@ -314,7 +315,7 @@ def jury_stability(plant: UncertainTransferFunction, resolution: int = 50) -> Ju
         order=n,
         method=method,
         n_points=len(pts),
-        sampled=bool(lam_vars) and not (n <= 2 and max(c.degree() for c in plant.den) <= 1),
+        sampled=sampled,
     )
     plant.stability = report
     return report

@@ -518,13 +518,27 @@ def compositions(total: int, parts: int) -> np.ndarray:
     return np.column_stack([rows, left])
 
 
+# The most points a simplex mesh may have: the default mesh (resolution 50)
+# on four weights, C(50 + 4 - 1, 4 - 1) = 23,426.  That is about 0.2 s in the
+# Jury screen's Schur-Cohn loop and 0.15 s in the frequency oracle at 720
+# frequencies (2 vCPUs); five weights at resolution 50 would be 316,251
+# points, eight 264 M.
+MAX_MESH_POINTS = math.comb(53, 3)
+
+
 def simplex_mesh(d: int, resolution: int = 50) -> np.ndarray:
     """All barycentric grid points of the unit simplex in d coordinates with
-    denominators ``resolution``, in lexicographic order."""
+    denominators ``resolution``, in lexicographic order; resolution 1 gives
+    the vertices.  Raises ValueError, before allocating, for a mesh of more
+    than ``MAX_MESH_POINTS`` points."""
     if resolution < 1:
         raise ValueError(f"mesh resolution must be at least 1, got {resolution}")
     if d == 0:
         return np.zeros((1, 0))
+    count = math.comb(resolution + d - 1, resolution)
+    if count > MAX_MESH_POINTS:
+        raise ValueError(f"the simplex mesh at resolution {resolution} in {d} weights has "
+                         f"{count} points, above the cap of {MAX_MESH_POINTS}")
     return compositions(resolution, d) / float(resolution)
 
 

@@ -11,6 +11,14 @@ from .soscompiler import (RESIDUAL_TOL, CertificateReport, SosCertificate, compi
                           kron_pairs, monomial_basis, sign_classes)
 
 
+# The one size rule of every SOS program: the Schur dimension p of a compiled
+# level (SdpProblem.n_equalities) sets the IPM's dense p x p Schur factor, and
+# so its time and memory.  The cap keeps a level-0 solve within about 10 s and
+# 400 MB on 2 vCPUs with one BLAS thread (BENCH_31.json): p = 2783 took 10.3 s
+# and 300 MB, p = 3192 took 9.4 s and 366 MB, p = 3660 took 14.0 s and 467 MB.
+MAX_SCHUR_DIM = 3200
+
+
 class UnusedDecision(Exception):
     """A decision tap does not occur in the compiled program, so the solve
     gives it no value: the plant leaves the tap no influence on the rate."""
@@ -150,6 +158,11 @@ def escalate(M: PolyMatrix, lam: Sequence[str], epsilon: float | None, k_max: in
       - ``"affine_in_lambda"``: M = sum lam_i M_i is PSD on the simplex iff
         every M_i is, and level 0, sum lam_i^2 M_i, splits by sign class into
         exactly those vertex LMIs.
+    Every level's compiled program must keep its Schur dimension p (its
+    equality count) within ``MAX_SCHUR_DIM``, checked before it is solved: a
+    level 0 above the cap raises ValueError, and a higher level above it
+    ends the ladder as ``k_max`` does, recorded in the diagnostics as
+    ``size_stop`` (the level and its p; None when no level was stopped).
     The solved levels' Grams are then
     checked by ``sdp.ensure_certified`` in ascending eta (nothing is
     re-solved), and the first that passes is returned; when none passes, the
@@ -178,11 +191,18 @@ def escalate(M: PolyMatrix, lam: Sequence[str], epsilon: float | None, k_max: in
     prev_bound = None
     increased = False
     exact = level0_exact(M, lam, deg_lambda)
+    size_stop = None
     mult = AffinePoly.constant(variables, 1.0)
     for k in range(1 if exact else k_max + 1):
         S = base.scaled(mult) if k else base
         basis = monomial_basis(variables, [*groups, (lam, "homogeneous", deg_lambda + k)])
         prob = compile_sos(S, {"gamma": 1.0}, bases=sign_classes(kron_pairs(basis, S.rows), signs))
+        if prob.n_equalities > MAX_SCHUR_DIM:
+            if not k:
+                raise ValueError(f"the level-0 program has Schur dimension "
+                                 f"{prob.n_equalities}, above the cap of {MAX_SCHUR_DIM}")
+            size_stop = {"k": k, "n_equalities": prob.n_equalities}
+            break
         sol = sdp.solve(prob)
         if sol.ok:
             eta = _gamma(sol) ** 2
@@ -199,8 +219,8 @@ def escalate(M: PolyMatrix, lam: Sequence[str], epsilon: float | None, k_max: in
         prev_bound = bound
         mult = mult * norm2
 
-    if not solved:  # the ladder ran to its last level
-        raise sdp.SolverFailure(f"no multiplier power up to k={0 if exact else k_max} "
+    if not solved:  # the ladder ran to its last level, or to the size cap
+        raise sdp.SolverFailure(f"no multiplier power up to k={k_trace[-1][0]} "
                                 "yielded a solution")
 
     fallback = None
@@ -219,6 +239,6 @@ def escalate(M: PolyMatrix, lam: Sequence[str], epsilon: float | None, k_max: in
         solver_status=sol.status, solver_method=sol.method,
         solver_iterations=sol.iterations,
         diagnostics={"deg_lambda": deg_lambda, "level0_exact": exact,
-                     "eta_increased_with_k": increased,
+                     "eta_increased_with_k": increased, "size_stop": size_stop,
                      "k_trace_raw": k_raw, "n_equalities": prob.n_equalities,
                      "block_dims": list(prob.block_dims)})

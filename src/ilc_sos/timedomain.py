@@ -33,24 +33,13 @@ head) and costs exactly eps on gamma.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import math
 import warnings
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .polyalg import AffinePoly, PolyMatrix, homogenize
-from .result import SynthesisResult, decision_value, escalate
-
-# Two limits keep synth_time near a 10 s budget (2 vCPUs, one BLAS thread,
-# CLI defaults; every timing is in BENCH_11.json).  The program size stops
-# Markov parameters whose degree grows with N, as for a plant lifted by
-# from_transfer: the lifted paper plant took 10.0 s at N = 8 (size 2312) and
-# 19.2 s at N = 9 (2907).  The trial length stops affine Markov parameters,
-# whose time grows faster than their size: N = 13 took 9.2 s with two
-# weights and a non-causal Q, but three weights took 11.4 s already at 12.
-MAX_TRIAL_LENGTH = 12
-MAX_PROGRAM_SIZE = 2400
+from .result import MAX_SCHUR_DIM, SynthesisResult, decision_value, escalate
 
 
 class SingularPlant(Exception):
@@ -124,10 +113,17 @@ class LiftedUncertainPlant:
         return len(self.lambda_vars)
 
     def _check_leading(self):
-        """p1 must stay away from zero everywhere (the rate involves P^-1)."""
+        """p1 must stay away from zero everywhere (the rate involves P^-1).
+        An affine p1 takes its extremes at the vertices, so they decide
+        exactly; a p1 of higher degree is sampled.  Either way the values
+        must share one sign and clear 1e-9 of their scale."""
         p1 = self.markov[0]
-        pts = simplex_samples(len(self.lambda_vars), 1000, seed=20240117)
+        pts = simplex_samples(len(self.lambda_vars), 0 if p1.degree() <= 1 else 1000,
+                              seed=20240117)
         vals = p1.evaluate_batch(pts)
+        if vals.min() < 0 < vals.max():
+            raise SingularPlant(f"first Markov parameter changes sign on the simplex "
+                                f"(from {vals.min():.2e} to {vals.max():.2e}), so it vanishes")
         scale = max(1.0, float(np.max(np.abs(vals))))
         if np.min(np.abs(vals)) <= 1e-9 * scale:
             worst = pts[int(np.argmin(np.abs(vals)))]
@@ -312,27 +308,6 @@ def build_M(problem: TimeSynthesisProblem) -> PolyMatrix:
     return homogenize(PolyMatrix.from_blocks([[head, R.transpose()], [R, gI]]), variables)
 
 
-def lambda_degree(problem: TimeSynthesisProblem) -> int:
-    """Lambda-degree of :func:`build_M`'s block from the Markov degrees, known
-    before the block is built: deg P (commuting form), 2 deg P (congruence).
-    In the constant-p1 form P Qa P^-1 pairs p_(a+1) with P^-1's parameter b
-    where S^a U^s S^b != 0 (S the down-shift, U = S^T, s the largest lead
-    of Qa), i.e. for a + b <= N - 1 + s.  An upper bound, exact unless
-    terms cancel."""
-    plant = problem.plant
-    N = plant.N
-    deg = [p.degree() for p in plant.markov]
-    future = problem.qfilter.coeffs[:N - 1]
-    if not any(future):
-        return max(deg)
-    if deg[0] == 0:
-        lead = N - 1 - next(i for i, c in enumerate(future) if c)
-        inv = [p.degree() for p in _inverse_markov(plant.markov)]
-        return max(deg[a] + inv[b] for a in range(N) for b in range(N)
-                   if a + b <= N - 1 + lead)
-    return 2 * max(deg)
-
-
 # ---------------------------------------------------------------------------
 # the lifted layout and its triangular solve (shared with verify and simulate)
 
@@ -382,17 +357,6 @@ def contraction_matrix(plant: LiftedUncertainPlant, q_taps: np.ndarray,
     return P @ Qm @ (np.eye(N) - Lm @ P) @ np.linalg.inv(P)
 
 
-def program_size(N: int, n_lambda: int, deg_lambda: int) -> int:
-    """Size of the level-0 SOS program for a 2N x 2N block of lambda-degree d.
-
-    Counts (monomial, entry) pairs of its coefficient identity: monomials of
-    degree 2d in the simplex weights times the N (2N + 1) upper-triangle
-    entries.  It bounds the equality count and is known before compiling.
-    """
-    monomials = math.comb(2 * deg_lambda + n_lambda - 1, n_lambda - 1) if n_lambda else 1
-    return monomials * N * (2 * N + 1)
-
-
 def _gain_list(filt: LiftedFilter, gains: Mapping[str, float]) -> list:
     return [decision_value(gains, c) for c in filt.coeffs if isinstance(c, str)]
 
@@ -415,18 +379,14 @@ def synth_time(problem: TimeSynthesisProblem) -> SynthesisResult:
     """
     plant = problem.plant
     N = plant.N
-    if N > MAX_TRIAL_LENGTH:
+    # each upper-triangle position of the 2N x 2N block holds at least one
+    # equality, so p >= N (2N + 1): refuse before build_M's O(N^3) products
+    if N * (2 * N + 1) > MAX_SCHUR_DIM:
         raise ValueError(
-            f"trial length N={N} is above the lifted program's limit of "
-            f"{MAX_TRIAL_LENGTH}; use the frequency-domain route (synth_freq_robust)")
-    lam = plant.lambda_vars
-    deg_lambda = lambda_degree(problem)
-    size = program_size(N, len(lam), deg_lambda)
-    if size > MAX_PROGRAM_SIZE:
-        raise ValueError(
-            f"the lifted program at N={N} (lambda-degree {deg_lambda}, {len(lam)} "
-            f"simplex weights) has size {size}, above the limit of {MAX_PROGRAM_SIZE}; "
+            f"trial length N={N} gives the lifted program at least N(2N + 1) = "
+            f"{N * (2 * N + 1)} equalities, above the cap of {MAX_SCHUR_DIM}; "
             "use the frequency-domain route (synth_freq_robust)")
+    lam = plant.lambda_vars
     # without uncertainty the program is exact and takes no margin
     result = escalate(build_M(problem), lam, float(problem.epsilon) if lam else None,
                       problem.k_max, problem.k_tol,

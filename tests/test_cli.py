@@ -63,9 +63,15 @@ def test_synth_freq_says_when_a_safety_check_is_sampled(tmp_path, capsys, plant,
                                   "lstructure": {"order": 0}, "k_max": 0})
     out = tmp_path / "out"
     assert cli.main(["synth-freq", "--config", cfg, "--out", str(out)]) == 0
-    diagnostics = read_result(out)["result"]["diagnostics"]
+    res = read_result(out)["result"]
+    diagnostics = res["diagnostics"]
     assert diagnostics["stability_screen"]["sampled"] is sampled
     assert diagnostics["circle_check"]["sampled"] is sampled
+    # the certified design's own sampled rate does not refute it
+    check = diagnostics["sampled_check"]
+    assert check["refuted"] is False
+    assert res["gamma"] - 0.05 <= check["gamma_hat"] <= res["gamma"] + 1e-4
+    assert len(check["lambda"]) == 2 and 0.0 <= check["omega"] < 2 * np.pi
     printed = capsys.readouterr().out
     assert ("stability screen is sampled" in printed) is sampled
     assert ("unit-circle denominator check is sampled" in printed) is sampled
@@ -170,6 +176,49 @@ def test_synth_freq_failed_certificate_withholds_rate(tmp_path, capsys, monkeypa
     assert payload["error"] == "certificate check failed"
     assert "certificate check failed" in capsys.readouterr().err
     assert not (out / "trace.csv").exists()
+
+
+def test_synth_freq_sampled_rate_refutes_false_certificate(tmp_path, capsys):
+    # 1/(z - 0.9999) with a constant L: the certificate check passes gamma
+    # 0.999869 (residual 1.4e-8), yet the design's rate at omega = 0 is 1.61;
+    # the coefficients that decide x = 0 are about 1e-8, below the check's
+    # absolute floor.  The sampled rate refutes it and the rate is withheld
+    cfg = write_config(tmp_path, {"mode": "synth-freq",
+                                  "plant": {"type": "transfer", "num": [1.0],
+                                            "den": [-0.9999, 1.0]},
+                                  "lstructure": {"order": 0}})
+    out = tmp_path / "out"
+    assert cli.main(["synth-freq", "--config", cfg, "--out", str(out)]) == 3
+    payload = read_result(out)
+    assert payload["error"] == "the sampled rate refutes the certificate"
+    assert payload["result"]["gamma"] is None
+    assert payload["result"]["certificate"]["passed"] is True
+    check = payload["result"]["diagnostics"]["sampled_check"]
+    assert check["refuted"] is True
+    assert check["gamma_hat"] > 1.6 and check["omega"] == 0.0 and check["lambda"] == []
+    assert "rate withheld" in capsys.readouterr().err
+    assert not (out / "trace.csv").exists()
+
+
+def test_synth_freq_eight_vertex_polytope_certifies(tmp_path):
+    # num 1 + 0.1a, den z - 0.5 + 0.1b + 0.1c on the cube [-1, 1]^3: the
+    # stability screen evaluates the 8 vertices, which decide a first-order
+    # plant affine in lambda, instead of a 264 M-point mesh
+    lin = [{"exponents": [0, 0, 0], "value": 1.0}, {"exponents": [1, 0, 0], "value": 0.1}]
+    den0 = [{"exponents": [0, 0, 0], "value": -0.5}, {"exponents": [0, 1, 0], "value": 0.1},
+            {"exponents": [0, 0, 1], "value": 0.1}]
+    cube = [[a, b, c] for a in (-1.0, 1.0) for b in (-1.0, 1.0) for c in (-1.0, 1.0)]
+    cfg = write_config(tmp_path, {"mode": "synth-freq", "lstructure": {"order": 1},
+                                  "plant": {"type": "polytope", "theta_vars": ["a", "b", "c"],
+                                            "num": [lin], "den": [den0, 1.0],
+                                            "vertices": cube}})
+    out = tmp_path / "out"
+    assert cli.main(["synth-freq", "--config", cfg, "--out", str(out)]) == 0
+    res = read_result(out)["result"]
+    assert res["gamma"] == pytest.approx(0.481769, abs=1e-6)
+    assert res["diagnostics"]["stability_screen"] == {
+        "method": "closed-form-n1", "points": 8, "margin": pytest.approx(0.3), "sampled": False}
+    assert res["diagnostics"]["sampled_check"]["refuted"] is False
 
 
 def test_synth_time_transfer_plant_matches_markov(tmp_path):
@@ -311,6 +360,10 @@ def test_unusable_plant_exits_2(tmp_path, capsys, mode, payload):
     rc = cli.main([mode, "--config", cfg, "--out", str(tmp_path)])
     assert rc == 2
     assert "unusable input" in capsys.readouterr().err
+
+
+FIVE_VERTEX_THIRD_ORDER = {**THIRD_ORDER_POLYTOPE,
+                           "vertices": [[-1.0], [-0.5], [0.0], [0.5], [1.0]]}
 
 
 def _verify_design(tmp_path, mode, plant, res):
@@ -539,6 +592,17 @@ def test_repro_paper_repeated_order_exits_2(tmp_path, capsys):
                             "plant": {"type": "markov", "markov": [1e300, 0.5]},
                             "lfilter": {"taps": [0, 1, -0.5]}},
                  "lifted gain overflows", id="verify-time-gain-overflow"),
+    # five weights: the resolution-50 mesh has 316,251 points, above the cap
+    pytest.param("verify", {"mode": "verify", "plant": FIVE_VERTEX_THIRD_ORDER,
+                            "lfilter": {"coeffs": [0.5]}},
+                 "316251 points, above the cap", id="verify-mesh-above-cap"),
+    pytest.param("synth-freq", {"mode": "synth-freq", "plant": FIVE_VERTEX_THIRD_ORDER,
+                                "lstructure": {"order": 0}},
+                 "316251 points, above the cap", id="sampled-jury-mesh-above-cap"),
+    # N (2N + 1) = 3240 equalities at least, refused before the block is built
+    pytest.param("synth-time", {"mode": "synth-time",
+                                "plant": {"type": "markov", "markov": [1.0] + [0.5] * 39}},
+                 "N(2N + 1) = 3240 equalities, above the cap", id="synth-time-horizon-above-cap"),
 ])
 def test_traceback_inputs_exit_2(tmp_path, capsys, mode, payload, message):
     cfg = write_config(tmp_path, payload)

@@ -3,7 +3,7 @@ import pytest
 
 from ilc_sos.polyalg import AffinePoly, PolyMatrix, circle_degree, circle_image, homogenize
 from ilc_sos import freqdomain as fd
-from ilc_sos import sdp
+from ilc_sos import polyalg, sdp
 from ilc_sos import verify as vf
 
 
@@ -115,15 +115,32 @@ def test_jury_matches_root_magnitudes():
         checked += 1
 
 
-@pytest.mark.parametrize("d, distinct", [(1, 1), (2, 51), (3, 1326)])
+@pytest.mark.parametrize("d, distinct", [(1, 1), (2, 2), (3, 3), (8, 8)])
 def test_jury_counts_each_sample_once(d, distinct):
-    # den z + c(lam) on the simplex in d coordinates, default resolution 50:
-    # C(50 + d - 1, d - 1) distinct grid points, the vertices among them
+    # den z + c(lam), c affine on the simplex in d coordinates: the vertices
+    # decide the first-order margin exactly, and each is evaluated once (at
+    # d = 8 the resolution-50 mesh would hold 264 M points)
     lam = tuple(f"lam{i + 1}" for i in range(d))
     c = lin(lam, 0.0, *np.linspace(-0.6, 0.4, d))
     rep = fd.jury_stability(fd.UncertainTransferFunction.from_coeffs([1.0], [c, 1.0], lam))
     assert rep.n_points == distinct
+    assert not rep.sampled
     assert rep.margin == pytest.approx(0.4)  # at the vertex lam1 = 1
+
+
+def test_sampled_jury_screen_refuses_a_mesh_above_the_cap():
+    # a third-order den is sampled on the resolution-50 mesh: four weights
+    # fit the cap (23,426 points), five do not and are refused unallocated
+    for d, fits in ((4, True), (5, False)):
+        lam = tuple(f"lam{i + 1}" for i in range(d))
+        den = [lin(lam, 0.0, *np.linspace(-0.1, 0.1, d)), lin(lam, 0.1), lin(lam, 0.2), 1.0]
+        plant = fd.UncertainTransferFunction.from_coeffs([1.0], den, lam)
+        if fits:
+            rep = fd.jury_stability(plant)
+            assert (rep.n_points, rep.sampled) == (polyalg.MAX_MESH_POINTS, True)
+        else:
+            with pytest.raises(ValueError, match="316251 points, above the cap of 23426"):
+                fd.jury_stability(plant)
 
 
 def test_jury_paper_plant_robustly_stable():

@@ -106,6 +106,7 @@ def test_escalate_margin_is_epsilon_times_the_gamma_coefficient(monkeypatch):
     assert res.epsilon == 1e-3
     assert res.diagnostics["deg_lambda"] == 2
     assert res.diagnostics["level0_exact"] is None
+    assert res.diagnostics["size_stop"] is None
 
 
 @pytest.mark.parametrize("variables, lam, degree, case", [
@@ -163,3 +164,47 @@ def test_rate_within_certificate_tolerance_of_one_is_not_monotone():
 
 def test_rate_clearly_below_one_is_monotone():
     assert not _rate_result(0.98).not_monotone
+
+
+def _sized_ladder(monkeypatch, sizes):
+    """Stub the compiler so level k's program has ``sizes[k]`` equalities
+    and every solve returns gamma 0.5 with a passing certificate; returns
+    the levels that reached the solver."""
+    compiled, solved = [], []
+
+    def compile_sos(S, objective, bases=None):
+        k = len(compiled)
+        compiled.append(k)
+        return SdpProblem([1], (), {"k": k}, np.zeros((0, 4), np.int64), np.zeros(0),
+                          np.zeros((sizes[k], 0)), np.zeros(sizes[k]))
+
+    def solve(prob):
+        solved.append(prob.objective["k"])
+        return sdp.SdpSolution("optimal", 0.5, {"gamma": 0.5}, [])
+
+    monkeypatch.setattr(result, "compile_sos", compile_sos)
+    monkeypatch.setattr(result.sdp, "solve", solve)
+    monkeypatch.setattr(result.sdp, "ensure_certified",
+                        lambda prob, S, sol: (sol, None, CertificateReport(0.0, 1.0, [0.0], True)))
+    monkeypatch.setattr(result, "MAX_SCHUR_DIM", 10)
+    return solved
+
+
+def test_escalate_size_cap_ends_the_ladder_at_a_higher_level(monkeypatch):
+    # level 1's program is at the cap and solved; level 2's is above it: it
+    # is compiled but not solved, the ladder ends as at k_max, and the
+    # diagnostics say where
+    solved = _sized_ladder(monkeypatch, [4, 10, 11, 3])
+    res = result.escalate(_block(), LAM, None, k_max=3, k_tol=0.0, gain_list=lambda gains: [])
+    assert solved == [0, 1]
+    assert [k for k, _ in res.k_trace] == [0, 1]
+    assert res.certified and res.polya_k == 0
+    assert res.diagnostics["size_stop"] == {"k": 2, "n_equalities": 11}
+
+
+def test_escalate_size_cap_refuses_level0(monkeypatch):
+    solved = _sized_ladder(monkeypatch, [11, 4])
+    with pytest.raises(ValueError, match="Schur dimension 11, above the cap of 10"):
+        result.escalate(_block(), LAM, None, k_max=1, k_tol=0.0, gain_list=lambda gains: [])
+    assert solved == []
+

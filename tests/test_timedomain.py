@@ -192,19 +192,11 @@ def test_filter_length_checked():
 # -- the LMI block matrix ----------------------------------------------------
 
 
-def build_M(prob):
-    """td.build_M, checking that the degree predicted before the build (the
-    program-size refusal) is the block's degree."""
-    M = td.build_M(prob)
-    assert td.lambda_degree(prob) == M.degree_in(prob.plant.lambda_vars)
-    return M
-
-
 def test_build_M_scalar_nominal():
     plant = td.LiftedUncertainPlant(1, const_markov([1.0]), ())
     prob = td.TimeSynthesisProblem(plant, td.LiftedFilter.identity(1),
                                    td.LiftedFilter.causal_decision(1))
-    M = build_M(prob)
+    M = td.build_M(prob)
     for l0, gamma in [(0.0, 1.0), (0.7, 0.4), (1.0, 0.0)]:
         vals = M.evaluate({}, {"gamma": gamma, "l0": l0})
         assert np.allclose(vals, [[gamma, 1 - l0], [1 - l0, gamma]])
@@ -215,7 +207,7 @@ def test_build_M_uncertain_scalar_hand_expansion():
     q = td.LiftedFilter.identity(1)
     lstr = td.LiftedFilter.causal_decision(1)
     prob = td.TimeSynthesisProblem(plant, q, lstr)
-    M = build_M(prob)
+    M = td.build_M(prob)
     # causal Q: [[gamma, 1 - l0 a], [., gamma]], every entry homogeneous of degree 1
     for e in M.entries:
         assert {sum(exp) for exp in e.exps.tolist()} <= {1}
@@ -238,7 +230,7 @@ def test_build_M_symmetric():
                  for _ in range(3)), LAM2)
     prob = td.TimeSynthesisProblem(plant, td.LiftedFilter.identity(3),
                                    td.LiftedFilter.causal_decision(3))
-    M = build_M(prob)
+    M = td.build_M(prob)
     gains = {d: rng.normal() for d in prob.lstructure.decision_ids()}
     gains["gamma"] = 0.3
     for _ in range(10):
@@ -257,7 +249,7 @@ def test_error_dynamics_factorization():
     for q, lstr in [(td.LiftedFilter.identity(N), td.LiftedFilter.causal_decision(N)),
                     (td.LiftedFilter(N, (0.0, 0.0, 0.7, 0.3, 0.1)),
                      td.LiftedFilter.full_decision(N))]:
-        M = build_M(td.TimeSynthesisProblem(plant, q, lstr))
+        M = td.build_M(td.TimeSynthesisProblem(plant, q, lstr))
         for _ in range(100):
             pt = rng.dirichlet([1, 1])
             gains = {d: rng.normal() for d in lstr.decision_ids()}
@@ -289,7 +281,7 @@ def test_build_M_noncausal_q_congruence():
     prob = noncausal_problem()
     plant, q, lstr = prob.plant, prob.qfilter, prob.lstructure
     N = plant.N
-    M = build_M(prob)
+    M = td.build_M(prob)
     assert M.degree_in(LAM2) == 2
     rng = np.random.default_rng(5)
     for _ in range(100):
@@ -333,7 +325,7 @@ def test_build_M_noncausal_q_constant_lead():
     plant, q, lstr = prob.plant, prob.qfilter, prob.lstructure
     N, lam = plant.N, plant.lambda_vars
     assert plant.markov[0].degree() == 0 and plant.markov[2].degree() == 2
-    M = build_M(prob)
+    M = td.build_M(prob)
     assert M.degree_in(lam) == 3
     rng = np.random.default_rng(6)
     for _ in range(100):
@@ -500,49 +492,73 @@ def test_lifted_rate_rises_with_horizon_to_the_frequency_rate(r):
     assert gammas[-1] <= gamma_freq + 1e-6, (gammas, gamma_freq)
 
 
-def test_large_horizon_rejected():
-    N = td.MAX_TRIAL_LENGTH + 1
+def _refuse(monkeypatch, module, name):
+    def refused(*args):
+        raise AssertionError(f"{name} ran for a refused program")
+
+    monkeypatch.setattr(module, name, refused)
+
+
+def test_large_horizon_rejected(monkeypatch):
+    # every upper-triangle position of the 2N x 2N block is an equality, so
+    # N (2N + 1) above the Schur-dimension cap is refused before the build
+    N = next(n for n in range(1, 100) if n * (2 * n + 1) > result.MAX_SCHUR_DIM)
+    assert N == 40
     plant = td.LiftedUncertainPlant(N, const_markov([1.0] + [0.0] * (N - 1)), ())
     prob = td.TimeSynthesisProblem(plant, td.LiftedFilter.identity(N),
                                    td.LiftedFilter.causal_decision(N))
-    with pytest.raises(ValueError, match="synth_freq"):
+    _refuse(monkeypatch, td, "build_M")
+    with pytest.raises(ValueError, match=f"N\\(2N \\+ 1\\) = {N * (2 * N + 1)}.*synth_freq"):
         prob.solve()
 
 
-def test_large_program_rejected():
-    # the lifted paper plant's Markov degree grows with N: N = 8 fits the
-    # program-size limit, N = 9 does not, whatever the trial-length limit
-    assert td.program_size(8, 2, 7) <= td.MAX_PROGRAM_SIZE < td.program_size(9, 2, 8)
-    assert td.program_size(td.MAX_TRIAL_LENGTH, 2, 1) <= td.MAX_PROGRAM_SIZE
-    N = 9
+def test_large_program_rejected(monkeypatch):
+    # the lifted paper plant's Markov degree grows with N: its level-0
+    # program at N = 12 has p = 3600 equalities, above the cap, although
+    # N (2N + 1) = 300 is not; the compiled program is refused unsolved
+    N = 12
+    assert N * (2 * N + 1) <= result.MAX_SCHUR_DIM < 3600
     prob = td.TimeSynthesisProblem(paper_lifted(N), td.LiftedFilter.identity(N),
                                    td.LiftedFilter.causal_decision(N))
-    assert N <= td.MAX_TRIAL_LENGTH
-    with pytest.raises(ValueError, match="size 2907.*synth_freq"):
+    _refuse(monkeypatch, result.sdp, "solve")
+    with pytest.raises(ValueError, match="level-0 program has Schur dimension 3600, above"):
         prob.solve()
 
 
 @pytest.mark.parametrize("lead", [False, True], ids=["identity", "noncausal"])
 def test_large_program_rejected_before_build(monkeypatch, lead):
-    # the size is known from the Markov degrees: the lifted paper plant at
-    # N = 12 (lambda-degree 11 with Q = I, 12 with Q = (0.2, 0.6, 0.2)) is
-    # refused without building its block
-    N = 12
+    # the pre-check reads N alone, whatever form build_M would take: an
+    # uncertain affine plant at N = 40 is refused without building its
+    # block, with Q = I and with a non-causal Q
+    N = 40
+    markov = (lin(LAM2, 0.0, 1.0, 1.5),) + tuple(lin(LAM2, 0.0, 0.1, -0.2) for _ in range(N - 1))
     q = (td.LiftedFilter(N, (0.0,) * (N - 2) + (0.2, 0.6, 0.2) + (0.0,) * (N - 2))
          if lead else td.LiftedFilter.identity(N))
-    prob = td.TimeSynthesisProblem(paper_lifted(N), q, td.LiftedFilter.causal_decision(N))
-
-    def refused(problem):
-        raise AssertionError("build_M ran for a refused program")
-
-    monkeypatch.setattr(td, "build_M", refused)
-    with pytest.raises(ValueError, match=f"lambda-degree {11 + lead}.*synth_freq"):
+    prob = td.TimeSynthesisProblem(td.LiftedUncertainPlant(N, markov, LAM2), q,
+                                   td.LiftedFilter.causal_decision(N))
+    _refuse(monkeypatch, td, "build_M")
+    with pytest.raises(ValueError, match="above the cap.*synth_freq"):
         prob.solve()
 
 
 def test_vanishing_lead_markov_rejected():
     with pytest.raises(td.SingularPlant):
         td.LiftedUncertainPlant(1, (lin(LAM2, 0, 1, 0),), LAM2)
+
+
+def test_sign_changing_lead_markov_rejected():
+    # p1 = lam1 - 0.3 lam2 vanishes only at lam1 = 0.3 / 1.3, which no
+    # sample hits; an affine p1 is decided at the vertices, 1 and -0.3
+    with pytest.raises(td.SingularPlant, match="changes sign"):
+        td.LiftedUncertainPlant(2, (lin(LAM2, 0, 1, -0.3), lin(LAM2, 0.5)), LAM2)
+    # a quadratic p1 is sampled, and its samples change sign too
+    quad = lin(LAM2, 0, 1, -0.3) * lin(LAM2, 0, 1, 1)
+    with pytest.raises(td.SingularPlant, match="changes sign"):
+        td.LiftedUncertainPlant(2, (quad, lin(LAM2, 0.5)), LAM2)
+    # one sign on the simplex is accepted, affine or not
+    td.LiftedUncertainPlant(2, (lin(LAM2, 0, 1, 0.3), lin(LAM2, 0.5)), LAM2)
+    td.LiftedUncertainPlant(2, (lin(LAM2, 0, 1, 0.3) * lin(LAM2, 0, 1, 1), lin(LAM2, 0.5)),
+                            LAM2)
 
 
 def test_problem_validation():

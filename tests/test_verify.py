@@ -344,11 +344,13 @@ def test_time_gain_uncertain_argmax_on_vertex():
 
 
 def test_time_gain_singular_plant_on_grid():
-    # p1 crosses zero inside the simplex; construction passes (the seeded
-    # screen misses the null set) but a grid containing the root must raise
+    # p1 touches zero inside the simplex without changing sign (a double
+    # root); construction passes (the seeded screen misses the null set) but
+    # a grid containing the root must raise.  A sign change is refused at
+    # construction
     lam = ("lam1", "lam2")
     plant = td.LiftedUncertainPlant(
-        2, [lin(lam, 0, 1.0, -0.5), lin(lam, 0.1)], lam)
+        2, [lin(lam, 0, 1.0, -0.5) * lin(lam, 0, 1.0, -0.5), lin(lam, 0.1)], lam)
     grid = vf.SampleGrid(np.array([[1 / 3, 2 / 3]]), np.zeros(1))
     with pytest.raises(td.SingularPlant):
         vf.time_gain_profile(plant, td.LiftedFilter.identity(2),
